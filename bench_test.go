@@ -105,31 +105,21 @@ func BenchmarkAdaptive(b *testing.B) {
 }
 
 // BenchmarkFig5Cell runs one Fig. 5 cell — the 512-element linked list at
-// 8 threads, the paper's most traversal-heavy panel — under each execution
-// engine at the reported ops count. The sim results are bit-identical by
-// construction (the epoch engine replays the serial global order); the
-// benchmark exists to measure the host wall-time gap between the engines
-// and to gate the epoch hot path's allocs/op via benchjson -compare: the
-// replay path must stay allocation-free, so allocs/op growth here means a
-// window-table regression.
+// 8 threads, the paper's most traversal-heavy panel — at the reported ops
+// count. benchjson -compare gates its allocs/op and B/op, so growth here
+// means an allocation regression on the simulator's hot path.
 func BenchmarkFig5Cell(b *testing.B) {
 	cfg := intset.Config{Structure: "linkedlist", Runtime: "LLB-256",
 		Threads: 8, Range: 512, UpdatePct: 20, OpsPerThread: 1500, Seed: 1}
-	for _, eng := range []sim.Engine{sim.EngineSerial, sim.EngineEpoch} {
-		b.Run(eng.String(), func(b *testing.B) {
-			c := cfg
-			c.Engine = eng
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				r, err := intset.Run(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				thr = r.Throughput()
-			}
-			b.ReportMetric(thr, "simtx/us")
-		})
+	var thr float64
+	for i := 0; i < b.N; i++ {
+		r, err := intset.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		thr = r.Throughput()
 	}
+	b.ReportMetric(thr, "simtx/us")
 }
 
 // BenchmarkServerCell runs one E16 cell — the open-loop server on a

@@ -8,7 +8,6 @@
 //	asfbench -experiment fig4                    # one figure
 //	asfbench -experiment all                     # everything (slow)
 //	asfbench -experiment fig5 -scale 0.25 -parallel 8 -v
-//	asfbench -experiment fig5 -engine epoch      # epoch-speculative engine: identical results, less host work
 //	asfbench -experiment fig5 -format json -o out.json
 //	asfbench -experiment fig5 -trace trace.json  # Chrome trace_event export
 //	asfbench -experiment txprof -profile -format json -o prof.json  # flight-recorder profiles (cmd/tmprof input)
@@ -45,7 +44,6 @@ import (
 	"time"
 
 	"asfstack/internal/harness"
-	"asfstack/internal/sim"
 	"asfstack/internal/trace"
 )
 
@@ -61,10 +59,6 @@ func main() {
 	tracePath := flag.String("trace", "", "record sim traces and write a Chrome trace_event JSON file here")
 	profile := flag.Bool("profile", false,
 		"enable the transaction-level flight recorder in every cell (profiles land in the JSON report for cmd/tmprof)")
-	engineFlag := flag.String("engine", "serial",
-		"simulator execution engine: serial or epoch (results are bit-identical; epoch trades host memory for speed on repeat-heavy cells)")
-	epochLen := flag.Uint64("epoch-len", 0,
-		"epoch length in simulated cycles for -engine epoch (0 = default; a pure host-performance knob)")
 	validatePath := flag.String("validate", "", "validate a BenchReport JSON file and exit (runs nothing)")
 	list := flag.Bool("list", false, "print every experiment name with a one-line description and exit")
 	flag.Parse()
@@ -94,19 +88,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "asfbench:", err)
 		os.Exit(2)
 	}
-	engine, err := sim.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asfbench:", err)
-		os.Exit(2)
-	}
-
 	var prog io.Writer = io.Discard
 	if *verbose {
 		prog = os.Stderr
 	}
 
 	report := harness.NewBenchReport(*scale)
-	report.Engine = engine.String()
 	exit := 0
 	for _, name := range names {
 		start := time.Now()
@@ -116,8 +103,6 @@ func main() {
 			Progress: prog,
 			Trace:    *tracePath != "",
 			Profile:  *profile,
-			Engine:   engine,
-			EpochLen: *epochLen,
 		})
 		if rep == nil {
 			// Unreachable for validated names; defensive.

@@ -5,7 +5,7 @@
 //	asfsim -workload intset -structure rbtree -runtime LLB-256 -threads 8
 //	asfsim -workload stamp -app vacation-low -runtime STM -threads 4
 //	asfsim -workload server -runtime LLB-256 -topology 2x8 -load 1.4
-//	asfsim -workload intset -topology 4x16 -engine epoch
+//	asfsim -workload intset -topology 4x16
 package main
 
 import (
@@ -27,10 +27,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	topology := flag.String("topology", "",
 		"socket layout, e.g. 2x8 (sockets x cores-per-socket); empty = single socket; overrides -threads")
-	engineFlag := flag.String("engine", "serial",
-		"simulator execution engine: serial or epoch (results are bit-identical)")
-	epochLen := flag.Uint64("epoch-len", 0,
-		"epoch length in simulated cycles for -engine epoch (0 = default)")
 
 	structure := flag.String("structure", "rbtree", "intset: linkedlist, skiplist, rbtree, hashset")
 	keyRange := flag.Uint64("range", 1024, "intset: key range")
@@ -46,11 +42,6 @@ func main() {
 	zipf := flag.Float64("zipf", 1.2, "server: item-key Zipf skew exponent (> 1)")
 	flag.Parse()
 
-	engine, err := sim.ParseEngine(*engineFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asfsim:", err)
-		os.Exit(2)
-	}
 	// With an explicit topology the core count comes from it; keep the
 	// workload configs unambiguous by zeroing -threads' default.
 	if *topology != "" {
@@ -62,8 +53,7 @@ func main() {
 		r, err := intset.Run(intset.Config{
 			Structure: *structure, Runtime: *runtimeName, Threads: *threads,
 			Range: *keyRange, UpdatePct: *update, OpsPerThread: *ops,
-			EarlyRelease: *early, Seed: *seed,
-			Engine: engine, EpochLen: *epochLen, Topology: *topology,
+			EarlyRelease: *early, Seed: *seed, Topology: *topology,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "asfsim:", err)
@@ -80,8 +70,7 @@ func main() {
 	case "stamp":
 		r, err := stamp.Run(stamp.Config{
 			App: *app, Runtime: *runtimeName, Threads: *threads,
-			Scale: *scale, Seed: *seed,
-			Engine: engine, EpochLen: *epochLen, Topology: *topology,
+			Scale: *scale, Seed: *seed, Topology: *topology,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "asfsim:", err)
@@ -98,7 +87,6 @@ func main() {
 			Runtime: *runtimeName, Threads: *threads, Topology: *topology,
 			RequestsPerCore: *requests, Load: *load, ZipfS: *zipf,
 			Scale: *scale, Seed: *seed,
-			Engine: engine, EpochLen: *epochLen,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "asfsim:", err)

@@ -62,20 +62,6 @@ type doc struct {
 	Schema   string                      `json:"schema"`
 	Version  int                         `json:"version"`
 	Sections map[string]map[string]entry `json:"sections"`
-	// Engines records which simulator engine each section's benchmarks ran
-	// under ("serial" or "epoch"), keyed by section name. Absent for
-	// sections written before the field existed, which -compare treats as
-	// "serial" — every historical baseline was. Additive: no version bump.
-	Engines map[string]string `json:"engines,omitempty"`
-}
-
-// sectionEngine returns the engine a section was recorded under, defaulting
-// to "serial" for pre-engine documents.
-func sectionEngine(d doc, sec string) string {
-	if e, ok := d.Engines[sec]; ok && e != "" {
-		return e
-	}
-	return "serial"
 }
 
 func main() {
@@ -84,10 +70,6 @@ func main() {
 	compare := flag.String("compare", "",
 		"compare two sections of the -o file (SECTION_A,SECTION_B); exit 1 when allocs/op or B/op regresses")
 	check := flag.Bool("check", false, "validate the named BENCH_*.json files against the bench-json schema and exit")
-	engine := flag.String("engine", "",
-		"record the simulator engine this section's benchmarks ran under (serial or epoch); -compare refuses mismatched sections")
-	allowEngineMismatch := flag.Bool("allow-engine-mismatch", false,
-		"let -compare diff sections recorded under different engines (host-time columns are then apples to oranges)")
 	flag.Parse()
 
 	if *check {
@@ -106,7 +88,7 @@ func main() {
 		return
 	}
 	if *compare != "" {
-		regressed, err := compareSections(os.Stdout, *out, *compare, *allowEngineMismatch)
+		regressed, err := compareSections(os.Stdout, *out, *compare)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
@@ -129,16 +111,6 @@ func main() {
 
 	d := load(*out)
 	d.Sections[*section] = parsed
-	if *engine != "" {
-		if *engine != "serial" && *engine != "epoch" {
-			fmt.Fprintf(os.Stderr, "benchjson: unknown -engine %q (want serial or epoch)\n", *engine)
-			os.Exit(1)
-		}
-		if d.Engines == nil {
-			d.Engines = map[string]string{}
-		}
-		d.Engines[*section] = *engine
-	}
 	data, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -187,11 +159,6 @@ func checkFile(path string) (int, error) {
 	if len(d.Sections) == 0 {
 		return 0, fmt.Errorf("%s: no sections", path)
 	}
-	for name, e := range d.Engines {
-		if e != "serial" && e != "epoch" {
-			return 0, fmt.Errorf("%s: section %q records unknown engine %q", path, name, e)
-		}
-	}
 	for name, sec := range d.Sections {
 		if len(sec) == 0 {
 			return 0, fmt.Errorf("%s: section %q is empty", path, name)
@@ -223,12 +190,8 @@ func latencyUnit(u string) bool { return strings.HasSuffix(u, "_cyc") }
 
 // compareSections prints per-benchmark deltas between two sections of the
 // document at path and reports whether any deterministic metric regressed.
-// Host-time deltas are advisory: they vary with machine and load. Sections
-// recorded under different simulator engines refuse to compare unless
-// allowEngineMismatch: the sim metrics are identical by construction, but a
-// cross-engine host-time delta silently conflates the engine's speedup with
-// the code change under test.
-func compareSections(w io.Writer, path, spec string, allowEngineMismatch bool) (regressed bool, err error) {
+// Host-time deltas are advisory: they vary with machine and load.
+func compareSections(w io.Writer, path, spec string) (regressed bool, err error) {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 || strings.TrimSpace(parts[0]) == "" || strings.TrimSpace(parts[1]) == "" {
 		return false, fmt.Errorf("-compare wants SECTION_A,SECTION_B, got %q", spec)
@@ -253,17 +216,6 @@ func compareSections(w io.Writer, path, spec string, allowEngineMismatch bool) (
 	if !ok {
 		return false, fmt.Errorf("%s: no section %q (have %v)", path, secB, sectionNames(d))
 	}
-	engA, engB := sectionEngine(d, secA), sectionEngine(d, secB)
-	if engA != engB {
-		if !allowEngineMismatch {
-			return false, fmt.Errorf(
-				"%s: section %q ran under the %s engine but %q under %s; host-time deltas would conflate the engine with the change (re-run one side, or pass -allow-engine-mismatch)",
-				path, secA, engA, secB, engB)
-		}
-		fmt.Fprintf(w, "WARNING: comparing %s-engine section %q against %s-engine section %q; host-time deltas include the engine difference\n",
-			engA, secA, engB, secB)
-	}
-
 	det := map[string]bool{}
 	for _, m := range deterministicMetrics {
 		det[m] = true
@@ -373,7 +325,6 @@ func load(path string) doc {
 	if prev.Sections != nil {
 		d.Sections = prev.Sections
 	}
-	d.Engines = prev.Engines
 	return d
 }
 

@@ -171,7 +171,7 @@ func TestCheckFileTruncatedJSON(t *testing.T) {
 func TestCompareHostGrowthAdvisory(t *testing.T) {
 	path := writeDoc(t, validDoc()) // ns/op grows 100 → 150
 	var b strings.Builder
-	regressed, err := compareSections(&b, path, "baseline,current", false)
+	regressed, err := compareSections(&b, path, "baseline,current")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCompareDeterministicRegression(t *testing.T) {
 			e.Metrics[unit] = e.Metrics[unit] + 1
 			d.Sections["current"]["BenchmarkFig5"] = e
 			var b strings.Builder
-			regressed, err := compareSections(&b, writeDoc(t, d), "baseline,current", false)
+			regressed, err := compareSections(&b, writeDoc(t, d), "baseline,current")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +220,7 @@ func TestCompareDeterministicImprovement(t *testing.T) {
 	e.Metrics["allocs/op"] = 5
 	d.Sections["current"]["BenchmarkFig5"] = e
 	var b strings.Builder
-	regressed, err := compareSections(&b, writeDoc(t, d), "baseline,current", false)
+	regressed, err := compareSections(&b, writeDoc(t, d), "baseline,current")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestCompareOneSidedBenchmarks(t *testing.T) {
 	d.Sections["baseline"]["BenchmarkOldOnly"] = entry{NsPerOp: 1, Iters: 1}
 	d.Sections["current"]["BenchmarkNewOnly"] = entry{NsPerOp: 1, Iters: 1}
 	var b strings.Builder
-	regressed, err := compareSections(&b, writeDoc(t, d), "baseline,current", false)
+	regressed, err := compareSections(&b, writeDoc(t, d), "baseline,current")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,47 +252,6 @@ func TestCompareOneSidedBenchmarks(t *testing.T) {
 	}
 }
 
-// TestCompareEngineMismatch: sections recorded under different engines must
-// refuse to compare unless explicitly allowed; a missing engine record means
-// serial (every baseline before the field existed was).
-func TestCompareEngineMismatch(t *testing.T) {
-	d := validDoc()
-	d.Engines = map[string]string{"current": "epoch"} // baseline: implicit serial
-	path := writeDoc(t, d)
-	var b strings.Builder
-	if _, err := compareSections(&b, path, "baseline,current", false); err == nil ||
-		!strings.Contains(err.Error(), "engine") {
-		t.Fatalf("cross-engine compare not refused: %v", err)
-	}
-	b.Reset()
-	regressed, err := compareSections(&b, path, "baseline,current", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Fatal("allowed cross-engine compare gated without a deterministic regression")
-	}
-	if !strings.Contains(b.String(), "WARNING") {
-		t.Fatalf("allowed cross-engine compare printed no warning:\n%s", b.String())
-	}
-
-	// Same engine on both sides: no refusal, no warning.
-	d.Engines = map[string]string{"baseline": "epoch", "current": "epoch"}
-	b.Reset()
-	if _, err := compareSections(&b, writeDoc(t, d), "baseline,current", false); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(b.String(), "WARNING") {
-		t.Fatalf("same-engine compare warned:\n%s", b.String())
-	}
-
-	// checkFile rejects unknown engine spellings.
-	d.Engines = map[string]string{"current": "warp"}
-	if _, err := checkFile(writeDoc(t, d)); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("unknown engine accepted: %v", err)
-	}
-}
-
 // TestCompareLatencyAdvisory: the v2 latency quantile units are reported
 // with their own advisory marker and never gate, however much they grow.
 func TestCompareLatencyAdvisory(t *testing.T) {
@@ -303,7 +262,7 @@ func TestCompareLatencyAdvisory(t *testing.T) {
 		d.Sections[sec]["BenchmarkFig5"] = e
 	}
 	var b strings.Builder
-	regressed, err := compareSections(&b, writeDoc(t, d), "baseline,current", false)
+	regressed, err := compareSections(&b, writeDoc(t, d), "baseline,current")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +285,7 @@ func TestCompareMixedSchemaLatency(t *testing.T) {
 	e.Metrics["p99_cyc"] = 250_000
 	d.Sections["current"]["BenchmarkFig5"] = e
 	var b strings.Builder
-	regressed, err := compareSections(&b, writeDoc(t, d), "baseline,current", false)
+	regressed, err := compareSections(&b, writeDoc(t, d), "baseline,current")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +305,11 @@ func TestCompareBadSpecAndMissingSection(t *testing.T) {
 	path := writeDoc(t, validDoc())
 	var b strings.Builder
 	for _, spec := range []string{"", "baseline", "baseline,", ",current", "a,b,c"} {
-		if _, err := compareSections(&b, path, spec, false); err == nil {
+		if _, err := compareSections(&b, path, spec); err == nil {
 			t.Fatalf("bad spec %q accepted", spec)
 		}
 	}
-	if _, err := compareSections(&b, path, "baseline,nosuch", false); err == nil ||
+	if _, err := compareSections(&b, path, "baseline,nosuch"); err == nil ||
 		!strings.Contains(err.Error(), `no section "nosuch"`) {
 		t.Fatalf("missing section err = %v", err)
 	}

@@ -111,7 +111,6 @@ func Install(m *sim.Machine, v Variant) *System {
 		u := newUnit(s, m.CPU(i))
 		s.units = append(s.units, u)
 		m.CPU(i).SetSpecUnit(u)
-		m.CPU(i).SetReplayTracker(u)
 	}
 	m.SetAccessHook(s.onAccess)
 	m.Hier.SetEvictHook(s.onEvict)
@@ -155,11 +154,7 @@ func (s *System) protLookup(line mem.Addr) *protState {
 }
 
 // chargeProbe adds the cross-socket latency of one conflict-abort probe
-// when requester and victim sit on different sockets. This path is only
-// reachable from full-path accesses: the epoch engine's replay windows
-// require L1 residency (dirty, for stores), which a foreign speculative
-// protection of the same line would have destroyed — so charging here
-// cannot diverge the engines.
+// when requester and victim sit on different sockets.
 func (s *System) chargeProbe(c *sim.CPU, self, victim int) {
 	if s.coresPer == 0 || self/s.coresPer == victim/s.coresPer {
 		return

@@ -348,31 +348,6 @@ func (u *Unit) Release(a mem.Addr) {
 	})
 }
 
-// --- epoch-engine tracking replay (sim.ReplayTracker) ---------------------
-//
-// The epoch engine replays repeat accesses of L1-resident lines without the
-// full access path. When such a replay crosses into a newer speculative
-// region, the only hook effect the full path would have is the tracking
-// phase — the conflict probe is a no-op by the L1-residency argument (see
-// sim.ReplayTracker) — so the engine calls straight into the same tracking
-// functions the access hook uses. Aborts they raise (capacity, ASF1
-// frozen-set) are identical to the full path's by construction.
-
-// TrackableLoad implements sim.ReplayTracker.
-func (u *Unit) TrackableLoad() bool { return u.active }
-
-// TrackableStore implements sim.ReplayTracker.
-func (u *Unit) TrackableStore() bool { return u.active }
-
-// Idle implements sim.ReplayTracker.
-func (u *Unit) Idle() bool { return !u.active }
-
-// TrackLoad implements sim.ReplayTracker.
-func (u *Unit) TrackLoad(line mem.Addr) { u.trackRead(line) }
-
-// TrackStore implements sim.ReplayTracker.
-func (u *Unit) TrackStore(line mem.Addr) { u.trackWrite(line) }
-
 // --- tracking (called from the access hook, turn held) --------------------
 
 func (u *Unit) trackRead(line mem.Addr) {

@@ -302,9 +302,7 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 	// L1 miss: find the line further out, then fill into L1. On a
 	// multi-socket machine any path past the private L2 consults line's
 	// home directory; when that home — or a dirty owner — sits on another
-	// socket, the access pays XSockLat per boundary crossed. All of these
-	// charges live on L1-miss paths only, which the epoch engine's replay
-	// windows never cover, so both engines stay byte-identical.
+	// socket, the access pays XSockLat per boundary crossed.
 	mySock := h.sockOf(c)
 	switch {
 	case cc.l2.lookup(line) != nil:
@@ -373,10 +371,6 @@ func (h *Hierarchy) upgrade(c int, line mem.Addr, ls *lineState) uint64 {
 			// One extra hop if any holder (or the dirty owner) sits on
 			// another socket: the probes fan out in parallel over the
 			// socket link, so the boundary is paid once, not per core.
-			// A store replay requires the dirty bit, which implies
-			// exclusive ownership and an empty probe set — so this
-			// charge, like the miss-path ones, is unreachable from the
-			// epoch engine's fast path.
 			mySock := h.sockOf(c)
 			cross := ls.owner >= 0 && int(ls.owner) != c && h.sockOf(int(ls.owner)) != mySock
 			for o, rem := 0, others; !cross && rem != 0; o, rem = o+1, rem>>1 {
@@ -591,77 +585,4 @@ func (h *Hierarchy) FlushPrivate(c int) {
 func (h *Hierarchy) FlushTLB(c int) {
 	h.cores[c].tlb1.flush()
 	h.cores[c].tlb2.flush()
-}
-
-// --- speculative replay (sim's epoch engine) -----------------------------
-//
-// The epoch engine (sim.EngineEpoch) services repeat accesses to L1-resident
-// lines without re-running the full Access path. It holds direct references
-// to the L1 and L1-TLB entries an access touched and revalidates them
-// against live array state on every replay. The arrays are allocated once
-// and never reallocated (see array.go), so the references stay safe for the
-// hierarchy's lifetime; any eviction, invalidation, or flush retags or
-// zeroes the entry and revalidation fails by inspection.
-
-// LineRef is an opaque reference to one core's L1 entry for a line.
-type LineRef *entry
-
-// PageRef is an opaque reference to one core's L1-TLB entry for a page.
-type PageRef *tlbEntry
-
-// L1Ref returns a replay reference for line in core c's L1, or nil if the
-// line is not resident (e.g. the access that just completed was immediately
-// displaced by its own L2 victim handling).
-func (h *Hierarchy) L1Ref(c int, line mem.Addr) LineRef {
-	return LineRef(h.cores[c].l1.lookup(line))
-}
-
-// TLB1Ref returns a replay reference for page in core c's L1 TLB, or nil.
-// Only the MRU entry is consulted: after a full access of page it is the
-// MRU entry by construction, and a miss here merely skips seeding.
-func (h *Hierarchy) TLB1Ref(c int, page mem.Addr) PageRef {
-	if e := h.cores[c].tlb1.last; e != nil && e.valid && e.page == page {
-		return PageRef(e)
-	}
-	return nil
-}
-
-// ReplayHit revalidates a seeded access window and, if still valid, replays
-// exactly the state changes Access performs for an L1 hit: the LRU tick
-// advances, the L1 entry (and, for TLB-translated accesses, the TLB entry
-// and its MRU pointer) is stamped with the new tick, and the per-core
-// load/store and L1-hit counters advance. Returns the latency to charge and
-// true; on any validation failure it returns (0, false) having changed
-// nothing.
-//
-// Validity is judged entirely from live state: the referenced L1 entry must
-// still hold line, and for writes must be dirty — dirty implies this core
-// owns the line exclusively, so the directory update and write-upgrade of
-// the full path are idempotent no-ops and no invalidation probe is due.
-func (h *Hierarchy) ReplayHit(c int, lr LineRef, line mem.Addr, write bool, pr PageRef, page mem.Addr) (uint64, bool) {
-	e := (*entry)(lr)
-	if e == nil || !e.valid || e.line != line || (write && !e.dirty) {
-		return 0, false
-	}
-	var te *tlbEntry
-	if !write || h.cfg.StoresUseTLB {
-		te = (*tlbEntry)(pr)
-		if te == nil || !te.valid || te.page != page {
-			return 0, false
-		}
-	}
-	h.tick++
-	st := &h.stats[c]
-	if write {
-		st.Stores++
-	} else {
-		st.Loads++
-	}
-	if te != nil {
-		te.lastUse = h.tick
-		h.cores[c].tlb1.last = te
-	}
-	e.lastUse = h.tick
-	st.L1Hits++
-	return h.cfg.L1Lat, true
 }

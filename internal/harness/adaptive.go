@@ -59,7 +59,7 @@ func Adaptive(o Options) ([]*Table, error) {
 			for ti, th := range adaptiveThreads {
 				dst := &stampMS[(ai*nR+ri)*nT+ti]
 				ser := &stampSer[(ai*nR+ri)*nT+ti]
-				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile, Engine: o.Engine, EpochLen: o.EpochLen}
+				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile}
 				cells = append(cells, cell{
 					label: fmt.Sprintf("adaptive %-14s %-13s t=%d", app, rt, th),
 					run: func(rec *CellRecord) (string, error) {
@@ -91,7 +91,6 @@ func Adaptive(o Options) ([]*Table, error) {
 				Structure: se.structure, Runtime: rt, Threads: 8,
 				Range: uint64(2 * se.size), UpdatePct: 20, InitialSize: se.size,
 				OpsPerThread: ops, Trace: o.Trace, Profile: o.Profile,
-				Engine: o.Engine, EpochLen: o.EpochLen,
 			}
 			cells = append(cells, cell{
 				label: fmt.Sprintf("adaptive %-10s size=%-4d %-13s t=8", se.structure, se.size, rt),

@@ -24,7 +24,6 @@ func recordStamp(rec *CellRecord, r stamp.Result) {
 	rec.ObserveSwitches(r.Switches)
 	rec.ObserveProfile(r.Profile)
 	rec.ObserveTrace(r.TraceEvents, r.TraceStart)
-	rec.ObserveEngine(r.EngineStats)
 }
 
 func recordIntset(rec *CellRecord, r intset.Result) {
@@ -33,7 +32,6 @@ func recordIntset(rec *CellRecord, r intset.Result) {
 	rec.ObserveSwitches(r.Switches)
 	rec.ObserveProfile(r.Profile)
 	rec.ObserveTrace(r.TraceEvents, r.TraceStart)
-	rec.ObserveEngine(r.EngineStats)
 }
 
 // asfVariants are the four hardware configurations, in figure order.
@@ -61,7 +59,7 @@ func Fig3(o Options) ([]*Table, error) {
 			if native {
 				dst, kind = &nats[i], "native"
 			}
-			cfg := stamp.Config{App: app, Runtime: "Sequential", Threads: 1, Scale: scale, Native: native, Trace: o.Trace, Profile: o.Profile, Engine: o.Engine, EpochLen: o.EpochLen}
+			cfg := stamp.Config{App: app, Runtime: "Sequential", Threads: 1, Scale: scale, Native: native, Trace: o.Trace, Profile: o.Profile}
 			cells = append(cells, cell{
 				label: fmt.Sprintf("fig3 %-14s %s", app, kind),
 				run: func(rec *CellRecord) (string, error) {
@@ -107,7 +105,7 @@ func Fig4(o Options) ([]*Table, error) {
 		for ri, rt := range rts {
 			for ti, th := range threadCounts {
 				dst := &ms[(ai*nR+ri)*nT+ti]
-				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile, Engine: o.Engine, EpochLen: o.EpochLen}
+				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile}
 				cells = append(cells, cell{
 					label: fmt.Sprintf("fig4 %-14s %-14s t=%d", app, rt, th),
 					run: func(rec *CellRecord) (string, error) {
@@ -123,7 +121,7 @@ func Fig4(o Options) ([]*Table, error) {
 			}
 		}
 		dst := &seq[ai]
-		cfg := stamp.Config{App: app, Runtime: "Sequential", Threads: 1, Scale: scale, Trace: o.Trace, Profile: o.Profile, Engine: o.Engine, EpochLen: o.EpochLen}
+		cfg := stamp.Config{App: app, Runtime: "Sequential", Threads: 1, Scale: scale, Trace: o.Trace, Profile: o.Profile}
 		cells = append(cells, cell{
 			label: fmt.Sprintf("fig4 %-14s Sequential     t=1", app),
 			run: func(rec *CellRecord) (string, error) {
@@ -188,8 +186,6 @@ func Fig5(o Options) ([]*Table, error) {
 				cfg.OpsPerThread = ops
 				cfg.Trace = o.Trace
 				cfg.Profile = o.Profile
-				cfg.Engine = o.Engine
-				cfg.EpochLen = o.EpochLen
 				cells = append(cells, cell{
 					label: fmt.Sprintf("fig5 %-10s r=%-6d %-14s t=%d", panel.Structure, panel.Range, rt, th),
 					run: func(rec *CellRecord) (string, error) {
@@ -244,7 +240,7 @@ func Fig6(o Options) ([]*Table, error) {
 		for ri, rt := range rts {
 			for ti, th := range threadCounts {
 				dst := &rows[(ai*nR+ri)*nT+ti]
-				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile, Engine: o.Engine, EpochLen: o.EpochLen}
+				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile}
 				cells = append(cells, cell{
 					label: fmt.Sprintf("fig6 %-14s %-14s t=%d", app, rt, th),
 					run: func(rec *CellRecord) (string, error) {
@@ -327,7 +323,6 @@ func Fig7(o Options) ([]*Table, error) {
 					Structure: se.structure, Runtime: rt, Threads: 8,
 					Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
 					OpsPerThread: ops, Trace: o.Trace, Profile: o.Profile,
-					Engine: o.Engine, EpochLen: o.EpochLen,
 				}
 				cells = append(cells, cell{
 					label: fmt.Sprintf("fig7 %-10s %-14s size=%-4d", se.structure, rt, sz),
@@ -382,7 +377,6 @@ func Fig8(o Options) ([]*Table, error) {
 					Structure: "linkedlist", Runtime: llb, Threads: 8,
 					Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
 					OpsPerThread: ops, EarlyRelease: er, Trace: o.Trace, Profile: o.Profile,
-					Engine: o.Engine, EpochLen: o.EpochLen,
 				}
 				cells = append(cells, cell{
 					label: fmt.Sprintf("fig8 %-8s er=%-5v size=%-4d", llb, er, sz),
@@ -451,8 +445,6 @@ func Table1(o Options) ([]*Table, error) {
 			c.OpsPerThread = ops
 			c.Trace = o.Trace
 			c.Profile = o.Profile
-			c.Engine = o.Engine
-			c.EpochLen = o.EpochLen
 			cells = append(cells, cell{
 				label: fmt.Sprintf("table1 %-10s %-8s", cfg.Structure, rt),
 				run: func(rec *CellRecord) (string, error) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"asfstack/internal/intset"
-	"asfstack/internal/sim"
 )
 
 // grid64Threads widens the paper's 1–8 thread axis to the simulator's full
@@ -25,18 +24,9 @@ var grid64Panels = []intset.Config{
 // static families the adaptive selector switches among, plus the selector.
 var grid64Runtimes = []string{"LLB-256", "HyTM-8", "STM", "Cohorts-turbo", "Adaptive-8"}
 
-// grid64Sweep is the epoch-length axis of the E15 sweep table. The sim
-// column must be constant along it — EpochLen is a host-performance knob,
-// and the table shows the simulated cycles staying put while the engine's
-// host-side counters move.
-var grid64Sweep = []uint64{1_000, 10_000, sim.DefaultEpochLen, 1_000_000}
-
-// Grid64 — E15: the widened 64-core grid. Three parts: the large Fig. 5
-// panels on ASF-TM across 8–64 threads, the E13 runtime field head-to-head
-// at 64 threads, and an epoch-length sweep on one 64-thread cell pinning
-// that the epoch engine's knob never reaches simulated results. The whole
-// experiment honours Options.Engine like every other; the sweep cells force
-// the epoch engine since the sweep is about it.
+// Grid64 — E15: the widened 64-core grid. Two parts: the large Fig. 5
+// panels on ASF-TM across 8–64 threads, and the E13 runtime field
+// head-to-head at 64 threads.
 func Grid64(o Options) ([]*Table, error) {
 	ops := int(1500 * o.scale())
 	nP, nT := len(grid64Panels), len(grid64Threads)
@@ -51,8 +41,6 @@ func Grid64(o Options) ([]*Table, error) {
 			cfg.OpsPerThread = ops
 			cfg.Trace = o.Trace
 			cfg.Profile = o.Profile
-			cfg.Engine = o.Engine
-			cfg.EpochLen = o.EpochLen
 			cells = append(cells, cell{
 				label: fmt.Sprintf("grid64 %-10s r=%-6d LLB-256 t=%d", panel.Structure, panel.Range, th),
 				run: func(rec *CellRecord) (string, error) {
@@ -79,8 +67,6 @@ func Grid64(o Options) ([]*Table, error) {
 			cfg.OpsPerThread = ops
 			cfg.Trace = o.Trace
 			cfg.Profile = o.Profile
-			cfg.Engine = o.Engine
-			cfg.EpochLen = o.EpochLen
 			cells = append(cells, cell{
 				label: fmt.Sprintf("grid64 %-10s r=%-6d %-13s t=64", panel.Structure, panel.Range, rt),
 				run: func(rec *CellRecord) (string, error) {
@@ -96,36 +82,8 @@ func Grid64(o Options) ([]*Table, error) {
 		}
 	}
 
-	type sweepObs struct {
-		cycles uint64
-		thr    float64
-		eng    sim.EngineStats
-	}
-	sweep := make([]slot[sweepObs], len(grid64Sweep))
-	for si, el := range grid64Sweep {
-		dst := &sweep[si]
-		cfg := intset.Config{
-			Structure: "rbtree", Runtime: "LLB-256", Threads: 64,
-			Range: 8192, UpdatePct: 20, OpsPerThread: ops,
-			Trace: o.Trace, Profile: o.Profile,
-			Engine: sim.EngineEpoch, EpochLen: el,
-		}
-		cells = append(cells, cell{
-			label: fmt.Sprintf("grid64 sweep rbtree epoch-len=%-8d t=64", el),
-			run: func(rec *CellRecord) (string, error) {
-				r, err := intsetRun(cfg)
-				if err != nil {
-					return "", err
-				}
-				recordIntset(rec, r)
-				dst.set(sweepObs{cycles: r.Cycles, thr: r.Throughput(), eng: r.EngineStats})
-				return fmt.Sprintf("%d cycles", r.Cycles), nil
-			},
-		})
-	}
 	err := runCells(cells, o)
 
-	var tables []*Table
 	scal := &Table{
 		Title:  "E15 — 64-core grid: Fig. 5 large panels on ASF-TM (LLB-256), throughput (tx/µs)",
 		Header: []string{"cell", "8", "16", "32", "64"},
@@ -138,7 +96,6 @@ func Grid64(o Options) ([]*Table, error) {
 		}
 		scal.Add(row...)
 	}
-	tables = append(tables, scal)
 
 	rtab := &Table{
 		Title:  "E15 — 64-core grid: runtime field at 64 threads (E13 widened), throughput (tx/µs)",
@@ -151,26 +108,5 @@ func Grid64(o Options) ([]*Table, error) {
 		}
 		rtab.Add(row...)
 	}
-	tables = append(tables, rtab)
-
-	sw := &Table{
-		Title:  "E15 — epoch-length sweep: Intset:rbtree/8192, LLB-256, 64 threads, epoch engine",
-		Header: []string{"epoch-len", "sim cycles", "sim-identical", "tx/µs", "epoch commits", "rollbacks", "hits", "wasted-cyc"},
-		Note:   "sim-identical compares each row's simulated cycles against the first row's: the epoch length is a host-performance knob and must never reach simulated results",
-	}
-	for si, el := range grid64Sweep {
-		s := sweep[si]
-		if !s.ok {
-			sw.Add(el, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
-			continue
-		}
-		match := "yes"
-		if sweep[0].ok && s.val.cycles != sweep[0].val.cycles {
-			match = "NO"
-		}
-		sw.Add(el, s.val.cycles, match, s.val.thr,
-			s.val.eng.Commits, s.val.eng.Rollbacks, s.val.eng.Hits, s.val.eng.WastedCycles)
-	}
-	tables = append(tables, sw)
-	return tables, err
+	return []*Table{scal, rtab}, err
 }

@@ -92,18 +92,18 @@ var Names = []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table1", "
 // Descriptions maps each experiment in Names to the one-line summary
 // cmd/asfbench -list prints.
 var Descriptions = map[string]string{
-	"fig3":   "simulator accuracy: single-threaded STAMP, simulated vs native-reference runtime",
-	"fig4":   "STAMP scalability: execution time for all apps, ASF variants and STM, 1-8 threads",
-	"fig5":   "IntegerSet scalability: throughput for the four ASF variants, eight panels",
-	"fig6":   "abort breakdown: share of aborted attempts by cause, per app/variant/threads",
-	"fig7":   "ASF capacity: throughput vs structure size at 8 threads (list and rbtree)",
-	"fig8":   "early release: linked-list throughput with and without early release",
-	"table1": "single-thread overhead: cycle breakdown ASF-TM vs TinySTM, plus Fig. 9 composition",
-	"hybrid": "E11: capacity-bound cells, serial-fallback ASF-TM vs the hybrid (HyTM) runtime",
+	"fig3":     "simulator accuracy: single-threaded STAMP, simulated vs native-reference runtime",
+	"fig4":     "STAMP scalability: execution time for all apps, ASF variants and STM, 1-8 threads",
+	"fig5":     "IntegerSet scalability: throughput for the four ASF variants, eight panels",
+	"fig6":     "abort breakdown: share of aborted attempts by cause, per app/variant/threads",
+	"fig7":     "ASF capacity: throughput vs structure size at 8 threads (list and rbtree)",
+	"fig8":     "early release: linked-list throughput with and without early release",
+	"table1":   "single-thread overhead: cycle breakdown ASF-TM vs TinySTM, plus Fig. 9 composition",
+	"hybrid":   "E11: capacity-bound cells, serial-fallback ASF-TM vs the hybrid (HyTM) runtime",
 	"litmus":   "E12: cross-runtime litmus conformance — deterministic schedule explorer vs oracle envelopes",
 	"adaptive": "E13: static-vs-adaptive runtime selection — four statics vs the online selector, with its decision log",
 	"txprof":   "E14: wasted-work accounting — flight-recorder profiles for every runtime on the Fig. 5 cells",
-	"grid64":   "E15: 64-core grid — Fig. 5 large panels and the E13 runtime field widened to 64 threads, plus the epoch-length sweep",
+	"grid64":   "E15: 64-core grid — Fig. 5 large panels and the E13 runtime field widened to 64 threads",
 	"server":   "E16: open-loop server — sojourn-time quantiles per (runtime × topology × load), multi-socket topologies, overload tail",
 }
 

@@ -44,7 +44,7 @@ func Hybrid(o Options) ([]*Table, error) {
 			for ti, th := range threadCounts {
 				dst := &stampMS[(ai*nR+ri)*nT+ti]
 				mix := &stampMix[(ai*nR+ri)*nT+ti]
-				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile, Engine: o.Engine, EpochLen: o.EpochLen}
+				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile}
 				cells = append(cells, cell{
 					label: fmt.Sprintf("hybrid %-14s %-8s t=%d", app, rt, th),
 					run: func(rec *CellRecord) (string, error) {
@@ -79,7 +79,6 @@ func Hybrid(o Options) ([]*Table, error) {
 					Structure: se.structure, Runtime: rt, Threads: 8,
 					Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
 					OpsPerThread: ops, Trace: o.Trace, Profile: o.Profile,
-					Engine: o.Engine, EpochLen: o.EpochLen,
 				}
 				cells = append(cells, cell{
 					label: fmt.Sprintf("hybrid %-10s size=%-4d %-8s t=8", se.structure, sz, rt),

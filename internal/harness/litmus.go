@@ -41,7 +41,7 @@ func Litmus(o Options) ([]*Table, error) {
 			cells = append(cells, cell{
 				label: fmt.Sprintf("litmus %-22s %-11s", tt.Name, rc.Label),
 				run: func(rec *CellRecord) (string, error) {
-					r := litmus.Explore(tt, rc, litmus.ExploreOptions{Seed: litmusSeed, Iters: iters, Engine: o.Engine, EpochLen: o.EpochLen})
+					r := litmus.Explore(tt, rc, litmus.ExploreOptions{Seed: litmusSeed, Iters: iters})
 					rec.Observe(r.Cycles, r.Stats, nil)
 					dst.set(obs{
 						distinct: len(r.Outcomes),

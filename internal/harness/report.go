@@ -20,9 +20,11 @@ const (
 	ReportSchema = "asfstack/bench-report"
 	// ReportVersion is the current schema version. Version 2 added the
 	// open-loop sojourn-time quantile fields (p50_cyc … p999_cyc) to
-	// CellSim; consumers accept 1..ReportVersion and treat the latency
-	// fields as absent in older documents.
-	ReportVersion = 2
+	// CellSim. Version 3 removed the execution-engine fields: the report
+	// and experiment "engine" strings and the per-cell "engine" section.
+	// Consumers accept 1..ReportVersion, treat the latency fields as absent
+	// in version 1, and ignore the engine fields of versions 1 and 2.
+	ReportVersion = 3
 )
 
 // BenchReport is the machine-readable result of one asfbench invocation:
@@ -32,12 +34,6 @@ type BenchReport struct {
 	Schema  string  `json:"schema"`
 	Version int     `json:"version"`
 	Scale   float64 `json:"scale"`
-	// Engine is the execution engine every experiment ran under ("serial"
-	// or "epoch"). benchjson -compare refuses to diff reports whose engines
-	// differ unless explicitly told the comparison is intended — engine
-	// changes sim nothing, but a compare across engines usually means a
-	// mislabeled baseline.
-	Engine string `json:"engine,omitempty"`
 
 	Experiments []*ExperimentReport `json:"experiments"`
 }
@@ -53,12 +49,9 @@ func NewBenchReport(scale float64) *BenchReport {
 // ExperimentReport is one experiment's full outcome.
 type ExperimentReport struct {
 	Name string `json:"name"`
-	// Engine and Workers record how the experiment was executed on the
-	// host: the simulator engine mode and the worker-pool size that drained
-	// the cells. Host provenance only — the sim sections are identical for
-	// every combination.
-	Engine  string `json:"engine,omitempty"`
-	Workers int    `json:"workers,omitempty"`
+	// Workers records the worker-pool size that drained the cells. Host
+	// provenance only — the sim sections are identical for every value.
+	Workers int `json:"workers,omitempty"`
 	// Err carries the joined cell errors when some cells failed; the
 	// tables are still present with ERR entries.
 	Err    string        `json:"err,omitempty"`
@@ -73,15 +66,8 @@ type CellReport struct {
 	Label string `json:"label"`
 	Err   string `json:"err,omitempty"`
 
-	Sim *CellSim `json:"sim,omitempty"`
-	// Engine is the epoch engine's activity for the cell, present only when
-	// the cell ran under the epoch engine. It lives OUTSIDE the sim section
-	// on purpose: engine counters describe host-side speculation (how much
-	// full-path work the shadow plane saved), not simulated behaviour, and
-	// folding them into CellSim or the metrics registry would break the
-	// byte-identical-sim-sections contract between engines.
-	Engine *CellEngine `json:"engine,omitempty"`
-	Host   CellHost    `json:"host"`
+	Sim  *CellSim `json:"sim,omitempty"`
+	Host CellHost `json:"host"`
 
 	// TraceEvents/TraceStart carry the cell's sim trace when
 	// Options.Trace was set. They are exported through the Chrome trace
@@ -124,15 +110,6 @@ type CellSim struct {
 	Profile *txprof.Profile `json:"txprof,omitempty"`
 }
 
-// CellEngine is the epoch engine's host-side activity section of a cell
-// report: machine-wide totals of the per-core engine counters.
-type CellEngine struct {
-	Commits      uint64 `json:"epoch_commits"`
-	Rollbacks    uint64 `json:"epoch_rollbacks"`
-	WastedCycles uint64 `json:"epoch_wasted_cyc"`
-	Hits         uint64 `json:"epoch_hits"`
-}
-
 // CellHost is the host-side (non-deterministic) section of a cell report.
 type CellHost struct {
 	// WallMS is the cell's host wall time, milliseconds.
@@ -147,7 +124,6 @@ type CellHost struct {
 // bodies can record unconditionally.
 type CellRecord struct {
 	sim         *CellSim
-	engine      *CellEngine
 	traceEvents []sim.TraceEvent
 	traceStart  uint64
 }
@@ -207,20 +183,6 @@ func (rec *CellRecord) ObserveProfile(p *txprof.Profile) {
 	rec.sim.Profile = p
 }
 
-// ObserveEngine attaches the cell's epoch-engine activity counters (no-op
-// when they are all zero — i.e. under the serial engine).
-func (rec *CellRecord) ObserveEngine(s sim.EngineStats) {
-	if rec == nil || s == (sim.EngineStats{}) {
-		return
-	}
-	rec.engine = &CellEngine{
-		Commits:      s.Commits,
-		Rollbacks:    s.Rollbacks,
-		WastedCycles: s.WastedCycles,
-		Hits:         s.Hits,
-	}
-}
-
 // ObserveTrace attaches the cell's sim trace (no-op on empty events).
 func (rec *CellRecord) ObserveTrace(events []sim.TraceEvent, start uint64) {
 	if rec == nil || len(events) == 0 {
@@ -242,7 +204,7 @@ func RunReport(name string, o Options) (*ExperimentReport, error) {
 	if tables == nil {
 		return nil, err
 	}
-	rep := &ExperimentReport{Name: name, Engine: o.Engine.String(), Workers: o.workers(), Tables: tables, Cells: cells}
+	rep := &ExperimentReport{Name: name, Workers: o.workers(), Tables: tables, Cells: cells}
 	if err != nil {
 		rep.Err = err.Error()
 	}

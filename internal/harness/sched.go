@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"asfstack/internal/sim"
 )
 
 // Options configures how an experiment schedules its cells.
@@ -32,14 +30,6 @@ type Options struct {
 	// (the asfbench -profile flag); the txprof experiment records
 	// unconditionally. Off by default.
 	Profile bool
-	// Engine selects the simulator execution engine for every cell (the
-	// asfbench -engine flag). Cell sim sections are byte-identical for
-	// either engine; only host time and the host-side engine counters
-	// differ.
-	Engine sim.Engine
-	// EpochLen overrides the epoch length for the epoch engine (0 keeps
-	// the default).
-	EpochLen uint64
 
 	// sink, when non-nil, receives every cell's report in cell order
 	// (RunReport installs it).
@@ -133,9 +123,8 @@ func runCells(cells []cell, o Options) error {
 				wall := time.Since(start)
 				host := wall.Round(time.Millisecond)
 				rep := &CellReport{
-					Label:  strings.TrimRight(c.label, " "),
-					Sim:    rec.sim,
-					Engine: rec.engine,
+					Label: strings.TrimRight(c.label, " "),
+					Sim:   rec.sim,
 					Host: CellHost{
 						WallMS:  float64(wall.Microseconds()) / 1e3,
 						QueueMS: float64(queued.Microseconds()) / 1e3,

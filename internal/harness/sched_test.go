@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"asfstack/internal/sim"
 	"asfstack/internal/stamp"
 )
 
@@ -47,7 +46,7 @@ func simSections(t *testing.T, name string, o Options) string {
 	t.Helper()
 	rep, err := RunReport(name, o)
 	if err != nil {
-		t.Fatalf("%s (engine=%s parallel=%d): %v", name, o.Engine, o.Parallel, err)
+		t.Fatalf("%s (parallel=%d): %v", name, o.Parallel, err)
 	}
 	var b strings.Builder
 	b.WriteString(renderTables(rep.Tables))
@@ -64,19 +63,15 @@ func simSections(t *testing.T, name string, o Options) string {
 	return b.String()
 }
 
-// TestCrossEngineExperimentDeterminism is the cross-engine conformance
-// matrix: every registered experiment runs under {serial, epoch} × worker
-// counts {1, N}, and all four runs' sim sections — every cell's cycles,
-// stats, metrics snapshot, profile, and every rendered table — must be
-// byte-identical. This is the harness-level half of the epoch engine's
-// determinism contract (internal/sim/engine_test.go is the machine-level
-// half); it is what lets benchjson -compare treat engine as provenance
-// rather than a result axis.
-func TestCrossEngineExperimentDeterminism(t *testing.T) {
+// TestParallelExperimentDeterminism is the harness-level determinism
+// suite: every registered experiment runs with worker counts 1 and 4, and
+// both runs' sim sections — every cell's cycles, stats, metrics snapshot,
+// profile, and every rendered table — must be byte-identical.
+func TestParallelExperimentDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps are slow")
 	}
-	// Per-experiment scales keep the full matrix inside test-suite time;
+	// Per-experiment scales keep the suite inside test-suite time;
 	// identity must hold at any scale, so small is as strong as large.
 	scales := map[string]float64{
 		"fig4": 0.02, "fig6": 0.02, "adaptive": 0.02, "txprof": 0.03,
@@ -90,20 +85,9 @@ func TestCrossEngineExperimentDeterminism(t *testing.T) {
 			if scale == 0 {
 				scale = 0.03
 			}
-			base := simSections(t, name, Options{Scale: scale, Parallel: 1, Engine: sim.EngineSerial})
-			for _, o := range []Options{
-				{Parallel: 4, Engine: sim.EngineSerial},
-				{Parallel: 1, Engine: sim.EngineEpoch},
-				{Parallel: 4, Engine: sim.EngineEpoch},
-				// A degenerate epoch length reseeds the shadow plane on
-				// nearly every access and must change nothing.
-				{Parallel: 4, Engine: sim.EngineEpoch, EpochLen: 300},
-			} {
-				o.Scale = scale
-				if got := simSections(t, name, o); got != base {
-					t.Fatalf("%s: sim sections differ (engine=%s parallel=%d epochLen=%d) from serial/parallel=1",
-						name, o.Engine, o.Parallel, o.EpochLen)
-				}
+			base := simSections(t, name, Options{Scale: scale, Parallel: 1})
+			if got := simSections(t, name, Options{Scale: scale, Parallel: 4}); got != base {
+				t.Fatalf("%s: sim sections differ between parallel=4 and parallel=1", name)
 			}
 		})
 	}

@@ -41,7 +41,6 @@ func recordServer(rec *CellRecord, r server.Result) {
 	rec.ObserveSwitches(r.Switches)
 	rec.ObserveProfile(r.Profile)
 	rec.ObserveTrace(r.TraceEvents, r.TraceStart)
-	rec.ObserveEngine(r.EngineStats)
 }
 
 // Server — E16: the open-loop transactional server. One cell per
@@ -70,8 +69,6 @@ func Server(o Options) ([]*Table, error) {
 					Scale:    o.scale(),
 					Trace:    o.Trace,
 					Profile:  o.Profile,
-					Engine:   o.Engine,
-					EpochLen: o.EpochLen,
 				}
 				tp := tp
 				cells = append(cells, cell{
@@ -101,7 +98,7 @@ func Server(o Options) ([]*Table, error) {
 	var tables []*Table
 	for ti, topology := range serverTopologies {
 		t := &Table{
-			Title: fmt.Sprintf("E16 — open-loop server, topology %s: sojourn-time quantiles (cycles)", topology),
+			Title:  fmt.Sprintf("E16 — open-loop server, topology %s: sojourn-time quantiles (cycles)", topology),
 			Header: []string{"runtime", "load", "p50", "p95", "p99", "p999", "max", "tx/µs", "xsock-hops"},
 			Note: "sojourn = arrival → commit under a fixed open-loop schedule; " +
 				"load is offered per-core load relative to the nominal service rate, " +

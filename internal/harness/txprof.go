@@ -30,8 +30,6 @@ func Txprof(o Options) ([]*Table, error) {
 			cfg.OpsPerThread = ops
 			cfg.Trace = o.Trace
 			cfg.Profile = true
-			cfg.Engine = o.Engine
-			cfg.EpochLen = o.EpochLen
 			cells = append(cells, cell{
 				label: fmt.Sprintf("txprof %-10s r=%-6d %-14s t=8", panel.Structure, panel.Range, rt),
 				run: func(rec *CellRecord) (string, error) {

@@ -49,12 +49,6 @@ type Config struct {
 	// Profile installs the transaction-level flight recorder and harvests
 	// its profile into Result.Profile. Off by default.
 	Profile bool
-	// Engine selects the simulator execution engine (serial or epoch);
-	// results are bit-identical either way, only host time differs.
-	Engine sim.Engine
-	// EpochLen overrides the epoch length for the epoch engine (0 keeps
-	// the default).
-	EpochLen uint64
 	// Topology is the socket layout ("2x8"; see internal/topo); empty runs
 	// single-socket. When set, Threads must be zero (derived from the
 	// topology) or equal its total.
@@ -82,9 +76,6 @@ type Result struct {
 	// Profile is the flight-recorder snapshot when Config.Profile was set
 	// (and the runtime supports profiling); nil otherwise.
 	Profile *txprof.Profile
-	// EngineStats is the epoch engine's host-side activity for the measured
-	// phase; all zeros under the serial engine.
-	EngineStats sim.EngineStats
 }
 
 // Throughput returns transactions per microsecond at the simulated clock
@@ -154,14 +145,15 @@ func Run(cfg Config) (Result, error) {
 		}
 		cfg.Threads = tp.Total()
 	}
+	if cfg.Threads < 1 || cfg.Threads > sim.MaxCores {
+		return Result{}, fmt.Errorf("intset: %d threads out of range (want 1..%d)", cfg.Threads, sim.MaxCores)
+	}
 	s := asfstack.New(asfstack.Options{
 		Cores:    cfg.Threads,
 		Runtime:  cfg.Runtime,
 		Seed:     cfg.Seed,
 		Topology: cfg.Topology,
 		Profile:  cfg.Profile,
-		Engine:   cfg.Engine,
-		EpochLen: cfg.EpochLen,
 	})
 
 	var set setIface
@@ -227,6 +219,5 @@ func Run(cfg Config) (Result, error) {
 		res.TraceStart = start
 	}
 	res.Profile = s.TxProfile()
-	res.EngineStats = s.M.EngineStats()
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package intset
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -117,5 +118,20 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := Run(Config{Structure: "rbtree", Runtime: "STM"}); err == nil {
 		t.Fatal("zero key range accepted")
+	}
+}
+
+// TestRunRejectsCoreCount: a thread count outside 1..sim.MaxCores, given
+// directly or through the topology, is an error rather than a panic.
+func TestRunRejectsCoreCount(t *testing.T) {
+	for _, tc := range []struct {
+		threads  int
+		topology string
+	}{{0, ""}, {65, ""}, {0, "2x64"}} {
+		cfg := Config{Structure: "rbtree", Runtime: "LLB-256", Range: 64, OpsPerThread: 1,
+			Threads: tc.threads, Topology: tc.topology}
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("threads %d topology %q: err = %v, want out-of-range error", tc.threads, tc.topology, err)
+		}
 	}
 }

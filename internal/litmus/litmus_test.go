@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"asfstack/internal/sim"
 )
 
 // --- oracle self-checks ----------------------------------------------------
@@ -160,39 +158,6 @@ func TestNoiseExplores(t *testing.T) {
 	if len(res.Outcomes) < 2 {
 		t.Errorf("explorer found only %v — schedule noise is not spreading interleavings",
 			SortedOutcomes(setOf(res.Outcomes)))
-	}
-}
-
-// TestEpochEngineAdaptiveIdentity pins the PR 9 scheduler audit: a runtime
-// switch draining behind the adaptive gate mid-epoch must not observe a
-// speculatively-applied store. The epoch engine applies every replayed
-// store to ground truth at its serial-order position (nothing is buffered),
-// RMW atomics and SpecOps always take the full path, and a foreign store to
-// the gate's mode or live words invalidates the reader's L1 line — killing
-// its window by live revalidation — so the exploration traces must be
-// bit-identical to the serial engine's even with an epoch boundary forced
-// between nearly every pair of accesses (EpochLen 1).
-func TestEpochEngineAdaptiveIdentity(t *testing.T) {
-	m := Matrix()
-	rc := m[len(m)-1]
-	if rc.Stack != "Adaptive-8" {
-		t.Fatalf("expected the adaptive column last in the matrix, got %q", rc.Stack)
-	}
-	n := iters(60, 200)
-	for _, tt := range []*Test{ByName("atomicity-torn-write"), ByName("dirty-read-write"), ByName("privatization")} {
-		base := Explore(tt, rc, ExploreOptions{Seed: 11, Iters: n})
-		for _, el := range []uint64{1, 4096} {
-			got := Explore(tt, rc, ExploreOptions{Seed: 11, Iters: n, Engine: sim.EngineEpoch, EpochLen: el})
-			if !reflect.DeepEqual(base.Trace, got.Trace) {
-				t.Errorf("%s: epoch engine (EpochLen=%d) diverged from serial traces", tt.Name, el)
-			}
-			if !reflect.DeepEqual(base.Stats, got.Stats) || base.Cycles != got.Cycles {
-				t.Errorf("%s: epoch engine (EpochLen=%d) stats/cycles diverged", tt.Name, el)
-			}
-			for _, v := range got.Violations {
-				t.Errorf("%s under epoch engine: %s", tt.Name, v)
-			}
-		}
 	}
 }
 

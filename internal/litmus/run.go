@@ -92,11 +92,7 @@ func Matrix() []RuntimeConfig {
 		{Label: "Cohorts-turbo", Stack: "Cohorts-turbo", Isolation: IsolationWeak},
 		// The adaptive selector switches among the four families above
 		// mid-run behind its drain gate; its envelope is the union of its
-		// inner modes', i.e. weak. The row exists to pin the gate itself:
-		// a runtime switch draining mid-epoch (under the epoch-speculative
-		// sim engine) must never observe state a serial execution would
-		// not — the cross-engine identity tests run this column under both
-		// engines.
+		// inner modes', i.e. weak.
 		{Label: "Adaptive-8", Stack: "Adaptive-8", Isolation: IsolationWeak},
 	}
 }
@@ -115,13 +111,6 @@ type ExploreOptions struct {
 	// MaxViolations stops the run early once this many envelope violations
 	// are collected (0 means DefaultMaxViolations).
 	MaxViolations int
-	// Engine selects the simulator execution engine. Outcomes are
-	// bit-identical across engines — the cross-engine conformance rows pin
-	// exactly that.
-	Engine sim.Engine
-	// EpochLen overrides the epoch length for the epoch engine (0 keeps
-	// the default).
-	EpochLen uint64
 }
 
 // DefaultNoise is large enough to reorder operations across cores (cache
@@ -252,10 +241,6 @@ func Explore(t *Test, rc RuntimeConfig, opts ExploreOptions) *Result {
 	cfg := sim.Barcelona(n)
 	cfg.Seed = opts.Seed
 	cfg.SchedNoise = opts.Noise
-	cfg.Engine = opts.Engine
-	if opts.EpochLen != 0 {
-		cfg.EpochLen = opts.EpochLen
-	}
 
 	// The flight recorder is always on under exploration: Record costs no
 	// simulated cycles, and a violating iteration's dump — reset at each

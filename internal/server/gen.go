@@ -98,7 +98,7 @@ func boundedPareto(rng *rand.Rand, lo, hi, alpha float64) float64 {
 // generate pre-draws core's request stream: RequestsPerCore requests with
 // absolute arrival offsets and fully-determined transaction bodies. It
 // runs on the host before the measured phase — its determinism depends
-// only on the config, never on engine, worker count, or execution order.
+// only on the config, never on worker count or execution order.
 func (w *world) generate(core int) *reqQueue {
 	cfg := w.cfg
 	// Independent stream per core, decoupled from the simulator's own

@@ -63,11 +63,6 @@ type Config struct {
 	Trace bool
 	// Profile installs the transaction-level flight recorder.
 	Profile bool
-	// Engine selects the simulator execution engine (serial or epoch);
-	// results are bit-identical either way.
-	Engine sim.Engine
-	// EpochLen overrides the epoch length for the epoch engine.
-	EpochLen uint64
 }
 
 // Result carries the measurements of a run.
@@ -94,7 +89,6 @@ type Result struct {
 	TraceEvents []sim.TraceEvent
 	TraceStart  uint64
 	Profile     *txprof.Profile
-	EngineStats sim.EngineStats
 }
 
 // Throughput returns committed requests per simulated microsecond.
@@ -326,8 +320,8 @@ func Run(cfg Config) (Result, error) {
 		}
 		threads = tp.Total()
 	}
-	if threads <= 0 {
-		threads = 1
+	if threads < 1 || threads > sim.MaxCores {
+		return Result{}, fmt.Errorf("server: %d threads out of range (want 1..%d)", threads, sim.MaxCores)
 	}
 	cfg.Threads = threads
 
@@ -339,10 +333,6 @@ func Run(cfg Config) (Result, error) {
 
 	mc := sim.Barcelona(threads)
 	mc.Seed = cfg.Seed
-	mc.Engine = cfg.Engine
-	if cfg.EpochLen != 0 {
-		mc.EpochLen = cfg.EpochLen
-	}
 	s := asfstack.New(asfstack.Options{
 		Cores:    threads,
 		Runtime:  cfg.Runtime,
@@ -398,7 +388,6 @@ func Run(cfg Config) (Result, error) {
 		res.TraceStart = start
 	}
 	res.Profile = s.TxProfile()
-	res.EngineStats = s.M.EngineStats()
 
 	var verr error
 	s.Setup(func(tx tm.Tx) { verr = w.validate(tx) })

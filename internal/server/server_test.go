@@ -2,9 +2,8 @@ package server
 
 import (
 	"reflect"
+	"strings"
 	"testing"
-
-	"asfstack/internal/sim"
 )
 
 // TestQueueAllocs pins the steady-state session path: once a queue is
@@ -144,29 +143,41 @@ func fingerprint(r Result) simFingerprint {
 	}
 }
 
-// TestRunDeterministicAcrossEngines: the serial and epoch engines must
-// produce byte-identical simulated results for the open-loop workload,
-// including on a multi-socket topology.
-func TestRunDeterministicAcrossEngines(t *testing.T) {
+// TestRunSameSeedReplay: two runs of one configuration and seed produce
+// byte-identical simulated results for the open-loop workload, including
+// on a multi-socket topology.
+func TestRunSameSeedReplay(t *testing.T) {
 	for _, topology := range []string{"", "2x2"} {
 		cfg := smallConfig("LLB-256")
 		if topology != "" {
 			cfg.Threads = 0
 			cfg.Topology = topology
 		}
-		cfg.Engine = sim.EngineSerial
-		serial, err := Run(cfg)
+		first, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("topology %q serial: %v", topology, err)
+			t.Fatalf("topology %q: %v", topology, err)
 		}
-		cfg.Engine = sim.EngineEpoch
-		cfg.EpochLen = 300
-		epoch, err := Run(cfg)
+		again, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("topology %q epoch: %v", topology, err)
+			t.Fatalf("topology %q replay: %v", topology, err)
 		}
-		if fs, fe := fingerprint(serial), fingerprint(epoch); fs != fe {
-			t.Fatalf("topology %q: engines diverge:\nserial %+v\nepoch  %+v", topology, fs, fe)
+		if f1, f2 := fingerprint(first), fingerprint(again); f1 != f2 {
+			t.Fatalf("topology %q: same-seed runs diverge:\nfirst %+v\nagain %+v", topology, f1, f2)
+		}
+	}
+}
+
+// TestRunRejectsCoreCount: a thread count outside 1..sim.MaxCores, given
+// directly or through the topology, is an error rather than a panic.
+func TestRunRejectsCoreCount(t *testing.T) {
+	for _, tc := range []struct {
+		threads  int
+		topology string
+	}{{0, ""}, {65, ""}, {0, "2x64"}} {
+		cfg := smallConfig("LLB-256")
+		cfg.Threads, cfg.Topology = tc.threads, tc.topology
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("threads %d topology %q: err = %v, want out-of-range error", tc.threads, tc.topology, err)
 		}
 	}
 }

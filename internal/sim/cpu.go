@@ -67,19 +67,6 @@ type CPU struct {
 	// Initialised to an unaligned sentinel that no page address equals.
 	presentPage mem.Addr
 
-	// Epoch-speculative engine state (engine.go); win is nil under the
-	// serial engine, making every fast-path test one pointer compare.
-	// specGen is the core's speculation generation: bumped by every
-	// speculative-unit operation (SpecOp) and by explicit protection
-	// releases, it timestamps access windows whose hook-no-op proof
-	// depends on unchanged ASF protection state.
-	win        []winEntry
-	tracker    ReplayTracker
-	specGen    uint32
-	epochEnd   uint64
-	replayFail bool // a replay just failed revalidation (wasted-work attribution)
-	estats     EngineStats
-
 	// Accounting.
 	cat      Category
 	counters [NumCategories]uint64
@@ -112,10 +99,6 @@ func newCPU(m *Machine, id int) *CPU {
 	if m.cfg.TimerInterval > 0 {
 		c.nextTimer = m.cfg.TimerInterval
 	}
-	if m.cfg.Engine == EngineEpoch {
-		c.win = make([]winEntry, winSize)
-		c.epochEnd = m.cfg.EpochLen
-	}
 	return c
 }
 
@@ -136,11 +119,6 @@ func (c *CPU) Rand() *rand.Rand { return c.rng }
 
 // SetSpecUnit installs the core's speculative unit (done once at setup).
 func (c *CPU) SetSpecUnit(u SpecUnit) { c.spec = u }
-
-// SetReplayTracker installs the epoch engine's tracking-replay callback
-// (done once at setup, by the ASF system). Nil disables re-tracking;
-// generation-stale windows then always fall back to the full path.
-func (c *CPU) SetReplayTracker(t ReplayTracker) { c.tracker = t }
 
 // SpecUnit returns the installed speculative unit, or nil.
 func (c *CPU) SpecUnit() SpecUnit { return c.spec }
@@ -477,40 +455,19 @@ func (c *CPU) IdleHint() {
 // RELEASE bookkeeping) atomically at the current time while holding the
 // global turn. Pending asynchronous aborts are delivered first, so a COMMIT
 // racing with a conflict abort observes the abort, never a late commit.
-//
-// Every SpecOp advances the core's speculation generation: region
-// transitions are the only events that change this core's own ASF
-// protection state, so the bump conservatively expires every access window
-// whose replay proof depends on that state (see engine.go).
 func (c *CPU) SpecOp(cost uint64, fn func()) {
 	c.flushCycles()
 	c.acquire()
 	c.checkOSEvents()
-	c.specGen++
 	c.charge(cost)
 	fn()
 	c.endOp()
 }
 
-// BumpSpecGen expires the core's ASF-dependent access windows. Speculative
-// units must call it from any protection-state change that does not pass
-// through SpecOp (early release of individual lines).
-func (c *CPU) BumpSpecGen() { c.specGen++ }
-
 func (c *CPU) access(a mem.Addr, f Flags) mem.Word {
 	c.flushCycles()
 	c.acquire()
 	c.checkOSEvents()
-	if c.win != nil {
-		if c.now >= c.epochEnd {
-			c.closeEpoch()
-		}
-		if f&FWatch == 0 {
-			if v, ok := c.replayLoad(a, f); ok {
-				return v
-			}
-		}
-	}
 	c.beforeAccess(a, false)
 	if c.m.hook != nil {
 		c.m.hook(c, a, f|FPre)
@@ -523,9 +480,6 @@ func (c *CPU) access(a mem.Addr, f Flags) mem.Word {
 	var v mem.Word
 	if f&FWatch == 0 {
 		v = c.m.Mem.Load(a)
-		if c.win != nil && c.pendingAbort == AbortNone {
-			c.seedWindow(a, f, false, res.Cycles)
-		}
 	}
 	c.endOp()
 	return v
@@ -535,14 +489,6 @@ func (c *CPU) accessStore(a mem.Addr, v mem.Word, f Flags) {
 	c.flushCycles()
 	c.acquire()
 	c.checkOSEvents()
-	if c.win != nil {
-		if c.now >= c.epochEnd {
-			c.closeEpoch()
-		}
-		if f&FWatch == 0 && c.replayStore(a, v, f) {
-			return
-		}
-	}
 	c.beforeAccess(a, true)
 	if c.m.hook != nil {
 		c.m.hook(c, a, f|FPre) // conflict resolution before line movement
@@ -561,182 +507,8 @@ func (c *CPU) accessStore(a mem.Addr, v mem.Word, f Flags) {
 	}
 	if f&FWatch == 0 {
 		c.m.Mem.Store(a, v)
-		if c.win != nil && c.pendingAbort == AbortNone {
-			c.seedWindow(a, f, true, res.Cycles)
-		}
 	}
 	c.endOp()
-}
-
-// --- epoch-engine fast path (see engine.go for the soundness argument) ---
-
-// replayLoad attempts to service a load through the core's shadow plane.
-// On success the access is complete (turn released) and the loaded word is
-// returned; on failure nothing observable has changed and the caller falls
-// through to the full path.
-func (c *CPU) replayLoad(a mem.Addr, f Flags) (mem.Word, bool) {
-	line := a.Line()
-	w := &c.win[uint64(line>>mem.LineShift)&winMask]
-	cp := capPlainLoad
-	if f&FLocked != 0 {
-		cp = capLockedLoad
-	}
-	if w.line != line || w.caps&cp == 0 {
-		return 0, false // nothing speculated for this (line, class)
-	}
-	retrack := false
-	if cp&capGenDep != 0 && w.gen != c.specGen {
-		// Generation-stale locked load: the tracking hook of the full
-		// path would re-insert the line into the (new) active region's
-		// read set. With a tracker installed that insertion is replayable
-		// directly; without one — or outside a region — fall back.
-		if c.tracker == nil || !c.tracker.TrackableLoad() {
-			c.mispredict(w)
-			return 0, false
-		}
-		retrack = true
-	}
-	lat, ok := c.m.Hier.ReplayHit(c.id, w.lref, line, false, w.pref, a.Page())
-	if !ok {
-		c.mispredictHard(w)
-		return 0, false
-	}
-	c.estats.Hits++
-	c.charge(lat)
-	if retrack {
-		// Refresh the generation for the load capability alone: any store
-		// capability was proven under the old region and must re-prove.
-		w.caps = (w.caps &^ capGenDep) | capLockedLoad
-		w.gen = c.specGen
-		// May abort (capacity, ASF1) exactly like the full path's
-		// tracking hook — after the latency charge, before the data read.
-		c.tracker.TrackLoad(line)
-	}
-	v := c.m.Mem.Load(a)
-	c.endOp()
-	return v, true
-}
-
-// replayStore is replayLoad's store twin; true means the store retired.
-func (c *CPU) replayStore(a mem.Addr, v mem.Word, f Flags) bool {
-	line := a.Line()
-	w := &c.win[uint64(line>>mem.LineShift)&winMask]
-	cp := capPlainStore
-	if f&FLocked != 0 {
-		cp = capLockedStore
-	}
-	if w.line != line || w.caps&cp == 0 {
-		return false
-	}
-	// Both store capabilities are generation-gated: a locked window must
-	// repeat inside the region that built it, and a plain window was
-	// seeded with no region active — a generation match proves that still
-	// holds, so the colocation-exception branch of the tracking hook
-	// stays dead. A stale window can still replay through the tracker:
-	// a locked store by re-inserting into the new region's write set, a
-	// plain store by proving no region is active (its hook is then empty;
-	// the dirty bit the replay requires already rules out every foreign
-	// protection the conflict probe could act on).
-	retrack := false
-	if w.gen != c.specGen {
-		switch {
-		case cp == capLockedStore && c.tracker != nil && c.tracker.TrackableStore():
-			retrack = true
-		case cp == capPlainStore && c.tracker != nil && c.tracker.Idle():
-		default:
-			c.mispredict(w)
-			return false
-		}
-	}
-	lat, ok := c.m.Hier.ReplayHit(c.id, w.lref, line, true, w.pref, a.Page())
-	if !ok {
-		c.mispredictHard(w)
-		return false
-	}
-	c.estats.Hits++
-	c.charge(lat)
-	if w.gen != c.specGen {
-		w.caps = (w.caps &^ capGenDep) | cp
-		w.gen = c.specGen
-	}
-	if retrack {
-		c.tracker.TrackStore(line) // may abort, like the full path's hook
-	}
-	c.m.Mem.Store(a, v)
-	c.endOp()
-	return true
-}
-
-// mispredict records a generation mispredict: the ASF-dependent
-// capabilities are stale but the line references may still be good, so
-// only the generation-dependent capabilities are dropped. The full-path
-// re-execution that follows attributes its cycles to WastedCycles.
-func (c *CPU) mispredict(w *winEntry) {
-	c.estats.Rollbacks++
-	c.replayFail = true
-	w.caps &^= capGenDep
-}
-
-// mispredictHard drops the whole window: the line itself moved (evicted,
-// invalidated, or flushed), so no capability survives.
-func (c *CPU) mispredictHard(w *winEntry) {
-	c.estats.Rollbacks++
-	c.replayFail = true
-	*w = winEntry{}
-}
-
-// seedWindow records a completed full-path access in the line's window so
-// repeats can replay it, merging its capability into whatever the window
-// already proves. Called with the turn held, after the access retired
-// without aborting.
-func (c *CPU) seedWindow(a mem.Addr, f Flags, write bool, cost uint64) {
-	if c.replayFail {
-		c.replayFail = false
-		c.estats.WastedCycles += cost
-	}
-	var cp uint8
-	switch {
-	case !write && f&FLocked == 0:
-		cp = capPlainLoad
-	case !write:
-		cp = capLockedLoad
-	case f&FLocked != 0:
-		cp = capLockedStore
-	default:
-		// A plain store inside an active region can raise the colocation
-		// exception or hoist the line into the write set on any repeat;
-		// only store windows built outside regions are provably no-ops.
-		if c.spec != nil && c.spec.Active() {
-			return
-		}
-		cp = capPlainStore
-	}
-	line := a.Line()
-	lref := c.m.Hier.L1Ref(c.id, line)
-	if lref == nil {
-		return // immediately displaced by its own fill: not replayable
-	}
-	w := &c.win[uint64(line>>mem.LineShift)&winMask]
-	if w.line != line {
-		*w = winEntry{line: line}
-	}
-	if w.gen != c.specGen {
-		w.caps &^= capGenDep
-		w.gen = c.specGen
-	}
-	// The line reference is refreshed on every seed: the line may have
-	// moved ways since the window was built. The TLB reference is seeded
-	// by translated accesses only; stores keep any load-seeded one (live
-	// revalidation covers it).
-	w.lref = lref
-	if !write || c.m.cfg.Cache.StoresUseTLB {
-		pref := c.m.Hier.TLB1Ref(c.id, a.Page())
-		if pref == nil {
-			return
-		}
-		w.pref = pref
-	}
-	w.caps |= cp
 }
 
 // beforeAccess handles demand paging. A page fault inside a speculative

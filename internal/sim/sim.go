@@ -83,16 +83,6 @@ type Config struct {
 	// measurement runs. Zero (the default) keeps the scheduler purely
 	// clock-driven and byte-identical to previous behaviour.
 	SchedNoise uint64
-
-	// Engine selects the execution engine (see engine.go). Simulated
-	// results are bit-identical across engines; only host cost differs.
-	Engine Engine
-
-	// EpochLen is the epoch length of the epoch-speculative engine, in
-	// simulated cycles; zero means DefaultEpochLen. Ignored by the serial
-	// engine. Results are identical for every value — another pure
-	// host-performance knob.
-	EpochLen uint64
 }
 
 // Barcelona returns the machine configuration used for all measurements in
@@ -206,9 +196,6 @@ func New(cfg Config) *Machine {
 	}
 	if cfg.IssueWidth <= 0 {
 		cfg.IssueWidth = 3
-	}
-	if cfg.EpochLen == 0 {
-		cfg.EpochLen = DefaultEpochLen
 	}
 	if !cfg.Topology.IsZero() {
 		if cfg.Topology.Total() != cfg.Cores {
@@ -373,7 +360,6 @@ func (m *Machine) SyncClocks() uint64 {
 		if m.cfg.TimerInterval > 0 {
 			c.nextTimer = maxNow + m.cfg.TimerInterval
 		}
-		c.resetEpoch()
 	}
 	return maxNow
 }

@@ -63,12 +63,6 @@ type Config struct {
 	// Profile installs the transaction-level flight recorder and harvests
 	// its profile into Result.Profile. Off by default.
 	Profile bool
-	// Engine selects the simulator execution engine (serial or epoch);
-	// results are bit-identical either way, only host time differs.
-	Engine sim.Engine
-	// EpochLen overrides the epoch length for the epoch engine (0 keeps
-	// the default).
-	EpochLen uint64
 	// Topology is the socket layout ("2x8"; see internal/topo); empty runs
 	// single-socket. When set, Threads must be zero (derived from the
 	// topology) or equal its total.
@@ -96,9 +90,6 @@ type Result struct {
 	// Profile is the flight-recorder snapshot when Config.Profile was set
 	// (and the runtime supports profiling); nil otherwise.
 	Profile *txprof.Profile
-	// EngineStats is the epoch engine's host-side activity for the measured
-	// phase; all zeros under the serial engine.
-	EngineStats sim.EngineStats
 }
 
 // New instantiates an application by name.
@@ -144,6 +135,9 @@ func Run(cfg Config) (Result, error) {
 		}
 		cfg.Threads = tp.Total()
 	}
+	if cfg.Threads < 1 || cfg.Threads > sim.MaxCores {
+		return Result{}, fmt.Errorf("stamp: %d threads out of range (want 1..%d)", cfg.Threads, sim.MaxCores)
+	}
 	app, err := New(cfg.App, cfg.Threads, cfg.Scale)
 	if err != nil {
 		return Result{}, err
@@ -156,10 +150,6 @@ func Run(cfg Config) (Result, error) {
 		mc = sim.NativeReference(cfg.Threads)
 	}
 	mc.Seed = cfg.Seed
-	mc.Engine = cfg.Engine
-	if cfg.EpochLen != 0 {
-		mc.EpochLen = cfg.EpochLen
-	}
 	opts := asfstack.Options{
 		Cores:    cfg.Threads,
 		Runtime:  cfg.Runtime,
@@ -196,7 +186,6 @@ func Run(cfg Config) (Result, error) {
 		res.TraceStart = start
 	}
 	res.Profile = s.TxProfile()
-	res.EngineStats = s.M.EngineStats()
 
 	var verr error
 	s.Setup(func(tx tm.Tx) { verr = app.Validate(tx) })

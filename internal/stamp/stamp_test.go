@@ -1,6 +1,7 @@
 package stamp
 
 import (
+	"strings"
 	"testing"
 
 	"asfstack/internal/sim"
@@ -165,5 +166,19 @@ func TestASFBeatsSTMOnStamp(t *testing.T) {
 func TestUnknownAppRejected(t *testing.T) {
 	if _, err := Run(Config{App: "bayes", Runtime: "LLB-256", Threads: 1}); err == nil {
 		t.Fatal("excluded app accepted")
+	}
+}
+
+// TestRunRejectsCoreCount: a thread count outside 1..sim.MaxCores, given
+// directly or through the topology, is an error rather than a panic.
+func TestRunRejectsCoreCount(t *testing.T) {
+	for _, tc := range []struct {
+		threads  int
+		topology string
+	}{{0, ""}, {65, ""}, {0, "2x64"}} {
+		cfg := Config{App: "genome", Runtime: "LLB-256", Scale: 0.05, Threads: tc.threads, Topology: tc.topology}
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("threads %d topology %q: err = %v, want out-of-range error", tc.threads, tc.topology, err)
+		}
 	}
 }

@@ -64,15 +64,8 @@ type Options struct {
 	// precedence over any topology in Machine.
 	Topology string
 	// Machine, if non-nil, overrides the default Barcelona configuration
-	// (Cores, Seed, Topology and Engine above still apply).
+	// (Cores, Seed and Topology above still apply).
 	Machine *sim.Config
-	// Engine selects the simulator execution engine (serial or epoch).
-	// Simulated results are identical either way; see sim.Engine. A
-	// non-serial value takes precedence over Machine's engine field.
-	Engine sim.Engine
-	// EpochLen overrides the epoch engine's epoch length in cycles
-	// (sim.DefaultEpochLen when zero). A pure host-performance knob.
-	EpochLen uint64
 	// Profile installs the transaction-level flight recorder
 	// (internal/txprof) on the selected runtime. Off by default: the
 	// disabled path costs one nil check per would-be event.
@@ -205,12 +198,6 @@ func New(opts Options) *Stack {
 	}
 	if opts.Seed != 0 {
 		cfg.Seed = opts.Seed
-	}
-	if opts.Engine != sim.EngineSerial {
-		cfg.Engine = opts.Engine
-	}
-	if opts.EpochLen != 0 {
-		cfg.EpochLen = opts.EpochLen
 	}
 	m := sim.New(cfg)
 	layout := mem.NewLayout(mem.PageSize) // skip page zero
