@@ -1,11 +1,17 @@
 # Tier-1 verification targets. `make verify` is what CI and pre-merge
-# checks run: build + vet + full tests, plus the race detector on the two
-# packages with real host concurrency (the parallel experiment scheduler
-# and the TM runtime it drives).
+# checks run: a gofmt check, build + vet + full tests, the race detector on
+# the three packages with real host concurrency or schedule exploration
+# (the parallel experiment scheduler, the TM runtime it drives, and the
+# litmus explorer), and vet + tests of the nested bench module, which
+# `./...` skips but which compiles against the stack's option and report
+# types.
 
 GO ?= go
 
-.PHONY: build vet test race verify bench
+.PHONY: fmt build vet test race benchmod verify bench
+
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -19,7 +25,10 @@ test:
 race:
 	$(GO) test -race -short ./internal/harness ./internal/asftm ./internal/litmus
 
-verify: build vet test race
+benchmod:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+verify: fmt build vet test race benchmod
 
 # `make bench` runs the figure benchmarks plus the simulator
 # micro-benchmarks and records the results in $(BENCH_JSON) (section

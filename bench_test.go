@@ -109,8 +109,9 @@ func BenchmarkAdaptive(b *testing.B) {
 // count. benchjson -compare gates its allocs/op and B/op, so growth here
 // means an allocation regression on the simulator's hot path.
 func BenchmarkFig5Cell(b *testing.B) {
-	cfg := intset.Config{Structure: "linkedlist", Runtime: "LLB-256",
-		Threads: 8, Range: 512, UpdatePct: 20, OpsPerThread: 1500, Seed: 1}
+	cfg := intset.Config{
+		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 8, Seed: 1},
+		Structure: "linkedlist", Range: 512, UpdatePct: 20, OpsPerThread: 1500}
 	var thr float64
 	for i := 0; i < b.N; i++ {
 		r, err := intset.Run(cfg)
@@ -128,8 +129,9 @@ func BenchmarkFig5Cell(b *testing.B) {
 // quantiles are deterministic for the fixed seed, so benchjson -compare
 // shows them as advisory sim-latency deltas across PRs.
 func BenchmarkServerCell(b *testing.B) {
-	cfg := server.Config{Runtime: "LLB-256", Topology: "2x8",
-		Load: 1.4, Scale: 0.25, Seed: 1, SeedSet: true}
+	cfg := server.Config{
+		Options: asfstack.Options{Runtime: "LLB-256", Topology: "2x8", Seed: 1, SeedSet: true},
+		Load:    1.4, Scale: 0.25}
 	var r server.Result
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -163,23 +165,27 @@ func benchIntset(b *testing.B, cfg intset.Config) {
 }
 
 func BenchmarkIntsetRBTreeASF(b *testing.B) {
-	benchIntset(b, intset.Config{Structure: "rbtree", Runtime: "LLB-256",
-		Threads: 8, Range: 1024, UpdatePct: 20, OpsPerThread: 400})
+	benchIntset(b, intset.Config{
+		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 8},
+		Structure: "rbtree", Range: 1024, UpdatePct: 20, OpsPerThread: 400})
 }
 
 func BenchmarkIntsetRBTreeSTM(b *testing.B) {
-	benchIntset(b, intset.Config{Structure: "rbtree", Runtime: "STM",
-		Threads: 8, Range: 1024, UpdatePct: 20, OpsPerThread: 400})
+	benchIntset(b, intset.Config{
+		Options:   asfstack.Options{Runtime: "STM", Cores: 8},
+		Structure: "rbtree", Range: 1024, UpdatePct: 20, OpsPerThread: 400})
 }
 
 func BenchmarkIntsetListEarlyRelease(b *testing.B) {
-	benchIntset(b, intset.Config{Structure: "linkedlist", Runtime: "LLB-8",
-		Threads: 8, Range: 256, UpdatePct: 20, OpsPerThread: 400, EarlyRelease: true})
+	benchIntset(b, intset.Config{
+		Options:   asfstack.Options{Runtime: "LLB-8", Cores: 8},
+		Structure: "linkedlist", Range: 256, UpdatePct: 20, OpsPerThread: 400, EarlyRelease: true})
 }
 
 func BenchmarkIntsetHashSetASF(b *testing.B) {
-	benchIntset(b, intset.Config{Structure: "hashset", Runtime: "LLB-256",
-		Threads: 8, Range: 4096, UpdatePct: 100, OpsPerThread: 400})
+	benchIntset(b, intset.Config{
+		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 8},
+		Structure: "hashset", Range: 4096, UpdatePct: 100, OpsPerThread: 400})
 }
 
 // BenchmarkIntsetProfiled is the flight-recorder-enabled twin of
@@ -188,8 +194,9 @@ func BenchmarkIntsetHashSetASF(b *testing.B) {
 // wasted_pct unit is deliberately outside benchjson's deterministic set, so
 // -compare prints its drift as advisory and never gates on it.
 func BenchmarkIntsetProfiled(b *testing.B) {
-	cfg := intset.Config{Structure: "rbtree", Runtime: "LLB-256",
-		Threads: 8, Range: 1024, UpdatePct: 20, OpsPerThread: 400, Profile: true}
+	cfg := intset.Config{
+		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 8, Profile: true},
+		Structure: "rbtree", Range: 1024, UpdatePct: 20, OpsPerThread: 400}
 	var thr, wasted float64
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
@@ -212,12 +219,13 @@ func BenchmarkIntsetProfiled(b *testing.B) {
 func benchStamp(b *testing.B, app, rt string, threads int) {
 	var ms float64
 	for i := 0; i < b.N; i++ {
-		r, err := stamp.Run(stamp.Config{App: app, Runtime: rt,
-			Threads: threads, Scale: 0.25, Seed: int64(i + 1)})
+		r, err := stamp.Run(stamp.Config{
+			Options: asfstack.Options{Runtime: rt, Cores: threads, Seed: int64(i + 1)},
+			App:     app, Scale: 0.25})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ms = r.Millis
+		ms = r.Millis()
 	}
 	b.ReportMetric(ms, "sim_ms")
 }
@@ -289,9 +297,9 @@ func BenchmarkAblationVariants(b *testing.B) {
 			var thr float64
 			var serialPct float64
 			for i := 0; i < b.N; i++ {
-				r, err := intset.Run(intset.Config{Structure: "rbtree", Runtime: rt,
-					Threads: 8, Range: 512, UpdatePct: 20, OpsPerThread: 300,
-					Seed: int64(i + 1)})
+				r, err := intset.Run(intset.Config{
+					Options:   asfstack.Options{Runtime: rt, Cores: 8, Seed: int64(i + 1)},
+					Structure: "rbtree", Range: 512, UpdatePct: 20, OpsPerThread: 300})
 				if err != nil {
 					b.Fatal(err)
 				}

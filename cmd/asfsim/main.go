@@ -12,7 +12,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"asfstack"
 	"asfstack/internal/intset"
 	"asfstack/internal/metrics"
 	"asfstack/internal/server"
@@ -22,7 +24,7 @@ import (
 
 func main() {
 	workload := flag.String("workload", "intset", "intset, stamp, or server")
-	runtimeName := flag.String("runtime", "LLB-256", "LLB-8, LLB-256, LLB-8 w/ L1, LLB-256 w/ L1, STM, Sequential")
+	runtimeName := flag.String("runtime", "LLB-256", "TM runtime: "+strings.Join(asfstack.RuntimeNames, ", "))
 	threads := flag.Int("threads", 4, "simulated cores (ignored when -topology is set)")
 	seed := flag.Int64("seed", 42, "random seed")
 	topology := flag.String("topology", "",
@@ -42,75 +44,78 @@ func main() {
 	zipf := flag.Float64("zipf", 1.2, "server: item-key Zipf skew exponent (> 1)")
 	flag.Parse()
 
-	// With an explicit topology the core count comes from it; keep the
-	// workload configs unambiguous by zeroing -threads' default.
+	// One machine spec for every workload; with an explicit topology the
+	// core count comes from it.
+	spec := asfstack.Options{Runtime: *runtimeName, Cores: *threads, Seed: *seed, SeedSet: true, Topology: *topology}
 	if *topology != "" {
-		*threads = 0
+		spec.Cores = 0
 	}
 
 	switch *workload {
 	case "intset":
 		r, err := intset.Run(intset.Config{
-			Structure: *structure, Runtime: *runtimeName, Threads: *threads,
-			Range: *keyRange, UpdatePct: *update, OpsPerThread: *ops,
-			EarlyRelease: *early, Seed: *seed, Topology: *topology,
+			Options: spec, Structure: *structure, Range: *keyRange, UpdatePct: *update,
+			OpsPerThread: *ops, EarlyRelease: *early,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asfsim:", err)
-			os.Exit(1)
-		}
+		check(err)
 		fmt.Printf("workload     intset %s (range=%d, %d%% upd, %d threads)\n",
-			*structure, *keyRange, *update, r.Config.Threads)
+			*structure, *keyRange, *update, r.Config.Cores)
 		fmt.Printf("runtime      %s\n", *runtimeName)
 		printTopology(*topology, r.Metrics)
 		fmt.Printf("throughput   %.2f tx/µs\n", r.Throughput())
-		fmt.Printf("duration     %.3f ms simulated\n", float64(r.Cycles)/2_200_000)
-		printStats(r.Stats.Commits, r.Stats.Serial, r.Stats.TotalAborts(), r.Stats.STMAborts)
-		printBreakdown(r.Breakdown)
+		fmt.Printf("duration     %.3f ms simulated\n", r.Millis())
+		printRun(r.RunResult)
 	case "stamp":
-		r, err := stamp.Run(stamp.Config{
-			App: *app, Runtime: *runtimeName, Threads: *threads,
-			Scale: *scale, Seed: *seed, Topology: *topology,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asfsim:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("workload     stamp %s (scale %.2f, %d threads)\n", *app, *scale, r.Config.Threads)
+		r, err := stamp.Run(stamp.Config{Options: spec, App: *app, Scale: *scale})
+		check(err)
+		fmt.Printf("workload     stamp %s (scale %.2f, %d threads)\n", *app, *scale, r.Config.Cores)
 		fmt.Printf("runtime      %s\n", *runtimeName)
 		printTopology(*topology, r.Metrics)
-		fmt.Printf("duration     %.3f ms simulated\n", r.Millis)
-		printStats(r.Stats.Commits, r.Stats.Serial, r.Stats.TotalAborts(), r.Stats.STMAborts)
-		printBreakdown(r.Breakdown)
+		fmt.Printf("duration     %.3f ms simulated\n", r.Millis())
+		printRun(r.RunResult)
 	case "server":
 		r, err := server.Run(server.Config{
-			Runtime: *runtimeName, Threads: *threads, Topology: *topology,
-			RequestsPerCore: *requests, Load: *load, ZipfS: *zipf,
-			Scale: *scale, Seed: *seed,
+			Options: spec, RequestsPerCore: *requests, Load: *load, ZipfS: *zipf, Scale: *scale,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asfsim:", err)
-			os.Exit(1)
-		}
+		check(err)
 		fmt.Printf("workload     server (open-loop, load=%.2f, zipf=%.2f, %d requests/core, %d threads)\n",
-			r.Config.Load, r.Config.ZipfS, r.Config.RequestsPerCore, r.Config.Threads)
+			r.Config.Load, r.Config.ZipfS, r.Config.RequestsPerCore, r.Config.Cores)
 		fmt.Printf("runtime      %s\n", *runtimeName)
 		printTopology(*topology, r.Metrics)
 		fmt.Printf("throughput   %.2f tx/µs\n", r.Throughput())
-		fmt.Printf("duration     %.3f ms simulated\n", r.Millis)
+		fmt.Printf("duration     %.3f ms simulated\n", r.Millis())
 		fmt.Printf("sojourn      p50 %.0f  p95 %.0f  p99 %.0f  p999 %.0f  max %d cycles\n",
 			r.P50, r.P95, r.P99, r.P999, r.MaxSojourn)
-		printStats(r.Stats.Commits, r.Stats.Serial, r.Stats.TotalAborts(), r.Stats.STMAborts)
-		printBreakdown(r.Breakdown)
+		printRun(r.RunResult)
 	default:
 		fmt.Fprintf(os.Stderr, "asfsim: unknown workload %q\n", *workload)
 		os.Exit(2)
 	}
 }
 
-func printStats(commits, serial, aborts, stmAborts uint64) {
-	fmt.Printf("commits      %d (%d serial-irrevocable)\n", commits, serial)
-	fmt.Printf("aborts       %d (%d software)\n", aborts, stmAborts)
+// check exits 1 on a bad configuration: unknown runtime, structure or app,
+// malformed topology, core count out of range.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "asfsim:", err)
+		os.Exit(1)
+	}
+}
+
+// printRun prints the measured phase's commit/abort counts and its cycle
+// breakdown.
+func printRun(r asfstack.RunResult) {
+	fmt.Printf("commits      %d (%d serial-irrevocable)\n", r.Stats.Commits, r.Stats.Serial)
+	fmt.Printf("aborts       %d (%d software)\n", r.Stats.TotalAborts(), r.Stats.STMAborts)
+	total := r.Breakdown.Total()
+	if total == 0 {
+		return
+	}
+	fmt.Printf("cycles       %d total\n", total)
+	for i := 0; i < sim.NumCategories; i++ {
+		c := sim.Category(i)
+		fmt.Printf("  %-16s %12d  (%5.1f%%)\n", c, r.Breakdown[c], float64(r.Breakdown[c])/float64(total)*100)
+	}
 }
 
 // printTopology reports the socket layout and its directory traffic when a
@@ -124,16 +129,4 @@ func printTopology(topology string, m *metrics.Snapshot) {
 		hops = g.Total
 	}
 	fmt.Printf("topology     %s (%d cross-socket hops)\n", topology, hops)
-}
-
-func printBreakdown(b sim.Breakdown) {
-	total := b.Total()
-	if total == 0 {
-		return
-	}
-	fmt.Printf("cycles       %d total\n", total)
-	for i := 0; i < sim.NumCategories; i++ {
-		c := sim.Category(i)
-		fmt.Printf("  %-16s %12d  (%5.1f%%)\n", c, b[c], float64(b[c])/float64(total)*100)
-	}
 }

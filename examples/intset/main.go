@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 
+	"asfstack"
 	"asfstack/internal/intset"
 )
 
@@ -33,8 +34,8 @@ func main() {
 		{"STM", "STM", false},
 	} {
 		r, err := intset.Run(intset.Config{
-			Structure: "linkedlist", Runtime: v.runtime, Threads: *threads,
-			Range: uint64(2 * *size), InitialSize: *size, UpdatePct: 20,
+			Options:   asfstack.Options{Runtime: v.runtime, Cores: *threads},
+			Structure: "linkedlist", Range: uint64(2 * *size), InitialSize: *size, UpdatePct: 20,
 			OpsPerThread: *ops, EarlyRelease: v.earlyRelease,
 		})
 		if err != nil {

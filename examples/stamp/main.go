@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 
+	"asfstack"
 	"asfstack/internal/stamp"
 )
 
@@ -25,19 +26,19 @@ func main() {
 	fmt.Printf("%-14s %10s %10s %8s %8s\n", "runtime", "time (ms)", "commits", "serial", "aborts")
 
 	for _, rt := range []string{"LLB-8", "LLB-256", "LLB-8 w/ L1", "LLB-256 w/ L1", "STM"} {
-		r, err := stamp.Run(stamp.Config{App: *app, Runtime: rt, Threads: *threads, Scale: *scale})
+		r, err := stamp.Run(stamp.Config{Options: asfstack.Options{Runtime: rt, Cores: *threads}, App: *app, Scale: *scale})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stamp:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("%-14s %10.3f %10d %8d %8d\n",
-			rt, r.Millis, r.Stats.Commits, r.Stats.Serial, r.Stats.TotalAborts())
+			rt, r.Millis(), r.Stats.Commits, r.Stats.Serial, r.Stats.TotalAborts())
 	}
-	seq, err := stamp.Run(stamp.Config{App: *app, Runtime: "Sequential", Threads: 1, Scale: *scale})
+	seq, err := stamp.Run(stamp.Config{Options: asfstack.Options{Runtime: "Sequential", Cores: 1}, App: *app, Scale: *scale})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stamp:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("%-14s %10.3f %10d %8s %8s  (1 thread, uninstrumented)\n",
-		"Sequential", seq.Millis, seq.Stats.Commits, "-", "-")
+		"Sequential", seq.Millis(), seq.Stats.Commits, "-", "-")
 }

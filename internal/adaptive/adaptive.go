@@ -156,8 +156,8 @@ func DefaultConfig() Config {
 // Switch is one entry of the selector's decision log. The json tags are the
 // machine-readable form the harness embeds in BenchReport cells (E13).
 type Switch struct {
-	Cycle   uint64 `json:"cycle"`   // simulated time of the switch (switching core's clock)
-	From    string `json:"from"`    // runtime labels
+	Cycle   uint64 `json:"cycle"` // simulated time of the switch (switching core's clock)
+	From    string `json:"from"`  // runtime labels
 	To      string `json:"to"`
 	Trigger string `json:"trigger"` // "probe", "settle rate=...", "reprobe", "rotate"
 }

@@ -59,20 +59,13 @@ func Adaptive(o Options) ([]*Table, error) {
 			for ti, th := range adaptiveThreads {
 				dst := &stampMS[(ai*nR+ri)*nT+ti]
 				ser := &stampSer[(ai*nR+ri)*nT+ti]
-				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile}
-				cells = append(cells, cell{
-					label: fmt.Sprintf("adaptive %-14s %-13s t=%d", app, rt, th),
-					run: func(rec *CellRecord) (string, error) {
-						r, err := stampRun(cfg)
-						if err != nil {
-							return "", err
-						}
-						recordStamp(rec, r)
-						dst.set(r.Millis)
+				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
+				cells = append(cells, stampCell(fmt.Sprintf("adaptive %-14s %-13s t=%d", app, rt, th), cfg,
+					func(r stamp.Result) (string, error) {
+						dst.set(r.Millis())
 						ser.set(r.Stats.Serial)
-						return fmt.Sprintf("%.3fms", r.Millis), nil
-					},
-				})
+						return fmt.Sprintf("%.3fms", r.Millis()), nil
+					}))
 			}
 		}
 	}
@@ -82,32 +75,24 @@ func Adaptive(o Options) ([]*Table, error) {
 	intSer := make([]slot[uint64], nI*nR)
 	var capLog slot[[]adaptive.Switch]
 	for zi, se := range adaptiveIntset {
-		se := se
 		for ri, rt := range adaptiveRuntimes {
 			dst := &intThr[zi*nR+ri]
 			ser := &intSer[zi*nR+ri]
 			isCapAdaptive := se.structure == "linkedlist" && rt == "Adaptive-8"
 			cfg := intset.Config{
-				Structure: se.structure, Runtime: rt, Threads: 8,
-				Range: uint64(2 * se.size), UpdatePct: 20, InitialSize: se.size,
-				OpsPerThread: ops, Trace: o.Trace, Profile: o.Profile,
+				Options:   o.spec(rt, 8),
+				Structure: se.structure, Range: uint64(2 * se.size), UpdatePct: 20, InitialSize: se.size,
+				OpsPerThread: ops,
 			}
-			cells = append(cells, cell{
-				label: fmt.Sprintf("adaptive %-10s size=%-4d %-13s t=8", se.structure, se.size, rt),
-				run: func(rec *CellRecord) (string, error) {
-					r, err := intsetRun(cfg)
-					if err != nil {
-						return "", err
-					}
-					recordIntset(rec, r)
+			cells = append(cells, intsetCell(fmt.Sprintf("adaptive %-10s size=%-4d %-13s t=8", se.structure, se.size, rt), cfg,
+				func(r intset.Result) (string, error) {
 					dst.set(r.Throughput())
 					ser.set(r.Stats.Serial)
 					if isCapAdaptive {
 						capLog.set(r.Switches)
 					}
 					return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
-				},
-			})
+				}))
 		}
 	}
 	err := runCells(cells, o)

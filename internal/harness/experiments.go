@@ -3,35 +3,80 @@ package harness
 import (
 	"fmt"
 
+	"asfstack"
 	"asfstack/internal/asf"
 	"asfstack/internal/intset"
+	"asfstack/internal/server"
 	"asfstack/internal/sim"
 	"asfstack/internal/stamp"
 )
 
-// stampRun and intsetRun are the workload entry points, indirected so the
-// scheduler's error handling can be tested with injected failures.
+// The workload entry points, indirected so the scheduler's error handling
+// can be tested with injected failures.
 var (
 	stampRun  = stamp.Run
 	intsetRun = intset.Run
+	serverRun = server.Run
 )
 
-// recordStamp and recordIntset copy a workload result onto the cell's
-// report record.
-func recordStamp(rec *CellRecord, r stamp.Result) {
-	rec.Observe(r.Cycles, r.Stats, r.Metrics)
-	rec.ObserveBreakdown(r.Breakdown)
-	rec.ObserveSwitches(r.Switches)
-	rec.ObserveProfile(r.Profile)
-	rec.ObserveTrace(r.TraceEvents, r.TraceStart)
+// spec is one cell's machine spec: the runtime and core count the
+// experiment picks, plus the run-wide trace and profile switches.
+func (o Options) spec(runtime string, cores int) asfstack.Options {
+	return asfstack.Options{Runtime: runtime, Cores: cores, Trace: o.Trace, Profile: o.Profile}
 }
 
-func recordIntset(rec *CellRecord, r intset.Result) {
-	rec.Observe(r.Cycles, r.Stats, r.Metrics)
-	rec.ObserveBreakdown(r.Breakdown)
-	rec.ObserveSwitches(r.Switches)
-	rec.ObserveProfile(r.Profile)
-	rec.ObserveTrace(r.TraceEvents, r.TraceStart)
+// stampCell, intsetCell and serverCell make one workload run a cell: the
+// run's measured phase is recorded on the cell's report, and fill sets the
+// experiment's table slots from the result and returns the progress
+// summary (or rejects the result).
+func stampCell(label string, cfg stamp.Config, fill func(stamp.Result) (string, error)) cell {
+	return cell{label: label, run: func(rec *CellRecord) (string, error) {
+		r, err := stampRun(cfg)
+		if err != nil {
+			return "", err
+		}
+		rec.ObserveRun(r.RunResult)
+		return fill(r)
+	}}
+}
+
+func intsetCell(label string, cfg intset.Config, fill func(intset.Result) (string, error)) cell {
+	return cell{label: label, run: func(rec *CellRecord) (string, error) {
+		r, err := intsetRun(cfg)
+		if err != nil {
+			return "", err
+		}
+		rec.ObserveRun(r.RunResult)
+		return fill(r)
+	}}
+}
+
+func serverCell(label string, cfg server.Config, fill func(server.Result) (string, error)) cell {
+	return cell{label: label, run: func(rec *CellRecord) (string, error) {
+		r, err := serverRun(cfg)
+		if err != nil {
+			return "", err
+		}
+		rec.ObserveRun(r.RunResult)
+		rec.ObserveLatency(r.P50, r.P95, r.P99, r.P999)
+		return fill(r)
+	}}
+}
+
+// millis fills a STAMP execution-time slot (ms).
+func millis(dst *slot[float64]) func(stamp.Result) (string, error) {
+	return func(r stamp.Result) (string, error) {
+		dst.set(r.Millis())
+		return fmt.Sprintf("%.3fms", r.Millis()), nil
+	}
+}
+
+// throughput fills an IntegerSet throughput slot (tx/µs).
+func throughput(dst *slot[float64]) func(intset.Result) (string, error) {
+	return func(r intset.Result) (string, error) {
+		dst.set(r.Throughput())
+		return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
+	}
 }
 
 // asfVariants are the four hardware configurations, in figure order.
@@ -56,22 +101,12 @@ func Fig3(o Options) ([]*Table, error) {
 	for i, app := range stamp.Apps {
 		for _, native := range []bool{false, true} {
 			dst, kind := &sims[i], "sim"
+			cfg := stamp.Config{Options: o.spec("Sequential", 1), App: app, Scale: scale}
 			if native {
-				dst, kind = &nats[i], "native"
+				nr := sim.NativeReference(1)
+				dst, kind, cfg.Machine = &nats[i], "native", &nr
 			}
-			cfg := stamp.Config{App: app, Runtime: "Sequential", Threads: 1, Scale: scale, Native: native, Trace: o.Trace, Profile: o.Profile}
-			cells = append(cells, cell{
-				label: fmt.Sprintf("fig3 %-14s %s", app, kind),
-				run: func(rec *CellRecord) (string, error) {
-					r, err := stampRun(cfg)
-					if err != nil {
-						return "", err
-					}
-					recordStamp(rec, r)
-					dst.set(r.Millis)
-					return fmt.Sprintf("%.3fms", r.Millis), nil
-				},
-			})
+			cells = append(cells, stampCell(fmt.Sprintf("fig3 %-14s %s", app, kind), cfg, millis(dst)))
 		}
 	}
 	err := runCells(cells, o)
@@ -104,36 +139,13 @@ func Fig4(o Options) ([]*Table, error) {
 	for ai, app := range stamp.Apps {
 		for ri, rt := range rts {
 			for ti, th := range threadCounts {
-				dst := &ms[(ai*nR+ri)*nT+ti]
-				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile}
-				cells = append(cells, cell{
-					label: fmt.Sprintf("fig4 %-14s %-14s t=%d", app, rt, th),
-					run: func(rec *CellRecord) (string, error) {
-						r, err := stampRun(cfg)
-						if err != nil {
-							return "", err
-						}
-						recordStamp(rec, r)
-						dst.set(r.Millis)
-						return fmt.Sprintf("%.3fms", r.Millis), nil
-					},
-				})
+				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
+				cells = append(cells, stampCell(fmt.Sprintf("fig4 %-14s %-14s t=%d", app, rt, th),
+					cfg, millis(&ms[(ai*nR+ri)*nT+ti])))
 			}
 		}
-		dst := &seq[ai]
-		cfg := stamp.Config{App: app, Runtime: "Sequential", Threads: 1, Scale: scale, Trace: o.Trace, Profile: o.Profile}
-		cells = append(cells, cell{
-			label: fmt.Sprintf("fig4 %-14s Sequential     t=1", app),
-			run: func(rec *CellRecord) (string, error) {
-				r, err := stampRun(cfg)
-				if err != nil {
-					return "", err
-				}
-				recordStamp(rec, r)
-				dst.set(r.Millis)
-				return fmt.Sprintf("%.3fms", r.Millis), nil
-			},
-		})
+		cfg := stamp.Config{Options: o.spec("Sequential", 1), App: app, Scale: scale}
+		cells = append(cells, stampCell(fmt.Sprintf("fig4 %-14s Sequential     t=1", app), cfg, millis(&seq[ai])))
 	}
 	err := runCells(cells, o)
 
@@ -179,25 +191,12 @@ func Fig5(o Options) ([]*Table, error) {
 	for pi, panel := range fig5Panels {
 		for ri, rt := range rts {
 			for ti, th := range threadCounts {
-				dst := &thr[(pi*nR+ri)*nT+ti]
 				cfg := panel
-				cfg.Runtime = rt
-				cfg.Threads = th
+				cfg.Options = o.spec(rt, th)
 				cfg.OpsPerThread = ops
-				cfg.Trace = o.Trace
-				cfg.Profile = o.Profile
-				cells = append(cells, cell{
-					label: fmt.Sprintf("fig5 %-10s r=%-6d %-14s t=%d", panel.Structure, panel.Range, rt, th),
-					run: func(rec *CellRecord) (string, error) {
-						r, err := intsetRun(cfg)
-						if err != nil {
-							return "", err
-						}
-						recordIntset(rec, r)
-						dst.set(r.Throughput())
-						return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
-					},
-				})
+				cells = append(cells, intsetCell(
+					fmt.Sprintf("fig5 %-10s r=%-6d %-14s t=%d", panel.Structure, panel.Range, rt, th),
+					cfg, throughput(&thr[(pi*nR+ri)*nT+ti])))
 			}
 		}
 	}
@@ -240,15 +239,9 @@ func Fig6(o Options) ([]*Table, error) {
 		for ri, rt := range rts {
 			for ti, th := range threadCounts {
 				dst := &rows[(ai*nR+ri)*nT+ti]
-				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile}
-				cells = append(cells, cell{
-					label: fmt.Sprintf("fig6 %-14s %-14s t=%d", app, rt, th),
-					run: func(rec *CellRecord) (string, error) {
-						r, err := stampRun(cfg)
-						if err != nil {
-							return "", err
-						}
-						recordStamp(rec, r)
+				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
+				cells = append(cells, stampCell(fmt.Sprintf("fig6 %-14s %-14s t=%d", app, rt, th), cfg,
+					func(r stamp.Result) (string, error) {
 						at := float64(r.Stats.Attempts())
 						if at == 0 {
 							at = 1
@@ -266,8 +259,7 @@ func Fig6(o Options) ([]*Table, error) {
 							tot: pct(r.Stats.TotalAborts() + r.Stats.MallocAborts),
 						})
 						return fmt.Sprintf("total=%.1f%%", dst.val.tot), nil
-					},
-				})
+					}))
 			}
 		}
 	}
@@ -318,24 +310,13 @@ func Fig7(o Options) ([]*Table, error) {
 		slots[si] = make([]slot[float64], len(rts)*len(se.sizes))
 		for ri, rt := range rts {
 			for zi, sz := range se.sizes {
-				dst := &slots[si][ri*len(se.sizes)+zi]
 				cfg := intset.Config{
-					Structure: se.structure, Runtime: rt, Threads: 8,
-					Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
-					OpsPerThread: ops, Trace: o.Trace, Profile: o.Profile,
+					Options:   o.spec(rt, 8),
+					Structure: se.structure, Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
+					OpsPerThread: ops,
 				}
-				cells = append(cells, cell{
-					label: fmt.Sprintf("fig7 %-10s %-14s size=%-4d", se.structure, rt, sz),
-					run: func(rec *CellRecord) (string, error) {
-						r, err := intsetRun(cfg)
-						if err != nil {
-							return "", err
-						}
-						recordIntset(rec, r)
-						dst.set(r.Throughput())
-						return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
-					},
-				})
+				cells = append(cells, intsetCell(fmt.Sprintf("fig7 %-10s %-14s size=%-4d", se.structure, rt, sz),
+					cfg, throughput(&slots[si][ri*len(se.sizes)+zi])))
 			}
 		}
 	}
@@ -372,24 +353,13 @@ func Fig8(o Options) ([]*Table, error) {
 	for li, llb := range llbs {
 		for mi, er := range modes {
 			for zi, sz := range sizes {
-				dst := &thr[(li*len(modes)+mi)*len(sizes)+zi]
 				cfg := intset.Config{
-					Structure: "linkedlist", Runtime: llb, Threads: 8,
-					Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
-					OpsPerThread: ops, EarlyRelease: er, Trace: o.Trace, Profile: o.Profile,
+					Options:   o.spec(llb, 8),
+					Structure: "linkedlist", Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
+					OpsPerThread: ops, EarlyRelease: er,
 				}
-				cells = append(cells, cell{
-					label: fmt.Sprintf("fig8 %-8s er=%-5v size=%-4d", llb, er, sz),
-					run: func(rec *CellRecord) (string, error) {
-						r, err := intsetRun(cfg)
-						if err != nil {
-							return "", err
-						}
-						recordIntset(rec, r)
-						dst.set(r.Throughput())
-						return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
-					},
-				})
+				cells = append(cells, intsetCell(fmt.Sprintf("fig8 %-8s er=%-5v size=%-4d", llb, er, sz),
+					cfg, throughput(&thr[(li*len(modes)+mi)*len(sizes)+zi])))
 			}
 		}
 	}
@@ -440,23 +410,13 @@ func Table1(o Options) ([]*Table, error) {
 				dst = &stmB[ci]
 			}
 			c := cfg
-			c.Runtime = rt
-			c.Threads = 1
+			c.Options = o.spec(rt, 1)
 			c.OpsPerThread = ops
-			c.Trace = o.Trace
-			c.Profile = o.Profile
-			cells = append(cells, cell{
-				label: fmt.Sprintf("table1 %-10s %-8s", cfg.Structure, rt),
-				run: func(rec *CellRecord) (string, error) {
-					r, err := intsetRun(c)
-					if err != nil {
-						return "", err
-					}
-					recordIntset(rec, r)
+			cells = append(cells, intsetCell(fmt.Sprintf("table1 %-10s %-8s", cfg.Structure, rt), c,
+				func(r intset.Result) (string, error) {
 					dst.set(r.Breakdown)
 					return fmt.Sprintf("total=%d cycles", r.Breakdown.Total()), nil
-				},
-			})
+				}))
 		}
 	}
 	err := runCells(cells, o)

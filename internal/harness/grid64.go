@@ -34,25 +34,12 @@ func Grid64(o Options) ([]*Table, error) {
 	var cells []cell
 	for pi, panel := range grid64Panels {
 		for ti, th := range grid64Threads {
-			dst := &thr[pi*nT+ti]
 			cfg := panel
-			cfg.Runtime = "LLB-256"
-			cfg.Threads = th
+			cfg.Options = o.spec("LLB-256", th)
 			cfg.OpsPerThread = ops
-			cfg.Trace = o.Trace
-			cfg.Profile = o.Profile
-			cells = append(cells, cell{
-				label: fmt.Sprintf("grid64 %-10s r=%-6d LLB-256 t=%d", panel.Structure, panel.Range, th),
-				run: func(rec *CellRecord) (string, error) {
-					r, err := intsetRun(cfg)
-					if err != nil {
-						return "", err
-					}
-					recordIntset(rec, r)
-					dst.set(r.Throughput())
-					return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
-				},
-			})
+			cells = append(cells, intsetCell(
+				fmt.Sprintf("grid64 %-10s r=%-6d LLB-256 t=%d", panel.Structure, panel.Range, th),
+				cfg, throughput(&thr[pi*nT+ti])))
 		}
 	}
 
@@ -60,25 +47,12 @@ func Grid64(o Options) ([]*Table, error) {
 	rtThr := make([]slot[float64], nP*nR)
 	for pi, panel := range grid64Panels {
 		for ri, rt := range grid64Runtimes {
-			dst := &rtThr[pi*nR+ri]
 			cfg := panel
-			cfg.Runtime = rt
-			cfg.Threads = 64
+			cfg.Options = o.spec(rt, 64)
 			cfg.OpsPerThread = ops
-			cfg.Trace = o.Trace
-			cfg.Profile = o.Profile
-			cells = append(cells, cell{
-				label: fmt.Sprintf("grid64 %-10s r=%-6d %-13s t=64", panel.Structure, panel.Range, rt),
-				run: func(rec *CellRecord) (string, error) {
-					r, err := intsetRun(cfg)
-					if err != nil {
-						return "", err
-					}
-					recordIntset(rec, r)
-					dst.set(r.Throughput())
-					return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
-				},
-			})
+			cells = append(cells, intsetCell(
+				fmt.Sprintf("grid64 %-10s r=%-6d %-13s t=64", panel.Structure, panel.Range, rt),
+				cfg, throughput(&rtThr[pi*nR+ri])))
 		}
 	}
 

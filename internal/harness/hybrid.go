@@ -5,6 +5,7 @@ import (
 
 	"asfstack/internal/intset"
 	"asfstack/internal/stamp"
+	"asfstack/internal/tm"
 )
 
 // hybridApps are the capacity-bound STAMP applications E11 re-runs: the
@@ -44,20 +45,13 @@ func Hybrid(o Options) ([]*Table, error) {
 			for ti, th := range threadCounts {
 				dst := &stampMS[(ai*nR+ri)*nT+ti]
 				mix := &stampMix[(ai*nR+ri)*nT+ti]
-				cfg := stamp.Config{App: app, Runtime: rt, Threads: th, Scale: scale, Trace: o.Trace, Profile: o.Profile}
-				cells = append(cells, cell{
-					label: fmt.Sprintf("hybrid %-14s %-8s t=%d", app, rt, th),
-					run: func(rec *CellRecord) (string, error) {
-						r, err := stampRun(cfg)
-						if err != nil {
-							return "", err
-						}
-						recordStamp(rec, r)
-						dst.set(r.Millis)
-						mix.set(newHybridMix(r.Stats.Commits, r.Stats.SWCommits, r.Stats.Serial, r.Stats.SeqAborts))
-						return fmt.Sprintf("%.3fms", r.Millis), nil
-					},
-				})
+				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
+				cells = append(cells, stampCell(fmt.Sprintf("hybrid %-14s %-8s t=%d", app, rt, th), cfg,
+					func(r stamp.Result) (string, error) {
+						dst.set(r.Millis())
+						mix.set(newHybridMix(r.Stats))
+						return fmt.Sprintf("%.3fms", r.Millis()), nil
+					}))
 			}
 		}
 	}
@@ -70,29 +64,21 @@ func Hybrid(o Options) ([]*Table, error) {
 	intMix := make([]slot[hybridMix], nI*nR)
 	base := 0
 	for _, se := range hybridIntset {
-		se := se
 		for zi, sz := range se.sizes {
 			for ri, rt := range hybridRuntimes {
 				dst := &intThr[(base+zi)*nR+ri]
 				mix := &intMix[(base+zi)*nR+ri]
 				cfg := intset.Config{
-					Structure: se.structure, Runtime: rt, Threads: 8,
-					Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
-					OpsPerThread: ops, Trace: o.Trace, Profile: o.Profile,
+					Options:   o.spec(rt, 8),
+					Structure: se.structure, Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
+					OpsPerThread: ops,
 				}
-				cells = append(cells, cell{
-					label: fmt.Sprintf("hybrid %-10s size=%-4d %-8s t=8", se.structure, sz, rt),
-					run: func(rec *CellRecord) (string, error) {
-						r, err := intsetRun(cfg)
-						if err != nil {
-							return "", err
-						}
-						recordIntset(rec, r)
+				cells = append(cells, intsetCell(fmt.Sprintf("hybrid %-10s size=%-4d %-8s t=8", se.structure, sz, rt), cfg,
+					func(r intset.Result) (string, error) {
 						dst.set(r.Throughput())
-						mix.set(newHybridMix(r.Stats.Commits, r.Stats.SWCommits, r.Stats.Serial, r.Stats.SeqAborts))
+						mix.set(newHybridMix(r.Stats))
 						return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
-					},
-				})
+					}))
 			}
 		}
 		base += len(se.sizes)
@@ -183,6 +169,6 @@ type hybridMix struct {
 	hw, sw, serial, seq uint64
 }
 
-func newHybridMix(commits, sw, serial, seq uint64) hybridMix {
-	return hybridMix{hw: commits - sw - serial, sw: sw, serial: serial, seq: seq}
+func newHybridMix(st tm.Stats) hybridMix {
+	return hybridMix{hw: st.Commits - st.SWCommits - st.Serial, sw: st.SWCommits, serial: st.Serial, seq: st.SeqAborts}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"asfstack"
 	"asfstack/internal/litmus"
 )
 
@@ -42,7 +43,7 @@ func Litmus(o Options) ([]*Table, error) {
 				label: fmt.Sprintf("litmus %-22s %-11s", tt.Name, rc.Label),
 				run: func(rec *CellRecord) (string, error) {
 					r := litmus.Explore(tt, rc, litmus.ExploreOptions{Seed: litmusSeed, Iters: iters})
-					rec.Observe(r.Cycles, r.Stats, nil)
+					rec.ObserveRun(asfstack.RunResult{Cycles: r.Cycles, Stats: r.Stats})
 					dst.set(obs{
 						distinct: len(r.Outcomes),
 						allowed:  len(r.Allowed),

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"asfstack"
 	"asfstack/internal/adaptive"
 	"asfstack/internal/metrics"
 	"asfstack/internal/sim"
@@ -128,33 +129,28 @@ type CellRecord struct {
 	traceStart  uint64
 }
 
-// Observe records the cell's simulated measurements (once, after the run).
-func (rec *CellRecord) Observe(cycles uint64, stats tm.Stats, m *metrics.Snapshot) {
+// ObserveRun records the cell's measured phase (once, after the run): the
+// simulated measurements, the wasted-work split of its cycle breakdown, the
+// adaptive decision log, the flight-recorder profile and the sim trace.
+func (rec *CellRecord) ObserveRun(r asfstack.RunResult) {
 	if rec == nil {
 		return
 	}
-	rec.sim = &CellSim{Cycles: cycles, Stats: stats, Metrics: m}
-}
-
-// ObserveBreakdown folds the cell's per-category cycle breakdown into the
-// wasted-work fields. Call after Observe.
-func (rec *CellRecord) ObserveBreakdown(b sim.Breakdown) {
-	if rec == nil || rec.sim == nil {
-		return
+	b := r.Breakdown
+	busy := b.Total()
+	rec.sim = &CellSim{
+		Cycles: r.Cycles, Stats: r.Stats, Metrics: r.Metrics,
+		WastedCycles: b[sim.CatAbort], BusyCycles: busy,
+		Switches: r.Switches, Profile: r.Profile,
 	}
-	var busy uint64
-	for _, v := range b {
-		busy += v
-	}
-	rec.sim.WastedCycles = b[sim.CatAbort]
-	rec.sim.BusyCycles = busy
 	if busy > 0 {
 		rec.sim.WastedPct = 100 * float64(b[sim.CatAbort]) / float64(busy)
 	}
+	rec.traceEvents, rec.traceStart = r.TraceEvents, r.TraceStart
 }
 
 // ObserveLatency records the cell's sojourn-time quantiles (open-loop
-// server cells). Call after Observe.
+// server cells). Call after ObserveRun.
 func (rec *CellRecord) ObserveLatency(p50, p95, p99, p999 float64) {
 	if rec == nil || rec.sim == nil {
 		return
@@ -163,33 +159,6 @@ func (rec *CellRecord) ObserveLatency(p50, p95, p99, p999 float64) {
 	rec.sim.P95Cycles = p95
 	rec.sim.P99Cycles = p99
 	rec.sim.P999Cycles = p999
-}
-
-// ObserveSwitches attaches the adaptive selector's decision log (no-op on
-// empty logs). Call after Observe.
-func (rec *CellRecord) ObserveSwitches(sw []adaptive.Switch) {
-	if rec == nil || rec.sim == nil || len(sw) == 0 {
-		return
-	}
-	rec.sim.Switches = sw
-}
-
-// ObserveProfile attaches the cell's flight-recorder snapshot (no-op on
-// nil). Call after Observe.
-func (rec *CellRecord) ObserveProfile(p *txprof.Profile) {
-	if rec == nil || rec.sim == nil || p == nil {
-		return
-	}
-	rec.sim.Profile = p
-}
-
-// ObserveTrace attaches the cell's sim trace (no-op on empty events).
-func (rec *CellRecord) ObserveTrace(events []sim.TraceEvent, start uint64) {
-	if rec == nil || len(events) == 0 {
-		return
-	}
-	rec.traceEvents = events
-	rec.traceStart = start
 }
 
 // RunReport executes one named experiment and returns its full report:

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"asfstack"
 	"asfstack/internal/stamp"
 )
 
@@ -143,13 +144,14 @@ func TestRunReportsFailingCells(t *testing.T) {
 	orig := stampRun
 	defer func() { stampRun = orig }()
 	stampRun = func(cfg stamp.Config) (stamp.Result, error) {
+		native := cfg.Machine != nil // fig3's native-reference cells
 		switch {
-		case cfg.App == "ssca2" && !cfg.Native:
+		case cfg.App == "ssca2" && !native:
 			return stamp.Result{}, errors.New("injected failure")
-		case cfg.App == "genome" && cfg.Native:
+		case cfg.App == "genome" && native:
 			panic("injected panic")
 		}
-		return stamp.Result{Config: cfg, Millis: 1.0}, nil
+		return stamp.Result{Config: cfg, RunResult: asfstack.RunResult{Cycles: 2_200_000}}, nil // 1 ms
 	}
 
 	tables, err := Run("fig3", Options{Scale: 0.1, Parallel: 4})

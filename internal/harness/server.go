@@ -8,9 +8,6 @@ import (
 	"asfstack/internal/topo"
 )
 
-// serverRun is the workload entry point, indirected like stampRun.
-var serverRun = server.Run
-
 // serverTopologies spans the socket axis: the paper's single-socket
 // 8-core machine, the same cores split across two sockets, and a 64-core
 // four-socket box.
@@ -34,15 +31,6 @@ type serverObs struct {
 	perSock             []uint64
 }
 
-func recordServer(rec *CellRecord, r server.Result) {
-	rec.Observe(r.Cycles, r.Stats, r.Metrics)
-	rec.ObserveBreakdown(r.Breakdown)
-	rec.ObserveLatency(r.P50, r.P95, r.P99, r.P999)
-	rec.ObserveSwitches(r.Switches)
-	rec.ObserveProfile(r.Profile)
-	rec.ObserveTrace(r.TraceEvents, r.TraceStart)
-}
-
 // Server — E16: the open-loop transactional server. One cell per
 // (topology × runtime × load): each runs the vacation-style reservation
 // service under a pre-drawn open-loop arrival schedule and reports
@@ -62,23 +50,10 @@ func Server(o Options) ([]*Table, error) {
 		for ri, rt := range serverRuntimes {
 			for li, load := range serverLoads {
 				dst := &obs[(ti*nR+ri)*nL+li]
-				cfg := server.Config{
-					Runtime:  rt,
-					Topology: topology,
-					Load:     load,
-					Scale:    o.scale(),
-					Trace:    o.Trace,
-					Profile:  o.Profile,
-				}
-				tp := tp
-				cells = append(cells, cell{
-					label: fmt.Sprintf("server %-5s %-13s load=%.2f", topology, rt, load),
-					run: func(rec *CellRecord) (string, error) {
-						r, err := serverRun(cfg)
-						if err != nil {
-							return "", err
-						}
-						recordServer(rec, r)
+				cfg := server.Config{Options: o.spec(rt, 0), Load: load, Scale: o.scale()}
+				cfg.Topology = topology
+				cells = append(cells, serverCell(fmt.Sprintf("server %-5s %-13s load=%.2f", topology, rt, load), cfg,
+					func(r server.Result) (string, error) {
 						ob := serverObs{
 							p50: r.P50, p95: r.P95, p99: r.P99, p999: r.P999,
 							max: r.MaxSojourn, thr: r.Throughput(), xsock: r.XSockHops,
@@ -88,8 +63,7 @@ func Server(o Options) ([]*Table, error) {
 						}
 						dst.set(ob)
 						return fmt.Sprintf("p99=%.0f cyc", r.P99), nil
-					},
-				})
+					}))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"asfstack/internal/intset"
 	"asfstack/internal/txprof"
 )
 
@@ -25,26 +26,18 @@ func Txprof(o Options) ([]*Table, error) {
 		for ri, rt := range txprofRuntimes {
 			dst := &sums[pi*nR+ri]
 			cfg := panel
-			cfg.Runtime = rt
-			cfg.Threads = 8
-			cfg.OpsPerThread = ops
-			cfg.Trace = o.Trace
+			cfg.Options = o.spec(rt, 8)
 			cfg.Profile = true
-			cells = append(cells, cell{
-				label: fmt.Sprintf("txprof %-10s r=%-6d %-14s t=8", panel.Structure, panel.Range, rt),
-				run: func(rec *CellRecord) (string, error) {
-					r, err := intsetRun(cfg)
-					if err != nil {
-						return "", err
-					}
-					recordIntset(rec, r)
+			cfg.OpsPerThread = ops
+			cells = append(cells, intsetCell(
+				fmt.Sprintf("txprof %-10s r=%-6d %-14s t=8", panel.Structure, panel.Range, rt), cfg,
+				func(r intset.Result) (string, error) {
 					if r.Profile == nil {
-						return "", fmt.Errorf("runtime %q produced no profile", cfg.Runtime)
+						return "", fmt.Errorf("runtime %q produced no profile", rt)
 					}
 					dst.set(r.Profile.Summary)
 					return fmt.Sprintf("wasted=%.1f%%", 100*r.Profile.Summary.WastedRatio), nil
-				},
-			})
+				}))
 		}
 	}
 	err := runCells(cells, o)

@@ -13,23 +13,19 @@ import (
 	"fmt"
 
 	"asfstack"
-	"asfstack/internal/adaptive"
-	"asfstack/internal/metrics"
 	"asfstack/internal/sim"
 	"asfstack/internal/tm"
-	"asfstack/internal/topo"
 	"asfstack/internal/txlib"
-	"asfstack/internal/txprof"
 )
 
 // Structures lists the four IntegerSet data structures in figure order.
 var Structures = []string{"linkedlist", "skiplist", "rbtree", "hashset"}
 
-// Config describes one IntegerSet run.
+// Config describes one IntegerSet run: the machine spec plus the set and
+// its operation mix.
 type Config struct {
+	asfstack.Options
 	Structure string // one of Structures
-	Runtime   string // asfstack runtime label
-	Threads   int
 	Range     uint64 // keys drawn from [0, Range)
 	UpdatePct int    // 20 → 10% ins / 10% rem / 80% search; 100 → 50/50
 	// InitialSize overrides the default population (Range/2).
@@ -42,50 +38,22 @@ type Config struct {
 	// HashBits overrides the hash-set table size (2^HashBits buckets);
 	// Table 1 forces the paper's 2^17-bucket table.
 	HashBits uint
-	Seed     int64
-	// Trace records sim trace events for the measured phase (Chrome trace
-	// export). Off by default: event volume is proportional to work.
-	Trace bool
-	// Profile installs the transaction-level flight recorder and harvests
-	// its profile into Result.Profile. Off by default.
-	Profile bool
-	// Topology is the socket layout ("2x8"; see internal/topo); empty runs
-	// single-socket. When set, Threads must be zero (derived from the
-	// topology) or equal its total.
-	Topology string
 }
 
 // Result carries the measurements a run produces.
 type Result struct {
-	Config    Config
-	Cycles    uint64 // simulated duration of the measured phase
-	Txs       uint64 // committed transactions
-	Stats     tm.Stats
-	Breakdown sim.Breakdown // per-category cycles, summed over threads
-
-	// Metrics is the full registry snapshot at the end of the measured
-	// phase (every layer's instruments).
-	Metrics *metrics.Snapshot
-	// Switches is the adaptive selector's decision log when Runtime is one
-	// of the Adaptive configurations; nil for the static runtimes.
-	Switches []adaptive.Switch
-	// TraceEvents are the measured phase's trace events when
-	// Config.Trace was set; TraceStart is the phase's start cycle.
-	TraceEvents []sim.TraceEvent
-	TraceStart  uint64
-	// Profile is the flight-recorder snapshot when Config.Profile was set
-	// (and the runtime supports profiling); nil otherwise.
-	Profile *txprof.Profile
+	Config Config
+	asfstack.RunResult
 }
 
-// Throughput returns transactions per microsecond at the simulated clock
-// (2.2 GHz), the Fig. 5/7/8 metric.
+// Throughput returns committed transactions per microsecond at the
+// simulated clock (2.2 GHz), the Fig. 5/7/8 metric.
 func (r Result) Throughput() float64 {
 	if r.Cycles == 0 {
 		return 0
 	}
 	us := float64(r.Cycles) / 2200.0 // cycles per µs at 2.2 GHz
-	return float64(r.Txs) / us
+	return float64(r.Stats.Commits) / us
 }
 
 type setIface interface {
@@ -131,30 +99,11 @@ func Run(cfg Config) (Result, error) {
 	if cfg.InitialSize == 0 {
 		cfg.InitialSize = int(cfg.Range / 2)
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
+	s, err := asfstack.Build(cfg.Options)
+	if err != nil {
+		return Result{}, err
 	}
-	if cfg.Topology != "" {
-		tp, err := topo.Parse(cfg.Topology)
-		if err != nil {
-			return Result{}, fmt.Errorf("intset: %w", err)
-		}
-		if cfg.Threads != 0 && cfg.Threads != tp.Total() {
-			return Result{}, fmt.Errorf("intset: %d threads conflict with topology %s (%d cores)",
-				cfg.Threads, tp, tp.Total())
-		}
-		cfg.Threads = tp.Total()
-	}
-	if cfg.Threads < 1 || cfg.Threads > sim.MaxCores {
-		return Result{}, fmt.Errorf("intset: %d threads out of range (want 1..%d)", cfg.Threads, sim.MaxCores)
-	}
-	s := asfstack.New(asfstack.Options{
-		Cores:    cfg.Threads,
-		Runtime:  cfg.Runtime,
-		Seed:     cfg.Seed,
-		Topology: cfg.Topology,
-		Profile:  cfg.Profile,
-	})
+	cfg.Options = s.Opts
 
 	var set setIface
 	s.Setup(func(tx tm.Tx) {
@@ -183,12 +132,7 @@ func Run(cfg Config) (Result, error) {
 		}
 	})
 
-	start := s.BeginMeasured()
-	if cfg.Trace {
-		s.M.EnableTrace()
-	}
-
-	end := s.Parallel(cfg.Threads, func(c *sim.CPU) {
+	run := s.Measure(func(c *sim.CPU, _ uint64) {
 		rng := c.Rand()
 		for i := 0; i < cfg.OpsPerThread; i++ {
 			k := uint64(rng.Int63n(int64(cfg.Range)))
@@ -203,21 +147,5 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 	})
-
-	res := Result{Config: cfg, Cycles: end - start}
-	res.Stats = s.TotalStats()
-	res.Txs = res.Stats.Commits
-	for i := 0; i < cfg.Threads; i++ {
-		res.Breakdown = res.Breakdown.Add(s.M.CPU(i).Counters())
-	}
-	res.Metrics = s.MetricsSnapshot()
-	if s.ADAPT != nil {
-		res.Switches = s.ADAPT.Switches()
-	}
-	if cfg.Trace {
-		res.TraceEvents = s.M.TraceEvents()
-		res.TraceStart = start
-	}
-	res.Profile = s.TxProfile()
-	return res, nil
+	return Result{Config: cfg, RunResult: run}, nil
 }

@@ -3,6 +3,8 @@ package intset
 import (
 	"strings"
 	"testing"
+
+	"asfstack"
 )
 
 // mustRun executes a configuration that the test requires to be valid.
@@ -17,10 +19,11 @@ func mustRun(t *testing.T, cfg Config) Result {
 
 // TestRunIsDeterministic: identical configurations give identical results.
 func TestRunIsDeterministic(t *testing.T) {
-	cfg := Config{Structure: "rbtree", Runtime: "LLB-256", Threads: 4,
-		Range: 512, UpdatePct: 20, OpsPerThread: 300, Seed: 7}
+	cfg := Config{
+		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 4, Seed: 7},
+		Structure: "rbtree", Range: 512, UpdatePct: 20, OpsPerThread: 300}
 	a, b := mustRun(t, cfg), mustRun(t, cfg)
-	if a.Cycles != b.Cycles || a.Txs != b.Txs || a.Stats != b.Stats {
+	if a.Cycles != b.Cycles || a.Stats != b.Stats {
 		t.Fatalf("nondeterministic: %+v vs %+v", a.Stats, b.Stats)
 	}
 }
@@ -29,10 +32,11 @@ func TestRunIsDeterministic(t *testing.T) {
 // every runtime (atomic blocks never get lost or double-committed).
 func TestEveryOpCommits(t *testing.T) {
 	for _, rt := range []string{"LLB-8", "LLB-256", "LLB-8 w/ L1", "LLB-256 w/ L1", "STM"} {
-		r := mustRun(t, Config{Structure: "skiplist", Runtime: rt, Threads: 4,
-			Range: 256, UpdatePct: 20, OpsPerThread: 200})
-		if r.Txs != 4*200 {
-			t.Fatalf("%s: txs = %d, want 800", rt, r.Txs)
+		r := mustRun(t, Config{
+			Options:   asfstack.Options{Runtime: rt, Cores: 4},
+			Structure: "skiplist", Range: 256, UpdatePct: 20, OpsPerThread: 200})
+		if r.Stats.Commits != 4*200 {
+			t.Fatalf("%s: txs = %d, want 800", rt, r.Stats.Commits)
 		}
 	}
 }
@@ -41,15 +45,17 @@ func TestEveryOpCommits(t *testing.T) {
 // capacity is insufficient for a 256-element list, so nearly all update
 // transactions run serially, while LLB-256 stays in hardware.
 func TestLLB8SerialisesLongLists(t *testing.T) {
-	small := mustRun(t, Config{Structure: "linkedlist", Runtime: "LLB-8", Threads: 4,
-		Range: 512, UpdatePct: 20, OpsPerThread: 250})
-	big := mustRun(t, Config{Structure: "linkedlist", Runtime: "LLB-256", Threads: 4,
-		Range: 512, UpdatePct: 20, OpsPerThread: 250})
-	if small.Stats.Serial < small.Txs/2 {
-		t.Fatalf("LLB-8 serial=%d of %d: capacity pressure missing", small.Stats.Serial, small.Txs)
+	small := mustRun(t, Config{
+		Options:   asfstack.Options{Runtime: "LLB-8", Cores: 4},
+		Structure: "linkedlist", Range: 512, UpdatePct: 20, OpsPerThread: 250})
+	big := mustRun(t, Config{
+		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 4},
+		Structure: "linkedlist", Range: 512, UpdatePct: 20, OpsPerThread: 250})
+	if small.Stats.Serial < small.Stats.Commits/2 {
+		t.Fatalf("LLB-8 serial=%d of %d: capacity pressure missing", small.Stats.Serial, small.Stats.Commits)
 	}
-	if big.Stats.Serial > big.Txs/20 {
-		t.Fatalf("LLB-256 serial=%d of %d: unexpectedly serialised", big.Stats.Serial, big.Txs)
+	if big.Stats.Serial > big.Stats.Commits/20 {
+		t.Fatalf("LLB-256 serial=%d of %d: unexpectedly serialised", big.Stats.Serial, big.Stats.Commits)
 	}
 	if big.Throughput() < 2*small.Throughput() {
 		t.Fatalf("LLB-256 (%.2f) not clearly faster than LLB-8 (%.2f)",
@@ -60,10 +66,12 @@ func TestLLB8SerialisesLongLists(t *testing.T) {
 // TestEarlyReleaseRecoversLLB8: Fig. 8 — with early release the LLB-8 list
 // throughput recovers to at least several times the no-release baseline.
 func TestEarlyReleaseRecoversLLB8(t *testing.T) {
-	base := mustRun(t, Config{Structure: "linkedlist", Runtime: "LLB-8", Threads: 4,
-		Range: 256, UpdatePct: 20, OpsPerThread: 250})
-	er := mustRun(t, Config{Structure: "linkedlist", Runtime: "LLB-8", Threads: 4,
-		Range: 256, UpdatePct: 20, OpsPerThread: 250, EarlyRelease: true})
+	base := mustRun(t, Config{
+		Options:   asfstack.Options{Runtime: "LLB-8", Cores: 4},
+		Structure: "linkedlist", Range: 256, UpdatePct: 20, OpsPerThread: 250})
+	er := mustRun(t, Config{
+		Options:   asfstack.Options{Runtime: "LLB-8", Cores: 4},
+		Structure: "linkedlist", Range: 256, UpdatePct: 20, OpsPerThread: 250, EarlyRelease: true})
 	if er.Throughput() < 2*base.Throughput() {
 		t.Fatalf("early release %.2f vs %.2f tx/µs: no recovery",
 			er.Throughput(), base.Throughput())
@@ -74,10 +82,11 @@ func TestEarlyReleaseRecoversLLB8(t *testing.T) {
 // handles the hash set in hardware (tiny write sets).
 func TestHashSetScalesOnAllVariants(t *testing.T) {
 	for _, rt := range []string{"LLB-8", "LLB-256", "LLB-8 w/ L1", "LLB-256 w/ L1"} {
-		r := mustRun(t, Config{Structure: "hashset", Runtime: rt, Threads: 4,
-			Range: 1024, UpdatePct: 100, OpsPerThread: 250})
-		if r.Stats.Serial > r.Txs/50 {
-			t.Fatalf("%s: %d/%d serial on the hash set", rt, r.Stats.Serial, r.Txs)
+		r := mustRun(t, Config{
+			Options:   asfstack.Options{Runtime: rt, Cores: 4},
+			Structure: "hashset", Range: 1024, UpdatePct: 100, OpsPerThread: 250})
+		if r.Stats.Serial > r.Stats.Commits/50 {
+			t.Fatalf("%s: %d/%d serial on the hash set", rt, r.Stats.Serial, r.Stats.Commits)
 		}
 	}
 }
@@ -85,10 +94,12 @@ func TestHashSetScalesOnAllVariants(t *testing.T) {
 // TestThroughputScalesWithThreads: rbtree on LLB-256 must gain from more
 // threads (the Fig. 5 scaling shape).
 func TestThroughputScalesWithThreads(t *testing.T) {
-	t1 := mustRun(t, Config{Structure: "rbtree", Runtime: "LLB-256", Threads: 1,
-		Range: 8192, UpdatePct: 20, OpsPerThread: 400})
-	t4 := mustRun(t, Config{Structure: "rbtree", Runtime: "LLB-256", Threads: 4,
-		Range: 8192, UpdatePct: 20, OpsPerThread: 400})
+	t1 := mustRun(t, Config{
+		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 1},
+		Structure: "rbtree", Range: 8192, UpdatePct: 20, OpsPerThread: 400})
+	t4 := mustRun(t, Config{
+		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 4},
+		Structure: "rbtree", Range: 8192, UpdatePct: 20, OpsPerThread: 400})
 	if t4.Throughput() < 1.8*t1.Throughput() {
 		t.Fatalf("4 threads %.2f vs 1 thread %.2f tx/µs: no scaling",
 			t4.Throughput(), t1.Throughput())
@@ -98,8 +109,9 @@ func TestThroughputScalesWithThreads(t *testing.T) {
 // TestBreakdownAccountsAllCycles: the per-category breakdown must sum to
 // (roughly) threads × duration — nothing unattributed.
 func TestBreakdownAccountsAllCycles(t *testing.T) {
-	r := mustRun(t, Config{Structure: "rbtree", Runtime: "LLB-256", Threads: 2,
-		Range: 512, UpdatePct: 20, OpsPerThread: 300})
+	r := mustRun(t, Config{
+		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 2},
+		Structure: "rbtree", Range: 512, UpdatePct: 20, OpsPerThread: 300})
 	total := r.Breakdown.Total()
 	upper := uint64(2) * r.Cycles
 	if total == 0 || total > upper {
@@ -113,25 +125,34 @@ func TestBreakdownAccountsAllCycles(t *testing.T) {
 // TestRunRejectsBadConfig: configuration mistakes are reported as errors,
 // not panics, so sweep harnesses can fail one cell and keep going.
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{Structure: "btree", Runtime: "STM", Range: 64}); err == nil {
+	if _, err := Run(Config{Options: asfstack.Options{Runtime: "STM"}, Structure: "btree", Range: 64}); err == nil {
 		t.Fatal("unknown structure accepted")
 	}
-	if _, err := Run(Config{Structure: "rbtree", Runtime: "STM"}); err == nil {
+	if _, err := Run(Config{Options: asfstack.Options{Runtime: "STM"}, Structure: "rbtree"}); err == nil {
 		t.Fatal("zero key range accepted")
 	}
 }
 
-// TestRunRejectsCoreCount: a thread count outside 1..sim.MaxCores, given
-// directly or through the topology, is an error rather than a panic.
+// TestRunRejectsCoreCount: a core count outside 1..sim.MaxCores, given
+// directly or through the topology, and an unknown runtime are errors that
+// reach the caller rather than panics.
 func TestRunRejectsCoreCount(t *testing.T) {
 	for _, tc := range []struct {
-		threads  int
+		runtime  string
+		cores    int
 		topology string
-	}{{0, ""}, {65, ""}, {0, "2x64"}} {
-		cfg := Config{Structure: "rbtree", Runtime: "LLB-256", Range: 64, OpsPerThread: 1,
-			Threads: tc.threads, Topology: tc.topology}
-		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("threads %d topology %q: err = %v, want out-of-range error", tc.threads, tc.topology, err)
+		want     string
+	}{
+		{"LLB-256", 0, "", "out of range"},
+		{"LLB-256", 65, "", "out of range"},
+		{"LLB-256", 0, "2x64", "out of range"},
+		{"Bogus", 2, "", "unknown runtime"},
+	} {
+		cfg := Config{
+			Options:   asfstack.Options{Runtime: tc.runtime, Cores: tc.cores, Topology: tc.topology},
+			Structure: "rbtree", Range: 64, OpsPerThread: 1}
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s cores %d topology %q: err = %v, want %q", tc.runtime, tc.cores, tc.topology, err, tc.want)
 		}
 	}
 }

@@ -296,17 +296,11 @@ func Explore(t *Test, rc RuntimeConfig, opts ExploreOptions) *Result {
 
 	bodies := make([]func(*sim.CPU), n)
 	for i := range bodies {
-		i := i
-		inner := threadBody(s, rc, t.Threads[i], regs[i], addrs)
-		bodies[i] = func(c *sim.CPU) {
-			c.Cycles(stag[i])
-			inner(c)
-			// Mirror Stack.Parallel's thread-exit idle hint: a finished
-			// thread must retract any lazy liveness it announced (the
-			// adaptive runtime's drain gate spins on it), or a concurrent
-			// runtime switch on another core waits forever for this one.
-			c.IdleHint()
-		}
+		bodies[i] = threadBody(s, rc, t.Threads[i], regs[i], addrs)
+	}
+	race := func(c *sim.CPU) {
+		c.Cycles(stag[c.ID()])
+		bodies[c.ID()](c)
 	}
 	reset := func(c *sim.CPU) {
 		for i, a := range addrs {
@@ -341,7 +335,7 @@ func Explore(t *Test, rc RuntimeConfig, opts ExploreOptions) *Result {
 		if s.Prof != nil {
 			s.Prof.Reset()
 		}
-		s.M.Run(bodies...)
+		s.Parallel(n, race)
 
 		vars := make([]uint64, len(addrs))
 		for i, a := range addrs {

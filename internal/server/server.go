@@ -12,14 +12,11 @@ import (
 	"fmt"
 
 	"asfstack"
-	"asfstack/internal/adaptive"
 	"asfstack/internal/mem"
 	"asfstack/internal/metrics"
 	"asfstack/internal/sim"
 	"asfstack/internal/tm"
-	"asfstack/internal/topo"
 	"asfstack/internal/txlib"
-	"asfstack/internal/txprof"
 )
 
 // baseServiceCycles is the nominal per-request service time that defines
@@ -33,14 +30,10 @@ const baseServiceCycles = 25_000
 // arrival, so pending timers and asynchronous aborts keep being delivered.
 const waitChunk = 1_000
 
-// Config describes one server run.
+// Config describes one server run: the machine spec plus the client
+// population and its offered load.
 type Config struct {
-	Runtime string
-	// Threads is the core count when Topology is empty; with a Topology it
-	// must be zero or equal the topology's total.
-	Threads int
-	// Topology is the socket layout ("2x8"); empty runs single-socket.
-	Topology string
+	asfstack.Options
 	// RequestsPerCore is each session's measured request count (default
 	// 200 × Scale).
 	RequestsPerCore int
@@ -52,24 +45,15 @@ type Config struct {
 	// ZipfS is the key-skew exponent of the item-id distribution (> 1;
 	// default 1.2 — a hot head with a long cold tail).
 	ZipfS float64
-	// Seed makes runs reproducible. Zero selects the default (42) unless
-	// SeedSet marks it deliberate.
-	Seed    int64
-	SeedSet bool
 	// Scale multiplies store size and default request count (1.0 when
 	// zero); used by tests and CI smoke to shrink runs.
 	Scale float64
-	// Trace records sim trace events for the measured phase.
-	Trace bool
-	// Profile installs the transaction-level flight recorder.
-	Profile bool
 }
 
 // Result carries the measurements of a run.
 type Result struct {
-	Config   Config
-	Cycles   uint64 // simulated duration of the measured phase
-	Millis   float64
+	Config Config
+	asfstack.RunResult
 	Requests uint64 // completed requests (== sessions × RequestsPerCore)
 
 	// Sojourn-time quantiles (arrival → commit, simulated cycles),
@@ -80,15 +64,6 @@ type Result struct {
 	// XSockHops is the machine total of cross-socket directory hops (zero
 	// on single-socket runs).
 	XSockHops uint64
-
-	Stats     tm.Stats
-	Breakdown sim.Breakdown
-	Metrics   *metrics.Snapshot
-	Switches  []adaptive.Switch
-
-	TraceEvents []sim.TraceEvent
-	TraceStart  uint64
-	Profile     *txprof.Profile
 }
 
 // Throughput returns committed requests per simulated microsecond.
@@ -290,9 +265,6 @@ func (w *world) validate(tx tm.Tx) error {
 
 // Run executes one configuration to completion and validates the store.
 func Run(cfg Config) (Result, error) {
-	if cfg.Seed == 0 && !cfg.SeedSet {
-		cfg.Seed = 42
-	}
 	scale := cfg.Scale
 	if scale <= 0 {
 		scale = 1
@@ -309,37 +281,19 @@ func Run(cfg Config) (Result, error) {
 			cfg.RequestsPerCore = 4
 		}
 	}
-	threads := cfg.Threads
-	if cfg.Topology != "" {
-		tp, err := topo.Parse(cfg.Topology)
-		if err != nil {
-			return Result{}, fmt.Errorf("server: %w", err)
-		}
-		if threads != 0 && threads != tp.Total() {
-			return Result{}, fmt.Errorf("server: %d threads conflict with topology %s", threads, tp)
-		}
-		threads = tp.Total()
+	s, err := asfstack.Build(cfg.Options)
+	if err != nil {
+		return Result{}, err
 	}
-	if threads < 1 || threads > sim.MaxCores {
-		return Result{}, fmt.Errorf("server: %d threads out of range (want 1..%d)", threads, sim.MaxCores)
-	}
-	cfg.Threads = threads
+	// The schedule generator seeds from cfg.Seed: it must see the
+	// machine's resolved seed.
+	cfg.Options = s.Opts
 
 	w := &world{
 		cfg:       cfg,
 		items:     max(int(256*scale), 8),
 		customers: max(int(128*scale), 4),
 	}
-
-	mc := sim.Barcelona(threads)
-	mc.Seed = cfg.Seed
-	s := asfstack.New(asfstack.Options{
-		Cores:    threads,
-		Runtime:  cfg.Runtime,
-		Topology: cfg.Topology,
-		Machine:  &mc,
-		Profile:  cfg.Profile,
-	})
 	// Register the sojourn histogram before the registry seals (first
 	// record). Bounds reach 2^27 cycles — deep overload territory — before
 	// the overflow bucket.
@@ -347,29 +301,17 @@ func Run(cfg Config) (Result, error) {
 
 	// Pre-draw every session's schedule on the host: arrivals are fixed
 	// before the server starts, the definition of open loop.
-	w.queues = make([]*reqQueue, threads)
+	w.queues = make([]*reqQueue, cfg.Cores)
 	for i := range w.queues {
 		w.queues[i] = w.generate(i)
 	}
 
 	s.Setup(func(tx tm.Tx) { w.setup(tx) })
 
-	start := s.BeginMeasured()
-	if cfg.Trace {
-		s.M.EnableTrace()
-	}
-	end := s.Parallel(threads, func(c *sim.CPU) {
+	res := Result{Config: cfg, RunResult: s.Measure(func(c *sim.CPU, start uint64) {
 		w.session(s, c, start)
-	})
-
-	res := Result{Config: cfg, Cycles: end - start}
-	res.Millis = float64(res.Cycles) / 2_200_000.0
-	res.Requests = uint64(threads * cfg.RequestsPerCore)
-	res.Stats = s.TotalStats()
-	for i := 0; i < threads; i++ {
-		res.Breakdown = res.Breakdown.Add(s.M.CPU(i).Counters())
-	}
-	res.Metrics = s.MetricsSnapshot()
+	})}
+	res.Requests = uint64(cfg.Cores * cfg.RequestsPerCore)
 	if hs, ok := res.Metrics.Histogram("server/sojourn_cyc"); ok {
 		res.P50 = hs.Quantile(0.50)
 		res.P95 = hs.Quantile(0.95)
@@ -380,14 +322,6 @@ func Run(cfg Config) (Result, error) {
 	if g, ok := res.Metrics.Gauge("cache/xsock_hops"); ok {
 		res.XSockHops = g.Total
 	}
-	if s.ADAPT != nil {
-		res.Switches = s.ADAPT.Switches()
-	}
-	if cfg.Trace {
-		res.TraceEvents = s.M.TraceEvents()
-		res.TraceStart = start
-	}
-	res.Profile = s.TxProfile()
 
 	var verr error
 	s.Setup(func(tx tm.Tx) { verr = w.validate(tx) })

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"asfstack"
 )
 
 // TestQueueAllocs pins the steady-state session path: once a queue is
@@ -56,7 +58,7 @@ func TestQueueFIFO(t *testing.T) {
 // the config — regenerating yields the identical stream, and arrivals are
 // strictly non-decreasing.
 func TestGenerateDeterministic(t *testing.T) {
-	w := &world{cfg: Config{Seed: 42, Load: 0.9, ZipfS: 1.2, RequestsPerCore: 200}, items: 64, customers: 32}
+	w := &world{cfg: Config{Options: asfstack.Options{Seed: 42}, Load: 0.9, ZipfS: 1.2, RequestsPerCore: 200}, items: 64, customers: 32}
 	a, b := w.generate(3), w.generate(3)
 	if !reflect.DeepEqual(a.buf, b.buf) {
 		t.Fatal("regenerated schedule differs")
@@ -84,8 +86,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func smallConfig(runtime string) Config {
 	return Config{
-		Runtime:         runtime,
-		Threads:         4,
+		Options:         asfstack.Options{Runtime: runtime, Cores: 4},
 		RequestsPerCore: 12,
 		Load:            0.9,
 		Scale:           0.05,
@@ -150,7 +151,7 @@ func TestRunSameSeedReplay(t *testing.T) {
 	for _, topology := range []string{"", "2x2"} {
 		cfg := smallConfig("LLB-256")
 		if topology != "" {
-			cfg.Threads = 0
+			cfg.Cores = 0
 			cfg.Topology = topology
 		}
 		first, err := Run(cfg)
@@ -175,7 +176,7 @@ func TestRunRejectsCoreCount(t *testing.T) {
 		topology string
 	}{{0, ""}, {65, ""}, {0, "2x64"}} {
 		cfg := smallConfig("LLB-256")
-		cfg.Threads, cfg.Topology = tc.threads, tc.topology
+		cfg.Cores, cfg.Topology = tc.threads, tc.topology
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("threads %d topology %q: err = %v, want out-of-range error", tc.threads, tc.topology, err)
 		}
@@ -186,7 +187,7 @@ func TestRunRejectsCoreCount(t *testing.T) {
 // same workload single-socket does not, and is cheaper.
 func TestRunTopologyCharges(t *testing.T) {
 	cfg := smallConfig("LLB-256")
-	cfg.Threads = 0
+	cfg.Cores = 0
 	cfg.Topology = "2x2"
 	multi, err := Run(cfg)
 	if err != nil {

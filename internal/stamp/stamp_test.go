@@ -4,12 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"asfstack"
 	"asfstack/internal/sim"
 )
 
 // TestDeterministicRuns: identical configs produce identical results.
 func TestDeterministicRuns(t *testing.T) {
-	cfg := Config{App: "intruder", Runtime: "LLB-256", Threads: 4, Scale: 0.25}
+	cfg := Config{Options: asfstack.Options{Runtime: "LLB-256", Cores: 4}, App: "intruder", Scale: 0.25}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +29,7 @@ func TestDeterministicRuns(t *testing.T) {
 // distinct executions (genome's input generation included, which once used
 // a seed-independent hardcoded source).
 func TestSeedZeroIsARealSeed(t *testing.T) {
-	base := Config{App: "genome", Runtime: "LLB-256", Threads: 2, Scale: 0.125}
+	base := Config{Options: asfstack.Options{Runtime: "LLB-256", Cores: 2}, App: "genome", Scale: 0.125}
 
 	zero := base
 	zero.Seed, zero.SeedSet = 0, true
@@ -71,7 +72,7 @@ func TestSeedZeroIsARealSeed(t *testing.T) {
 func TestAllAppsValidateOnAllVariants(t *testing.T) {
 	for _, app := range Apps {
 		for _, rt := range []string{"LLB-8", "LLB-8 w/ L1", "LLB-256 w/ L1"} {
-			if _, err := Run(Config{App: app, Runtime: rt, Threads: 2, Scale: 0.125}); err != nil {
+			if _, err := Run(Config{Options: asfstack.Options{Runtime: rt, Cores: 2}, App: app, Scale: 0.125}); err != nil {
 				t.Errorf("%s/%s: %v", app, rt, err)
 			}
 		}
@@ -81,7 +82,7 @@ func TestAllAppsValidateOnAllVariants(t *testing.T) {
 // TestSequentialBaseline: every app runs uninstrumented on one thread.
 func TestSequentialBaseline(t *testing.T) {
 	for _, app := range Apps {
-		r, err := Run(Config{App: app, Runtime: "Sequential", Threads: 1, Scale: 0.125})
+		r, err := Run(Config{Options: asfstack.Options{Runtime: "Sequential", Cores: 1}, App: app, Scale: 0.125})
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
@@ -98,17 +99,17 @@ func TestSequentialBaseline(t *testing.T) {
 // than on 1 with LLB-256 (the Fig. 4 scaling shape).
 func TestScalableAppsScale(t *testing.T) {
 	for _, app := range []string{"genome", "ssca2"} {
-		r1, err := Run(Config{App: app, Runtime: "LLB-256", Threads: 1, Scale: 0.5})
+		r1, err := Run(Config{Options: asfstack.Options{Runtime: "LLB-256", Cores: 1}, App: app, Scale: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r4, err := Run(Config{App: app, Runtime: "LLB-256", Threads: 4, Scale: 0.5})
+		r4, err := Run(Config{Options: asfstack.Options{Runtime: "LLB-256", Cores: 4}, App: app, Scale: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r4.Millis > r1.Millis*0.7 {
+		if r4.Millis() > r1.Millis()*0.7 {
 			t.Errorf("%s: 4 threads %.3fms vs 1 thread %.3fms — no scaling",
-				app, r4.Millis, r1.Millis)
+				app, r4.Millis(), r1.Millis())
 		}
 	}
 }
@@ -117,7 +118,7 @@ func TestScalableAppsScale(t *testing.T) {
 // labyrinth's routing transactions into serial-irrevocable mode (Fig. 4's
 // non-scaling panel).
 func TestLabyrinthMostlySerialOnASF(t *testing.T) {
-	r, err := Run(Config{App: "labyrinth", Runtime: "LLB-256", Threads: 4, Scale: 1})
+	r, err := Run(Config{Options: asfstack.Options{Runtime: "LLB-256", Cores: 4}, App: "labyrinth", Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestLabyrinthMostlySerialOnASF(t *testing.T) {
 // TestIntruderContention: intruder's shared queues must produce a
 // substantial abort rate at 4+ threads (Fig. 6's most contended app).
 func TestIntruderContention(t *testing.T) {
-	r, err := Run(Config{App: "intruder", Runtime: "LLB-256", Threads: 4, Scale: 0.5})
+	r, err := Run(Config{Options: asfstack.Options{Runtime: "LLB-256", Cores: 4}, App: "intruder", Scale: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,23 +149,23 @@ func TestIntruderContention(t *testing.T) {
 // every application (the paper's headline).
 func TestASFBeatsSTMOnStamp(t *testing.T) {
 	for _, app := range Apps {
-		a, err := Run(Config{App: app, Runtime: "LLB-256", Threads: 4, Scale: 0.25})
+		a, err := Run(Config{Options: asfstack.Options{Runtime: "LLB-256", Cores: 4}, App: app, Scale: 0.25})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Run(Config{App: app, Runtime: "STM", Threads: 4, Scale: 0.25})
+		s, err := Run(Config{Options: asfstack.Options{Runtime: "STM", Cores: 4}, App: app, Scale: 0.25})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Millis >= s.Millis {
-			t.Errorf("%s: ASF %.3fms not faster than STM %.3fms", app, a.Millis, s.Millis)
+		if a.Millis() >= s.Millis() {
+			t.Errorf("%s: ASF %.3fms not faster than STM %.3fms", app, a.Millis(), s.Millis())
 		}
 	}
 }
 
 // TestUnknownAppRejected: configuration errors surface as errors.
 func TestUnknownAppRejected(t *testing.T) {
-	if _, err := Run(Config{App: "bayes", Runtime: "LLB-256", Threads: 1}); err == nil {
+	if _, err := Run(Config{Options: asfstack.Options{Runtime: "LLB-256", Cores: 1}, App: "bayes"}); err == nil {
 		t.Fatal("excluded app accepted")
 	}
 }
@@ -176,7 +177,9 @@ func TestRunRejectsCoreCount(t *testing.T) {
 		threads  int
 		topology string
 	}{{0, ""}, {65, ""}, {0, "2x64"}} {
-		cfg := Config{App: "genome", Runtime: "LLB-256", Scale: 0.05, Threads: tc.threads, Topology: tc.topology}
+		cfg := Config{
+			Options: asfstack.Options{Runtime: "LLB-256", Cores: tc.threads, Topology: tc.topology},
+			App:     "genome", Scale: 0.05}
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("threads %d topology %q: err = %v, want out-of-range error", tc.threads, tc.topology, err)
 		}

@@ -21,6 +21,7 @@ package asfstack
 
 import (
 	"fmt"
+	"strings"
 
 	"asfstack/internal/adaptive"
 	"asfstack/internal/asf"
@@ -45,15 +46,21 @@ var RuntimeNames = []string{
 	"Adaptive-8", "Adaptive-256", "Sequential",
 }
 
-// Options configures a Stack.
+// Options is the machine spec: the one description of a simulated machine
+// and its runtime. Every workload config embeds it, and Build alone turns it
+// into a Stack.
 type Options struct {
-	// Cores is the number of simulated cores (the paper's machine has 8).
+	// Cores is the number of simulated cores, 1..sim.MaxCores (the paper's
+	// machine has 8). With a Topology it may be left zero.
 	Cores int
 	// Runtime selects the TM implementation by figure label: one of
 	// RuntimeNames.
 	Runtime string
-	// Seed makes runs reproducible; 0 selects the default.
-	Seed int64
+	// Seed makes runs reproducible. Zero keeps the machine's default (42)
+	// unless SeedSet marks it deliberate: seed 0 is a valid, distinct seed,
+	// not an alias of the default.
+	Seed    int64
+	SeedSet bool
 	// HeapPerCore sizes each core's allocation arena in bytes
 	// (default 64 MiB).
 	HeapPerCore uint64
@@ -66,13 +73,13 @@ type Options struct {
 	// Machine, if non-nil, overrides the default Barcelona configuration
 	// (Cores, Seed and Topology above still apply).
 	Machine *sim.Config
+	// Trace records sim trace events for the measured phase (Measure
+	// returns them). Off by default: event volume is proportional to work.
+	Trace bool
 	// Profile installs the transaction-level flight recorder
 	// (internal/txprof) on the selected runtime. Off by default: the
 	// disabled path costs one nil check per would-be event.
 	Profile bool
-	// ProfileRing overrides the per-core event ring capacity
-	// (txprof.DefaultRing when zero).
-	ProfileRing int
 }
 
 // Stack is one simulated machine with one TM runtime installed.
@@ -107,6 +114,9 @@ type Stack struct {
 	// was set (and the selected runtime supports profiling), else nil.
 	// Snapshot via TxProfile, which enforces barrier semantics.
 	Prof *txprof.Recorder
+	// Opts is the spec the stack was built from, resolved: Cores is the
+	// machine's core count and Seed its seed.
+	Opts Options
 
 	gauges stackGauges
 }
@@ -166,24 +176,25 @@ func (g *stackGauges) register(reg *metrics.Registry) {
 	g.tmSeals = reg.Gauge("tm/cohort_seals")
 }
 
-// New builds a stack. It panics on configuration errors (these are
-// programming mistakes, not runtime conditions).
-func New(opts Options) *Stack {
+// Build turns a spec into a stack: it resolves the core count against the
+// topology, checks it against 1..sim.MaxCores, builds the machine and
+// installs the runtime. A bad spec — malformed topology, core count out of
+// range, unknown runtime — is an error.
+func Build(opts Options) (*Stack, error) {
 	var tp topo.Topology
 	if opts.Topology != "" {
 		var err error
-		tp, err = topo.Parse(opts.Topology)
-		if err != nil {
-			panic(fmt.Sprintf("asfstack: %v", err))
+		if tp, err = topo.Parse(opts.Topology); err != nil {
+			return nil, fmt.Errorf("asfstack: %w", err)
 		}
-		if opts.Cores > 0 && opts.Cores != tp.Total() {
-			panic(fmt.Sprintf("asfstack: %d cores conflict with topology %s (%d cores)",
-				opts.Cores, tp, tp.Total()))
+		if opts.Cores != 0 && opts.Cores != tp.Total() {
+			return nil, fmt.Errorf("asfstack: %d cores conflict with topology %s (%d cores)",
+				opts.Cores, tp, tp.Total())
 		}
 		opts.Cores = tp.Total()
 	}
-	if opts.Cores <= 0 {
-		opts.Cores = 1
+	if opts.Cores < 1 || opts.Cores > sim.MaxCores {
+		return nil, fmt.Errorf("asfstack: %d cores out of range (want 1..%d)", opts.Cores, sim.MaxCores)
 	}
 	if opts.HeapPerCore == 0 {
 		opts.HeapPerCore = 64 << 20
@@ -196,14 +207,15 @@ func New(opts Options) *Stack {
 	if !tp.IsZero() {
 		cfg.Topology = tp
 	}
-	if opts.Seed != 0 {
+	if opts.Seed != 0 || opts.SeedSet {
 		cfg.Seed = opts.Seed
 	}
+	opts.Seed = cfg.Seed
 	m := sim.New(cfg)
 	layout := mem.NewLayout(mem.PageSize) // skip page zero
 	heap := tm.NewHeap(m.Mem, layout, opts.Cores, opts.HeapPerCore)
 
-	s := &Stack{M: m, Layout: layout, Heap: heap, Metrics: metrics.New(opts.Cores)}
+	s := &Stack{M: m, Layout: layout, Heap: heap, Metrics: metrics.New(opts.Cores), Opts: opts}
 	s.gauges.register(s.Metrics)
 	switch opts.Runtime {
 	case "STM":
@@ -215,13 +227,9 @@ func New(opts Options) *Stack {
 	case "HyTM-8", "HyTM-256":
 		// The hybrid runtime runs on the same ASF hardware variants as
 		// ASF-TM; the label selects the LLB size.
-		vname := "LLB-8"
+		v := asf.LLB8
 		if opts.Runtime == "HyTM-256" {
-			vname = "LLB-256"
-		}
-		v, err := asf.VariantByName(vname)
-		if err != nil {
-			panic(fmt.Sprintf("asfstack: %v", err))
+			v = asf.LLB256
 		}
 		s.ASF = asf.Install(m, v)
 		s.ASF.SetMetrics(s.Metrics)
@@ -239,22 +247,14 @@ func New(opts Options) *Stack {
 		// The selector owns one instance of every runtime over the same
 		// machine, heap, and ASF system, and switches the active one at
 		// quiescent points ("adaptive" is the LLB-8 alias).
-		vname := "LLB-8"
+		v, hname := asf.LLB8, "HyTM-8"
 		if opts.Runtime == "Adaptive-256" {
-			vname = "LLB-256"
-		}
-		v, err := asf.VariantByName(vname)
-		if err != nil {
-			panic(fmt.Sprintf("asfstack: %v", err))
+			v, hname = asf.LLB256, "HyTM-256"
 		}
 		s.ASF = asf.Install(m, v)
 		s.ASF.SetMetrics(s.Metrics)
 		s.ASFTM = asftm.New(s.ASF, heap, m, layout)
 		s.ASFTM.SetMetrics(s.Metrics)
-		hname := "HyTM-8"
-		if vname == "LLB-256" {
-			hname = "HyTM-256"
-		}
 		s.HYTM = hytm.New(s.ASF, heap, m, layout, hname)
 		s.HYTM.SetMetrics(s.Metrics)
 		s.STM = stm.New(m, heap, layout)
@@ -279,7 +279,8 @@ func New(opts Options) *Stack {
 	default:
 		v, err := asf.VariantByName(opts.Runtime)
 		if err != nil {
-			panic(fmt.Sprintf("asfstack: %v (want one of %v)", err, RuntimeNames))
+			return nil, fmt.Errorf("asfstack: unknown runtime %q (want one of %s)",
+				opts.Runtime, strings.Join(RuntimeNames, ", "))
 		}
 		s.ASF = asf.Install(m, v)
 		s.ASF.SetMetrics(s.Metrics)
@@ -289,9 +290,18 @@ func New(opts Options) *Stack {
 	}
 	if opts.Profile {
 		if p, ok := s.RT.(tm.ProfilableRuntime); ok {
-			s.Prof = txprof.NewRecorder(opts.Cores, opts.ProfileRing)
+			s.Prof = txprof.NewRecorder(opts.Cores, 0)
 			p.SetProfiler(s.Prof)
 		}
+	}
+	return s, nil
+}
+
+// New is Build for specs known to be good: it panics on Build's error.
+func New(opts Options) *Stack {
+	s, err := Build(opts)
+	if err != nil {
+		panic(err)
 	}
 	return s
 }
@@ -332,10 +342,11 @@ func (s *Stack) Setup(body func(tx tm.Tx)) {
 
 // BeginMeasured marks the boundary between setup and the measured phase:
 // core clocks are aligned, private caches are flushed to L3 (the state at
-// PTLsim's native-to-simulated switchover), and all statistics are reset.
-// It returns the common start time in cycles.
+// PTLsim's native-to-simulated switchover), all statistics are reset, and
+// trace recording starts when Options.Trace is set. It returns the common
+// start time in cycles.
 func (s *Stack) BeginMeasured() uint64 {
-	for i := 0; i < s.M.Config().Cores; i++ {
+	for i := 0; i < s.Opts.Cores; i++ {
 		s.M.Hier.FlushPrivate(i)
 		s.M.Hier.FlushTLB(i)
 	}
@@ -346,7 +357,58 @@ func (s *Stack) BeginMeasured() uint64 {
 	if s.Prof != nil {
 		s.Prof.Reset()
 	}
+	if s.Opts.Trace {
+		s.M.EnableTrace()
+	}
 	return start
+}
+
+// RunResult is what one measured phase produced. Every workload result
+// embeds it, and the harness records it as a cell's sim section.
+type RunResult struct {
+	Cycles    uint64        // simulated duration of the measured phase
+	Stats     tm.Stats      // the runtime's outcome counters, summed over cores
+	Breakdown sim.Breakdown // per-category cycles, summed over cores
+
+	// Metrics is the full registry snapshot at the end of the measured
+	// phase (every layer's instruments).
+	Metrics *metrics.Snapshot
+	// Switches is the adaptive selector's decision log when Runtime is one
+	// of the Adaptive configurations; nil for the static runtimes.
+	Switches []adaptive.Switch
+	// TraceEvents are the measured phase's trace events when Options.Trace
+	// was set; TraceStart is the phase's start cycle.
+	TraceEvents []sim.TraceEvent
+	TraceStart  uint64
+	// Profile is the flight-recorder snapshot when Options.Profile was set
+	// (and the runtime supports profiling); nil otherwise.
+	Profile *txprof.Profile
+}
+
+// Millis returns the measured phase's simulated duration in milliseconds
+// at the 2.2 GHz clock.
+func (r RunResult) Millis() float64 { return float64(r.Cycles) / 2_200_000.0 }
+
+// Measure runs the measured phase: BeginMeasured, then body on every core
+// (start is the phase's common start cycle), then the harvest of its
+// measurements at the closing barrier.
+func (s *Stack) Measure(body func(c *sim.CPU, start uint64)) RunResult {
+	start := s.BeginMeasured()
+	end := s.Parallel(s.Opts.Cores, func(c *sim.CPU) { body(c, start) })
+	r := RunResult{Cycles: end - start, Stats: s.TotalStats()}
+	for i := 0; i < s.Opts.Cores; i++ {
+		r.Breakdown = r.Breakdown.Add(s.M.CPU(i).Counters())
+	}
+	r.Metrics = s.MetricsSnapshot()
+	if s.ADAPT != nil {
+		r.Switches = s.ADAPT.Switches()
+	}
+	if s.Opts.Trace {
+		r.TraceEvents = s.M.TraceEvents()
+		r.TraceStart = start
+	}
+	r.Profile = s.TxProfile()
+	return r
 }
 
 // TxProfile snapshots the flight recorder into its serialized form, or

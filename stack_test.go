@@ -1,6 +1,8 @@
 package asfstack
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"asfstack/internal/mem"
@@ -260,13 +262,34 @@ func TestAblationRuntimesWork(t *testing.T) {
 	}
 }
 
-func TestUnknownRuntimePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bogus runtime accepted")
-		}
-	}()
-	New(Options{Cores: 1, Runtime: "LLB-512"})
+// TestBuildRejectsBadOptions: every malformed spec is an error from Build,
+// and New panics with that same error.
+func TestBuildRejectsBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"zero cores", Options{Runtime: "LLB-256"}, "0 cores out of range"},
+		{"65 cores", Options{Cores: 65, Runtime: "LLB-256"}, "65 cores out of range"},
+		{"topology beyond MaxCores", Options{Topology: "2x64", Runtime: "LLB-256"}, "128 cores out of range"},
+		{"malformed topology", Options{Topology: "2by8", Runtime: "LLB-256"}, "bad topology"},
+		{"cores differ from topology", Options{Cores: 8, Topology: "2x2", Runtime: "LLB-256"}, "conflict with topology"},
+		{"unknown runtime", Options{Cores: 1, Runtime: "Bogus"}, "unknown runtime"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Build(tc.opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Build: err = %v, want one mentioning %q", err, tc.want)
+			}
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != err.Error() {
+					t.Fatalf("New panicked with %v, want %v", r, err)
+				}
+			}()
+			New(tc.opts)
+		})
+	}
 }
 
 func TestBeginMeasuredResetsEverything(t *testing.T) {
@@ -287,6 +310,58 @@ func TestBeginMeasuredResetsEverything(t *testing.T) {
 		}
 		if s.M.CPU(i).Counters().Total() != 0 {
 			t.Fatal("counters survived BeginMeasured")
+		}
+	}
+}
+
+// TestMeasureTrace: Measure returns trace events only when Options.Trace
+// is set, and then TraceStart is the measured phase's start cycle.
+func TestMeasureTrace(t *testing.T) {
+	for _, trace := range []bool{false, true} {
+		s := New(Options{Cores: 2, Runtime: "LLB-256", Trace: trace})
+		a := s.AllocShared(8)
+		s.Setup(func(tx tm.Tx) { tx.Store(a, 1) }) // start the phase past cycle 0
+		var start uint64
+		r := s.Measure(func(c *sim.CPU, st uint64) {
+			start = st
+			s.Atomic(c, func(tx tm.Tx) { tx.Store(a, tx.Load(a)+1) })
+		})
+		if r.Stats.Commits != 2 || r.Cycles == 0 {
+			t.Fatalf("trace=%v: %d commits in %d cycles, want 2 commits", trace, r.Stats.Commits, r.Cycles)
+		}
+		if got := len(r.TraceEvents) > 0; got != trace {
+			t.Errorf("trace=%v: %d trace events", trace, len(r.TraceEvents))
+		}
+		want := uint64(0)
+		if trace {
+			want = start
+		}
+		if start == 0 || r.TraceStart != want {
+			t.Errorf("trace=%v: TraceStart = %d, want %d (phase start %d)", trace, r.TraceStart, want, start)
+		}
+	}
+}
+
+// TestSeedSet: Seed 0 with SeedSet runs the machine on seed 0, leaving both
+// unset keeps the machine's default (42, or the seed of Options.Machine),
+// and Stack.Opts reports the seed the machine runs on.
+func TestSeedSet(t *testing.T) {
+	m5 := sim.Barcelona(1)
+	m5.Seed = 5
+	for _, tc := range []struct {
+		opts Options
+		want int64
+	}{
+		{Options{Cores: 1}, 42},
+		{Options{Cores: 1, SeedSet: true}, 0},
+		{Options{Cores: 1, Seed: 7}, 7},
+		{Options{Cores: 1, Machine: &m5}, 5},
+		{Options{Cores: 1, Machine: &m5, SeedSet: true}, 0},
+	} {
+		s := New(tc.opts)
+		if got := s.M.Config().Seed; got != tc.want || s.Opts.Seed != tc.want {
+			t.Errorf("Seed %d SeedSet %v: machine seed %d, Opts.Seed %d, want %d",
+				tc.opts.Seed, tc.opts.SeedSet, got, s.Opts.Seed, tc.want)
 		}
 	}
 }
