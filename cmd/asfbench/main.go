@@ -202,14 +202,9 @@ func writeTrace(path string, report *harness.BenchReport) error {
 	var cells []trace.ChromeCell
 	for _, rep := range report.Experiments {
 		for _, c := range rep.Cells {
-			if len(c.TraceEvents) == 0 {
-				continue
+			if c.Trace != nil {
+				cells = append(cells, trace.ChromeCell{Name: rep.Name + " " + c.Label, Run: c.Trace})
 			}
-			cells = append(cells, trace.ChromeCell{
-				Name:   rep.Name + " " + c.Label,
-				Events: c.TraceEvents,
-				Start:  c.TraceStart,
-			})
 		}
 	}
 	return writeOutput(path, func(w io.Writer) error {

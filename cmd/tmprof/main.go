@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"asfstack/internal/harness"
+	"asfstack/internal/tm"
 	"asfstack/internal/trace"
 	"asfstack/internal/txprof"
 )
@@ -97,12 +98,12 @@ func main() {
 		}
 	}
 	if *tracePath != "" {
-		var tc []trace.ProfileCell
+		var tc []trace.ChromeCell
 		for _, c := range cells {
-			tc = append(tc, trace.ProfileCell{Name: c.Name, Profile: c.Profile})
+			tc = append(tc, trace.ChromeCell{Name: c.Name, Run: profileRun(c.Profile)})
 		}
 		if err := writeOutput(*tracePath, func(w io.Writer) error {
-			return trace.WriteChromeProfiles(w, tc)
+			return trace.WriteChrome(w, tc)
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "tmprof:", err)
 			os.Exit(2)
@@ -125,8 +126,8 @@ func loadProfiles(path, filter string) ([]profiledCell, error) {
 	if rep.Schema != harness.ReportSchema {
 		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, harness.ReportSchema)
 	}
-	if rep.Version != harness.ReportVersion {
-		return nil, fmt.Errorf("%s: version %d, want %d", path, rep.Version, harness.ReportVersion)
+	if rep.Version < 1 || rep.Version > harness.ReportVersion {
+		return nil, fmt.Errorf("%s: version %d, want 1..%d", path, rep.Version, harness.ReportVersion)
 	}
 	var cells []profiledCell
 	for _, exp := range rep.Experiments {
@@ -150,6 +151,19 @@ func loadProfiles(path, filter string) ([]profiledCell, error) {
 		}
 	}
 	return cells, nil
+}
+
+// profileRun turns a profile's surviving event windows into a trace.Run
+// that starts at its earliest event, so cells overlay at origin zero.
+func profileRun(p *txprof.Profile) *trace.Run {
+	run := &trace.Run{Start: ^uint64(0), Tx: make([][]tm.TxEvent, len(p.Cores))}
+	for i, cl := range p.Cores {
+		if len(cl.Events) > 0 {
+			run.Start = min(run.Start, cl.Events[0].Time)
+		}
+		run.Tx[i] = cl.Events
+	}
+	return run
 }
 
 // analyse renders the summary table plus per-cell leaderboards.

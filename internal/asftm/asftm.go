@@ -70,35 +70,9 @@ type Runtime struct {
 	txs   []hwTx // per-core transaction descriptors (reused)
 	depth []int  // per-core flat-nesting depth of Atomic calls
 
-	hook tm.CommitHook
-	prof tm.TxProfiler
+	tm.Observers
 
 	met rtMetrics
-}
-
-// SetCommitHook implements tm.HookableRuntime.
-func (r *Runtime) SetCommitHook(h tm.CommitHook) { r.hook = h }
-
-// SetProfiler implements tm.ProfilableRuntime.
-func (r *Runtime) SetProfiler(p tm.TxProfiler) { r.prof = p }
-
-// record feeds the flight recorder. The nil check is the entire disabled-
-// path cost; recording itself charges no simulated cycles (the paper's
-// no-interference tracing methodology).
-func (r *Runtime) record(c *sim.CPU, ev tm.TxEvent) {
-	if r.prof != nil {
-		ev.Time = c.Now()
-		r.prof.Record(c.ID(), ev)
-	}
-}
-
-// notifyCommit reports a commit to the hook under the global turn, so hook
-// invocations across cores are totally ordered (and the hook needs no
-// locking of its own).
-func (r *Runtime) notifyCommit(c *sim.CPU, serial bool) {
-	if r.hook != nil {
-		c.SpecOp(0, func() { r.hook(c.ID(), serial) })
-	}
 }
 
 // rtMetrics holds the runtime's metric handles (zero-value inert).
@@ -185,10 +159,9 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	for {
 		c.SetCategory(sim.CatTxStartCommit)
 		snap := c.Counters()
-		c.Trace(sim.TraceTxBegin, 0)
 		attemptStart := c.Now()
 		if attempts == 0 {
-			r.record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathHW, Aborter: sim.NoCore, Addr: sim.NoAddr})
+			r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathHW, Aborter: sim.NoCore, Addr: sim.NoAddr})
 		}
 		c.Exec(r.cfg.BeginInstr)
 
@@ -209,11 +182,10 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		if reason == sim.AbortNone {
 			st.Commits++
 			r.met.hwAttempts.Observe(id, uint64(attempts+1))
-			r.notifyCommit(c, false)
-			c.Trace(sim.TraceTxCommit, 0)
-			if r.prof != nil {
+			r.NotifyCommit(c, false)
+			if r.Profiling() {
 				read, write := u.LastSetSizes()
-				r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathHW,
+				r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathHW,
 					Aborter: sim.NoCore, Addr: sim.NoAddr,
 					Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
 			}
@@ -224,11 +196,10 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		// The attempt's cycles are wasted work: move them to the
 		// abort/restart bucket, like the paper's trace annotation.
 		c.MoveToAbort(snap)
-		c.Trace(sim.TraceTxAbort, uint64(reason))
-		if r.prof != nil {
+		if r.Profiling() {
 			by, addr := u.LastAbortEdge()
 			read, write := u.LastSetSizes()
-			r.record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathHW,
+			r.Record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathHW,
 				Cause: reason, Code: code, Aborter: by, Addr: addr,
 				Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
 		}
@@ -266,8 +237,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 
 		if serial || attempts >= r.cfg.MaxHWAttempts {
 			r.met.hwAttempts.Observe(id, uint64(attempts))
-			c.Trace(sim.TraceTxFallback, uint64(tm.PathSerial))
-			r.record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
+			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
 				Aborter: sim.NoCore, Addr: sim.NoAddr})
 			r.runSerial(c, t, body)
 			return
@@ -299,7 +269,6 @@ func (r *Runtime) waitSerialFree(c *sim.CPU) {
 // monitors it), the body runs uninstrumented, and the token is released.
 func (r *Runtime) runSerial(c *sim.CPU, t *hwTx, body func(tx tm.Tx)) {
 	c.SetCategory(sim.CatTxStartCommit)
-	c.Trace(sim.TraceTxBegin, 0)
 	attemptStart := c.Now()
 	for {
 		if _, ok := c.CAS(r.serialLock, 0, 1); ok {
@@ -313,15 +282,14 @@ func (r *Runtime) runSerial(c *sim.CPU, t *hwTx, body func(tx tm.Tx)) {
 	c.SetCategory(sim.CatTxApp)
 	body(t)
 	c.SetCategory(sim.CatTxStartCommit)
-	r.notifyCommit(c, true) // before the release: the token is the commit point
+	r.NotifyCommit(c, true) // before the release: the token is the commit point
 	c.Store(r.serialLock, 0)
 	r.met.serialCycles.Add(c.ID(), c.Now()-held)
 	t.serial = false
 	st := &r.stats[c.ID()]
 	st.Commits++
 	st.Serial++
-	c.Trace(sim.TraceTxCommit, 0)
-	r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSerial,
+	r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSerial,
 		Aborter: sim.NoCore, Addr: sim.NoAddr, Cycles: c.Now() - attemptStart})
 	c.SetCategory(sim.CatNonInstr)
 }

@@ -8,6 +8,7 @@ import (
 	"asfstack/internal/metrics"
 	"asfstack/internal/sim"
 	"asfstack/internal/tm"
+	"asfstack/internal/trace"
 	"asfstack/internal/txprof"
 )
 
@@ -70,11 +71,10 @@ type CellReport struct {
 	Sim  *CellSim `json:"sim,omitempty"`
 	Host CellHost `json:"host"`
 
-	// TraceEvents/TraceStart carry the cell's sim trace when
-	// Options.Trace was set. They are exported through the Chrome trace
-	// writer, not the JSON report (volume).
-	TraceEvents []sim.TraceEvent `json:"-"`
-	TraceStart  uint64           `json:"-"`
+	// Trace is the cell's traced measured phase when Options.Trace was
+	// set. It is exported through the Chrome trace writer, not the JSON
+	// report (volume).
+	Trace *trace.Run `json:"-"`
 }
 
 // CellSim is the simulated (deterministic) section of a cell report.
@@ -124,14 +124,13 @@ type CellHost struct {
 // scheduler turns it into a CellReport. A nil record is inert so cell
 // bodies can record unconditionally.
 type CellRecord struct {
-	sim         *CellSim
-	traceEvents []sim.TraceEvent
-	traceStart  uint64
+	sim   *CellSim
+	trace *trace.Run
 }
 
 // ObserveRun records the cell's measured phase (once, after the run): the
 // simulated measurements, the wasted-work split of its cycle breakdown, the
-// adaptive decision log, the flight-recorder profile and the sim trace.
+// adaptive decision log, the flight-recorder profile and the traced run.
 func (rec *CellRecord) ObserveRun(r asfstack.RunResult) {
 	if rec == nil {
 		return
@@ -146,7 +145,7 @@ func (rec *CellRecord) ObserveRun(r asfstack.RunResult) {
 	if busy > 0 {
 		rec.sim.WastedPct = 100 * float64(b[sim.CatAbort]) / float64(busy)
 	}
-	rec.traceEvents, rec.traceStart = r.TraceEvents, r.TraceStart
+	rec.trace = r.Trace
 }
 
 // ObserveLatency records the cell's sojourn-time quantiles (open-loop

@@ -22,7 +22,7 @@ type Options struct {
 	Parallel int
 	// Progress receives one line per completed cell (may be nil).
 	Progress Progress
-	// Trace enables sim trace-event recording in every cell (the
+	// Trace records every cell's measured phase as a trace.Run (the
 	// asfbench -trace export). Off by default: event volume is
 	// proportional to simulated work.
 	Trace bool
@@ -129,8 +129,7 @@ func runCells(cells []cell, o Options) error {
 						WallMS:  float64(wall.Microseconds()) / 1e3,
 						QueueMS: float64(queued.Microseconds()) / 1e3,
 					},
-					TraceEvents: rec.traceEvents,
-					TraceStart:  rec.traceStart,
+					Trace: rec.trace,
 				}
 				if err != nil {
 					rep.Err = err.Error()

@@ -122,32 +122,9 @@ type Runtime struct {
 	txs   []hyTx
 	depth []int // per-core flat-nesting depth of Atomic calls
 
-	hook tm.CommitHook
-	prof tm.TxProfiler
+	tm.Observers
 
 	met rtMetrics
-}
-
-// SetCommitHook implements tm.HookableRuntime.
-func (r *Runtime) SetCommitHook(h tm.CommitHook) { r.hook = h }
-
-// SetProfiler implements tm.ProfilableRuntime.
-func (r *Runtime) SetProfiler(p tm.TxProfiler) { r.prof = p }
-
-// record feeds the flight recorder (nil check = the disabled-path cost).
-func (r *Runtime) record(c *sim.CPU, ev tm.TxEvent) {
-	if r.prof != nil {
-		ev.Time = c.Now()
-		r.prof.Record(c.ID(), ev)
-	}
-}
-
-// notifyCommit reports a commit to the hook under the global turn (see
-// tm.CommitHook).
-func (r *Runtime) notifyCommit(c *sim.CPU, serial bool) {
-	if r.hook != nil {
-		c.SpecOp(0, func() { r.hook(c.ID(), serial) })
-	}
 }
 
 // rtMetrics holds the runtime's metric handles (zero-value inert).
@@ -269,7 +246,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	t.c, t.u, t.mode, t.wrote = c, u, modeHW, false
 
 	if r.cfg.ForceSW {
-		r.record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathSW,
+		r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathSW,
 			Aborter: sim.NoCore, Addr: sim.NoAddr})
 		r.runSW(c, t, body)
 		return
@@ -279,10 +256,9 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	for {
 		c.SetCategory(sim.CatTxStartCommit)
 		snap := c.Counters()
-		c.Trace(sim.TraceTxBegin, 0)
 		attemptStart := c.Now()
 		if attempts == 0 {
-			r.record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathHW,
+			r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathHW,
 				Aborter: sim.NoCore, Addr: sim.NoAddr})
 		}
 		c.Exec(r.cfg.BeginInstr)
@@ -317,11 +293,10 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			st.Commits++
 			r.met.hwCommits.Inc(id)
 			r.met.hwAttempts.Observe(id, uint64(attempts+1))
-			r.notifyCommit(c, false)
-			c.Trace(sim.TraceTxCommit, 0)
-			if r.prof != nil {
+			r.NotifyCommit(c, false)
+			if r.Profiling() {
 				read, write := u.LastSetSizes()
-				r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathHW,
+				r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathHW,
 					Aborter: sim.NoCore, Addr: sim.NoAddr,
 					Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
 			}
@@ -330,11 +305,10 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		}
 
 		c.MoveToAbort(snap)
-		c.Trace(sim.TraceTxAbort, uint64(reason))
-		if r.prof != nil {
+		if r.Profiling() {
 			by, addr := u.LastAbortEdge()
 			read, write := u.LastSetSizes()
-			r.record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathHW,
+			r.Record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathHW,
 				Cause: reason, Code: code, Aborter: by, Addr: addr,
 				Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
 		}
@@ -362,8 +336,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			case tm.CodeSerialRequest:
 				st.Aborts[sim.AbortExplicit]++
 				r.met.hwAttempts.Observe(id, uint64(attempts))
-				c.Trace(sim.TraceTxFallback, uint64(tm.PathSerial))
-				r.record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
+				r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
 					Aborter: sim.NoCore, Addr: sim.NoAddr})
 				r.runSerial(c, t, body)
 				return
@@ -380,8 +353,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 
 		if fallback || attempts >= r.cfg.MaxHWAttempts {
 			r.met.hwAttempts.Observe(id, uint64(attempts))
-			c.Trace(sim.TraceTxFallback, uint64(tm.PathSW))
-			r.record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSW,
+			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSW,
 				Aborter: sim.NoCore, Addr: sim.NoAddr})
 			r.runSW(c, t, body)
 			return
@@ -426,7 +398,6 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 	for {
 		c.SetCategory(sim.CatTxStartCommit)
 		snap := c.Counters()
-		c.Trace(sim.TraceTxBegin, 0)
 		attemptStart := c.Now()
 		t.swBegin()
 
@@ -452,15 +423,14 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 		if committed {
 			st.Commits++
 			st.SWCommits++
-			r.notifyCommit(c, false)
+			r.NotifyCommit(c, false)
 			r.met.swCommits.Inc(id)
 			r.met.swAttempts.Observe(id, uint64(retries+1))
 			r.met.swCycles.Add(id, c.Now()-entry)
-			r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSW,
+			r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSW,
 				Aborter: sim.NoCore, Addr: sim.NoAddr,
 				Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)), Cycles: c.Now() - attemptStart})
 			t.swReset()
-			c.Trace(sim.TraceTxCommit, 0)
 			c.SetCategory(sim.CatNonInstr)
 			return
 		}
@@ -468,8 +438,7 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 		// Aborted: the redo log is simply discarded — nothing was
 		// published, so there is no undo.
 		c.MoveToAbort(snap)
-		c.Trace(sim.TraceTxAbort, 0)
-		r.record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathSW,
+		r.Record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathSW,
 			STM: true, Aborter: t.lastBy, Addr: t.lastAddr,
 			Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)), Cycles: c.Now() - attemptStart})
 		c.SetCategory(sim.CatAbort)
@@ -481,8 +450,7 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 		if force || retries >= r.cfg.MaxSWAttempts {
 			r.met.swAttempts.Observe(id, uint64(retries))
 			r.met.swCycles.Add(id, c.Now()-entry)
-			c.Trace(sim.TraceTxFallback, uint64(tm.PathSerial))
-			r.record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
+			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
 				Aborter: sim.NoCore, Addr: sim.NoAddr})
 			r.runSerial(c, t, body)
 			return
@@ -500,7 +468,6 @@ func (r *Runtime) runSerial(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 	id := c.ID()
 	st := &r.stats[id]
 	c.SetCategory(sim.CatTxStartCommit)
-	c.Trace(sim.TraceTxBegin, 0)
 	attemptStart := c.Now()
 	var seq mem.Word
 	for {
@@ -524,14 +491,13 @@ func (r *Runtime) runSerial(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 	c.SetCategory(sim.CatTxApp)
 	body(t)
 	c.SetCategory(sim.CatTxStartCommit)
-	r.notifyCommit(c, true) // before the release: the seqlock is the commit point
+	r.NotifyCommit(c, true) // before the release: the seqlock is the commit point
 	c.Store(r.swSeq, seq+2)
 	r.met.serialCycles.Add(id, c.Now()-held)
 	t.mode = modeHW
 	st.Commits++
 	st.Serial++
-	c.Trace(sim.TraceTxCommit, 0)
-	r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSerial,
+	r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSerial,
 		Aborter: sim.NoCore, Addr: sim.NoAddr, Cycles: c.Now() - attemptStart})
 	c.SetCategory(sim.CatNonInstr)
 }

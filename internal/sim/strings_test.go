@@ -34,7 +34,7 @@ func TestEnumStrings(t *testing.T) {
 		}
 	}
 
-	for _, k := range []TraceKind{TraceCategory, TraceTxBegin, TraceTxCommit, TraceTxAbort} {
+	for _, k := range []TraceKind{TraceCategory, TraceCohortSeal, TraceTurbo} {
 		if k.String() == "" || strings.Contains(k.String(), "?") {
 			t.Errorf("TraceKind(%d) has no name", k)
 		}

@@ -4,10 +4,11 @@ package sim
 // authors annotated the final binaries line-by-line with categories,
 // extended the simulator to produce a timed trace, and computed the cycle
 // breakdown by offline analysis — "without any interference with the
-// benchmark's execution". Here, category switches and transaction
-// lifecycle points are recorded as timestamped events when tracing is
-// enabled; package trace replays them into a per-category breakdown that
-// must agree with the online counters.
+// benchmark's execution". Here, category switches (plus the cohort seal and
+// turbo points) are recorded as timestamped events when tracing is enabled.
+// Transaction lifecycle points are not: the runtimes report those once, as
+// tm.TxEvent records, and package trace replays both streams into a
+// per-category breakdown that must agree with the online counters.
 
 // TraceKind tags a trace event.
 type TraceKind uint8
@@ -16,17 +17,6 @@ const (
 	// TraceCategory: the core switched accounting category (Arg is the
 	// new Category).
 	TraceCategory TraceKind = iota
-	// TraceTxBegin: a transaction attempt started.
-	TraceTxBegin
-	// TraceTxCommit: the attempt committed.
-	TraceTxCommit
-	// TraceTxAbort: the attempt aborted (Arg is the AbortReason); all
-	// cycles since the matching TraceTxBegin are wasted work.
-	TraceTxAbort
-	// TraceTxFallback: the runtime switched execution path for this
-	// transaction (hardware → software, software → serial, hardware →
-	// serial). Arg is the tm.TxPath being entered.
-	TraceTxFallback
 	// TraceCohortSeal: this core sealed its commit cohort (it was the
 	// first member to reach the commit point; Arg is the seal order the
 	// core drew, 0 for the sealer).
@@ -40,14 +30,6 @@ func (k TraceKind) String() string {
 	switch k {
 	case TraceCategory:
 		return "category"
-	case TraceTxBegin:
-		return "tx-begin"
-	case TraceTxCommit:
-		return "tx-commit"
-	case TraceTxAbort:
-		return "tx-abort"
-	case TraceTxFallback:
-		return "tx-fallback"
 	case TraceCohortSeal:
 		return "cohort-seal"
 	case TraceTurbo:
@@ -91,6 +73,3 @@ func (c *CPU) Trace(kind TraceKind, arg uint64) {
 	}
 	c.trace = append(c.trace, TraceEvent{Core: c.id, Time: c.Now(), Kind: kind, Arg: arg})
 }
-
-// Tracing reports whether trace recording is on.
-func (c *CPU) Tracing() bool { return c.tracing }

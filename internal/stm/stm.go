@@ -104,32 +104,9 @@ type Runtime struct {
 	stats []tm.Stats
 	descs []*txDesc
 
-	hook tm.CommitHook
-	prof tm.TxProfiler
+	tm.Observers
 
 	met rtMetrics
-}
-
-// SetCommitHook implements tm.HookableRuntime.
-func (r *Runtime) SetCommitHook(h tm.CommitHook) { r.hook = h }
-
-// SetProfiler implements tm.ProfilableRuntime.
-func (r *Runtime) SetProfiler(p tm.TxProfiler) { r.prof = p }
-
-// record feeds the flight recorder (nil check = the disabled-path cost).
-func (r *Runtime) record(c *sim.CPU, ev tm.TxEvent) {
-	if r.prof != nil {
-		ev.Time = c.Now()
-		r.prof.Record(c.ID(), ev)
-	}
-}
-
-// notifyCommit reports a commit to the hook under the global turn (see
-// tm.CommitHook).
-func (r *Runtime) notifyCommit(c *sim.CPU, serial bool) {
-	if r.hook != nil {
-		c.SpecOp(0, func() { r.hook(c.ID(), serial) })
-	}
 }
 
 // rtMetrics holds the runtime's metric handles (zero-value inert).
@@ -312,10 +289,9 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	for {
 		c.SetCategory(sim.CatTxStartCommit)
 		snap := c.Counters()
-		c.Trace(sim.TraceTxBegin, 0)
 		attemptStart := c.Now()
 		if retries == 0 {
-			r.record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathSW,
+			r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathSW,
 				Aborter: sim.NoCore, Addr: sim.NoAddr})
 		}
 		t.begin()
@@ -340,7 +316,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		}()
 
 		if committed {
-			r.notifyCommit(c, t.serial)
+			r.NotifyCommit(c, t.serial)
 			if t.serial {
 				r.releaseSerial(c)
 				r.met.serialCycles.Add(c.ID(), c.Now()-t.serialStart)
@@ -350,19 +326,18 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			r.met.attempts.Observe(id, uint64(retries+1))
 			r.met.readCommit.Observe(id, uint64(len(t.reads)))
 			r.met.writeCommit.Observe(id, uint64(len(t.writes)))
-			if r.prof != nil {
+			if r.Profiling() {
 				path := tm.PathSW
 				if t.serial {
 					path = tm.PathSerial
 				}
-				r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: path,
+				r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: path,
 					Aborter: sim.NoCore, Addr: sim.NoAddr,
 					Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)),
 					Cycles: c.Now() - attemptStart})
 			}
 			t.reset()
 			st.Commits++
-			c.Trace(sim.TraceTxCommit, 0)
 			c.SetCategory(sim.CatNonInstr)
 			return
 		}
@@ -371,13 +346,10 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		t.undo()
 		t.publishStatus(false)
 		c.MoveToAbort(snap)
-		c.Trace(sim.TraceTxAbort, 0)
-		if r.prof != nil {
-			r.record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathSW, STM: true,
-				Aborter: t.lastBy, Addr: t.lastAddr,
-				Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)),
-				Cycles: c.Now() - attemptStart})
-		}
+		r.Record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathSW, STM: true,
+			Aborter: t.lastBy, Addr: t.lastAddr,
+			Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)),
+			Cycles: c.Now() - attemptStart})
 		c.SetCategory(sim.CatAbort)
 		st.STMAborts++
 		retries++
@@ -385,8 +357,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		r.backoff(c, retries)
 		if retries >= r.cfg.MaxRetriesBeforeSerial || t.forceSerial {
 			t.forceSerial = false
-			c.Trace(sim.TraceTxFallback, uint64(tm.PathSerial))
-			r.record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
+			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
 				Aborter: sim.NoCore, Addr: sim.NoAddr})
 			r.acquireSerial(c)
 			r.met.serialEntries.Inc(c.ID())

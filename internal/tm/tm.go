@@ -168,11 +168,12 @@ type Irrevocably interface {
 	BecomeIrrevocable()
 }
 
-// --- Transaction-level profiling (flight recorder) ----------------------
+// --- Transaction lifecycle events ---------------------------------------
 //
-// The types below are the wire format between the runtimes and the
-// internal/txprof flight recorder. They live in tm (not txprof) so that
-// runtimes depend only on the ABI; txprof implements TxProfiler on top.
+// The types below are the one record of a transaction's lifecycle: the wire
+// format between the runtimes and their sinks, the internal/txprof flight
+// recorder and a traced measured phase (internal/trace). They live in tm so
+// that runtimes depend only on the ABI; the sinks implement TxProfiler.
 
 // TxEventKind tags one flight-recorder record.
 type TxEventKind uint8
@@ -273,12 +274,34 @@ type TxEvent struct {
 	Cycles uint64 `json:"cycles"`
 }
 
-// TxProfiler receives per-transaction flight-recorder events. Record is
-// called from the core's own goroutine on the runtime hot path: it must not
-// allocate, must not synchronise across cores beyond per-core state, and is
-// only ever invoked for the given core from that core's execution.
+// TxProfiler receives per-transaction events: the flight recorder, and the
+// traced measured phase. Record is called from the core's own goroutine on
+// the runtime hot path: it must not synchronise across cores beyond
+// per-core state, and is only ever invoked for the given core from that
+// core's execution.
 type TxProfiler interface {
 	Record(core int, ev TxEvent)
+}
+
+// Tee returns a profiler that hands every event to each of ps in order: nil
+// for none, the profiler itself for one. Every element must be non-nil (a
+// nil pointer stored in the interface is not).
+func Tee(ps ...TxProfiler) TxProfiler {
+	switch len(ps) {
+	case 0:
+		return nil
+	case 1:
+		return ps[0]
+	}
+	return tee(ps)
+}
+
+type tee []TxProfiler
+
+func (t tee) Record(core int, ev TxEvent) {
+	for _, p := range t {
+		p.Record(core, ev)
+	}
 }
 
 // ProfilableRuntime is implemented by runtimes that can feed a TxProfiler.
@@ -288,4 +311,40 @@ type TxProfiler interface {
 // implementations stay source-compatible.
 type ProfilableRuntime interface {
 	SetProfiler(TxProfiler)
+}
+
+// Observers is the observer state a runtime embeds to implement
+// HookableRuntime and ProfilableRuntime: the commit hook and the profiler.
+// A runtime reports each lifecycle point with one Record call.
+type Observers struct {
+	hook CommitHook
+	prof TxProfiler
+}
+
+// SetCommitHook implements HookableRuntime.
+func (o *Observers) SetCommitHook(h CommitHook) { o.hook = h }
+
+// SetProfiler implements ProfilableRuntime.
+func (o *Observers) SetProfiler(p TxProfiler) { o.prof = p }
+
+// Profiling reports whether a profiler is installed, so a runtime can skip
+// gathering a payload nobody will read.
+func (o *Observers) Profiling() bool { return o.prof != nil }
+
+// Record stamps ev with the core's clock and hands it to the profiler. The
+// nil check is the entire disabled-path cost; recording charges no
+// simulated cycles (the paper's no-interference tracing methodology).
+func (o *Observers) Record(c *sim.CPU, ev TxEvent) {
+	if o.prof != nil {
+		ev.Time = c.Now()
+		o.prof.Record(c.ID(), ev)
+	}
+}
+
+// NotifyCommit reports a commit to the hook under the global turn, so hook
+// invocations across cores are totally ordered (see CommitHook).
+func (o *Observers) NotifyCommit(c *sim.CPU, serial bool) {
+	if o.hook != nil {
+		c.SpecOp(0, func() { o.hook(c.ID(), serial) })
+	}
 }

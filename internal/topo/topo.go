@@ -12,6 +12,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -24,11 +25,15 @@ type Topology struct {
 	CoresPerSocket int
 }
 
-// Make builds a validated topology.
+// Make builds a validated topology: both factors positive, and a core
+// count that fits in an int (a wrapped product would pass a range check).
 func Make(sockets, coresPerSocket int) (Topology, error) {
 	t := Topology{Sockets: sockets, CoresPerSocket: coresPerSocket}
 	if sockets <= 0 || coresPerSocket <= 0 {
 		return Topology{}, fmt.Errorf("topo: bad shape %dx%d (both factors must be positive)", sockets, coresPerSocket)
+	}
+	if coresPerSocket > math.MaxInt/sockets {
+		return Topology{}, fmt.Errorf("topo: bad shape %dx%d (core count overflows)", sockets, coresPerSocket)
 	}
 	return t, nil
 }

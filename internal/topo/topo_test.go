@@ -77,3 +77,34 @@ func TestPerSocket(t *testing.T) {
 		t.Fatalf("zero PerSocket = %v", s)
 	}
 }
+
+// FuzzParse: Parse either fails, or returns positive factors whose product
+// does not wrap and that round-trip through String. testdata/fuzz/FuzzParse
+// holds two shapes whose core count used to wrap (to 2, and to -2).
+func FuzzParse(f *testing.F) {
+	for _, s := range []string{"", "1x8", "2x8", "4x16", "x8", "0x8", "2x-1", "+2x08"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tp, err := Parse(s)
+		if err != nil {
+			return
+		}
+		if s == "" {
+			if !tp.IsZero() {
+				t.Fatalf("Parse(\"\") = %v, want the zero topology", tp)
+			}
+			return
+		}
+		if tp.Sockets <= 0 || tp.CoresPerSocket <= 0 {
+			t.Fatalf("Parse(%q) = %v: factors must be positive", s, tp)
+		}
+		if tp.Total()/tp.Sockets != tp.CoresPerSocket {
+			t.Fatalf("Parse(%q) = %v: core count %d wraps", s, tp, tp.Total())
+		}
+		back, err := Parse(tp.String())
+		if err != nil || back != tp {
+			t.Fatalf("Parse(%q) = %v does not round-trip through %q: %v, %v", s, tp, tp.String(), back, err)
+		}
+	})
+}

@@ -7,23 +7,19 @@ import (
 
 	"asfstack/internal/sim"
 	"asfstack/internal/tm"
-	"asfstack/internal/txprof"
 )
 
-// Chrome trace_event export: the simulator's category and transaction
-// lifecycle events rendered as a Chrome/Perfetto-loadable JSON document
-// (chrome://tracing, https://ui.perfetto.dev). Each cell becomes one
-// process, each simulated core one thread; category dwell becomes complete
-// ("X") slices and transaction lifecycle points become instant ("i")
-// events. Timestamps are microseconds at the simulated 2.2 GHz clock,
-// relative to each cell's measured-phase start.
+// Chrome trace_event export: traced runs rendered as a Chrome/Perfetto-
+// loadable JSON document (chrome://tracing, https://ui.perfetto.dev). Each
+// cell becomes one process, each simulated core one thread; category dwell
+// becomes complete ("X") slices, cohort seal and turbo points and every
+// tm.TxEvent become instant ("i") events. Timestamps are microseconds at
+// the simulated 2.2 GHz clock, relative to each run's Start.
 
-// ChromeCell is one cell's trace: its label and the events of its measured
-// phase (from sim.Machine.TraceEvents), with the phase's start cycle.
+// ChromeCell is one cell's trace: its label and its run.
 type ChromeCell struct {
-	Name   string
-	Events []sim.TraceEvent
-	Start  uint64
+	Name string
+	Run  *Run
 }
 
 // chromeEvent is one trace_event entry. Chrome's JSON array format.
@@ -41,15 +37,22 @@ type chromeEvent struct {
 
 const cyclesPerMicro = 2200.0 // simulated 2.2 GHz clock
 
-// WriteChrome renders cells as one Chrome trace_event JSON document.
+// WriteChrome renders cells as one Chrome trace_event JSON document. A cell
+// whose run recorded nothing stays out of it.
 func WriteChrome(w io.Writer, cells []ChromeCell) error {
 	var out []chromeEvent
-	for pid, cell := range cells {
+	pid := 0
+	for _, cell := range cells {
+		evs := runEvents(pid, cell.Run)
+		if len(evs) == 0 {
+			continue
+		}
 		out = append(out, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid,
 			Args: map[string]any{"name": cell.Name},
 		})
-		out = append(out, cellEvents(pid, cell)...)
+		out = append(out, evs...)
+		pid++
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(struct {
@@ -58,87 +61,61 @@ func WriteChrome(w io.Writer, cells []ChromeCell) error {
 	}{TraceEvents: out, DisplayUnit: "ms"})
 }
 
-func cellEvents(pid int, cell ChromeCell) []chromeEvent {
-	ts := func(cycles uint64) float64 {
-		if cycles < cell.Start {
-			return 0
-		}
-		return float64(cycles-cell.Start) / cyclesPerMicro
+// runEvents renders one run core by core: category slices and cohort
+// instants from the sim trace, then the core's transaction instants, then
+// its thread name. A core's last slice closes at its last event.
+func runEvents(pid int, run *Run) []chromeEvent {
+	ts := func(cycles uint64) float64 { return float64(cycles-run.Start) / cyclesPerMicro }
+	cores := len(run.Tx)
+	for _, e := range run.Events {
+		cores = max(cores, e.Core+1)
 	}
+	perCore := make([][]sim.TraceEvent, cores)
+	for _, e := range run.Events {
+		perCore[e.Core] = append(perCore[e.Core], e)
+	}
+
 	var out []chromeEvent
-	// Events arrive per-core chronological (cores concatenated); track
-	// each core's open category slice independently.
-	type openSlice struct {
-		cat   sim.Category
-		since uint64
-		known bool
-	}
-	open := map[int]*openSlice{}
-	closeSlice := func(core int, until uint64) {
-		o := open[core]
-		if o == nil || !o.known {
-			return
+	for core, evs := range perCore {
+		var txs []tm.TxEvent
+		if core < len(run.Tx) {
+			txs = run.Tx[core]
 		}
-		if until > o.since {
-			out = append(out, chromeEvent{
-				Name: o.cat.String(), Ph: "X", Pid: pid, Tid: core,
-				Ts: ts(o.since), Dur: float64(until-o.since) / cyclesPerMicro,
-				Cat: "category",
-			})
+		var (
+			open        bool // a category slice is open since `since`
+			cat         sim.Category
+			since, last uint64
+		)
+		instant := func(name, category string, t uint64, args map[string]any) {
+			out = append(out, chromeEvent{Name: name, Ph: "i", Pid: pid, Tid: core,
+				Ts: ts(t), Cat: category, S: "t", Args: args})
 		}
-		o.known = false
-	}
-	lastSeen := map[int]uint64{}
-	for _, e := range cell.Events {
-		if e.Time >= cell.Start {
-			lastSeen[e.Core] = e.Time
+		closeSlice := func(until uint64) {
+			if open && until > since {
+				out = append(out, chromeEvent{
+					Name: cat.String(), Ph: "X", Pid: pid, Tid: core,
+					Ts: ts(since), Dur: float64(until-since) / cyclesPerMicro,
+					Cat: "category",
+				})
+			}
+			open = false
 		}
-		switch e.Kind {
-		case sim.TraceCategory:
-			closeSlice(e.Core, e.Time)
-			open[e.Core] = &openSlice{cat: sim.Category(e.Arg), since: e.Time, known: true}
-		case sim.TraceTxBegin:
-			out = append(out, chromeEvent{
-				Name: "tx-begin", Ph: "i", Pid: pid, Tid: e.Core,
-				Ts: ts(e.Time), Cat: "tx", S: "t",
-			})
-		case sim.TraceTxCommit:
-			out = append(out, chromeEvent{
-				Name: "tx-commit", Ph: "i", Pid: pid, Tid: e.Core,
-				Ts: ts(e.Time), Cat: "tx", S: "t",
-			})
-		case sim.TraceTxAbort:
-			out = append(out, chromeEvent{
-				Name: "tx-abort", Ph: "i", Pid: pid, Tid: e.Core,
-				Ts: ts(e.Time), Cat: "tx", S: "t",
-				Args: map[string]any{"reason": sim.AbortReason(e.Arg).String()},
-			})
-		case sim.TraceTxFallback:
-			out = append(out, chromeEvent{
-				Name: "tx-fallback", Ph: "i", Pid: pid, Tid: e.Core,
-				Ts: ts(e.Time), Cat: "tx", S: "t",
-				Args: map[string]any{"path": tm.TxPath(e.Arg).String()},
-			})
-		case sim.TraceCohortSeal:
-			out = append(out, chromeEvent{
-				Name: "cohort-seal", Ph: "i", Pid: pid, Tid: e.Core,
-				Ts: ts(e.Time), Cat: "cohort", S: "t",
-				Args: map[string]any{"order": e.Arg},
-			})
-		case sim.TraceTurbo:
-			out = append(out, chromeEvent{
-				Name: "turbo", Ph: "i", Pid: pid, Tid: e.Core,
-				Ts: ts(e.Time), Cat: "cohort", S: "t",
-				Args: map[string]any{"order": e.Arg},
-			})
+		for _, e := range evs {
+			last = max(last, e.Time)
+			switch e.Kind {
+			case sim.TraceCategory:
+				closeSlice(e.Time)
+				open, cat, since = true, sim.Category(e.Arg), e.Time
+			case sim.TraceCohortSeal, sim.TraceTurbo:
+				instant(e.Kind.String(), "cohort", e.Time, map[string]any{"order": e.Arg})
+			}
 		}
-	}
-	// Close open slices and emit thread names, in core order so the
-	// document is deterministic.
-	for core := 0; core < 64; core++ {
-		last, seen := lastSeen[core]
-		if seen {
-			closeSlice(core, last)
+		for _, ev := range txs {
+			last = max(last, ev.Time)
+			instant("tx-"+ev.Kind.String(), "tx", ev.Time, txArgs(ev))
+		}
+		if len(evs)+len(txs) > 0 {
+			closeSlice(last)
 			out = append(out, chromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: core,
 				Args: map[string]any{"name": fmt.Sprintf("core %d", core)},
@@ -148,72 +125,29 @@ func cellEvents(pid int, cell ChromeCell) []chromeEvent {
 	return out
 }
 
-// ProfileCell is one cell's flight-recorder profile for Chrome export: its
-// label and the txprof snapshot cmd/tmprof read from a BenchReport.
-type ProfileCell struct {
-	Name    string
-	Profile *txprof.Profile
-}
-
-// WriteChromeProfiles renders flight-recorder profiles as a Chrome
-// trace_event document: each cell one process, each core one thread, every
-// surviving TxEvent an instant ("i") carrying the record's full payload
-// (path, cause, causality edge, set sizes, attempt cycles). Timestamps are
-// microseconds at the simulated clock relative to each cell's earliest
-// surviving event, so cells overlay at origin zero.
-func WriteChromeProfiles(w io.Writer, cells []ProfileCell) error {
-	var out []chromeEvent
-	for pid, cell := range cells {
-		out = append(out, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": cell.Name},
-		})
-		start := ^uint64(0)
-		for _, cl := range cell.Profile.Cores {
-			if len(cl.Events) > 0 && cl.Events[0].Time < start {
-				start = cl.Events[0].Time
-			}
+// txArgs is a transaction instant's payload: the path, and for an abort its
+// cause, causality edge, set sizes and wasted cycles, for a commit its set
+// sizes and cycles.
+func txArgs(ev tm.TxEvent) map[string]any {
+	args := map[string]any{"path": ev.Path.String()}
+	switch ev.Kind {
+	case tm.TxEvAbort:
+		cause := ev.Cause.String()
+		if ev.STM {
+			cause = "stm"
 		}
-		for _, cl := range cell.Profile.Cores {
-			if len(cl.Events) == 0 {
-				continue
-			}
-			for _, ev := range cl.Events {
-				args := map[string]any{"path": ev.Path.String()}
-				switch ev.Kind {
-				case tm.TxEvAbort:
-					cause := ev.Cause.String()
-					if ev.STM {
-						cause = "stm"
-					}
-					args["cause"] = cause
-					if ev.Aborter != sim.NoCore {
-						args["by"] = ev.Aborter
-					}
-					if ev.Addr != sim.NoAddr {
-						args["addr"] = ev.Addr.String()
-					}
-					args["reads"], args["writes"] = ev.Reads, ev.Writes
-					args["wasted_cycles"] = ev.Cycles
-				case tm.TxEvCommit:
-					args["reads"], args["writes"] = ev.Reads, ev.Writes
-					args["cycles"] = ev.Cycles
-				}
-				out = append(out, chromeEvent{
-					Name: "txprof-" + ev.Kind.String(), Ph: "i", Pid: pid, Tid: cl.Core,
-					Ts: float64(ev.Time-start) / cyclesPerMicro, Cat: "txprof", S: "t",
-					Args: args,
-				})
-			}
-			out = append(out, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: cl.Core,
-				Args: map[string]any{"name": fmt.Sprintf("core %d", cl.Core)},
-			})
+		args["cause"] = cause
+		if ev.Aborter != sim.NoCore {
+			args["by"] = ev.Aborter
 		}
+		if ev.Addr != sim.NoAddr {
+			args["addr"] = ev.Addr.String()
+		}
+		args["reads"], args["writes"] = ev.Reads, ev.Writes
+		args["wasted_cycles"] = ev.Cycles
+	case tm.TxEvCommit:
+		args["reads"], args["writes"] = ev.Reads, ev.Writes
+		args["cycles"] = ev.Cycles
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-		DisplayUnit string        `json:"displayTimeUnit"`
-	}{TraceEvents: out, DisplayUnit: "ms"})
+	return args
 }

@@ -8,29 +8,14 @@ import (
 	"asfstack/internal/sim"
 	"asfstack/internal/tm"
 	"asfstack/internal/trace"
-	"asfstack/internal/txprof"
 )
 
-// TestWriteChrome renders a synthetic two-core trace and checks the
-// document structure: valid JSON, per-process metadata, category slices
-// with the right durations, and instant events carrying abort reasons.
-func TestWriteChrome(t *testing.T) {
-	cell := trace.ChromeCell{
-		Name:  "demo cell",
-		Start: 1000,
-		Events: []sim.TraceEvent{
-			// Core 0: one category slice [1000,3200), then a commit.
-			{Core: 0, Time: 1000, Kind: sim.TraceCategory, Arg: uint64(sim.CatTxApp)},
-			{Core: 0, Time: 1100, Kind: sim.TraceTxBegin},
-			{Core: 0, Time: 3200, Kind: sim.TraceCategory, Arg: uint64(sim.CatNonInstr)},
-			{Core: 0, Time: 3200, Kind: sim.TraceTxCommit},
-			// Core 1: an abort with a reason.
-			{Core: 1, Time: 1500, Kind: sim.TraceTxBegin},
-			{Core: 1, Time: 2500, Kind: sim.TraceTxAbort, Arg: uint64(sim.AbortCapacity)},
-		},
-	}
+// renderChrome writes cells through WriteChrome, checks the document is
+// valid JSON, and returns its events grouped by name.
+func renderChrome(t *testing.T, cells ...trace.ChromeCell) map[string][]map[string]any {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteChrome(&buf, []trace.ChromeCell{cell}); err != nil {
+	if err := trace.WriteChrome(&buf, cells); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -39,14 +24,38 @@ func TestWriteChrome(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("not valid JSON: %v\n%s", err, buf.String())
 	}
-
 	byName := map[string][]map[string]any{}
 	for _, e := range doc.TraceEvents {
 		name := e["name"].(string)
 		byName[name] = append(byName[name], e)
 	}
-	if got := byName["process_name"]; len(got) != 1 {
-		t.Fatalf("process_name events = %d, want 1", len(got))
+	return byName
+}
+
+// TestWriteChrome renders a synthetic two-core run and checks the document
+// structure: per-process metadata, category slices with the right
+// durations, and transaction instants carrying abort causes.
+func TestWriteChrome(t *testing.T) {
+	run := &trace.Run{
+		Start: 1000,
+		// Core 0: one category slice [1000,3200).
+		Events: []sim.TraceEvent{
+			{Core: 0, Time: 1000, Kind: sim.TraceCategory, Arg: uint64(sim.CatTxApp)},
+			{Core: 0, Time: 3200, Kind: sim.TraceCategory, Arg: uint64(sim.CatNonInstr)},
+		},
+		Tx: [][]tm.TxEvent{
+			// Core 0: a commit; core 1: a capacity abort.
+			{{Time: 1100, Kind: tm.TxEvBegin}, {Time: 3200, Kind: tm.TxEvCommit}},
+			{{Time: 1500, Kind: tm.TxEvBegin}, {Time: 2500, Kind: tm.TxEvAbort, Cause: sim.AbortCapacity,
+				Aborter: sim.NoCore, Addr: sim.NoAddr}},
+		},
+	}
+	// A run that recorded nothing (a Sequential cell) stays out.
+	byName := renderChrome(t, trace.ChromeCell{Name: "empty cell", Run: trace.NewRun(2, 0)},
+		trace.ChromeCell{Name: "demo cell", Run: run})
+	if got := byName["process_name"]; len(got) != 1 || got[0]["pid"] != float64(0) ||
+		got[0]["args"].(map[string]any)["name"] != "demo cell" {
+		t.Fatalf("process_name events = %+v, want only the demo cell as pid 0", got)
 	}
 	if got := len(byName["thread_name"]); got != 2 {
 		t.Fatalf("thread_name events = %d, want 2 (one per core)", got)
@@ -57,7 +66,7 @@ func TestWriteChrome(t *testing.T) {
 	}
 	// [1000,3200) at 2200 cycles/µs: ts=0, dur=1µs.
 	if ts := slices[0]["ts"].(float64); ts != 0 {
-		t.Errorf("slice ts = %v, want 0 (relative to cell start)", ts)
+		t.Errorf("slice ts = %v, want 0 (relative to the run start)", ts)
 	}
 	if dur := slices[0]["dur"].(float64); dur != 1 {
 		t.Errorf("slice dur = %v µs, want 1", dur)
@@ -67,8 +76,11 @@ func TestWriteChrome(t *testing.T) {
 		t.Fatalf("tx-abort events = %d, want 1", len(aborts))
 	}
 	args := aborts[0]["args"].(map[string]any)
-	if args["reason"] != sim.AbortCapacity.String() {
-		t.Errorf("abort reason = %v, want %q", args["reason"], sim.AbortCapacity.String())
+	if args["cause"] != sim.AbortCapacity.String() {
+		t.Errorf("abort cause = %v, want %q", args["cause"], sim.AbortCapacity.String())
+	}
+	if _, ok := args["by"]; ok {
+		t.Errorf("abort with no aborter carries by=%v", args["by"])
 	}
 	if len(byName["tx-begin"]) != 2 || len(byName["tx-commit"]) != 1 {
 		t.Errorf("lifecycle events: begin=%d commit=%d, want 2/1",
@@ -80,30 +92,18 @@ func TestWriteChrome(t *testing.T) {
 // lifecycle kinds: fallback transitions carry the entered path, seal and
 // turbo points carry the cohort order.
 func TestWriteChromeLifecycleInstants(t *testing.T) {
-	cell := trace.ChromeCell{
-		Name:  "lifecycle cell",
+	run := &trace.Run{
 		Start: 1000,
 		Events: []sim.TraceEvent{
-			{Core: 0, Time: 1100, Kind: sim.TraceTxBegin},
-			{Core: 0, Time: 1400, Kind: sim.TraceTxFallback, Arg: uint64(tm.PathSerial)},
 			{Core: 1, Time: 1200, Kind: sim.TraceCohortSeal, Arg: 0},
 			{Core: 1, Time: 1300, Kind: sim.TraceTurbo, Arg: 3},
 		},
+		Tx: [][]tm.TxEvent{{
+			{Time: 1100, Kind: tm.TxEvBegin},
+			{Time: 1400, Kind: tm.TxEvFallback, Path: tm.PathSerial},
+		}},
 	}
-	var buf bytes.Buffer
-	if err := trace.WriteChrome(&buf, []trace.ChromeCell{cell}); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("not valid JSON: %v\n%s", err, buf.String())
-	}
-	byName := map[string][]map[string]any{}
-	for _, e := range doc.TraceEvents {
-		byName[e["name"].(string)] = append(byName[e["name"].(string)], e)
-	}
+	byName := renderChrome(t, trace.ChromeCell{Name: "lifecycle cell", Run: run})
 	fb := byName["tx-fallback"]
 	if len(fb) != 1 {
 		t.Fatalf("tx-fallback events = %d, want 1", len(fb))
@@ -124,64 +124,50 @@ func TestWriteChromeLifecycleInstants(t *testing.T) {
 			t.Errorf("%s category = %v, want \"cohort\"", e["name"], e["cat"])
 		}
 	}
+	if got := len(byName["thread_name"]); got != 2 {
+		t.Errorf("thread_name events = %d, want 2", got)
+	}
 }
 
-// TestWriteChromeProfiles: flight-recorder snapshots render as txprof
-// instants, timestamped relative to the earliest surviving event, with the
-// abort payload (cause, causality edge, wasted cycles) in args.
-func TestWriteChromeProfiles(t *testing.T) {
-	rec := txprof.NewRecorder(2, 8)
-	rec.Record(0, tm.TxEvent{Time: 2200, Kind: tm.TxEvBegin, Path: tm.PathHW,
-		Aborter: sim.NoCore, Addr: sim.NoAddr})
-	rec.Record(0, tm.TxEvent{Time: 4400, Kind: tm.TxEvAbort, Path: tm.PathHW,
-		Cause: sim.AbortContention, Aborter: 1, Addr: 0x1040,
-		Reads: 2, Writes: 1, Cycles: 2200})
-	rec.Record(1, tm.TxEvent{Time: 6600, Kind: tm.TxEvCommit, Path: tm.PathSW,
-		Aborter: sim.NoCore, Addr: sim.NoAddr, Reads: 4, Writes: 2, Cycles: 1100})
-	var buf bytes.Buffer
-	err := trace.WriteChromeProfiles(&buf, []trace.ProfileCell{
-		{Name: "profiled cell", Profile: rec.Profile()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("not valid JSON: %v\n%s", err, buf.String())
-	}
-	byName := map[string][]map[string]any{}
-	for _, e := range doc.TraceEvents {
-		byName[e["name"].(string)] = append(byName[e["name"].(string)], e)
-	}
-	if len(byName["thread_name"]) != 2 {
-		t.Fatalf("thread_name events = %d, want 2", len(byName["thread_name"]))
-	}
-	begins := byName["txprof-begin"]
+// TestWriteChromeTxPayload: transaction instants carry the record's full
+// payload — path, cause, causality edge, line, set sizes, cycles — and are
+// timestamped relative to the run's start.
+func TestWriteChromeTxPayload(t *testing.T) {
+	run := &trace.Run{Start: 2200, Tx: [][]tm.TxEvent{
+		{
+			{Time: 2200, Kind: tm.TxEvBegin, Path: tm.PathHW, Aborter: sim.NoCore, Addr: sim.NoAddr},
+			{Time: 4400, Kind: tm.TxEvAbort, Path: tm.PathHW, Cause: sim.AbortContention,
+				Aborter: 1, Addr: 0x1040, Reads: 2, Writes: 1, Cycles: 2200},
+		},
+		{
+			{Time: 6600, Kind: tm.TxEvCommit, Path: tm.PathSW, Aborter: sim.NoCore, Addr: sim.NoAddr,
+				Reads: 4, Writes: 2, Cycles: 1100},
+		},
+	}}
+	byName := renderChrome(t, trace.ChromeCell{Name: "profiled cell", Run: run})
+	begins := byName["tx-begin"]
 	if len(begins) != 1 {
-		t.Fatalf("txprof-begin events = %d, want 1", len(begins))
+		t.Fatalf("tx-begin events = %d, want 1", len(begins))
 	}
-	// Earliest surviving event (2200) is the origin: begin at 0µs.
-	if ts := begins[0]["ts"].(float64); ts != 0 {
-		t.Errorf("begin ts = %v, want 0", ts)
+	if ts := begins[0]["ts"].(float64); ts != 0 || begins[0]["cat"] != "tx" {
+		t.Errorf("begin ts = %v cat = %v, want 0 and \"tx\"", ts, begins[0]["cat"])
 	}
-	aborts := byName["txprof-abort"]
+	aborts := byName["tx-abort"]
 	if len(aborts) != 1 {
-		t.Fatalf("txprof-abort events = %d, want 1", len(aborts))
+		t.Fatalf("tx-abort events = %d, want 1", len(aborts))
 	}
-	// 4400 cycles after origin at 2200 cycles/µs = 1µs.
+	// 2200 cycles after the start at 2200 cycles/µs = 1µs.
 	if ts := aborts[0]["ts"].(float64); ts != 1 {
 		t.Errorf("abort ts = %v µs, want 1", ts)
 	}
 	args := aborts[0]["args"].(map[string]any)
-	if args["cause"] != sim.AbortContention.String() || args["by"] != float64(1) ||
-		args["addr"] != "0x1040" || args["wasted_cycles"] != float64(2200) {
+	if args["path"] != "hw" || args["cause"] != sim.AbortContention.String() || args["by"] != float64(1) ||
+		args["addr"] != "0x1040" || args["reads"] != float64(2) || args["wasted_cycles"] != float64(2200) {
 		t.Errorf("abort args = %+v", args)
 	}
-	commits := byName["txprof-commit"]
+	commits := byName["tx-commit"]
 	if len(commits) != 1 {
-		t.Fatalf("txprof-commit events = %d, want 1", len(commits))
+		t.Fatalf("tx-commit events = %d, want 1", len(commits))
 	}
 	cargs := commits[0]["args"].(map[string]any)
 	if cargs["path"] != "sw" || cargs["reads"] != float64(4) || cargs["cycles"] != float64(1100) {

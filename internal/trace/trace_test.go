@@ -10,44 +10,52 @@ import (
 	"asfstack/internal/trace"
 )
 
-// runTraced executes a contended counter workload with tracing enabled and
-// returns (offline breakdown, online breakdown, commits).
-func runTraced(t *testing.T, rt string, threads int) (off, on sim.Breakdown, commits uint64) {
+// tracedRun is one traced, profiled measured phase of the contended counter
+// workload, with the online figures next to the offline analysis.
+type tracedRun struct {
+	res  asfstack.RunResult
+	ends []uint64
+	cbs  []trace.CoreBreakdown
+}
+
+// runTraced executes a contended counter workload with tracing and the
+// flight recorder on. With irrevocableEvery > 0, every irrevocableEvery-th
+// transaction of a core switches to serial-irrevocable mode mid-flight.
+func runTraced(t *testing.T, rt string, threads, irrevocableEvery int) tracedRun {
 	t.Helper()
-	s := asfstack.New(asfstack.Options{Cores: threads, Runtime: rt})
+	s := asfstack.New(asfstack.Options{Cores: threads, Runtime: rt, Trace: true, Profile: true})
 	base := s.AllocShared(8 * mem.LineSize)
-	start := s.BeginMeasured()
-	s.M.EnableTrace()
-	s.M.TraceEvents() // drop anything recorded before the measured phase
-	s.Parallel(threads, func(c *sim.CPU) {
+	res := s.Measure(func(c *sim.CPU, _ uint64) {
 		rng := c.Rand()
 		for i := 0; i < 200; i++ {
 			a := base + mem.Addr(rng.Intn(8)*mem.LineSize)
+			irrevocable := irrevocableEvery > 0 && i%irrevocableEvery == irrevocableEvery-1
 			s.Atomic(c, func(tx tm.Tx) {
 				tx.CPU().Exec(60)
+				if irrevocable {
+					tx.(tm.Irrevocably).BecomeIrrevocable()
+				}
 				tx.Store(a, tx.Load(a)+1)
 			})
 		}
 	})
 	ends := make([]uint64, threads)
-	for i := 0; i < threads; i++ {
+	for i := range ends {
 		ends[i] = s.M.CPU(i).Now()
-		on = on.Add(s.M.CPU(i).Counters())
 	}
-	cbs, err := trace.Analyze(s.M.TraceEvents(), start, ends)
+	cbs, err := trace.Analyze(res.Trace, ends)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off = trace.Total(cbs)
-	for _, cb := range cbs {
-		commits += cb.Commits
-	}
-	return off, on, commits
+	return tracedRun{res: res, ends: ends, cbs: cbs}
 }
 
 // TestOfflineMatchesOnline: the paper's offline trace analysis must agree
 // with the online per-category counters — the same breakdown computed two
-// independent ways.
+// independent ways — on every runtime, with and without mid-flight
+// irrevocability. The two wasted-cycle figures must agree too: the online
+// abort bucket is the flight recorder's wasted cycles plus the back-off
+// dwell between attempts.
 func TestOfflineMatchesOnline(t *testing.T) {
 	for _, cfg := range []struct {
 		rt      string
@@ -57,20 +65,66 @@ func TestOfflineMatchesOnline(t *testing.T) {
 		{"LLB-256", 4},
 		{"LLB-8", 4},
 		{"STM", 4},
+		{"HyTM-8", 4},
+		{"Cohorts", 4},
+		{"Cohorts-turbo", 4},
+		{"Adaptive-8", 4},
 	} {
 		t.Run(cfg.rt, func(t *testing.T) {
-			off, on, commits := runTraced(t, cfg.rt, cfg.threads)
-			if commits != uint64(cfg.threads*200) {
-				t.Fatalf("commits = %d", commits)
-			}
-			for i := 0; i < sim.NumCategories; i++ {
-				if off[i] != on[i] {
-					t.Errorf("%v: offline %d != online %d",
-						sim.Category(i), off[i], on[i])
-				}
+			for _, mode := range []struct {
+				name  string
+				every int
+			}{{"plain", 0}, {"irrevocable", 7}} {
+				t.Run(mode.name, func(t *testing.T) {
+					checkOfflineMatchesOnline(t, runTraced(t, cfg.rt, cfg.threads, mode.every), cfg.threads)
+				})
 			}
 		})
 	}
+}
+
+func checkOfflineMatchesOnline(t *testing.T, r tracedRun, threads int) {
+	t.Helper()
+	off, on := trace.Total(r.cbs), r.res.Breakdown
+	var commits, wasted uint64
+	for _, cb := range r.cbs {
+		commits += cb.Commits
+	}
+	for _, txs := range r.res.Trace.Tx {
+		for _, ev := range txs {
+			if ev.Kind == tm.TxEvAbort {
+				wasted += ev.Cycles
+			}
+		}
+	}
+	if commits != uint64(threads*200) {
+		t.Fatalf("commits = %d, want %d", commits, threads*200)
+	}
+	for i := 0; i < sim.NumCategories; i++ {
+		if off[i] != on[i] {
+			t.Errorf("%v: offline %d != online %d", sim.Category(i), off[i], on[i])
+		}
+	}
+	if on[sim.CatAbort] < wasted {
+		t.Errorf("online abort bucket %d < aborted attempts' %d cycles", on[sim.CatAbort], wasted)
+	}
+	if got := r.res.Profile.Summary.WastedCycles; got != wasted {
+		t.Errorf("txprof wasted cycles %d != the trace's %d", got, wasted)
+	}
+	// The category stream alone: its abort dwell is the back-off and
+	// waiting between attempts.
+	raw, err := trace.Analyze(&trace.Run{Start: r.res.Trace.Start, Events: r.res.Trace.Events}, r.ends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if backoff := trace.Total(raw)[sim.CatAbort]; on[sim.CatAbort] != wasted+backoff {
+		t.Errorf("online abort bucket %d != txprof wasted %d + back-off %d", on[sim.CatAbort], wasted, backoff)
+	}
+}
+
+// category is a category switch on core 0.
+func category(at uint64, k sim.Category) sim.TraceEvent {
+	return sim.TraceEvent{Core: 0, Time: at, Kind: sim.TraceCategory, Arg: uint64(k)}
 }
 
 // TestAnalyzeKeepsIdleCores: a core that recorded no events still ran the
@@ -79,10 +133,10 @@ func TestOfflineMatchesOnline(t *testing.T) {
 // Regression: Analyze used to build its result from the event stream alone
 // and silently dropped idle cores, understating total cycles.
 func TestAnalyzeKeepsIdleCores(t *testing.T) {
-	evs := []sim.TraceEvent{
+	run := &trace.Run{Events: []sim.TraceEvent{
 		{Core: 1, Time: 10, Kind: sim.TraceCategory, Arg: uint64(sim.CatTxApp)},
-	}
-	cbs, err := trace.Analyze(evs, 0, []uint64{80, 100, 120})
+	}}
+	cbs, err := trace.Analyze(run, []uint64{80, 100, 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,38 +164,66 @@ func TestAnalyzeKeepsIdleCores(t *testing.T) {
 }
 
 // TestAnalyzeRejectsUnknownCore: an event from a core with no end time is
-// still an error.
+// an error, in either stream.
 func TestAnalyzeRejectsUnknownCore(t *testing.T) {
-	evs := []sim.TraceEvent{{Core: 5, Time: 10, Kind: sim.TraceTxBegin}}
-	if _, err := trace.Analyze(evs, 0, []uint64{100}); err == nil {
-		t.Fatal("event from core without an end time accepted")
+	for name, run := range map[string]*trace.Run{
+		"category": {Events: []sim.TraceEvent{{Core: 5, Time: 10, Kind: sim.TraceCategory}}},
+		"tx":       {Tx: [][]tm.TxEvent{nil, {{Time: 10, Kind: tm.TxEvBegin}}}},
+	} {
+		if _, err := trace.Analyze(run, []uint64{100}); err == nil {
+			t.Errorf("%s: event from core without an end time accepted", name)
+		}
 	}
 }
 
-// TestAnalyzeRejectsBackwardsTime: malformed traces surface as errors.
+// TestAnalyzeRejectsBackwardsTime: malformed runs surface as errors.
 func TestAnalyzeRejectsBackwardsTime(t *testing.T) {
-	evs := []sim.TraceEvent{
-		{Core: 0, Time: 100, Kind: sim.TraceCategory, Arg: uint64(sim.CatTxApp)},
-		{Core: 0, Time: 50, Kind: sim.TraceCategory, Arg: uint64(sim.CatNonInstr)},
-	}
-	if _, err := trace.Analyze(evs, 0, []uint64{200}); err == nil {
-		t.Fatal("backwards time accepted")
+	for name, run := range map[string]*trace.Run{
+		"category": {Events: []sim.TraceEvent{category(100, sim.CatTxApp), category(50, sim.CatNonInstr)}},
+		"tx":       {Tx: [][]tm.TxEvent{{{Time: 100, Kind: tm.TxEvBegin}, {Time: 50, Kind: tm.TxEvCommit}}}},
+		"past end": {Tx: [][]tm.TxEvent{{{Time: 300, Kind: tm.TxEvCommit}}}},
+	} {
+		if _, err := trace.Analyze(run, []uint64{200}); err == nil {
+			t.Errorf("%s: backwards time accepted", name)
+		}
 	}
 }
 
-// TestAnalyzeCountsOutcomes: synthetic trace with one commit and one abort.
-func TestAnalyzeCountsOutcomes(t *testing.T) {
-	evs := []sim.TraceEvent{
-		{Core: 0, Time: 10, Kind: sim.TraceTxBegin},
-		{Core: 0, Time: 10, Kind: sim.TraceCategory, Arg: uint64(sim.CatTxApp)},
-		{Core: 0, Time: 50, Kind: sim.TraceTxAbort},
-		{Core: 0, Time: 50, Kind: sim.TraceCategory, Arg: uint64(sim.CatAbort)},
-		{Core: 0, Time: 60, Kind: sim.TraceCategory, Arg: uint64(sim.CatTxApp)},
-		{Core: 0, Time: 60, Kind: sim.TraceTxBegin},
-		{Core: 0, Time: 90, Kind: sim.TraceTxCommit},
-		{Core: 0, Time: 90, Kind: sim.TraceCategory, Arg: uint64(sim.CatNonInstr)},
+// TestAnalyzeRejectsOverlappingAborts: two aborted attempts cannot share
+// cycles, and an attempt cannot start before the phase.
+func TestAnalyzeRejectsOverlappingAborts(t *testing.T) {
+	for name, txs := range map[string][]tm.TxEvent{
+		"overlap":      {{Time: 50, Kind: tm.TxEvAbort, Cycles: 30}, {Time: 70, Kind: tm.TxEvAbort, Cycles: 30}},
+		"before start": {{Time: 50, Kind: tm.TxEvAbort, Cycles: 60}},
+	} {
+		run := &trace.Run{Start: 5, Tx: [][]tm.TxEvent{txs}}
+		if _, err := trace.Analyze(run, []uint64{200}); err == nil {
+			t.Errorf("%s: overlapping aborted attempts accepted", name)
+		}
 	}
-	cbs, err := trace.Analyze(evs, 0, []uint64{100})
+	// Back to back is fine.
+	run := &trace.Run{Tx: [][]tm.TxEvent{{{Time: 50, Kind: tm.TxEvAbort, Cycles: 30}, {Time: 80, Kind: tm.TxEvAbort, Cycles: 30}}}}
+	if _, err := trace.Analyze(run, []uint64{200}); err != nil {
+		t.Errorf("adjacent aborted attempts rejected: %v", err)
+	}
+}
+
+// TestAnalyzeCountsOutcomes: one aborted and one committed attempt.
+func TestAnalyzeCountsOutcomes(t *testing.T) {
+	run := &trace.Run{
+		Events: []sim.TraceEvent{
+			category(10, sim.CatTxApp),
+			category(50, sim.CatAbort),
+			category(60, sim.CatTxApp),
+			category(90, sim.CatNonInstr),
+		},
+		Tx: [][]tm.TxEvent{{
+			{Time: 10, Kind: tm.TxEvBegin},
+			{Time: 50, Kind: tm.TxEvAbort, Cycles: 40},
+			{Time: 90, Kind: tm.TxEvCommit, Cycles: 30},
+		}},
+	}
+	cbs, err := trace.Analyze(run, []uint64{100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,6 +35,7 @@ import (
 	"asfstack/internal/stm"
 	"asfstack/internal/tm"
 	"asfstack/internal/topo"
+	"asfstack/internal/trace"
 	"asfstack/internal/txprof"
 )
 
@@ -73,8 +74,9 @@ type Options struct {
 	// Machine, if non-nil, overrides the default Barcelona configuration
 	// (Cores, Seed and Topology above still apply).
 	Machine *sim.Config
-	// Trace records sim trace events for the measured phase (Measure
-	// returns them). Off by default: event volume is proportional to work.
+	// Trace records the measured phase as a trace.Run: category switches
+	// plus every transaction event (Measure returns it). Off by default:
+	// event volume is proportional to work.
 	Trace bool
 	// Profile installs the transaction-level flight recorder
 	// (internal/txprof) on the selected runtime. Off by default: the
@@ -118,6 +120,7 @@ type Stack struct {
 	// machine's core count and Seed its seed.
 	Opts Options
 
+	run    *trace.Run // the traced measured phase, when Options.Trace
 	gauges stackGauges
 }
 
@@ -288,13 +291,28 @@ func Build(opts Options) (*Stack, error) {
 		s.ASFTM.SetMetrics(s.Metrics)
 		s.RT = s.ASFTM
 	}
-	if opts.Profile {
-		if p, ok := s.RT.(tm.ProfilableRuntime); ok {
-			s.Prof = txprof.NewRecorder(opts.Cores, 0)
-			p.SetProfiler(s.Prof)
-		}
+	if _, ok := s.RT.(tm.ProfilableRuntime); ok && opts.Profile {
+		s.Prof = txprof.NewRecorder(opts.Cores, 0)
 	}
+	s.installProfiler()
 	return s, nil
+}
+
+// installProfiler hands the runtime its transaction-event sinks: the flight
+// recorder and the traced run, whichever exist.
+func (s *Stack) installProfiler() {
+	p, ok := s.RT.(tm.ProfilableRuntime)
+	if !ok {
+		return
+	}
+	var sinks []tm.TxProfiler
+	if s.Prof != nil {
+		sinks = append(sinks, s.Prof)
+	}
+	if s.run != nil {
+		sinks = append(sinks, s.run)
+	}
+	p.SetProfiler(tm.Tee(sinks...))
 }
 
 // New is Build for specs known to be good: it panics on Build's error.
@@ -343,8 +361,8 @@ func (s *Stack) Setup(body func(tx tm.Tx)) {
 // BeginMeasured marks the boundary between setup and the measured phase:
 // core clocks are aligned, private caches are flushed to L3 (the state at
 // PTLsim's native-to-simulated switchover), all statistics are reset, and
-// trace recording starts when Options.Trace is set. It returns the common
-// start time in cycles.
+// a fresh trace.Run starts recording when Options.Trace is set. It returns
+// the common start time in cycles.
 func (s *Stack) BeginMeasured() uint64 {
 	for i := 0; i < s.Opts.Cores; i++ {
 		s.M.Hier.FlushPrivate(i)
@@ -359,6 +377,9 @@ func (s *Stack) BeginMeasured() uint64 {
 	}
 	if s.Opts.Trace {
 		s.M.EnableTrace()
+		s.M.TraceEvents() // drop anything recorded before the phase
+		s.run = trace.NewRun(s.Opts.Cores, start)
+		s.installProfiler()
 	}
 	return start
 }
@@ -376,10 +397,9 @@ type RunResult struct {
 	// Switches is the adaptive selector's decision log when Runtime is one
 	// of the Adaptive configurations; nil for the static runtimes.
 	Switches []adaptive.Switch
-	// TraceEvents are the measured phase's trace events when Options.Trace
-	// was set; TraceStart is the phase's start cycle.
-	TraceEvents []sim.TraceEvent
-	TraceStart  uint64
+	// Trace is the traced measured phase when Options.Trace was set; nil
+	// otherwise.
+	Trace *trace.Run
 	// Profile is the flight-recorder snapshot when Options.Profile was set
 	// (and the runtime supports profiling); nil otherwise.
 	Profile *txprof.Profile
@@ -403,9 +423,11 @@ func (s *Stack) Measure(body func(c *sim.CPU, start uint64)) RunResult {
 	if s.ADAPT != nil {
 		r.Switches = s.ADAPT.Switches()
 	}
-	if s.Opts.Trace {
-		r.TraceEvents = s.M.TraceEvents()
-		r.TraceStart = start
+	if s.run != nil {
+		// Detach the run so it holds the measured phase only.
+		s.run.Events = s.M.TraceEvents()
+		r.Trace, s.run = s.run, nil
+		s.installProfiler()
 	}
 	r.Profile = s.TxProfile()
 	return r

@@ -274,6 +274,7 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 		{"65 cores", Options{Cores: 65, Runtime: "LLB-256"}, "65 cores out of range"},
 		{"topology beyond MaxCores", Options{Topology: "2x64", Runtime: "LLB-256"}, "128 cores out of range"},
 		{"malformed topology", Options{Topology: "2by8", Runtime: "LLB-256"}, "bad topology"},
+		{"topology core count wraps", Options{Topology: "3x6148914691236517206", Runtime: "LLB-256"}, "overflows"},
 		{"cores differ from topology", Options{Cores: 8, Topology: "2x2", Runtime: "LLB-256"}, "conflict with topology"},
 		{"unknown runtime", Options{Cores: 1, Runtime: "Bogus"}, "unknown runtime"},
 	} {
@@ -314,8 +315,9 @@ func TestBeginMeasuredResetsEverything(t *testing.T) {
 	}
 }
 
-// TestMeasureTrace: Measure returns trace events only when Options.Trace
-// is set, and then TraceStart is the measured phase's start cycle.
+// TestMeasureTrace: Measure returns a traced run only when Options.Trace
+// is set, and then it starts at the measured phase's start cycle and holds
+// both the category switches and the transaction events.
 func TestMeasureTrace(t *testing.T) {
 	for _, trace := range []bool{false, true} {
 		s := New(Options{Cores: 2, Runtime: "LLB-256", Trace: trace})
@@ -329,15 +331,26 @@ func TestMeasureTrace(t *testing.T) {
 		if r.Stats.Commits != 2 || r.Cycles == 0 {
 			t.Fatalf("trace=%v: %d commits in %d cycles, want 2 commits", trace, r.Stats.Commits, r.Cycles)
 		}
-		if got := len(r.TraceEvents) > 0; got != trace {
-			t.Errorf("trace=%v: %d trace events", trace, len(r.TraceEvents))
+		if got := r.Trace != nil; got != trace {
+			t.Fatalf("trace=%v: got run %v", trace, r.Trace)
 		}
-		want := uint64(0)
-		if trace {
-			want = start
+		if !trace {
+			continue
 		}
-		if start == 0 || r.TraceStart != want {
-			t.Errorf("trace=%v: TraceStart = %d, want %d (phase start %d)", trace, r.TraceStart, want, start)
+		if start == 0 || r.Trace.Start != start {
+			t.Errorf("Trace.Start = %d, want the phase start %d", r.Trace.Start, start)
+		}
+		if len(r.Trace.Events) == 0 {
+			t.Error("no category switches recorded")
+		}
+		for core, txs := range r.Trace.Tx {
+			var kinds [tm.NumTxEventKinds]int
+			for _, ev := range txs {
+				kinds[ev.Kind]++
+			}
+			if kinds[tm.TxEvBegin] != 1 || kinds[tm.TxEvCommit] != 1 {
+				t.Errorf("core %d transaction events = %+v, want one begin and one commit", core, txs)
+			}
 		}
 	}
 }
