@@ -30,16 +30,8 @@ benchmod:
 
 verify: fmt build vet test race benchmod
 
-# `make bench` runs the figure benchmarks plus the simulator
-# micro-benchmarks and records the results in $(BENCH_JSON) (section
-# $(BENCH_SECTION); see EXPERIMENTS.md for the schema). The figure sweeps
-# run once (-benchtime 1x); the noise-sensitive op-rate micro-benchmark is
-# re-run longer and its later lines override the 1x pass.
-BENCH_JSON ?= BENCH_PR10.json
-BENCH_SECTION ?= current
-
+# `make bench` runs the repository benchmark (bench/asfperf, see
+# bench/README.md): the host time, heap allocation and set-up time of four
+# pinned experiment sweeps, checked against their committed sim digests.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x -timeout 60m . > BENCH_OUT.txt
-	$(GO) test -run '^$$' -bench BenchmarkSimulatorOpRate -benchtime 2s . >> BENCH_OUT.txt
-	cat BENCH_OUT.txt
-	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) -section $(BENCH_SECTION) < BENCH_OUT.txt
+	bash bench/run.sh

@@ -10,8 +10,18 @@ package asfstack_test
 //
 // Custom metrics: sim_ms (simulated milliseconds at 2.2 GHz) and simtx/us
 // (simulated transactions per microsecond).
+//
+// BenchmarkFig5Cell, BenchmarkServerCell and BenchmarkAdaptive are also
+// allocation gates: each fails when one iteration allocates more objects or
+// bytes than the bound written beside it. Run each in its own process,
+//
+//	go test -run '^$' -bench 'BenchmarkFig5Cell$' -benchmem -benchtime 1x .
+//
+// because a process that has already run other benchmarks allocates fewer
+// objects, which would loosen the gate.
 
 import (
+	"runtime"
 	"testing"
 
 	"asfstack"
@@ -93,53 +103,70 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
+// allocBound runs body b.N times and fails the benchmark when one
+// iteration allocates more objects or more bytes than the bound. It reads
+// the counters -benchmem reports (MemStats.Mallocs and TotalAlloc) around
+// the loop. The counts are not deterministic: they move by up to about 20
+// objects with process history. A bound may be lowered, never raised.
+func allocBound(b *testing.B, maxAllocs, maxBytes uint64, body func()) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		body()
+	}
+	runtime.ReadMemStats(&after)
+	n := uint64(b.N)
+	allocs, bytes := (after.Mallocs-before.Mallocs)/n, (after.TotalAlloc-before.TotalAlloc)/n
+	if allocs > maxAllocs || bytes > maxBytes {
+		b.Errorf("%d allocs/op and %d B/op, bound %d allocs/op and %d B/op", allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
 // BenchmarkAdaptive — E13 static-vs-adaptive runtime-selection sweep
 // (3 STAMP apps × 5 runtimes × 2 thread counts + 2 IntegerSet cells × 5
-// runtimes). Its allocs/op and B/op are gated by benchjson -compare in CI.
+// runtimes). An allocation gate.
 func BenchmarkAdaptive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	allocBound(b, 385_601, 261_154_328, func() {
 		if _, err := harness.Adaptive(harness.Options{Scale: benchScale}); err != nil {
 			b.Fatal(err)
 		}
-	}
+	})
 }
 
 // BenchmarkFig5Cell runs one Fig. 5 cell — the 512-element linked list at
 // 8 threads, the paper's most traversal-heavy panel — at the reported ops
-// count. benchjson -compare gates its allocs/op and B/op, so growth here
-// means an allocation regression on the simulator's hot path.
+// count. An allocation gate on the simulator's hot path.
 func BenchmarkFig5Cell(b *testing.B) {
 	cfg := intset.Config{
 		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 8, Seed: 1},
 		Structure: "linkedlist", Range: 512, UpdatePct: 20, OpsPerThread: 1500}
 	var thr float64
-	for i := 0; i < b.N; i++ {
+	allocBound(b, 13_551, 3_566_560, func() {
 		r, err := intset.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		thr = r.Throughput()
-	}
+	})
 	b.ReportMetric(thr, "simtx/us")
 }
 
 // BenchmarkServerCell runs one E16 cell — the open-loop server on a
 // two-socket topology at an overload point — and reports the sojourn-time
-// quantiles as benchmark metrics (the bench-json v2 latency units). The
-// quantiles are deterministic for the fixed seed, so benchjson -compare
-// shows them as advisory sim-latency deltas across PRs.
+// quantiles, which are deterministic for the fixed seed, as benchmark
+// metrics. An allocation gate on the server and topology path.
 func BenchmarkServerCell(b *testing.B) {
 	cfg := server.Config{
 		Options: asfstack.Options{Runtime: "LLB-256", Topology: "2x8", Seed: 1, SeedSet: true},
 		Load:    1.4, Scale: 0.25}
 	var r server.Result
-	for i := 0; i < b.N; i++ {
+	allocBound(b, 2_927, 6_271_776, func() {
 		var err error
 		r, err = server.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
+	})
 	b.ReportMetric(r.P50, "p50_cyc")
 	b.ReportMetric(r.P95, "p95_cyc")
 	b.ReportMetric(r.P99, "p99_cyc")
@@ -190,9 +217,7 @@ func BenchmarkIntsetHashSetASF(b *testing.B) {
 
 // BenchmarkIntsetProfiled is the flight-recorder-enabled twin of
 // BenchmarkIntsetRBTreeASF: the same cell with txprof recording on,
-// reporting the profile's wasted-work share alongside throughput. The
-// wasted_pct unit is deliberately outside benchjson's deterministic set, so
-// -compare prints its drift as advisory and never gates on it.
+// reporting the profile's wasted-work share alongside throughput.
 func BenchmarkIntsetProfiled(b *testing.B) {
 	cfg := intset.Config{
 		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 8, Profile: true},

@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -78,8 +79,8 @@ func main() {
 		fmt.Printf("%s: valid %s v%d\n", *validatePath, harness.ReportSchema, v)
 		return
 	}
-	if *format != "text" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "asfbench: unknown -format %q (want text or json)\n", *format)
+	if err := checkFlags(*format, *scale, *parallel); err != nil {
+		fmt.Fprintln(os.Stderr, "asfbench:", err)
 		os.Exit(2)
 	}
 
@@ -144,6 +145,22 @@ func main() {
 		}
 	}
 	os.Exit(exit)
+}
+
+// checkFlags rejects an unknown -format, a -scale that is not a finite
+// positive number and a -parallel below 1 before anything runs: harness
+// options read a zero or negative scale and worker count as their defaults,
+// which would silently run the full configuration on every CPU.
+func checkFlags(format string, scale float64, parallel int) error {
+	switch {
+	case format != "text" && format != "json":
+		return fmt.Errorf("unknown -format %q (want text or json)", format)
+	case !(scale > 0) || math.IsInf(scale, 1):
+		return fmt.Errorf("-scale %v: want a finite number > 0", scale)
+	case parallel < 1:
+		return fmt.Errorf("-parallel %d: want at least 1", parallel)
+	}
+	return nil
 }
 
 // experimentNames parses and validates the -experiment flag: names are
@@ -219,34 +236,9 @@ func validateReport(path string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var rep harness.BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return 0, fmt.Errorf("%s: not valid JSON: %w", path, err)
-	}
-	if rep.Schema != harness.ReportSchema {
-		return 0, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, harness.ReportSchema)
-	}
-	if rep.Version < 1 || rep.Version > harness.ReportVersion {
-		return 0, fmt.Errorf("%s: version %d, want 1..%d", path, rep.Version, harness.ReportVersion)
-	}
-	if len(rep.Experiments) == 0 {
-		return 0, fmt.Errorf("%s: no experiments", path)
-	}
-	for _, e := range rep.Experiments {
-		if e.Name == "" {
-			return 0, fmt.Errorf("%s: experiment with empty name", path)
-		}
-		if len(e.Tables) == 0 {
-			return 0, fmt.Errorf("%s: experiment %s has no tables", path, e.Name)
-		}
-		for _, c := range e.Cells {
-			if c.Label == "" {
-				return 0, fmt.Errorf("%s: experiment %s has a cell with no label", path, e.Name)
-			}
-			if c.Err == "" && c.Sim == nil {
-				return 0, fmt.Errorf("%s: experiment %s cell %q has neither sim results nor an error", path, e.Name, c.Label)
-			}
-		}
+	rep, err := harness.DecodeReport(data)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", path, err)
 	}
 	return rep.Version, nil
 }

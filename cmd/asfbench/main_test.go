@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,5 +56,32 @@ func TestValidateAcceptsOlderVersions(t *testing.T) {
 	}
 	if _, err := validateReport(path); err == nil {
 		t.Error("version 4 accepted")
+	}
+}
+
+// TestCheckFlags: a -scale that is not a finite number > 0, a -parallel
+// below 1 and an unknown -format are usage errors, not silent defaults.
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		format   string
+		scale    float64
+		parallel int
+		ok       bool
+	}{
+		{"text", 1, 1, true},
+		{"json", 0.05, 8, true},
+		{"text", 0, 1, false},
+		{"text", -1, 1, false},
+		{"text", math.NaN(), 1, false},
+		{"text", math.Inf(1), 1, false},
+		{"text", math.Inf(-1), 1, false},
+		{"text", 1, 0, false},
+		{"text", 1, -3, false},
+		{"xml", 1, 1, false},
+	} {
+		if err := checkFlags(tc.format, tc.scale, tc.parallel); (err == nil) != tc.ok {
+			t.Errorf("-format %s -scale %v -parallel %d: err = %v, want ok=%v",
+				tc.format, tc.scale, tc.parallel, err, tc.ok)
+		}
 	}
 }

@@ -24,7 +24,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -119,15 +118,9 @@ func loadProfiles(path, filter string) ([]profiledCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rep harness.BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: not valid JSON: %w", path, err)
-	}
-	if rep.Schema != harness.ReportSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, harness.ReportSchema)
-	}
-	if rep.Version < 1 || rep.Version > harness.ReportVersion {
-		return nil, fmt.Errorf("%s: version %d, want 1..%d", path, rep.Version, harness.ReportVersion)
+	rep, err := harness.DecodeReport(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	var cells []profiledCell
 	for _, exp := range rep.Experiments {

@@ -75,6 +75,23 @@ func TestLoadProfilesRejectsSchema(t *testing.T) {
 	}
 }
 
+// TestLoadProfilesRejectsNulls: a null experiment or cell is an error,
+// not a nil dereference.
+func TestLoadProfilesRejectsNulls(t *testing.T) {
+	for name, doc := range map[string]string{
+		"experiment": `{"schema":"asfstack/bench-report","version":3,"experiments":[null]}`,
+		"cell":       `{"schema":"asfstack/bench-report","version":3,"experiments":[{"name":"x","tables":[{}],"cells":[null]}]}`,
+	} {
+		path := filepath.Join(t.TempDir(), "report.json")
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadProfiles(path, ""); err == nil {
+			t.Errorf("null %s accepted", name)
+		}
+	}
+}
+
 // TestLoadProfilesFilter: -cell keeps the cells whose "<experiment>
 // <label>" contains the substring, in report order.
 func TestLoadProfilesFilter(t *testing.T) {

@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 
 	"asfstack"
 	"asfstack/internal/adaptive"
@@ -46,6 +49,50 @@ func NewBenchReport(scale float64) *BenchReport {
 		scale = 1
 	}
 	return &BenchReport{Schema: ReportSchema, Version: ReportVersion, Scale: scale}
+}
+
+// DecodeReport parses a BenchReport document and checks it: the schema, a
+// version in 1..ReportVersion, at least one experiment, a name and at least
+// one table per experiment, and a label plus either sim results or an error
+// per cell. Null experiments, tables and cells are errors, so readers walk
+// an accepted report without nil checks.
+func DecodeReport(data []byte) (*BenchReport, error) {
+	var rep BenchReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, fmt.Errorf("not valid JSON: %w", err)
+	}
+	if rep.Schema != ReportSchema {
+		return nil, fmt.Errorf("schema %q, want %q", rep.Schema, ReportSchema)
+	}
+	if rep.Version < 1 || rep.Version > ReportVersion {
+		return nil, fmt.Errorf("version %d, want 1..%d", rep.Version, ReportVersion)
+	}
+	if len(rep.Experiments) == 0 {
+		return nil, errors.New("no experiments")
+	}
+	for i, e := range rep.Experiments {
+		switch {
+		case e == nil:
+			return nil, fmt.Errorf("experiment %d is null", i)
+		case e.Name == "":
+			return nil, fmt.Errorf("experiment %d has an empty name", i)
+		case len(e.Tables) == 0:
+			return nil, fmt.Errorf("experiment %s has no tables", e.Name)
+		case slices.Contains(e.Tables, nil):
+			return nil, fmt.Errorf("experiment %s has a null table", e.Name)
+		}
+		for j, c := range e.Cells {
+			switch {
+			case c == nil:
+				return nil, fmt.Errorf("experiment %s cell %d is null", e.Name, j)
+			case c.Label == "":
+				return nil, fmt.Errorf("experiment %s has a cell with no label", e.Name)
+			case c.Err == "" && c.Sim == nil:
+				return nil, fmt.Errorf("experiment %s cell %q has neither sim results nor an error", e.Name, c.Label)
+			}
+		}
+	}
+	return &rep, nil
 }
 
 // ExperimentReport is one experiment's full outcome.

@@ -253,3 +253,53 @@ func TestAbortTableGolden(t *testing.T) {
 		t.Fatalf("abort table rendering changed:\n--- got ---\n%q\n--- want ---\n%q", got, want)
 	}
 }
+
+// TestDecodeReportRejects: every malformed document is an error, never a
+// panic; null experiments, tables and cells included.
+func TestDecodeReportRejects(t *testing.T) {
+	const head = `{"schema":"asfstack/bench-report","version":3,"experiments":`
+	for name, doc := range map[string]string{
+		"not JSON":          `{"schema":`,
+		"wrong schema":      `{"schema":"other","version":3,"experiments":[{"name":"x","tables":[{}]}]}`,
+		"version 0":         `{"schema":"asfstack/bench-report","version":0,"experiments":[{"name":"x","tables":[{}]}]}`,
+		"version 4":         `{"schema":"asfstack/bench-report","version":4,"experiments":[{"name":"x","tables":[{}]}]}`,
+		"no experiments":    head + `[]}`,
+		"null experiment":   head + `[null]}`,
+		"empty name":        head + `[{"tables":[{}]}]}`,
+		"no tables":         head + `[{"name":"x"}]}`,
+		"null table":        head + `[{"name":"x","tables":[null]}]}`,
+		"null cell":         head + `[{"name":"x","tables":[{}],"cells":[null]}]}`,
+		"unlabelled cell":   head + `[{"name":"x","tables":[{}],"cells":[{"sim":{}}]}]}`,
+		"cell without data": head + `[{"name":"x","tables":[{}],"cells":[{"label":"c"}]}]}`,
+	} {
+		if rep, err := DecodeReport([]byte(doc)); err == nil {
+			t.Errorf("%s: accepted as %+v", name, rep)
+		}
+	}
+	rep, err := DecodeReport([]byte(head + `[{"name":"x","tables":[{}],"cells":[{"label":"c","err":"boom"}]}]}`))
+	if err != nil || rep.Version != ReportVersion {
+		t.Fatalf("failed-cell report: %v, %v", rep, err)
+	}
+}
+
+// FuzzDecodeReport: DecodeReport never panics, and a document it accepts
+// re-encodes to one it accepts again at the same version.
+// testdata/fuzz/FuzzDecodeReport holds two documents that used to panic
+// the report readers (a null experiment, a null cell) and a valid report
+// of each version.
+func FuzzDecodeReport(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep, err := DecodeReport(data)
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatalf("accepted report does not re-encode: %v", err)
+		}
+		back, err := DecodeReport(again)
+		if err != nil || back.Version != rep.Version {
+			t.Fatalf("re-encoded v%d report decodes to %v, %v", rep.Version, back, err)
+		}
+	})
+}

@@ -81,8 +81,9 @@ func hashBits(r uint64) uint {
 }
 
 // Run executes one configuration and returns its measurements. A bad
-// configuration (unknown structure, empty key range) is reported as an
-// error, not a panic, so sweep harnesses can fail one cell and continue.
+// configuration (unknown structure, empty key range, an update percentage
+// outside 0..100, a negative operation count) is reported as an error, not
+// a panic, so sweep harnesses can fail one cell and continue.
 func Run(cfg Config) (Result, error) {
 	switch cfg.Structure {
 	case "linkedlist", "skiplist", "rbtree", "hashset":
@@ -92,6 +93,12 @@ func Run(cfg Config) (Result, error) {
 	}
 	if cfg.Range == 0 {
 		return Result{}, fmt.Errorf("intset: %s: key range must be positive", cfg.Structure)
+	}
+	if cfg.UpdatePct < 0 || cfg.UpdatePct > 100 {
+		return Result{}, fmt.Errorf("intset: update percentage %d outside 0..100", cfg.UpdatePct)
+	}
+	if cfg.OpsPerThread < 0 {
+		return Result{}, fmt.Errorf("intset: negative operation count %d", cfg.OpsPerThread)
 	}
 	if cfg.OpsPerThread == 0 {
 		cfg.OpsPerThread = 1500

@@ -125,11 +125,22 @@ func TestBreakdownAccountsAllCycles(t *testing.T) {
 // TestRunRejectsBadConfig: configuration mistakes are reported as errors,
 // not panics, so sweep harnesses can fail one cell and keep going.
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{Options: asfstack.Options{Runtime: "STM"}, Structure: "btree", Range: 64}); err == nil {
-		t.Fatal("unknown structure accepted")
-	}
-	if _, err := Run(Config{Options: asfstack.Options{Runtime: "STM"}, Structure: "rbtree"}); err == nil {
-		t.Fatal("zero key range accepted")
+	for _, tc := range []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.Structure = "btree" }, "unknown structure"},
+		{func(c *Config) { c.Range = 0 }, "key range"},
+		{func(c *Config) { c.UpdatePct = -1 }, "update percentage -1"},
+		{func(c *Config) { c.UpdatePct = 101 }, "update percentage 101"},
+		{func(c *Config) { c.UpdatePct = 150 }, "update percentage 150"},
+		{func(c *Config) { c.OpsPerThread = -5 }, "operation count -5"},
+	} {
+		cfg := Config{Options: asfstack.Options{Runtime: "STM", Cores: 1}, Structure: "rbtree", Range: 64, OpsPerThread: 1}
+		tc.mutate(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v, want %q", err, tc.want)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 
 	"asfstack"
 	"asfstack/internal/mem"
@@ -264,18 +265,34 @@ func (w *world) validate(tx tm.Tx) error {
 }
 
 // Run executes one configuration to completion and validates the store.
+// Zero Load, ZipfS, Scale and RequestsPerCore take their defaults; a
+// negative or non-finite value, or a ZipfS in (0, 1], is an error.
 func Run(cfg Config) (Result, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"load", cfg.Load}, {"zipf exponent", cfg.ZipfS}, {"scale", cfg.Scale}} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return Result{}, fmt.Errorf("server: %s %v: want a finite number >= 0 (0 = default)", f.name, f.v)
+		}
+	}
+	if cfg.ZipfS > 0 && cfg.ZipfS <= 1 {
+		return Result{}, fmt.Errorf("server: zipf exponent %v: want > 1 (0 = default)", cfg.ZipfS)
+	}
+	if cfg.RequestsPerCore < 0 {
+		return Result{}, fmt.Errorf("server: negative requests per core %d", cfg.RequestsPerCore)
+	}
 	scale := cfg.Scale
-	if scale <= 0 {
+	if scale == 0 {
 		scale = 1
 	}
-	if cfg.Load <= 0 {
+	if cfg.Load == 0 {
 		cfg.Load = 0.7
 	}
-	if cfg.ZipfS <= 1 {
+	if cfg.ZipfS == 0 {
 		cfg.ZipfS = 1.2
 	}
-	if cfg.RequestsPerCore <= 0 {
+	if cfg.RequestsPerCore == 0 {
 		cfg.RequestsPerCore = int(200 * scale)
 		if cfg.RequestsPerCore < 4 {
 			cfg.RequestsPerCore = 4

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -165,6 +166,39 @@ func TestRunSameSeedReplay(t *testing.T) {
 		if f1, f2 := fingerprint(first), fingerprint(again); f1 != f2 {
 			t.Fatalf("topology %q: same-seed runs diverge:\nfirst %+v\nagain %+v", topology, f1, f2)
 		}
+	}
+}
+
+// TestRunRejectsBadConfig: a negative or non-finite load, scale or Zipf
+// exponent, a Zipf exponent in (0, 1] and a negative request count are
+// errors; zero keeps meaning the default.
+func TestRunRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.Load = -1 }, "load -1"},
+		{func(c *Config) { c.Load = math.NaN() }, "load NaN"},
+		{func(c *Config) { c.Load = math.Inf(1) }, "load +Inf"},
+		{func(c *Config) { c.Scale = -1 }, "scale -1"},
+		{func(c *Config) { c.Scale = math.NaN() }, "scale NaN"},
+		{func(c *Config) { c.ZipfS = -2 }, "zipf exponent -2"},
+		{func(c *Config) { c.ZipfS = 0.5 }, "zipf exponent 0.5"},
+		{func(c *Config) { c.ZipfS = 1 }, "zipf exponent 1"},
+		{func(c *Config) { c.ZipfS = math.Inf(1) }, "zipf exponent +Inf"},
+		{func(c *Config) { c.RequestsPerCore = -3 }, "requests per core -3"},
+	} {
+		cfg := smallConfig("LLB-256")
+		tc.mutate(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err = %v, want %q", err, tc.want)
+		}
+	}
+	cfg := smallConfig("LLB-256")
+	cfg.Load, cfg.ZipfS = 0, 0
+	r, err := Run(cfg)
+	if err != nil || r.Config.Load != 0.7 || r.Config.ZipfS != 1.2 {
+		t.Fatalf("zero load and zipf: load %v zipf %v, %v; want the defaults 0.7 and 1.2", r.Config.Load, r.Config.ZipfS, err)
 	}
 }
 

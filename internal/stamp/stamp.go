@@ -12,6 +12,7 @@ package stamp
 
 import (
 	"fmt"
+	"math"
 
 	"asfstack"
 	"asfstack/internal/sim"
@@ -81,7 +82,11 @@ func New(name string, threads int, scale float64) (App, error) {
 }
 
 // Run executes one configuration to completion and validates the result.
+// A negative or non-finite Scale is an error.
 func Run(cfg Config) (Result, error) {
+	if cfg.Scale < 0 || math.IsNaN(cfg.Scale) || math.IsInf(cfg.Scale, 0) {
+		return Result{}, fmt.Errorf("stamp: scale %v: want a finite number >= 0 (0 = 1.0)", cfg.Scale)
+	}
 	s, err := asfstack.Build(cfg.Options)
 	if err != nil {
 		return Result{}, err

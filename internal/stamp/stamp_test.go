@@ -1,6 +1,7 @@
 package stamp
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -167,6 +168,17 @@ func TestASFBeatsSTMOnStamp(t *testing.T) {
 func TestUnknownAppRejected(t *testing.T) {
 	if _, err := Run(Config{Options: asfstack.Options{Runtime: "LLB-256", Cores: 1}, App: "bayes"}); err == nil {
 		t.Fatal("excluded app accepted")
+	}
+}
+
+// TestRunRejectsBadConfig: a negative or non-finite scale is an error, not
+// a run at some other size.
+func TestRunRejectsBadConfig(t *testing.T) {
+	for _, scale := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cfg := Config{Options: asfstack.Options{Runtime: "LLB-256", Cores: 1}, App: "genome", Scale: scale}
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("scale %v: err = %v, want a scale error", scale, err)
+		}
 	}
 }
 
