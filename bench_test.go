@@ -126,7 +126,7 @@ func allocBound(b *testing.B, maxAllocs, maxBytes uint64, body func()) {
 // (3 STAMP apps × 5 runtimes × 2 thread counts + 2 IntegerSet cells × 5
 // runtimes). An allocation gate.
 func BenchmarkAdaptive(b *testing.B) {
-	allocBound(b, 385_601, 261_154_328, func() {
+	allocBound(b, 56_252, 260_490_144, func() {
 		if _, err := harness.Adaptive(harness.Options{Scale: benchScale}); err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func BenchmarkFig5Cell(b *testing.B) {
 		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 8, Seed: 1},
 		Structure: "linkedlist", Range: 512, UpdatePct: 20, OpsPerThread: 1500}
 	var thr float64
-	allocBound(b, 13_551, 3_566_560, func() {
+	allocBound(b, 675, 3_283_328, func() {
 		r, err := intset.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -160,7 +160,7 @@ func BenchmarkServerCell(b *testing.B) {
 		Options: asfstack.Options{Runtime: "LLB-256", Topology: "2x8", Seed: 1, SeedSet: true},
 		Load:    1.4, Scale: 0.25}
 	var r server.Result
-	allocBound(b, 2_927, 6_271_776, func() {
+	allocBound(b, 1_211, 6_230_072, func() {
 		var err error
 		r, err = server.Run(cfg)
 		if err != nil {

@@ -28,10 +28,12 @@ func main() {
 
 	start := s.M.SyncClocks()
 	end := s.Parallel(*threads, func(c *sim.CPU) {
+		// Build the atomic body once per core: a body passed to Atomic
+		// escapes to the heap, so one written inside the loop would
+		// allocate on every increment.
+		inc := func(tx tm.Tx) { tx.Store(counter, tx.Load(counter)+1) }
 		for i := 0; i < *incs; i++ {
-			s.Atomic(c, func(tx tm.Tx) {
-				tx.Store(counter, tx.Load(counter)+1)
-			})
+			s.Atomic(c, inc)
 		}
 	})
 

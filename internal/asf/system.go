@@ -25,6 +25,9 @@ type System struct {
 	// exactly like an absent one, and the stable *protState pointers let
 	// the units and the pcache below skip the map on the hot paths.
 	prot map[mem.Addr]*protState
+	// protFree is the unused tail of the chunk protFor carves new entries
+	// from. A chunk is never moved or freed, so the pointers stay stable.
+	protFree []protState
 
 	// pcache is a direct-mapped line→protState cache in front of prot,
 	// the same idiom as mem's page cache. Because prot entries are never
@@ -43,6 +46,9 @@ type System struct {
 }
 
 const pcacheSlots = 2048 // power of two
+
+// protChunk is how many directory entries protFor allocates at a time.
+const protChunk = 256
 
 type pcacheEnt struct {
 	line mem.Addr
@@ -131,7 +137,11 @@ func (s *System) protFor(line mem.Addr) *protState {
 	}
 	p, ok := s.prot[line]
 	if !ok {
-		p = &protState{writer: -1}
+		if len(s.protFree) == 0 {
+			s.protFree = make([]protState, protChunk)
+		}
+		p, s.protFree = &s.protFree[0], s.protFree[1:]
+		p.writer = -1
 		s.prot[line] = p
 	}
 	e.line, e.p = line, p

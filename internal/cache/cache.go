@@ -566,7 +566,8 @@ func (h *Hierarchy) tlbLookup(c int, page mem.Addr) uint64 {
 // private caches regardless of which core ran initialisation.
 func (h *Hierarchy) FlushPrivate(c int) {
 	cc := h.cores[c]
-	var lines []mem.Addr
+	l1, l2 := h.Occupancy(c)
+	lines := make([]mem.Addr, 0, l1+l2)
 	cc.l1.forEach(func(e *entry) { lines = append(lines, e.line) })
 	cc.l2.forEach(func(e *entry) { lines = append(lines, e.line) })
 	for _, line := range lines {

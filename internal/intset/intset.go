@@ -11,6 +11,7 @@ package intset
 
 import (
 	"fmt"
+	"math"
 
 	"asfstack"
 	"asfstack/internal/sim"
@@ -81,9 +82,11 @@ func hashBits(r uint64) uint {
 }
 
 // Run executes one configuration and returns its measurements. A bad
-// configuration (unknown structure, empty key range, an update percentage
-// outside 0..100, a negative operation count) is reported as an error, not
-// a panic, so sweep harnesses can fail one cell and continue.
+// configuration (unknown structure, an empty or oversized key range, an
+// update percentage outside 0..100, a negative operation count, an initial
+// size outside 0..Range, a hash table too large for core 0's arena) is
+// reported as an error, not a panic or a hang, so sweep harnesses can fail
+// one cell and continue.
 func Run(cfg Config) (Result, error) {
 	switch cfg.Structure {
 	case "linkedlist", "skiplist", "rbtree", "hashset":
@@ -91,14 +94,20 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("intset: unknown structure %q (want one of %v)",
 			cfg.Structure, Structures)
 	}
-	if cfg.Range == 0 {
-		return Result{}, fmt.Errorf("intset: %s: key range must be positive", cfg.Structure)
+	if cfg.Range == 0 || cfg.Range > math.MaxInt64 {
+		return Result{}, fmt.Errorf("intset: %s: key range %d outside 1..2^63-1", cfg.Structure, cfg.Range)
 	}
 	if cfg.UpdatePct < 0 || cfg.UpdatePct > 100 {
 		return Result{}, fmt.Errorf("intset: update percentage %d outside 0..100", cfg.UpdatePct)
 	}
 	if cfg.OpsPerThread < 0 {
 		return Result{}, fmt.Errorf("intset: negative operation count %d", cfg.OpsPerThread)
+	}
+	// Setup draws distinct keys until the set holds InitialSize of them, so
+	// a size above the key range would never finish.
+	if cfg.InitialSize < 0 || uint64(cfg.InitialSize) > cfg.Range {
+		return Result{}, fmt.Errorf("intset: initial size %d outside 0..%d (the key range)",
+			cfg.InitialSize, cfg.Range)
 	}
 	if cfg.OpsPerThread == 0 {
 		cfg.OpsPerThread = 1500
@@ -111,6 +120,18 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	cfg.Options = s.Opts
+	bits := cfg.HashBits
+	if bits == 0 {
+		bits = hashBits(cfg.Range)
+	}
+	if cfg.Structure == "hashset" {
+		// Setup carves the bucket array out of core 0's arena. The shift
+		// also rejects bits >= 64, where 1<<bits would wrap to zero.
+		if arena := s.Heap.Arena(0).Remaining(); arena/txlib.BucketBytes>>bits == 0 {
+			return Result{}, fmt.Errorf("intset: hash table of 2^%d buckets does not fit core 0's %d-byte arena",
+				bits, arena)
+		}
+	}
 
 	var set setIface
 	s.Setup(func(tx tm.Tx) {
@@ -124,10 +145,6 @@ func Run(cfg Config) (Result, error) {
 		case "rbtree":
 			set = rbAsSet{txlib.NewRBTree(tx)}
 		case "hashset":
-			bits := cfg.HashBits
-			if bits == 0 {
-				bits = hashBits(cfg.Range)
-			}
 			set = txlib.NewHashSet(tx, bits)
 		}
 		// Populate to the initial size with distinct random keys.
@@ -140,17 +157,25 @@ func Run(cfg Config) (Result, error) {
 	})
 
 	run := s.Measure(func(c *sim.CPU, _ uint64) {
+		// The core builds its three atomic bodies once; the loop only fills
+		// the key they read. Every runtime returns from Atomic after the
+		// body's final execution and re-runs the same func value on retry,
+		// so each execution sees the key of its own operation.
+		var k uint64
+		insert := func(tx tm.Tx) { set.Insert(tx, k) }
+		remove := func(tx tm.Tx) { set.Remove(tx, k) }
+		contains := func(tx tm.Tx) { set.Contains(tx, k) }
 		rng := c.Rand()
 		for i := 0; i < cfg.OpsPerThread; i++ {
-			k := uint64(rng.Int63n(int64(cfg.Range)))
+			k = uint64(rng.Int63n(int64(cfg.Range)))
 			r := rng.Intn(100)
 			switch {
 			case r < cfg.UpdatePct/2:
-				s.Atomic(c, func(tx tm.Tx) { set.Insert(tx, k) })
+				s.Atomic(c, insert)
 			case r < cfg.UpdatePct:
-				s.Atomic(c, func(tx tm.Tx) { set.Remove(tx, k) })
+				s.Atomic(c, remove)
 			default:
-				s.Atomic(c, func(tx tm.Tx) { set.Contains(tx, k) })
+				s.Atomic(c, contains)
 			}
 		}
 	})

@@ -14,6 +14,7 @@ import (
 type Runtime struct {
 	heap  *tm.Heap
 	stats []tm.Stats
+	txs   []seqTx // one handle per core, built once so Atomic allocates nothing
 	hook  tm.CommitHook
 }
 
@@ -24,7 +25,11 @@ func (r *Runtime) SetCommitHook(h tm.CommitHook) { r.hook = h }
 
 // New builds the sequential runtime.
 func New(heap *tm.Heap, cores int) *Runtime {
-	return &Runtime{heap: heap, stats: make([]tm.Stats, cores)}
+	r := &Runtime{heap: heap, stats: make([]tm.Stats, cores), txs: make([]seqTx, cores)}
+	for i := range r.txs {
+		r.txs[i].r = r
+	}
+	return r
 }
 
 // Name implements tm.Runtime.
@@ -42,7 +47,9 @@ func (r *Runtime) ResetStats() {
 
 // Atomic implements tm.Runtime: the body runs inline, uninstrumented.
 func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
-	body(&seqTx{r: r, c: c})
+	t := &r.txs[c.ID()]
+	t.c = c
+	body(t)
 	r.stats[c.ID()].Commits++
 	if r.hook != nil {
 		c.SpecOp(0, func() { r.hook(c.ID(), false) })

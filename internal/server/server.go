@@ -122,11 +122,20 @@ func (w *world) setup(tx tm.Tx) {
 // care how busy the server is) until each request's arrival, execute its
 // transaction, record the sojourn. start is the measured phase's start
 // cycle, making arrivals absolute.
+//
+// The core builds its three atomic bodies once, over a request slot that
+// the loop refills. Every runtime returns from Atomic after the body's final
+// execution and re-runs the same func value on retry, so each execution
+// sees the request it serves.
 func (w *world) session(s *asfstack.Stack, c *sim.CPU, start uint64) {
 	q := w.queues[c.ID()]
+	var rq request
+	reserve := func(tx tm.Tx) { w.reserve(tx, &rq) }
+	cancel := func(tx tm.Tx) { w.cancel(tx, &rq) }
+	update := func(tx tm.Tx) { w.update(tx, &rq) }
 	for {
-		rq, ok := q.pop()
-		if !ok {
+		var ok bool
+		if rq, ok = q.pop(); !ok {
 			return
 		}
 		target := start + rq.arrival
@@ -146,91 +155,86 @@ func (w *world) session(s *asfstack.Stack, c *sim.CPU, start uint64) {
 		}
 		switch rq.kind {
 		case opReserve:
-			w.reserve(s, c, rq)
+			s.Atomic(c, reserve)
 		case opCancel:
-			w.cancel(s, c, rq)
+			s.Atomic(c, cancel)
 		default:
-			w.update(s, c, rq)
+			s.Atomic(c, update)
 		}
 		w.sojourn.Observe(c.ID(), c.Now()-target)
 	}
 }
 
 // reserve queries the request's pre-drawn items and reserves the cheapest
-// available one for the customer — one atomic block, as in vacation.
-func (w *world) reserve(s *asfstack.Stack, c *sim.CPU, rq request) {
-	s.Atomic(c, func(tx tm.Tx) {
-		crec, ok := w.custTree.Get(tx, uint64(rq.cust))
+// available one for the customer: the body of one atomic block, as in
+// vacation.
+func (w *world) reserve(tx tm.Tx, rq *request) {
+	crec, ok := w.custTree.Get(tx, uint64(rq.cust))
+	if !ok {
+		return
+	}
+	bestID, bestRec, bestPrice := uint64(0), mem.Word(0), ^uint64(0)
+	for _, id := range rq.items[:rq.nq] {
+		rec, ok := w.itemTree.Get(tx, uint64(id))
 		if !ok {
-			return
+			continue
 		}
-		bestID, bestRec, bestPrice := uint64(0), mem.Word(0), ^uint64(0)
-		for _, id := range rq.items[:rq.nq] {
-			rec, ok := w.itemTree.Get(tx, uint64(id))
-			if !ok {
-				continue
-			}
-			r := mem.Addr(rec)
-			if tx.Load(r+itAvail*8) == 0 {
-				continue
-			}
-			if price := uint64(tx.Load(r + itPrice*8)); price < bestPrice {
-				bestID, bestRec, bestPrice = uint64(id), rec, price
-			}
+		r := mem.Addr(rec)
+		if tx.Load(r+itAvail*8) == 0 {
+			continue
 		}
-		if bestRec == 0 {
-			return
+		if price := uint64(tx.Load(r + itPrice*8)); price < bestPrice {
+			bestID, bestRec, bestPrice = uint64(id), rec, price
 		}
-		r := mem.Addr(bestRec)
-		tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)-1)
-		// Prepend a reservation node (word 0 next, 1 item id) to the
-		// customer's list.
-		node := tx.Alloc(16)
-		tx.Store(node+8, mem.Word(bestID))
-		tx.Store(node, tx.Load(mem.Addr(crec)))
-		tx.Store(mem.Addr(crec), mem.Word(node))
-	})
+	}
+	if bestRec == 0 {
+		return
+	}
+	r := mem.Addr(bestRec)
+	tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)-1)
+	// Prepend a reservation node (word 0 next, 1 item id) to the
+	// customer's list.
+	node := tx.Alloc(16)
+	tx.Store(node+8, mem.Word(bestID))
+	tx.Store(node, tx.Load(mem.Addr(crec)))
+	tx.Store(mem.Addr(crec), mem.Word(node))
 }
 
 // cancel releases all of the customer's reservations.
-func (w *world) cancel(s *asfstack.Stack, c *sim.CPU, rq request) {
-	s.Atomic(c, func(tx tm.Tx) {
-		crec, ok := w.custTree.Get(tx, uint64(rq.cust))
-		if !ok {
-			return
+func (w *world) cancel(tx tm.Tx, rq *request) {
+	crec, ok := w.custTree.Get(tx, uint64(rq.cust))
+	if !ok {
+		return
+	}
+	head := mem.Addr(crec)
+	cur := mem.Addr(tx.Load(head))
+	for cur != 0 {
+		id := uint64(tx.Load(cur + 8))
+		if rec, ok := w.itemTree.Get(tx, id); ok {
+			r := mem.Addr(rec)
+			tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)+1)
 		}
-		head := mem.Addr(crec)
-		cur := mem.Addr(tx.Load(head))
-		for cur != 0 {
-			id := uint64(tx.Load(cur + 8))
-			if rec, ok := w.itemTree.Get(tx, id); ok {
-				r := mem.Addr(rec)
-				tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)+1)
-			}
-			next := mem.Addr(tx.Load(cur))
-			tx.Free(cur)
-			cur = next
-		}
-		tx.Store(head, 0)
-	})
+		next := mem.Addr(tx.Load(cur))
+		tx.Free(cur)
+		cur = next
+	}
+	tx.Store(head, 0)
 }
 
 // update re-prices the request's items and occasionally adds capacity.
-func (w *world) update(s *asfstack.Stack, c *sim.CPU, rq request) {
-	s.Atomic(c, func(tx tm.Tx) {
-		for _, id := range rq.items[:rq.nq] {
-			rec, ok := w.itemTree.Get(tx, uint64(id))
-			if !ok {
-				continue
-			}
-			r := mem.Addr(rec)
-			tx.Store(r+itPrice*8, mem.Word(rq.price))
-			if rq.grow {
-				tx.Store(r+itTotal*8, tx.Load(r+itTotal*8)+1)
-				tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)+1)
-			}
+func (w *world) update(tx tm.Tx, rq *request) {
+	for _, id := range rq.items[:rq.nq] {
+		rec, ok := w.itemTree.Get(tx, uint64(id))
+		if !ok {
+			continue
 		}
-	})
+		r := mem.Addr(rec)
+		tx.Store(r+itPrice*8, mem.Word(rq.price))
+		if rq.grow {
+			tx.Store(r+itTotal*8, tx.Load(r+itTotal*8)+1)
+			tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)+1)
+		}
+	}
 }
 
 // validate checks conservation: every item's avail plus outstanding

@@ -102,6 +102,42 @@ func suffixBits(seg uint64, segLen, o int) uint64 {
 }
 
 func (g *genome) Thread(s *asfstack.Stack, c *sim.CPU, tid, threads int) {
+	// Atomic bodies, built once over the slots the loops fill (see
+	// App.Thread): seg is the segment, i its index in the array being
+	// walked, o the overlap level.
+	var (
+		seg      uint64
+		i, o     int
+		inserted bool
+	)
+	insert := func(tx tm.Tx) { inserted = g.unique.Insert(tx, seg) }
+	publish := func(tx tm.Tx) {
+		if tx.Load(g.linked.addr(i)) == 0 {
+			g.prefix.PutIfAbsent(tx, prefixKey(seg, o), mem.Word(i+1))
+		}
+	}
+	match := func(tx tm.Tx) {
+		if tx.Load(g.links.addr(i)) != 0 {
+			return
+		}
+		key := uint64(o)<<40 ^ suffixBits(seg, g.segLen, o)
+		v, ok := g.prefix.Get(tx, key)
+		if !ok {
+			return
+		}
+		j := int(v) - 1
+		if j == i {
+			return
+		}
+		if tx.Load(g.linked.addr(j)) == 0 {
+			tx.Store(g.links.addr(i), mem.Word(j+1))
+			tx.Store(g.linked.addr(j), 1)
+		}
+	}
+	// Levels use distinct key tags, so simply leave old entries; nothing
+	// to clear. Charge the pass cost.
+	clearPass := func(tx tm.Tx) { tx.CPU().Exec(50) }
+
 	// Phase 1: deduplicate segments into the shared set. Winners are
 	// recorded in the thread's own partition of the unique array with
 	// plain accesses — thread-private until the barrier, so the only
@@ -109,12 +145,10 @@ func (g *genome) Thread(s *asfstack.Stack, c *sim.CPU, tid, threads int) {
 	lo, hi := span(g.segments, tid, threads)
 	myBase := tid * g.perThread
 	myCount := 0
-	for i := lo; i < hi; i++ {
-		seg := uint64(c.Load(g.segArr.addr(i))) // read-only input: plain
-		inserted := false
-		s.Atomic(c, func(tx tm.Tx) {
-			inserted = g.unique.Insert(tx, seg)
-		})
+	for i = lo; i < hi; i++ {
+		seg = uint64(c.Load(g.segArr.addr(i))) // read-only input: plain
+		inserted = false
+		s.Atomic(c, insert)
 		if inserted {
 			c.Store(g.uniqArr.addr(myBase+myCount), mem.Word(seg))
 			myCount++
@@ -125,51 +159,24 @@ func (g *genome) Thread(s *asfstack.Stack, c *sim.CPU, tid, threads int) {
 	// Phase 2: three overlap levels, longest first, as in STAMP's
 	// decreasing-match-length loop. Each thread processes its own
 	// partition of the unique array.
-	for _, o := range []int{g.segLen - 1, g.segLen - 2, g.segLen - 4} {
+	for _, o = range [...]int{g.segLen - 1, g.segLen - 2, g.segLen - 4} {
 		// 2a: publish every unlinked segment's prefix.
 		lo, hi := myBase, myBase+myCount
-		for i := lo; i < hi; i++ {
-			i := i
-			seg := uint64(c.Load(g.uniqArr.addr(i)))
-			s.Atomic(c, func(tx tm.Tx) {
-				if tx.Load(g.linked.addr(i)) == 0 {
-					g.prefix.PutIfAbsent(tx, prefixKey(seg, o), mem.Word(i+1))
-				}
-			})
+		for i = lo; i < hi; i++ {
+			seg = uint64(c.Load(g.uniqArr.addr(i)))
+			s.Atomic(c, publish)
 		}
 		g.bar.Wait(c)
 		// 2b: match suffixes against published prefixes.
-		for i := lo; i < hi; i++ {
-			i := i
-			seg := uint64(c.Load(g.uniqArr.addr(i)))
-			s.Atomic(c, func(tx tm.Tx) {
-				if tx.Load(g.links.addr(i)) != 0 {
-					return
-				}
-				key := uint64(o)<<40 ^ suffixBits(seg, g.segLen, o)
-				v, ok := g.prefix.Get(tx, key)
-				if !ok {
-					return
-				}
-				j := int(v) - 1
-				if j == i {
-					return
-				}
-				if tx.Load(g.linked.addr(j)) == 0 {
-					tx.Store(g.links.addr(i), mem.Word(j+1))
-					tx.Store(g.linked.addr(j), 1)
-				}
-			})
+		for i = lo; i < hi; i++ {
+			seg = uint64(c.Load(g.uniqArr.addr(i)))
+			s.Atomic(c, match)
 		}
 		g.bar.Wait(c)
 		// 2c: clear the prefix table between levels (thread 0; STAMP
 		// rebuilds its table per pass).
 		if tid == 0 {
-			s.Atomic(c, func(tx tm.Tx) {
-				// Levels use distinct key tags, so simply leave old
-				// entries; nothing to clear. Charge the pass cost.
-				tx.CPU().Exec(50)
-			})
+			s.Atomic(c, clearPass)
 		}
 		g.bar.Wait(c)
 	}

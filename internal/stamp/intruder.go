@@ -67,54 +67,57 @@ func (in *intruder) Setup(s *asfstack.Stack, tx tm.Tx, threads int) {
 }
 
 func (in *intruder) Thread(s *asfstack.Stack, c *sim.CPU, tid, threads int) {
+	// Atomic bodies, built once over the slots the loop fills (see
+	// App.Thread).
+	var (
+		pkt, flow         mem.Word
+		havePkt, haveFlow bool
+	)
+	capture := func(tx tm.Tx) { pkt, havePkt = in.packetQ.Pop(tx) }
+	// Reassembly: find-or-create the flow record, bump it, and hand
+	// complete flows to the decoded queue.
+	reassemble := func(tx tm.Tx) {
+		f, total := uint64(pkt>>8), mem.Word(pkt&0xFF)
+		rec, ok := in.flowMap.Get(tx, f)
+		if !ok {
+			r := tx.Alloc(16)
+			tx.Store(r+asmSeen*8, 0)
+			tx.Store(r+asmTotal*8, total)
+			in.flowMap.Put(tx, f, mem.Word(r))
+			rec = mem.Word(r)
+		}
+		r := mem.Addr(rec)
+		seen := tx.Load(r+asmSeen*8) + 1
+		tx.Store(r+asmSeen*8, seen)
+		if seen == tx.Load(r+asmTotal*8) {
+			in.flowMap.Remove(tx, f)
+			in.decodedQ.Push(tx, mem.Word(f))
+		}
+	}
+	drain := func(tx tm.Tx) { flow, haveFlow = in.decodedQ.Pop(tx) }
+	detect := func(tx tm.Tx) {
+		f := int(flow)
+		tx.Store(in.handled.addr(f), tx.Load(in.handled.addr(f))+1)
+		if in.attackFlow[f] {
+			tx.Store(in.attacks, tx.Load(in.attacks)+1)
+		}
+	}
+
 	for {
 		// Capture: one transaction per packet.
-		var pkt mem.Word
-		havePkt := false
-		s.Atomic(c, func(tx tm.Tx) {
-			pkt, havePkt = in.packetQ.Pop(tx)
-		})
+		pkt, havePkt = 0, false
+		s.Atomic(c, capture)
 		if havePkt {
-			flow := int(pkt >> 8)
-			total := int(pkt & 0xFF)
-			// Reassembly: find-or-create the flow record, bump it,
-			// and hand complete flows to the decoded queue.
-			s.Atomic(c, func(tx tm.Tx) {
-				rec, ok := in.flowMap.Get(tx, uint64(flow))
-				if !ok {
-					r := tx.Alloc(16)
-					tx.Store(r+asmSeen*8, 0)
-					tx.Store(r+asmTotal*8, mem.Word(total))
-					in.flowMap.Put(tx, uint64(flow), mem.Word(r))
-					rec = mem.Word(r)
-				}
-				r := mem.Addr(rec)
-				seen := tx.Load(r+asmSeen*8) + 1
-				tx.Store(r+asmSeen*8, seen)
-				if seen == tx.Load(r+asmTotal*8) {
-					in.flowMap.Remove(tx, uint64(flow))
-					in.decodedQ.Push(tx, mem.Word(flow))
-				}
-			})
+			s.Atomic(c, reassemble)
 		}
 
 		// Detection: drain one decoded flow if available.
-		var flow mem.Word
-		haveFlow := false
-		s.Atomic(c, func(tx tm.Tx) {
-			flow, haveFlow = in.decodedQ.Pop(tx)
-		})
+		flow, haveFlow = 0, false
+		s.Atomic(c, drain)
 		if haveFlow {
-			f := int(flow)
 			// Signature scan is thread-local compute over the payload.
-			c.Exec(60 * in.fragTotal[f])
-			isAttack := in.attackFlow[f]
-			s.Atomic(c, func(tx tm.Tx) {
-				tx.Store(in.handled.addr(f), tx.Load(in.handled.addr(f))+1)
-				if isAttack {
-					tx.Store(in.attacks, tx.Load(in.attacks)+1)
-				}
-			})
+			c.Exec(60 * in.fragTotal[flow])
+			s.Atomic(c, detect)
 		}
 
 		if !havePkt && !haveFlow {

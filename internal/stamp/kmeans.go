@@ -75,12 +75,24 @@ func (m *kmeans) accAddr(cluster, word int) mem.Addr {
 }
 
 func (m *kmeans) Thread(s *asfstack.Stack, c *sim.CPU, tid, threads int) {
+	// The one transaction, built once over the slots the loop fills (see
+	// App.Thread): fold point p into cluster best.
+	var p, best int
+	fold := func(tx tm.Tx) {
+		tx.Store(m.accAddr(best, 0), tx.Load(m.accAddr(best, 0))+1)
+		for j := 0; j < m.dims; j++ {
+			a := m.accAddr(best, 1+j)
+			pv := tx.CPU().Load(m.points.addr(p*m.dims + j))
+			tx.Store(a, tx.Load(a)+pv)
+		}
+	}
 	lo, hi := span(m.n, tid, threads)
 	for iter := 0; iter < m.iterations; iter++ {
-		for p := lo; p < hi; p++ {
+		for p = lo; p < hi; p++ {
 			// Nearest center: plain reads (centers are read-only within
 			// an iteration) plus the distance arithmetic.
-			best, bestD := 0, ^uint64(0)
+			best = 0
+			bestD := ^uint64(0)
 			for k := 0; k < m.k; k++ {
 				var d uint64
 				for j := 0; j < m.dims; j++ {
@@ -94,16 +106,7 @@ func (m *kmeans) Thread(s *asfstack.Stack, c *sim.CPU, tid, threads int) {
 					bestD, best = d, k
 				}
 			}
-			// The one transaction: fold the point into its cluster.
-			p := p
-			s.Atomic(c, func(tx tm.Tx) {
-				tx.Store(m.accAddr(best, 0), tx.Load(m.accAddr(best, 0))+1)
-				for j := 0; j < m.dims; j++ {
-					a := m.accAddr(best, 1+j)
-					pv := tx.CPU().Load(m.points.addr(p*m.dims + j))
-					tx.Store(a, tx.Load(a)+pv)
-				}
-			})
+			s.Atomic(c, fold)
 		}
 		m.bar.Wait(c)
 		if tid == 0 {

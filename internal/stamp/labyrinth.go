@@ -94,32 +94,49 @@ func (l *labyrinth) neighbors(cell int, buf []int) []int {
 	return buf
 }
 
+// routeScratch is one thread's private Lee-expansion state: the distance
+// map and the two wavefront buffers of the breadth-first search. route
+// resets it on every attempt, so one scratch serves all of a thread's
+// routes and their retries.
+type routeScratch struct {
+	dist           []int32
+	frontier, next []int
+}
+
 func (l *labyrinth) Thread(s *asfstack.Stack, c *sim.CPU, tid, threads int) {
-	dist := make([]int32, l.cells())
+	sc := &routeScratch{dist: make([]int32, l.cells())}
+	// Atomic bodies, built once over the slots the loop fills (see
+	// App.Thread).
+	var (
+		route  mem.Word
+		ok     bool
+		routed bool
+		status mem.Word
+	)
+	pop := func(tx tm.Tx) { route, ok = l.workQ.Pop(tx) }
+	expand := func(tx tm.Tx) { routed = l.route(tx, int(route), sc) }
+	finish := func(tx tm.Tx) { tx.Store(l.done.addr(int(route)), status) }
 	for {
-		var route mem.Word
-		ok := false
-		s.Atomic(c, func(tx tm.Tx) { route, ok = l.workQ.Pop(tx) })
+		route, ok = 0, false
+		s.Atomic(c, pop)
 		if !ok {
 			return
 		}
-		r := int(route)
-		routed := false
-		s.Atomic(c, func(tx tm.Tx) {
-			routed = l.route(tx, r, dist)
-		})
-		status := mem.Word(2)
+		routed = false
+		s.Atomic(c, expand)
+		status = 2
 		if routed {
 			status = 1
 		}
-		s.Atomic(c, func(tx tm.Tx) { tx.Store(l.done.addr(r), status) })
+		s.Atomic(c, finish)
 	}
 }
 
 // route performs the transactional Lee expansion and path claim for route
-// r. dist is thread-private scratch.
-func (l *labyrinth) route(tx tm.Tx, r int, dist []int32) bool {
+// r, in the thread-private scratch sc.
+func (l *labyrinth) route(tx tm.Tx, r int, sc *routeScratch) bool {
 	c := tx.CPU()
+	dist := sc.dist
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -131,12 +148,12 @@ func (l *labyrinth) route(tx tm.Tx, r int, dist []int32) bool {
 		return false
 	}
 
-	frontier := []int{src}
+	frontier, next := append(sc.frontier[:0], src), sc.next
 	dist[src] = 0
 	var nbuf [6]int
 	found := false
 	for len(frontier) > 0 && !found {
-		var next []int
+		next = next[:0]
 		for _, cell := range frontier {
 			for _, nb := range l.neighbors(cell, nbuf[:0]) {
 				c.Exec(5)
@@ -161,8 +178,10 @@ func (l *labyrinth) route(tx tm.Tx, r int, dist []int32) bool {
 				break
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
+	// Keep whatever the buffers grew to for the next route.
+	sc.frontier, sc.next = frontier, next
 	if !found {
 		return false
 	}

@@ -51,21 +51,28 @@ func (g *ssca2) Setup(s *asfstack.Stack, tx tm.Tx, threads int) {
 func (g *ssca2) degreeAddr(u int) mem.Addr { return g.degree.addr(u * mem.WordsPerLine) }
 
 func (g *ssca2) Thread(s *asfstack.Stack, c *sim.CPU, tid, threads int) {
+	// The one transaction, built once over the slots the loop fills (see
+	// App.Thread): append edge u->v.
+	var (
+		u, v    int
+		dropped bool // set by the last (committed) execution of the body
+	)
+	add := func(tx tm.Tx) {
+		d := tx.Load(g.degreeAddr(u))
+		if int(d) >= g.capacity {
+			dropped = true
+			return
+		}
+		dropped = false
+		tx.Store(g.adj.addr(u*g.capacity+int(d)), mem.Word(v))
+		tx.Store(g.degreeAddr(u), d+1)
+	}
 	lo, hi := span(g.edges, tid, threads)
 	for i := lo; i < hi; i++ {
 		e := uint64(c.Load(g.edgeArr.addr(i))) // read-only input: plain
-		u, v := int(e>>32), int(e&0xFFFFFFFF)
-		dropped := false // set by the last (committed) execution of the body
-		s.Atomic(c, func(tx tm.Tx) {
-			d := tx.Load(g.degreeAddr(u))
-			if int(d) >= g.capacity {
-				dropped = true
-				return
-			}
-			dropped = false
-			tx.Store(g.adj.addr(u*g.capacity+int(d)), mem.Word(v))
-			tx.Store(g.degreeAddr(u), d+1)
-		})
+		u, v = int(e>>32), int(e&0xFFFFFFFF)
+		dropped = false
+		s.Atomic(c, add)
 		if dropped {
 			g.overflow[tid]++
 		}

@@ -32,7 +32,13 @@ type App interface {
 	// Setup builds the initial data set (direct, uninstrumented).
 	// threads is the measured phase's worker count (for barriers).
 	Setup(s *asfstack.Stack, tx tm.Tx, threads int)
-	// Thread runs one worker's share of the measured phase.
+	// Thread runs one worker's share of the measured phase. It builds
+	// each of its atomic bodies once, before its loops, over slot
+	// variables the loops fill before each s.Atomic call. Every runtime
+	// returns from Atomic only after the body's final execution and
+	// re-runs the same func value on retry, so each execution reads the
+	// slots of its own operation, and the loops allocate nothing per
+	// transaction.
 	Thread(s *asfstack.Stack, c *sim.CPU, tid, threads int)
 	// Validate checks application-level invariants after the run.
 	Validate(tx tm.Tx) error

@@ -97,131 +97,140 @@ func (v *vacation) Setup(s *asfstack.Stack, tx tm.Tx, threads int) {
 	}
 }
 
+// vacationTask is one client action's pre-drawn choices, drawn on the host
+// before the action's atomic block so that retries see the same task. Each
+// thread fills its one task in place: queries[t][:nq] are the ids queried
+// in table t, ups[:nup] the item updates.
+type vacationTask struct {
+	cust    uint64
+	nq      int
+	queries [3][4]uint64
+	nup     int
+	ups     [3]vacationUpdate
+}
+
+type vacationUpdate struct {
+	table int
+	id    uint64
+	price uint64
+	grow  bool
+}
+
 func (v *vacation) Thread(s *asfstack.Stack, c *sim.CPU, tid, threads int) {
+	// Atomic bodies, built once over the task the loop fills (see
+	// App.Thread).
+	var t vacationTask
+	reserve := func(tx tm.Tx) { v.makeReservation(tx, &t) }
+	remove := func(tx tm.Tx) { v.deleteCustomer(tx, &t) }
+	update := func(tx tm.Tx) { v.updateTables(tx, &t) }
 	rng := c.Rand()
 	lo, hi := span(v.tasks, tid, threads)
 	for i := lo; i < hi; i++ {
 		action := rng.Intn(100)
 		switch {
 		case action < v.reservePct:
-			v.makeReservation(s, c)
+			// 2..4 random items per table for a random customer.
+			t.cust = uint64(rng.Intn(v.customers))
+			t.nq = 2 + rng.Intn(3)
+			for tb := range t.queries {
+				for q := 0; q < t.nq; q++ {
+					t.queries[tb][q] = uint64(rng.Int63n(int64(v.queryRange)))
+				}
+			}
+			s.Atomic(c, reserve)
 		case action < v.reservePct+(100-v.reservePct)/2:
-			v.deleteCustomer(s, c)
+			t.cust = uint64(rng.Intn(v.customers))
+			s.Atomic(c, remove)
 		default:
-			v.updateTables(s, c)
+			// New prices (and occasionally capacity) for 1..3 random
+			// items.
+			t.nup = 1 + rng.Intn(3)
+			for u := range t.ups[:t.nup] {
+				t.ups[u] = vacationUpdate{
+					table: rng.Intn(3),
+					id:    uint64(rng.Int63n(int64(v.queryRange))),
+					price: uint64(100 + rng.Intn(400)),
+					grow:  rng.Intn(8) == 0,
+				}
+			}
+			s.Atomic(c, update)
 		}
 	}
 }
 
-// makeReservation queries 2..4 random items per table and reserves the
-// cheapest available one of each queried table for a random customer —
-// one atomic block, as in STAMP.
-func (v *vacation) makeReservation(s *asfstack.Stack, c *sim.CPU) {
-	rng := c.Rand()
-	cust := uint64(rng.Intn(v.customers))
-	nq := 2 + rng.Intn(3)
-	// Pre-draw the query ids so retries see the same task.
-	var queries [3][]uint64
-	for t := 0; t < 3; t++ {
-		for q := 0; q < nq; q++ {
-			queries[t] = append(queries[t], uint64(rng.Int63n(int64(v.queryRange))))
-		}
+// makeReservation reserves the cheapest available queried item of each
+// table for the task's customer: the body of one atomic block, as in STAMP.
+func (v *vacation) makeReservation(tx tm.Tx, task *vacationTask) {
+	crec, ok := v.custTree.Get(tx, task.cust)
+	if !ok {
+		return
 	}
-	s.Atomic(c, func(tx tm.Tx) {
-		crec, ok := v.custTree.Get(tx, cust)
-		if !ok {
-			return
-		}
-		for t, tbl := range v.tables() {
-			bestID, bestRec, bestPrice := uint64(0), mem.Word(0), ^uint64(0)
-			for _, id := range queries[t] {
-				rec, ok := tbl.Get(tx, id)
-				if !ok {
-					continue
-				}
-				r := mem.Addr(rec)
-				if tx.Load(r+itAvail*8) == 0 {
-					continue
-				}
-				price := uint64(tx.Load(r + itPrice*8))
-				if price < bestPrice {
-					bestID, bestRec, bestPrice = id, rec, price
-				}
-			}
-			if bestRec == 0 {
-				continue
-			}
-			r := mem.Addr(bestRec)
-			tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)-1)
-			// Prepend a reservation node to the customer's list.
-			node := tx.Alloc(24)
-			tx.Store(node+8, mem.Word(t))
-			tx.Store(node+16, mem.Word(bestID))
-			tx.Store(node, tx.Load(mem.Addr(crec)))
-			tx.Store(mem.Addr(crec), mem.Word(node))
-		}
-	})
-}
-
-// deleteCustomer releases all of one customer's reservations.
-func (v *vacation) deleteCustomer(s *asfstack.Stack, c *sim.CPU) {
-	cust := uint64(c.Rand().Intn(v.customers))
-	s.Atomic(c, func(tx tm.Tx) {
-		crec, ok := v.custTree.Get(tx, cust)
-		if !ok {
-			return
-		}
-		head := mem.Addr(crec)
-		cur := mem.Addr(tx.Load(head))
-		for cur != 0 {
-			t := int(tx.Load(cur + 8))
-			id := uint64(tx.Load(cur + 16))
-			if rec, ok := v.tables()[t].Get(tx, id); ok {
-				r := mem.Addr(rec)
-				tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)+1)
-			}
-			next := mem.Addr(tx.Load(cur))
-			tx.Free(cur)
-			cur = next
-		}
-		tx.Store(head, 0)
-	})
-}
-
-// updateTables changes prices (and occasionally adds capacity) on 1..3
-// random items.
-func (v *vacation) updateTables(s *asfstack.Stack, c *sim.CPU) {
-	rng := c.Rand()
-	n := 1 + rng.Intn(3)
-	type upd struct {
-		table int
-		id    uint64
-		price uint64
-		grow  bool
-	}
-	var ups []upd
-	for i := 0; i < n; i++ {
-		ups = append(ups, upd{
-			table: rng.Intn(3),
-			id:    uint64(rng.Int63n(int64(v.queryRange))),
-			price: uint64(100 + rng.Intn(400)),
-			grow:  rng.Intn(8) == 0,
-		})
-	}
-	s.Atomic(c, func(tx tm.Tx) {
-		for _, u := range ups {
-			rec, ok := v.tables()[u.table].Get(tx, u.id)
+	for t, tbl := range v.tables() {
+		bestID, bestRec, bestPrice := uint64(0), mem.Word(0), ^uint64(0)
+		for _, id := range task.queries[t][:task.nq] {
+			rec, ok := tbl.Get(tx, id)
 			if !ok {
 				continue
 			}
 			r := mem.Addr(rec)
-			tx.Store(r+itPrice*8, mem.Word(u.price))
-			if u.grow {
-				tx.Store(r+itTotal*8, tx.Load(r+itTotal*8)+1)
-				tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)+1)
+			if tx.Load(r+itAvail*8) == 0 {
+				continue
+			}
+			price := uint64(tx.Load(r + itPrice*8))
+			if price < bestPrice {
+				bestID, bestRec, bestPrice = id, rec, price
 			}
 		}
-	})
+		if bestRec == 0 {
+			continue
+		}
+		r := mem.Addr(bestRec)
+		tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)-1)
+		// Prepend a reservation node to the customer's list.
+		node := tx.Alloc(24)
+		tx.Store(node+8, mem.Word(t))
+		tx.Store(node+16, mem.Word(bestID))
+		tx.Store(node, tx.Load(mem.Addr(crec)))
+		tx.Store(mem.Addr(crec), mem.Word(node))
+	}
+}
+
+// deleteCustomer releases all of the task's customer's reservations.
+func (v *vacation) deleteCustomer(tx tm.Tx, task *vacationTask) {
+	crec, ok := v.custTree.Get(tx, task.cust)
+	if !ok {
+		return
+	}
+	head := mem.Addr(crec)
+	cur := mem.Addr(tx.Load(head))
+	for cur != 0 {
+		t := int(tx.Load(cur + 8))
+		id := uint64(tx.Load(cur + 16))
+		if rec, ok := v.tables()[t].Get(tx, id); ok {
+			r := mem.Addr(rec)
+			tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)+1)
+		}
+		next := mem.Addr(tx.Load(cur))
+		tx.Free(cur)
+		cur = next
+	}
+	tx.Store(head, 0)
+}
+
+// updateTables applies the task's price and capacity updates.
+func (v *vacation) updateTables(tx tm.Tx, task *vacationTask) {
+	for _, u := range task.ups[:task.nup] {
+		rec, ok := v.tables()[u.table].Get(tx, u.id)
+		if !ok {
+			continue
+		}
+		r := mem.Addr(rec)
+		tx.Store(r+itPrice*8, mem.Word(u.price))
+		if u.grow {
+			tx.Store(r+itTotal*8, tx.Load(r+itTotal*8)+1)
+			tx.Store(r+itAvail*8, tx.Load(r+itAvail*8)+1)
+		}
+	}
 }
 
 // Validate checks conservation: for every item, avail plus outstanding

@@ -17,13 +17,13 @@ type HashMap struct {
 // NewHashMap builds a map with 2^bits buckets.
 func NewHashMap(tx tm.Tx, bits uint) *HashMap {
 	n := uint64(1) << bits
-	b := tx.AllocLines(int(n * bucketBytes / mem.LineSize))
+	b := tx.AllocLines(int(n * BucketBytes / mem.LineSize))
 	return &HashMap{buckets: b, mask: n - 1}
 }
 
 func (h *HashMap) bucket(k uint64) mem.Addr {
 	idx := (k * 0x9E3779B97F4A7C15) >> 1 & h.mask
-	return h.buckets + mem.Addr(idx*bucketBytes)
+	return h.buckets + mem.Addr(idx*BucketBytes)
 }
 
 // Get returns the value at k.

@@ -18,19 +18,20 @@ type HashSet struct {
 	mask    uint64
 }
 
-const bucketBytes = 16
+// BucketBytes is the size of one bucket of a HashSet or HashMap table.
+const BucketBytes = 16
 
 // NewHashSet builds a table with 2^bits buckets.
 func NewHashSet(tx tm.Tx, bits uint) *HashSet {
 	n := uint64(1) << bits
-	b := tx.AllocLines(int(n * bucketBytes / mem.LineSize))
+	b := tx.AllocLines(int(n * BucketBytes / mem.LineSize))
 	return &HashSet{buckets: b, mask: n - 1}
 }
 
 // hash mixes k (Fibonacci hashing).
 func (h *HashSet) bucket(k uint64) mem.Addr {
 	idx := (k * 0x9E3779B97F4A7C15) >> 1 & h.mask
-	return h.buckets + mem.Addr(idx*bucketBytes)
+	return h.buckets + mem.Addr(idx*BucketBytes)
 }
 
 // Contains reports whether k is in the set.
@@ -93,7 +94,7 @@ func (h *HashSet) Remove(tx tm.Tx, k uint64) bool {
 func (h *HashSet) Size(tx tm.Tx) int {
 	n := 0
 	for i := uint64(0); i <= h.mask; i++ {
-		cur := mem.Addr(tx.Load(h.buckets + mem.Addr(i*bucketBytes)))
+		cur := mem.Addr(tx.Load(h.buckets + mem.Addr(i*BucketBytes)))
 		for cur != 0 {
 			n++
 			cur = mem.Addr(tx.Load(field(cur, 0)))

@@ -9,14 +9,17 @@
 // thread bodies that run atomic blocks:
 //
 //	s := asfstack.New(asfstack.Options{Cores: 4, Runtime: "LLB-256"})
-//	ctr := s.AllocLines(1)
+//	ctr := s.AllocShared(8)
 //	s.Parallel(4, func(c *sim.CPU) {
+//	    inc := func(tx tm.Tx) { tx.Store(ctr, tx.Load(ctr)+1) }
 //	    for i := 0; i < 1000; i++ {
-//	        s.RT.Atomic(c, func(tx tm.Tx) {
-//	            tx.Store(ctr, tx.Load(ctr)+1)
-//	        })
+//	        s.Atomic(c, inc)
 //	    }
 //	})
+//
+// Each core builds its atomic bodies once, before its loop: a body passed to
+// Atomic escapes to the heap, so a func literal inside the loop would cost
+// one allocation per block.
 package asfstack
 
 import (
