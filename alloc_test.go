@@ -1,8 +1,9 @@
 package asfstack_test
 
-// Allocation guards for the measured phase: an atomic block allocates
-// nothing on any runtime, and a workload's allocations do not grow with its
-// operation count. CI runs them in the benchmark-smoke job's hot-path
+// Allocation guards: an atomic block allocates nothing on any runtime, a
+// workload's allocations do not grow with its operation count, and building
+// a machine allocates in proportion to its footprint, not to the metadata
+// its runtime prefaults. CI runs them in the benchmark-smoke job's hot-path
 // allocation guard step.
 
 import (
@@ -17,13 +18,14 @@ import (
 	"asfstack/internal/tm"
 )
 
-// mallocs returns how many heap objects the process allocated while run ran.
-func mallocs(run func()) uint64 {
+// allocated returns how many heap objects and bytes the process allocated
+// while run ran.
+func allocated(run func()) (objects, bytes uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
 // TestSteadyStateAtomicAllocsNothing: once a core's body is built and the
@@ -46,7 +48,7 @@ func TestSteadyStateAtomicAllocsNothing(t *testing.T) {
 				for i := 0; i < 2_000; i++ {
 					s.Atomic(c, body)
 				}
-				allocs = mallocs(func() {
+				allocs, _ = allocated(func() {
 					for i := 0; i < 10_000; i++ {
 						s.Atomic(c, body)
 					}
@@ -65,8 +67,8 @@ func TestSteadyStateAtomicAllocsNothing(t *testing.T) {
 func flatInOps(t *testing.T, small, large int, run func(ops int)) {
 	t.Helper()
 	run(small)
-	a := mallocs(func() { run(small) })
-	b := mallocs(func() { run(large) })
+	a, _ := allocated(func() { run(small) })
+	b, _ := allocated(func() { run(large) })
 	t.Logf("%d ops per core: %d objects; %d: %d", small, a, large, b)
 	if d := int64(b) - int64(a); d >= 64 {
 		t.Errorf("%+d objects from %d to %d operations per core, want < 64", d, small, large)
@@ -104,5 +106,31 @@ func TestServerAllocsFlatInOps(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestBuildBytesFollowFootprint: a runtime's prefaulted metadata (the STM
+// lock array, the per-core logs of STM, HyTM and Cohorts) costs the host
+// page headers, not page words, until it is written. So on the 64-core
+// 4x16 machine every runtime's Build allocates at most 4 MiB more than
+// Sequential's, which prefaults nothing.
+func TestBuildBytesFollowFootprint(t *testing.T) {
+	build := func(rt string) uint64 {
+		_, bytes := allocated(func() {
+			if _, err := asfstack.Build(asfstack.Options{Runtime: rt, Topology: "4x16"}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return bytes
+	}
+	const slack = 4 << 20
+	base := build("Sequential")
+	for _, rt := range asfstack.RuntimeNames {
+		b := build(rt)
+		t.Logf("%-14s %6.2f MiB (Sequential %.2f)", rt, float64(b)/(1<<20), float64(base)/(1<<20))
+		if b > base+slack {
+			t.Errorf("%s: Build allocated %.2f MiB, more than Sequential's %.2f MiB + 4 MiB",
+				rt, float64(b)/(1<<20), float64(base)/(1<<20))
+		}
 	}
 }

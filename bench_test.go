@@ -107,7 +107,10 @@ func BenchmarkTable1(b *testing.B) {
 // iteration allocates more objects or more bytes than the bound. It reads
 // the counters -benchmem reports (MemStats.Mallocs and TotalAlloc) around
 // the loop. The counts are not deterministic: they move by up to about 20
-// objects with process history. A bound may be lowered, never raised.
+// objects and tens of KB with process history. Each bound is the highest
+// of 20 fresh-process readings plus a margin no smaller than the readings'
+// own range, and at least about 20 objects and 4 KB. A bound may be
+// lowered, never raised.
 func allocBound(b *testing.B, maxAllocs, maxBytes uint64, body func()) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -126,7 +129,7 @@ func allocBound(b *testing.B, maxAllocs, maxBytes uint64, body func()) {
 // (3 STAMP apps × 5 runtimes × 2 thread counts + 2 IntegerSet cells × 5
 // runtimes). An allocation gate.
 func BenchmarkAdaptive(b *testing.B) {
-	allocBound(b, 56_252, 260_490_144, func() {
+	allocBound(b, 28_929, 94_312_344, func() {
 		if _, err := harness.Adaptive(harness.Options{Scale: benchScale}); err != nil {
 			b.Fatal(err)
 		}
@@ -141,7 +144,7 @@ func BenchmarkFig5Cell(b *testing.B) {
 		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 8, Seed: 1},
 		Structure: "linkedlist", Range: 512, UpdatePct: 20, OpsPerThread: 1500}
 	var thr float64
-	allocBound(b, 675, 3_283_328, func() {
+	allocBound(b, 675, 2_385_424, func() {
 		r, err := intset.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -160,7 +163,7 @@ func BenchmarkServerCell(b *testing.B) {
 		Options: asfstack.Options{Runtime: "LLB-256", Topology: "2x8", Seed: 1, SeedSet: true},
 		Load:    1.4, Scale: 0.25}
 	var r server.Result
-	allocBound(b, 1_211, 6_230_072, func() {
+	allocBound(b, 1_211, 4_439_800, func() {
 		var err error
 		r, err = server.Run(cfg)
 		if err != nil {

@@ -2,15 +2,38 @@ package cache
 
 import "asfstack/internal/mem"
 
-// entry is one cache line's bookkeeping. Data values live in mem.Memory;
-// the entry only tracks residency, dirtiness, recency, and the ASF
-// speculative-read mark used by the hybrid implementation variants.
+// entry is one cache line's bookkeeping, packed into 16 bytes. Data values
+// live in mem.Memory; the entry only tracks residency, dirtiness, recency,
+// and the ASF speculative-read mark used by the hybrid implementation
+// variants. tag is the line address with those three flags in its low
+// bits, which line alignment leaves free; an invalid entry has a zero tag.
 type entry struct {
-	line     mem.Addr
-	valid    bool
-	dirty    bool
-	specRead bool
-	lastUse  uint64
+	tag     mem.Addr
+	lastUse uint64
+}
+
+const (
+	entValid mem.Addr = 1 << iota
+	entDirty
+	entSpecRead
+
+	entFlags = mem.LineSize - 1
+)
+
+func (e *entry) valid() bool    { return e.tag&entValid != 0 }
+func (e *entry) dirty() bool    { return e.tag&entDirty != 0 }
+func (e *entry) specRead() bool { return e.tag&entSpecRead != 0 }
+func (e *entry) line() mem.Addr { return e.tag &^ entFlags }
+
+func (e *entry) setDirty(on bool)    { e.setFlag(entDirty, on) }
+func (e *entry) setSpecRead(on bool) { e.setFlag(entSpecRead, on) }
+
+func (e *entry) setFlag(f mem.Addr, on bool) {
+	if on {
+		e.tag |= f
+	} else {
+		e.tag &^= f
+	}
 }
 
 // array is a set-associative cache array with LRU replacement. The ways of
@@ -45,8 +68,9 @@ func (a *array) setFor(line mem.Addr) []entry {
 // lookup returns the entry for line, or nil.
 func (a *array) lookup(line mem.Addr) *entry {
 	set := a.setFor(line)
+	want := line | entValid
 	for i := range set {
-		if set[i].valid && set[i].line == line {
+		if set[i].tag&^(entDirty|entSpecRead) == want {
 			return &set[i]
 		}
 	}
@@ -60,7 +84,7 @@ func (a *array) insert(line mem.Addr, now uint64) (victim entry, evicted bool) {
 	var slot *entry
 	for i := range set {
 		e := &set[i]
-		if !e.valid {
+		if !e.valid() {
 			slot = e
 			break
 		}
@@ -68,12 +92,12 @@ func (a *array) insert(line mem.Addr, now uint64) (victim entry, evicted bool) {
 			slot = e
 		}
 	}
-	if slot.valid {
+	if slot.valid() {
 		victim, evicted = *slot, true
 	} else {
 		a.nValid++
 	}
-	*slot = entry{line: line, valid: true, lastUse: now}
+	*slot = entry{tag: line | entValid, lastUse: now}
 	return victim, evicted
 }
 
@@ -91,7 +115,7 @@ func (a *array) remove(line mem.Addr) {
 // run to run.
 func (a *array) forEach(fn func(*entry)) {
 	for i := range a.ents {
-		if a.ents[i].valid {
+		if a.ents[i].valid() {
 			fn(&a.ents[i])
 		}
 	}
@@ -109,11 +133,16 @@ type tlbArray struct {
 	last    *tlbEntry
 }
 
+// tlbEntry packs into 16 bytes: key is the page address with bit 0 set
+// (page alignment leaves it free), or zero for an invalid entry.
 type tlbEntry struct {
-	page    mem.Addr
-	valid   bool
+	key     mem.Addr
 	lastUse uint64
 }
+
+const tlbValid mem.Addr = 1
+
+func (e *tlbEntry) valid() bool { return e.key != 0 }
 
 func newTLB(entries, assoc int) *tlbArray {
 	nSets := entries / assoc
@@ -139,13 +168,14 @@ func (t *tlbArray) setFor(page mem.Addr) []tlbEntry {
 }
 
 func (t *tlbArray) lookup(page mem.Addr, now uint64) bool {
-	if e := t.last; e != nil && e.valid && e.page == page {
+	key := page | tlbValid
+	if e := t.last; e != nil && e.key == key {
 		e.lastUse = now
 		return true
 	}
 	set := t.setFor(page)
 	for i := range set {
-		if set[i].valid && set[i].page == page {
+		if set[i].key == key {
 			set[i].lastUse = now
 			t.last = &set[i]
 			return true
@@ -159,7 +189,7 @@ func (t *tlbArray) insert(page mem.Addr, now uint64) {
 	var slot *tlbEntry
 	for i := range set {
 		e := &set[i]
-		if !e.valid {
+		if !e.valid() {
 			slot = e
 			break
 		}
@@ -167,7 +197,7 @@ func (t *tlbArray) insert(page mem.Addr, now uint64) {
 			slot = e
 		}
 	}
-	*slot = tlbEntry{page: page, valid: true, lastUse: now}
+	*slot = tlbEntry{key: page | tlbValid, lastUse: now}
 	t.last = slot
 }
 

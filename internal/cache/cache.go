@@ -291,7 +291,7 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 		h.stats[c].L1Hits++
 		if write {
 			res.Cycles += h.upgrade(c, line, h.state(line))
-			e.dirty = true
+			e.setDirty(true)
 		}
 		return res
 	}
@@ -411,10 +411,10 @@ func (h *Hierarchy) downgrade(o int, line mem.Addr, forWrite bool) {
 		h.invalidate(o, line)
 	} else {
 		if e := h.cores[o].l1.lookup(line); e != nil {
-			e.dirty = false
+			e.setDirty(false)
 		}
 		if e := h.cores[o].l2.lookup(line); e != nil {
-			e.dirty = false
+			e.setDirty(false)
 		}
 	}
 }
@@ -426,7 +426,7 @@ func (h *Hierarchy) downgrade(o int, line mem.Addr, forWrite bool) {
 func (h *Hierarchy) invalidate(o int, line mem.Addr) {
 	spec := false
 	if e := h.cores[o].l1.lookup(line); e != nil {
-		spec = spec || e.specRead
+		spec = spec || e.specRead()
 		h.cores[o].l1.remove(line)
 	}
 	h.cores[o].l2.remove(line)
@@ -446,34 +446,35 @@ func (h *Hierarchy) fillPrivate(c int, line mem.Addr, dirty bool) {
 	cc := h.cores[c]
 	if v, ok := cc.l1.insert(line, h.tick); ok {
 		// L1 victim drops to L2.
-		if v.dirty {
-			if e2 := cc.l2.lookup(v.line); e2 != nil {
-				e2.dirty = true
+		vl := v.line()
+		if v.dirty() {
+			if e2 := cc.l2.lookup(vl); e2 != nil {
+				e2.setDirty(true)
 			}
 		}
-		if cc.l2.lookup(v.line) == nil {
-			if v2, ok2 := cc.l2.insert(v.line, h.tick); ok2 {
+		if cc.l2.lookup(vl) == nil {
+			if v2, ok2 := cc.l2.insert(vl, h.tick); ok2 {
 				h.dropFromPrivate(c, v2)
 			}
 			// Move entry metadata: the victim left L1 but stays private.
-			if e2 := cc.l2.lookup(v.line); e2 != nil {
-				e2.dirty = v.dirty
-				e2.specRead = v.specRead
-				v.specRead = false
+			if e2 := cc.l2.lookup(vl); e2 != nil {
+				e2.setDirty(v.dirty())
+				e2.setSpecRead(v.specRead())
+				v.setSpecRead(false)
 			}
 		}
-		if v.specRead {
+		if v.specRead() {
 			// The mark could not be preserved (line already in L2):
 			// treat as lost, like PTLsim-ASF's displacement behaviour.
 			h.stats[c].Evictions++
 			if h.onEvict != nil {
-				h.onEvict(c, v.line, true)
+				h.onEvict(c, vl, true)
 			}
-			h.state(v.line).holders &^= 1 << uint(c)
+			h.state(vl).holders &^= 1 << uint(c)
 		}
 	}
 	if e := cc.l1.lookup(line); e != nil && dirty {
-		e.dirty = true
+		e.setDirty(true)
 	}
 	if cc.l2.lookup(line) == nil {
 		if v2, ok2 := cc.l2.insert(line, h.tick); ok2 {
@@ -485,19 +486,20 @@ func (h *Hierarchy) fillPrivate(c int, line mem.Addr, dirty bool) {
 // dropFromPrivate handles a line leaving the private hierarchy entirely
 // (L2 victim): write back to its home L3 slice and report the eviction.
 func (h *Hierarchy) dropFromPrivate(c int, v entry) {
-	if h.cores[c].l1.lookup(v.line) != nil {
+	vl := v.line()
+	if h.cores[c].l1.lookup(vl) != nil {
 		// Still in L1 (non-inclusive); the private copy survives.
 		return
 	}
-	h.fill(h.homeSlice(v.line), v.line)
-	ls := h.state(v.line)
+	h.fill(h.homeSlice(vl), vl)
+	ls := h.state(vl)
 	ls.holders &^= 1 << uint(c)
 	if int(ls.owner) == c {
 		ls.owner = -1
 	}
 	h.stats[c].Evictions++
 	if h.onEvict != nil {
-		h.onEvict(c, v.line, v.specRead)
+		h.onEvict(c, vl, v.specRead())
 	}
 }
 
@@ -513,7 +515,7 @@ func (h *Hierarchy) fill(a *array, line mem.Addr) {
 // evicted it immediately — treated by ASF as a capacity condition).
 func (h *Hierarchy) SetSpecRead(c int, line mem.Addr, on bool) bool {
 	if e := h.cores[c].l1.lookup(line.Line()); e != nil {
-		e.specRead = on
+		e.setSpecRead(on)
 		return true
 	}
 	return false
@@ -522,7 +524,7 @@ func (h *Hierarchy) SetSpecRead(c int, line mem.Addr, on bool) bool {
 // FlashClearSpecRead clears every speculative-read bit in core c's L1, the
 // single-cycle flash-clear a commit or abort performs.
 func (h *Hierarchy) FlashClearSpecRead(c int) {
-	h.cores[c].l1.forEach(func(e *entry) { e.specRead = false })
+	h.cores[c].l1.forEach(func(e *entry) { e.setSpecRead(false) })
 }
 
 // L1Resident reports whether line is in core c's L1.
@@ -568,8 +570,8 @@ func (h *Hierarchy) FlushPrivate(c int) {
 	cc := h.cores[c]
 	l1, l2 := h.Occupancy(c)
 	lines := make([]mem.Addr, 0, l1+l2)
-	cc.l1.forEach(func(e *entry) { lines = append(lines, e.line) })
-	cc.l2.forEach(func(e *entry) { lines = append(lines, e.line) })
+	cc.l1.forEach(func(e *entry) { lines = append(lines, e.line()) })
+	cc.l2.forEach(func(e *entry) { lines = append(lines, e.line()) })
 	for _, line := range lines {
 		h.fill(h.homeSlice(line), line)
 		cc.l1.remove(line)

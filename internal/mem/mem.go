@@ -10,6 +10,11 @@
 // All workload data structures live in this address space, not in Go objects,
 // so that address layout (padding, colocation, associativity conflicts) has
 // the same first-order effects it has on real hardware.
+//
+// A page's words are allocated on its first write; until then it reads as
+// zeros. Presence (the simulated OS's view) and backing (the host's) are
+// separate, so prefaulting a large metadata region costs the host a 16-byte
+// header per page, and the host heap follows what a run actually writes.
 package mem
 
 import "fmt"
@@ -49,8 +54,13 @@ func (a Addr) LineIndex() int { return int(a>>WordShift) & (WordsPerLine - 1) }
 
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 
+// page is one page's header. words is allocated on the page's first write
+// (4 KiB, one object in Go's 4,096-byte size class); a nil words reads as
+// zeros. Presence is independent of backing: a page may be present and
+// unbacked (prefaulted, never written) or backed and not yet present
+// (written before the simulated OS installed it).
 type page struct {
-	words   [WordsPerPage]Word
+	words   *[WordsPerPage]Word
 	present bool // installed by the (simulated) OS on first fault
 }
 
@@ -58,12 +68,16 @@ type page struct {
 // use; the simulation engine serialises all accesses.
 type Memory struct {
 	pages map[Addr]*page
+	// free is the unused tail of the chunk pageFor carves new headers
+	// from. A chunk is never moved or freed, so header pointers stay
+	// stable.
+	free []page
 
 	// cache is a small direct-mapped page cache that skips the map lookup:
 	// accesses are heavily page-local per core, but cores interleave, so a
 	// single entry thrashes. Slots are indexed by a multiplicative hash of
-	// the page number. Pages are never removed, so cached pointers cannot
-	// dangle.
+	// the page number. Headers are never removed or moved, so cached
+	// pointers cannot dangle.
 	cache [pageCacheSlots]pageCacheEnt
 
 	// faultedPages counts demand-paging faults taken so far.
@@ -71,6 +85,9 @@ type Memory struct {
 }
 
 const pageCacheSlots = 256 // power of two
+
+// pageChunk is how many page headers pageFor allocates at a time.
+const pageChunk = 256
 
 type pageCacheEnt struct {
 	pa Addr
@@ -90,19 +107,46 @@ func New() *Memory {
 	return &Memory{pages: make(map[Addr]*page)}
 }
 
-func (m *Memory) pageFor(a Addr) *page {
+// cached returns the header of a's page if the page cache holds it, or nil.
+// It is small enough to inline, so the hit paths of Load and Store make no
+// call.
+func (m *Memory) cached(a Addr) *page {
 	pa := a.Page()
 	e := &m.cache[cacheIdx(pa)]
 	if e.p != nil && e.pa == pa {
 		return e.p
 	}
+	return nil
+}
+
+// pageFor returns the header of a's page, carving it from the current
+// chunk on first use.
+func (m *Memory) pageFor(a Addr) *page {
+	if p := m.cached(a); p != nil {
+		return p
+	}
+	pa := a.Page()
 	p, ok := m.pages[pa]
 	if !ok {
-		p = &page{}
+		if len(m.free) == 0 {
+			m.free = make([]page, pageChunk)
+		}
+		p, m.free = &m.free[0], m.free[1:]
 		m.pages[pa] = p
 	}
+	e := &m.cache[cacheIdx(pa)]
 	e.pa, e.p = pa, p
 	return p
+}
+
+// wordsFor returns the words of a's page, allocating them on the page's
+// first write.
+func (m *Memory) wordsFor(a Addr) *[WordsPerPage]Word {
+	p := m.pageFor(a)
+	if p.words == nil {
+		p.words = new([WordsPerPage]Word)
+	}
+	return p.words
 }
 
 // Present reports whether the page containing a has been installed. Unlike
@@ -137,6 +181,8 @@ func (m *Memory) EnsurePresent(a Addr) (faulted bool) {
 
 // Prefault installs every page in [a, a+size) without counting faults.
 // Used to model memory that was touched during (unsimulated) initialisation.
+// It allocates page headers only; each page's words come with its first
+// write.
 func (m *Memory) Prefault(a Addr, size uint64) {
 	for pa := a.Page(); pa < a+Addr(size); pa += PageSize {
 		m.pageFor(pa).present = true
@@ -149,29 +195,44 @@ func (m *Memory) FaultCount() uint64 { return m.faultedPages }
 // Load reads the word at a. a must be word-aligned.
 func (m *Memory) Load(a Addr) Word {
 	mustAligned(a)
-	return m.pageFor(a).words[wordIndex(a)]
+	p := m.cached(a)
+	if p == nil {
+		p = m.pageFor(a)
+	}
+	if p.words == nil {
+		return 0
+	}
+	return p.words[wordIndex(a)]
 }
 
 // Store writes the word at a. a must be word-aligned.
 func (m *Memory) Store(a Addr, v Word) {
 	mustAligned(a)
-	m.pageFor(a).words[wordIndex(a)] = v
+	if p := m.cached(a); p != nil && p.words != nil {
+		p.words[wordIndex(a)] = v
+		return
+	}
+	m.wordsFor(a)[wordIndex(a)] = v
 }
 
-// LoadLine copies the 8 words of the cache line containing a into buf.
+// LoadLine copies the 8 words of the cache line containing a into buf,
+// overwriting all of it.
 func (m *Memory) LoadLine(a Addr, buf *[WordsPerLine]Word) {
 	la := a.Line()
-	p := m.pageFor(la)
+	w := m.pageFor(la).words
+	if w == nil {
+		*buf = [WordsPerLine]Word{}
+		return
+	}
 	base := wordIndex(la)
-	copy(buf[:], p.words[base:base+WordsPerLine])
+	copy(buf[:], w[base:base+WordsPerLine])
 }
 
 // StoreLine writes the 8 words of buf to the cache line containing a.
 func (m *Memory) StoreLine(a Addr, buf *[WordsPerLine]Word) {
 	la := a.Line()
-	p := m.pageFor(la)
 	base := wordIndex(la)
-	copy(p.words[base:base+WordsPerLine], buf[:])
+	copy(m.wordsFor(la)[base:base+WordsPerLine], buf[:])
 }
 
 func wordIndex(a Addr) int {

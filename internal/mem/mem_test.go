@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -122,5 +123,70 @@ func TestLayoutRegionsDisjoint(t *testing.T) {
 	}
 	if b1%PageSize != 0 || b2%PageSize != 0 || e2%PageSize != 0 {
 		t.Fatal("regions not page aligned")
+	}
+}
+
+// heapDelta returns the heap objects and bytes allocated while run ran.
+func heapDelta(run func()) (objects, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestUnbackedPageReadsZero: a prefaulted page that was never written reads
+// zero by word and by line, and LoadLine overwrites the whole buffer: the
+// ASF LLB reuses its backup buffers, so stale words must not survive.
+func TestUnbackedPageReadsZero(t *testing.T) {
+	m := New()
+	m.Prefault(0x4000, PageSize)
+	for off := Addr(0); off < PageSize; off += 0x208 {
+		if v := m.Load(0x4000 + off); v != 0 {
+			t.Fatalf("Load(%v) = %d on an unwritten page", 0x4000+off, v)
+		}
+	}
+	buf := [WordsPerLine]Word{1, 2, 3, 4, 5, 6, 7, 8}
+	m.LoadLine(0x4048, &buf)
+	if buf != ([WordsPerLine]Word{}) {
+		t.Fatalf("LoadLine of an unwritten page left %v", buf)
+	}
+}
+
+// TestPrefaultAllocatesNoWords: prefaulting 1 MiB allocates page headers
+// only, and the first store into one of those pages allocates its words as
+// one object of at most 4 KiB.
+func TestPrefaultAllocatesNoWords(t *testing.T) {
+	m := New()
+	if _, bytes := heapDelta(func() { m.Prefault(0, 1<<20) }); bytes >= 64<<10 {
+		t.Fatalf("Prefault of 1 MiB allocated %d bytes, want < 64 KiB", bytes)
+	}
+	objects, bytes := heapDelta(func() { m.Store(0x30008, 7) })
+	if objects != 1 || bytes > PageSize {
+		t.Fatalf("first store into a prefaulted page allocated %d objects, %d bytes; want 1 object of at most %d bytes",
+			objects, bytes, PageSize)
+	}
+	if v := m.Load(0x30008); v != 7 {
+		t.Fatalf("Load after the first store = %d", v)
+	}
+}
+
+// TestStoreBeforePresent: a store to a page the simulated OS has not yet
+// installed keeps its value, and the page's first EnsurePresent still
+// faults.
+func TestStoreBeforePresent(t *testing.T) {
+	m := New()
+	m.Store(0x7008, 42)
+	if m.Present(0x7000) {
+		t.Fatal("a store installed the page")
+	}
+	if !m.EnsurePresent(0x7010) {
+		t.Fatal("first EnsurePresent after a store did not fault")
+	}
+	if m.FaultCount() != 1 {
+		t.Fatalf("faults = %d, want 1", m.FaultCount())
+	}
+	if v := m.Load(0x7008); v != 42 {
+		t.Fatalf("Load = %d after faulting the page in, want 42", v)
 	}
 }
