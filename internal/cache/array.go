@@ -36,38 +36,57 @@ func (e *entry) setFlag(f mem.Addr, on bool) {
 	}
 }
 
-// array is a set-associative cache array with LRU replacement. The ways of
-// set s occupy ents[s*assoc : (s+1)*assoc]; lookups scan the (small) set
-// directly rather than going through a side map — at 2–16 ways the scan
-// stays within a couple of cache lines and beats map hashing, and it keeps
-// the hot path free of map machinery entirely.
+// array is a set-associative cache array with LRU replacement. Lookups scan
+// the (small) set directly rather than going through a side map — at 2–16
+// ways the scan stays within a couple of cache lines and beats map hashing,
+// and it keeps the hot path free of map machinery entirely.
+//
+// The entries live in blocks. Block b holds sets [b<<blockShift,
+// (b+1)<<blockShift), each set's ways contiguous, so a set never straddles
+// a block. A block is carved from the hierarchy's pool on the first insert
+// into one of its sets: the host pays for the sets a run fills, not for
+// the whole geometry. A lookup in a block never filled finds nothing.
 type array struct {
-	ents    []entry
-	assoc   int
-	setMask mem.Addr
-	nValid  int // resident-line count, backing the occupancy gauges
+	blocks     [][]entry // nil until the first insert into one of the block's sets
+	pool       *blockPool
+	assoc      int
+	setMask    mem.Addr
+	blockShift uint     // log2 of the sets per block
+	offMask    mem.Addr // sets per block - 1: a set's index within its block
+	nValid     int      // resident-line count, backing the occupancy gauges
 }
 
-func newArray(sizeBytes, assoc int) *array {
+// blockEnts caps a block at 256 entries, 4 KiB: a block holds the largest
+// power of two of whole sets that fits, or one set when a set is larger.
+const blockEnts = 256
+
+// newArray builds an array of sizeBytes at assoc ways, whose set count
+// Config.Validate has checked is a power of two. Its blocks come from pool.
+func newArray(sizeBytes, assoc int, pool *blockPool) array {
 	nSets := sizeBytes / mem.LineSize / assoc
-	if nSets == 0 || nSets&(nSets-1) != 0 {
-		panic("cache: set count must be a power of two")
+	shift := uint(0)
+	for 2<<shift <= nSets && assoc<<(shift+1) <= blockEnts {
+		shift++
 	}
-	return &array{
-		ents:    make([]entry, nSets*assoc),
-		assoc:   assoc,
-		setMask: mem.Addr(nSets - 1),
+	return array{
+		blocks:     make([][]entry, nSets>>shift),
+		pool:       pool,
+		assoc:      assoc,
+		setMask:    mem.Addr(nSets - 1),
+		blockShift: shift,
+		offMask:    1<<shift - 1,
 	}
 }
 
-func (a *array) setFor(line mem.Addr) []entry {
-	s := int((line>>mem.LineShift)&a.setMask) * a.assoc
-	return a.ents[s : s+a.assoc]
-}
-
-// lookup returns the entry for line, or nil.
+// lookup returns the entry for line, or nil. It stays small enough to
+// inline into the L1-hit path.
 func (a *array) lookup(line mem.Addr) *entry {
-	set := a.setFor(line)
+	s := (line >> mem.LineShift) & a.setMask
+	blk := a.blocks[s>>a.blockShift]
+	if blk == nil {
+		return nil
+	}
+	set := blk[int(s&a.offMask)*a.assoc:][:a.assoc]
 	want := line | entValid
 	for i := range set {
 		if set[i].tag&^(entDirty|entSpecRead) == want {
@@ -80,7 +99,12 @@ func (a *array) lookup(line mem.Addr) *entry {
 // insert places line into its set, returning the displaced victim (by
 // value) and true if a valid line was evicted.
 func (a *array) insert(line mem.Addr, now uint64) (victim entry, evicted bool) {
-	set := a.setFor(line)
+	s := (line >> mem.LineShift) & a.setMask
+	blk := &a.blocks[s>>a.blockShift]
+	if *blk == nil {
+		*blk = a.pool.carve(a.assoc << a.blockShift)
+	}
+	set := (*blk)[int(s&a.offMask)*a.assoc:][:a.assoc]
 	var slot *entry
 	for i := range set {
 		e := &set[i]
@@ -109,16 +133,41 @@ func (a *array) remove(line mem.Addr) {
 	}
 }
 
-// forEach visits every valid entry in (set, way) order. Iteration must be
-// deterministic: FlushPrivate refills L3 in this order, and hash order
-// would leak into L3's LRU state and make measured-phase timings vary from
-// run to run.
+// forEach visits every valid entry in (set, way) order, walking the filled
+// blocks in order. Iteration must be deterministic: FlushPrivate refills L3
+// in this order, and hash order would leak into L3's LRU state and make
+// measured-phase timings vary from run to run.
 func (a *array) forEach(fn func(*entry)) {
-	for i := range a.ents {
-		if a.ents[i].valid() {
-			fn(&a.ents[i])
+	for _, blk := range a.blocks {
+		for i := range blk {
+			if blk[i].valid() {
+				fn(&blk[i])
+			}
 		}
 	}
+}
+
+// blockPool carves array blocks from chunks of poolChunk entries, shared by
+// every array of a hierarchy. A chunk is never moved or freed, so *entry
+// pointers stay valid; a chunk's tail too short for the next block is left
+// unused.
+type blockPool struct {
+	free []entry
+}
+
+// poolChunk is how many entries the pool allocates at a time, 32 blocks of
+// 4 KiB. An access fills at most three new blocks, its line's L1, L2 and L3
+// sets (every victim's sets were filled when the victim was), so it
+// allocates at most one chunk.
+const poolChunk = 32 * blockEnts
+
+func (p *blockPool) carve(n int) []entry {
+	if len(p.free) < n {
+		p.free = make([]entry, max(poolChunk, n))
+	}
+	blk := p.free[:n:n]
+	p.free = p.free[n:]
+	return blk
 }
 
 // tlbArray is a set-associative TLB with LRU replacement over page numbers.
@@ -144,7 +193,7 @@ const tlbValid mem.Addr = 1
 
 func (e *tlbEntry) valid() bool { return e.key != 0 }
 
-func newTLB(entries, assoc int) *tlbArray {
+func newTLB(entries, assoc int) tlbArray {
 	nSets := entries / assoc
 	if nSets == 0 {
 		nSets = 1
@@ -155,7 +204,7 @@ func newTLB(entries, assoc int) *tlbArray {
 	for p < nSets {
 		p <<= 1
 	}
-	return &tlbArray{
+	return tlbArray{
 		ents:    make([]tlbEntry, p*assoc),
 		assoc:   assoc,
 		setMask: mem.Addr(p - 1),

@@ -69,6 +69,34 @@ type Config struct {
 	XSockLat uint64
 }
 
+// Validate reports a geometry New cannot build: each cache level needs at
+// least one way and a power-of-two set count, the L1 TLB at least one
+// entry, and the L2 TLB at least one way.
+func (c Config) Validate() error {
+	for _, l := range [...]struct {
+		name        string
+		size, assoc int
+	}{{"L1", c.L1Size, c.L1Assoc}, {"L2", c.L2Size, c.L2Assoc}, {"L3", c.L3Size, c.L3Assoc}} {
+		if l.assoc < 1 {
+			return fmt.Errorf("cache: %s associativity %d, want at least 1", l.name, l.assoc)
+		}
+		if n := l.size / mem.LineSize / l.assoc; n < 1 || n&(n-1) != 0 {
+			return fmt.Errorf("cache: %s of %d bytes at %d ways has %d sets, want a power of two",
+				l.name, l.size, l.assoc, n)
+		}
+	}
+	if c.TLB1Entries < 1 {
+		return fmt.Errorf("cache: %d L1 TLB entries, want at least 1", c.TLB1Entries)
+	}
+	if c.TLB2Assoc < 1 {
+		return fmt.Errorf("cache: L2 TLB associativity %d, want at least 1", c.TLB2Assoc)
+	}
+	if c.TLB2Entries < 0 {
+		return fmt.Errorf("cache: %d L2 TLB entries is negative", c.TLB2Entries)
+	}
+	return nil
+}
+
 // DefaultXSockLat is the cross-socket hop latency used when Config.XSockLat
 // is zero on a multi-socket configuration: roughly one HyperTransport
 // traversal at 2.2 GHz, sitting between the L3 (50) and RAM (210) charges.
@@ -148,8 +176,9 @@ type Stats struct {
 // Hierarchy is the full multicore memory system.
 type Hierarchy struct {
 	cfg   Config
-	cores []*coreCaches
-	l3s   []*array // one slice per socket; index 0 is the whole L3 when single-socket
+	cores []coreCaches
+	l3s   []array // one slice per socket; index 0 is the whole L3 when single-socket
+	pool  blockPool
 	dir   dirTable
 	stats []Stats
 
@@ -160,21 +189,19 @@ type Hierarchy struct {
 	tick    uint64 // LRU clock
 }
 
-type lineState struct {
-	holders uint64 // bitmask of cores with a private copy (64-core cap)
-	owner   int8   // core holding the line modified, or -1
-}
-
 type coreCaches struct {
-	l1, l2 *array
-	tlb1   *tlbArray
-	tlb2   *tlbArray
+	l1, l2     array
+	tlb1, tlb2 tlbArray
 }
 
-// New builds a hierarchy for n cores. cfg.Sockets must divide n evenly
-// (the sim layer validates topologies before construction; this is the
-// backstop for direct users).
+// New builds a hierarchy for n cores. cfg must pass Validate, and
+// cfg.Sockets must divide n evenly; New panics otherwise, the backstop for
+// direct users (asfstack.Build reports a bad geometry as an error, and the
+// sim layer validates topologies before construction).
 func New(n int, cfg Config) *Hierarchy {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	sockets := cfg.Sockets
 	if sockets <= 1 {
 		sockets = 1
@@ -187,21 +214,23 @@ func New(n int, cfg Config) *Hierarchy {
 	}
 	h := &Hierarchy{
 		cfg:      cfg,
+		cores:    make([]coreCaches, n),
+		l3s:      make([]array, sockets),
 		stats:    make([]Stats, n),
 		sockets:  sockets,
 		coresPer: n / sockets,
 	}
-	for s := 0; s < sockets; s++ {
-		h.l3s = append(h.l3s, newArray(cfg.L3Size, cfg.L3Assoc))
+	for s := range h.l3s {
+		h.l3s[s] = newArray(cfg.L3Size, cfg.L3Assoc, &h.pool)
 	}
 	h.dir.init()
-	for i := 0; i < n; i++ {
-		h.cores = append(h.cores, &coreCaches{
-			l1:   newArray(cfg.L1Size, cfg.L1Assoc),
-			l2:   newArray(cfg.L2Size, cfg.L2Assoc),
+	for i := range h.cores {
+		h.cores[i] = coreCaches{
+			l1:   newArray(cfg.L1Size, cfg.L1Assoc, &h.pool),
+			l2:   newArray(cfg.L2Size, cfg.L2Assoc, &h.pool),
 			tlb1: newTLB(cfg.TLB1Entries, cfg.TLB1Entries), // fully associative
 			tlb2: newTLB(cfg.TLB2Entries, cfg.TLB2Assoc),
-		})
+		}
 	}
 	return h
 }
@@ -217,7 +246,7 @@ func (h *Hierarchy) Stats(c int) Stats { return h.stats[c] }
 // L2 — the occupancy gauges of the metrics layer. O(1): the arrays keep a
 // resident-line count.
 func (h *Hierarchy) Occupancy(c int) (l1, l2 int) {
-	cc := h.cores[c]
+	cc := &h.cores[c]
 	return cc.l1.nValid, cc.l2.nValid
 }
 
@@ -244,7 +273,7 @@ func (h *Hierarchy) homeSock(line mem.Addr) int {
 }
 
 // homeSlice returns the L3 slice lines of this address cache in.
-func (h *Hierarchy) homeSlice(line mem.Addr) *array { return h.l3s[h.homeSock(line)] }
+func (h *Hierarchy) homeSlice(line mem.Addr) *array { return &h.l3s[h.homeSock(line)] }
 
 // NumCores returns the number of cores the hierarchy was built for.
 func (h *Hierarchy) NumCores() int { return len(h.cores) }
@@ -264,7 +293,7 @@ func (h *Hierarchy) state(line mem.Addr) *lineState {
 func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 	h.tick++
 	line := addr.Line()
-	cc := h.cores[c]
+	cc := &h.cores[c]
 	if write {
 		h.stats[c].Stores++
 	} else {
@@ -304,12 +333,13 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 	// home directory; when that home — or a dirty owner — sits on another
 	// socket, the access pays XSockLat per boundary crossed.
 	mySock := h.sockOf(c)
+	owner := ls.owner()
 	switch {
 	case cc.l2.lookup(line) != nil:
 		res.Level = L2
 		res.Cycles += h.cfg.L2Lat
 		h.stats[c].L2Hits++
-	case ls.owner >= 0 && int(ls.owner) != c:
+	case owner >= 0 && owner != c:
 		// Dirty in another core's private cache: cache-to-cache transfer,
 		// routed through the home directory.
 		res.Level = Remote
@@ -319,13 +349,13 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 				res.Cycles += h.cfg.XSockLat
 				h.stats[c].XSockHops++
 			}
-			if h.sockOf(int(ls.owner)) != mySock {
+			if h.sockOf(owner) != mySock {
 				res.Cycles += h.cfg.XSockLat
 				h.stats[c].XSockHops++
 			}
 		}
 		h.stats[c].C2C++
-		h.downgrade(int(ls.owner), line, write)
+		h.downgrade(owner, line, write)
 	case h.homeSlice(line).lookup(line) != nil:
 		res.Level = L3
 		res.Cycles += h.cfg.L3Lat
@@ -355,7 +385,7 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 	ls = h.state(line) // downgrade/invalidate may have replaced it
 	ls.holders |= mask
 	if write {
-		ls.owner = int8(c)
+		ls.setOwner(c)
 	}
 	return res
 }
@@ -365,14 +395,15 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 func (h *Hierarchy) upgrade(c int, line mem.Addr, ls *lineState) uint64 {
 	var cost uint64
 	others := ls.holders &^ (1 << uint(c))
-	if others != 0 || (ls.owner >= 0 && int(ls.owner) != c) {
+	owner := ls.owner()
+	if others != 0 || (owner >= 0 && owner != c) {
 		cost = h.cfg.L1Lat * 8 // invalidation probe round-trip
 		if h.sockets > 1 {
 			// One extra hop if any holder (or the dirty owner) sits on
 			// another socket: the probes fan out in parallel over the
 			// socket link, so the boundary is paid once, not per core.
 			mySock := h.sockOf(c)
-			cross := ls.owner >= 0 && int(ls.owner) != c && h.sockOf(int(ls.owner)) != mySock
+			cross := owner >= 0 && owner != c && h.sockOf(owner) != mySock
 			for o, rem := 0, others; !cross && rem != 0; o, rem = o+1, rem>>1 {
 				if rem&1 != 0 && h.sockOf(o) != mySock {
 					cross = true
@@ -390,11 +421,12 @@ func (h *Hierarchy) upgrade(c int, line mem.Addr, ls *lineState) uint64 {
 		}
 		others >>= 1
 	}
-	if ls.owner >= 0 && int(ls.owner) != c {
-		h.downgrade(int(ls.owner), line, true)
+	// Re-read the owner: invalidating it as a holder above cleared it.
+	if o := ls.owner(); o >= 0 && o != c {
+		h.downgrade(o, line, true)
 	}
 	ls.holders &= 1 << uint(c)
-	ls.owner = int8(c)
+	ls.setOwner(c)
 	return cost
 }
 
@@ -403,8 +435,8 @@ func (h *Hierarchy) upgrade(c int, line mem.Addr, ls *lineState) uint64 {
 // the copy is invalidated.
 func (h *Hierarchy) downgrade(o int, line mem.Addr, forWrite bool) {
 	ls := h.state(line)
-	if int(ls.owner) == o {
-		ls.owner = -1
+	if ls.owner() == o {
+		ls.setOwner(-1)
 	}
 	h.fill(h.homeSlice(line), line)
 	if forWrite {
@@ -432,8 +464,8 @@ func (h *Hierarchy) invalidate(o int, line mem.Addr) {
 	h.cores[o].l2.remove(line)
 	ls := h.state(line)
 	ls.holders &^= 1 << uint(o)
-	if int(ls.owner) == o {
-		ls.owner = -1
+	if ls.owner() == o {
+		ls.setOwner(-1)
 	}
 	h.stats[o].Evictions++
 	if h.onEvict != nil {
@@ -443,7 +475,7 @@ func (h *Hierarchy) invalidate(o int, line mem.Addr) {
 
 // fillPrivate installs line into core c's L1 (and L2), handling victims.
 func (h *Hierarchy) fillPrivate(c int, line mem.Addr, dirty bool) {
-	cc := h.cores[c]
+	cc := &h.cores[c]
 	if v, ok := cc.l1.insert(line, h.tick); ok {
 		// L1 victim drops to L2.
 		vl := v.line()
@@ -494,8 +526,8 @@ func (h *Hierarchy) dropFromPrivate(c int, v entry) {
 	h.fill(h.homeSlice(vl), vl)
 	ls := h.state(vl)
 	ls.holders &^= 1 << uint(c)
-	if int(ls.owner) == c {
-		ls.owner = -1
+	if ls.owner() == c {
+		ls.setOwner(-1)
 	}
 	h.stats[c].Evictions++
 	if h.onEvict != nil {
@@ -541,13 +573,13 @@ func (h *Hierarchy) Drop(c int, line mem.Addr) {
 	h.cores[c].l2.remove(line)
 	ls := h.state(line)
 	ls.holders &^= 1 << uint(c)
-	if int(ls.owner) == c {
-		ls.owner = -1
+	if ls.owner() == c {
+		ls.setOwner(-1)
 	}
 }
 
 func (h *Hierarchy) tlbLookup(c int, page mem.Addr) uint64 {
-	cc := h.cores[c]
+	cc := &h.cores[c]
 	if cc.tlb1.lookup(page, h.tick) {
 		return 0
 	}
@@ -567,7 +599,7 @@ func (h *Hierarchy) tlbLookup(c int, page mem.Addr) uint64 {
 // native-to-simulated switchover: the measured phase starts with cold
 // private caches regardless of which core ran initialisation.
 func (h *Hierarchy) FlushPrivate(c int) {
-	cc := h.cores[c]
+	cc := &h.cores[c]
 	l1, l2 := h.Occupancy(c)
 	lines := make([]mem.Addr, 0, l1+l2)
 	cc.l1.forEach(func(e *entry) { lines = append(lines, e.line()) })
@@ -578,8 +610,8 @@ func (h *Hierarchy) FlushPrivate(c int) {
 		cc.l2.remove(line)
 		ls := h.state(line)
 		ls.holders &^= 1 << uint(c)
-		if int(ls.owner) == c {
-			ls.owner = -1
+		if ls.owner() == c {
+			ls.setOwner(-1)
 		}
 	}
 }

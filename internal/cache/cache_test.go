@@ -1,10 +1,50 @@
 package cache
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"asfstack/internal/mem"
 )
+
+// allocated returns how many heap objects and bytes the process allocated
+// while run ran.
+func allocated(run func()) (objects, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHierarchyBytesFollowFootprint: a hierarchy's arrays cost the host the
+// sets a run fills, not the whole geometry. Building the 64-core, 4-socket
+// Barcelona hierarchy allocates under 1 MiB, and each access allocates at
+// most one pool chunk (none once its sets are filled). The accesses stay
+// below the directory's first growth.
+func TestHierarchyBytesFollowFootprint(t *testing.T) {
+	cfg := Barcelona()
+	cfg.Sockets = 4
+	var h *Hierarchy
+	objects, bytes := allocated(func() { h = New(64, cfg) })
+	t.Logf("New(64) on 4 sockets: %d objects, %.2f MiB", objects, float64(bytes)/(1<<20))
+	if bytes >= 1<<20 {
+		t.Fatalf("New(64) on 4 sockets allocated %.2f MiB, want < 1 MiB", float64(bytes)/(1<<20))
+	}
+	chunk := uint64(poolChunk * unsafe.Sizeof(entry{}))
+	var chunks uint64
+	for i := 0; i < 600; i++ {
+		c, addr := i%64, mem.Addr(i*i*mem.LineSize*37)
+		objects, bytes := allocated(func() { h.Access(c, addr, i%3 == 0) })
+		if objects > 1 || bytes > chunk {
+			t.Fatalf("access %d (core %d, %v) allocated %d objects, %d bytes; want at most one %d-byte chunk",
+				i, c, addr, objects, bytes, chunk)
+		}
+		chunks += objects
+	}
+	t.Logf("600 accesses allocated %d chunks", chunks)
+}
 
 func TestHitLevels(t *testing.T) {
 	h := New(1, Barcelona())
@@ -165,5 +205,28 @@ func TestStatsCount(t *testing.T) {
 	}
 	if st.L1Hits < 4 {
 		t.Fatalf("l1 hits = %d", st.L1Hits)
+	}
+}
+
+// TestUpgradeInvalidatesOwnerOnce: a write upgrade whose other holder is
+// also the line's dirty owner invalidates that core once. The state arises
+// when an L1 victim's speculative-read mark is lost while the line stays in
+// L2: the core leaves the holders but keeps its L2 copy, so a later write
+// by another core does not invalidate it, and its own write then hits L2.
+func TestUpgradeInvalidatesOwnerOnce(t *testing.T) {
+	h := New(2, Barcelona())
+	const x = mem.Addr(0x5000)
+	h.Access(1, x, false)
+	h.cores[1].l1.remove(x)
+	h.state(x).holders &^= 1 << 1
+	h.Access(0, x, true) // core 0 owns x dirty; core 1's L2 copy survives
+	if r := h.Access(1, x, true); r.Level != L2 {
+		t.Fatalf("write served from %v, want L2", r.Level)
+	}
+	if n := h.Stats(0).Evictions; n != 1 {
+		t.Fatalf("core 0 counted %d evictions, want 1", n)
+	}
+	if ls := h.state(x); ls.owner() != 1 || ls.holders != 1<<1 {
+		t.Fatalf("after the upgrade: owner %d, holders %b; want owner 1, holders 10", ls.owner(), ls.holders)
 	}
 }

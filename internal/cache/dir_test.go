@@ -9,26 +9,37 @@ import (
 // TestDirTableGrowthPreservesState: inserting past the load-factor limit
 // rehashes every slot; coherence state recorded before the growth must be
 // found intact afterwards. dirMinSlots*3/4 insertions force at least one
-// grow.
+// grow. Owners cycle through -1 (none) to 63, every value the packed key
+// holds, and the tracked lines include the last one below mem.MaxAddr.
 func TestDirTableGrowthPreservesState(t *testing.T) {
 	var d dirTable
 	d.init()
 	n := dirMinSlots * 2 // guarantees two growth steps
-	for i := 0; i < n; i++ {
-		line := mem.Addr(i * mem.LineSize)
-		s := d.getOrInsert(line)
-		if s.owner != -1 || s.holders != 0 {
-			t.Fatalf("line %v: fresh state = %+v, want neutral", line, *s)
+	line := func(i int) mem.Addr {
+		if i == 1 {
+			return mem.MaxAddr - mem.LineSize
 		}
-		s.owner = int8(i % 8)
+		return mem.Addr(i * mem.LineSize)
+	}
+	owner := func(i int) int { return i%65 - 1 }
+	for i := 0; i < n; i++ {
+		s := d.getOrInsert(line(i))
+		if s.owner() != -1 || s.holders != 0 || s.line() != line(i) {
+			t.Fatalf("line %v: fresh state = {line:%v holders:%d owner:%d}, want neutral",
+				line(i), s.line(), s.holders, s.owner())
+		}
+		s.setOwner(owner(i))
 		s.holders = uint64(i)
 	}
 	for i := 0; i < n; i++ {
-		line := mem.Addr(i * mem.LineSize)
-		s := d.getOrInsert(line)
-		if s.owner != int8(i%8) || s.holders != uint64(i) {
-			t.Fatalf("line %v: state after growth = %+v, want {holders:%d owner:%d}",
-				line, *s, i, i%8)
+		s := d.getOrInsert(line(i))
+		if s.owner() != owner(i) || s.holders != uint64(i) || s.line() != line(i) {
+			t.Fatalf("line %v: state after growth = {line:%v holders:%d owner:%d}, want {holders:%d owner:%d}",
+				line(i), s.line(), s.holders, s.owner(), i, owner(i))
+		}
+		s.setOwner(-1)
+		if s.owner() != -1 || s.line() != line(i) {
+			t.Fatalf("line %v: clearing owner %d left {line:%v owner:%d}", line(i), owner(i), s.line(), s.owner())
 		}
 	}
 	if d.used != n {
@@ -42,13 +53,27 @@ func TestDirTableLineZero(t *testing.T) {
 	var d dirTable
 	d.init()
 	s := d.getOrInsert(0)
-	s.owner = 3
-	if got := d.getOrInsert(0); got.owner != 3 {
-		t.Fatalf("line 0 state lost: %+v", *got)
+	s.setOwner(3)
+	if got := d.getOrInsert(0); got.owner() != 3 {
+		t.Fatalf("line 0 state lost: owner %d", got.owner())
 	}
 	if d.used != 1 {
 		t.Fatalf("used = %d, want 1", d.used)
 	}
+}
+
+// TestDirTableRejectsMaxAddr: the packed key has no room for a line at or
+// beyond mem.MaxAddr, so tracking one panics rather than aliasing a low
+// line.
+func TestDirTableRejectsMaxAddr(t *testing.T) {
+	var d dirTable
+	d.init()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a line at mem.MaxAddr was tracked")
+		}
+	}()
+	d.getOrInsert(mem.MaxAddr)
 }
 
 // TestCoherenceSurvivesDirGrowth drives growth through the public API:

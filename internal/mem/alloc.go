@@ -16,9 +16,14 @@ type Layout struct {
 func NewLayout(base Addr) *Layout { return &Layout{next: base.Line()} }
 
 // Region reserves size bytes, aligned up to a page boundary on both ends so
-// regions never share pages (and hence never share lines).
+// regions never share pages (and hence never share lines). It panics when
+// the region would cross MaxAddr: callers size their regions so that it
+// cannot.
 func (l *Layout) Region(size uint64) (base Addr, end Addr) {
 	base = Addr(alignUp(uint64(l.next), PageSize))
+	if base > MaxAddr || size > uint64(MaxAddr-base) {
+		panic(fmt.Sprintf("mem: region of %d bytes at %v crosses MaxAddr %v", size, base, MaxAddr))
+	}
 	end = Addr(alignUp(uint64(base)+size, PageSize))
 	l.next = end
 	return base, end

@@ -40,6 +40,12 @@ const (
 	WordsPerPage = PageSize / WordSize
 )
 
+// MaxAddr caps the simulated address space: every address is below 2^62.
+// The cache's coherence directory packs a line address, its owner and an
+// occupied bit into one 64-bit key, which leaves 62 bits for the address.
+// Layout hands out no region that crosses it.
+const MaxAddr Addr = 1 << 62
+
 // Line returns the cache-line address (aligned down) containing a.
 func (a Addr) Line() Addr { return a &^ (LineSize - 1) }
 

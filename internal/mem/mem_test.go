@@ -126,6 +126,27 @@ func TestLayoutRegionsDisjoint(t *testing.T) {
 	}
 }
 
+// TestLayoutStopsAtMaxAddr: a region may end at MaxAddr but not cross it,
+// and a size that would wrap the address space panics rather than
+// restarting the layout at a low address.
+func TestLayoutStopsAtMaxAddr(t *testing.T) {
+	panics := func(l *Layout, size uint64) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		l.Region(size)
+		return false
+	}
+	l := NewLayout(PageSize)
+	if _, end := l.Region(uint64(MaxAddr - PageSize)); end != MaxAddr {
+		t.Fatalf("region ends at %v, want %v", end, MaxAddr)
+	}
+	if !panics(l, 1) {
+		t.Error("a region past MaxAddr did not panic")
+	}
+	if !panics(NewLayout(PageSize), 1<<64-PageSize) {
+		t.Error("a region wrapping the address space did not panic")
+	}
+}
+
 // heapDelta returns the heap objects and bytes allocated while run ran.
 func heapDelta(run func()) (objects, bytes uint64) {
 	var before, after runtime.MemStats

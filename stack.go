@@ -185,7 +185,8 @@ func (g *stackGauges) register(reg *metrics.Registry) {
 // Build turns a spec into a stack: it resolves the core count against the
 // topology, checks it against 1..sim.MaxCores, builds the machine and
 // installs the runtime. A bad spec — malformed topology, core count out of
-// range, unknown runtime — is an error.
+// range, cache geometry the hierarchy cannot build, heaps that would cross
+// mem.MaxAddr, unknown runtime — is an error.
 func Build(opts Options) (*Stack, error) {
 	var tp topo.Topology
 	if opts.Topology != "" {
@@ -205,10 +206,17 @@ func Build(opts Options) (*Stack, error) {
 	if opts.HeapPerCore == 0 {
 		opts.HeapPerCore = 64 << 20
 	}
+	if limit := maxHeapPerCore(opts.Cores); opts.HeapPerCore > limit {
+		return nil, fmt.Errorf("asfstack: %d bytes of heap per core on %d cores cross mem.MaxAddr (at most %d per core)",
+			opts.HeapPerCore, opts.Cores, limit)
+	}
 	cfg := sim.Barcelona(opts.Cores)
 	if opts.Machine != nil {
 		cfg = *opts.Machine
 		cfg.Cores = opts.Cores
+	}
+	if err := cfg.Cache.Validate(); err != nil {
+		return nil, fmt.Errorf("asfstack: %w", err)
 	}
 	if !tp.IsZero() {
 		cfg.Topology = tp
@@ -299,6 +307,18 @@ func Build(opts Options) (*Stack, error) {
 	}
 	s.installProfiler()
 	return s, nil
+}
+
+// metaReserve is the address space Build keeps above the heaps for the
+// runtimes' metadata regions (the STM lock array, per-core logs), which
+// take tens of MiB at 64 cores.
+const metaReserve = 1 << 40
+
+// maxHeapPerCore is the largest HeapPerCore whose page-aligned regions, laid
+// out from page one and followed by metaReserve, stay below mem.MaxAddr.
+func maxHeapPerCore(cores int) uint64 {
+	room := uint64(mem.MaxAddr) - mem.PageSize - metaReserve
+	return room / uint64(cores) &^ (mem.PageSize - 1)
 }
 
 // installProfiler hands the runtime its transaction-event sinks: the flight

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"asfstack/internal/cache"
 	"asfstack/internal/mem"
 	"asfstack/internal/sim"
 	"asfstack/internal/tm"
@@ -262,8 +263,17 @@ func TestAblationRuntimesWork(t *testing.T) {
 	}
 }
 
+// machine returns the Barcelona machine for four cores with edit applied
+// to its cache configuration.
+func machine(edit func(*cache.Config)) *sim.Config {
+	cfg := sim.Barcelona(4)
+	edit(&cfg.Cache)
+	return &cfg
+}
+
 // TestBuildRejectsBadOptions: every malformed spec is an error from Build,
-// and New panics with that same error.
+// and New panics with that same error. That covers cache geometries the
+// hierarchy cannot build and heaps whose regions would cross mem.MaxAddr.
 func TestBuildRejectsBadOptions(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -277,6 +287,19 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 		{"topology core count wraps", Options{Topology: "3x6148914691236517206", Runtime: "LLB-256"}, "overflows"},
 		{"cores differ from topology", Options{Cores: 8, Topology: "2x2", Runtime: "LLB-256"}, "conflict with topology"},
 		{"unknown runtime", Options{Cores: 1, Runtime: "Bogus"}, "unknown runtime"},
+		{"L1 without ways", Options{Cores: 4, Runtime: "LLB-256",
+			Machine: machine(func(c *cache.Config) { c.L1Assoc = 0 })}, "L1 associativity 0"},
+		{"L1 of 341 sets", Options{Cores: 4, Runtime: "LLB-256",
+			Machine: machine(func(c *cache.Config) { c.L1Assoc = 3 })}, "has 341 sets, want a power of two"},
+		{"L2 of no bytes", Options{Cores: 4, Runtime: "LLB-256",
+			Machine: machine(func(c *cache.Config) { c.L2Size = 0 })}, "L2 of 0 bytes"},
+		{"L1 TLB without entries", Options{Cores: 4, Runtime: "LLB-256",
+			Machine: machine(func(c *cache.Config) { c.TLB1Entries = 0 })}, "0 L1 TLB entries"},
+		{"L2 TLB without ways", Options{Cores: 4, Runtime: "LLB-256",
+			Machine: machine(func(c *cache.Config) { c.TLB2Assoc = 0 })}, "L2 TLB associativity 0"},
+		{"heap of 2^62 per core", Options{Cores: 4, Runtime: "LLB-256", HeapPerCore: 1 << 62}, "cross mem.MaxAddr"},
+		{"heap that wraps when page-aligned", Options{Cores: 4, Runtime: "LLB-256", HeapPerCore: 1<<64 - 4096},
+			"cross mem.MaxAddr"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Build(tc.opts)
@@ -290,6 +313,27 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 			}()
 			New(tc.opts)
 		})
+	}
+}
+
+// TestBuildAcceptsOddGeometry: a geometry whose associativity is not a
+// power of two builds and runs as long as its set count is one (a 3-way
+// L1 of 512 sets).
+func TestBuildAcceptsOddGeometry(t *testing.T) {
+	s, err := Build(Options{Cores: 2, Runtime: "LLB-256",
+		Machine: machine(func(c *cache.Config) { c.L1Size, c.L1Assoc = 3*512*mem.LineSize, 3 })})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctr := s.AllocShared(8)
+	s.Parallel(2, func(c *sim.CPU) {
+		inc := func(tx tm.Tx) { tx.Store(ctr, tx.Load(ctr)+1) }
+		for i := 0; i < 100; i++ {
+			s.Atomic(c, inc)
+		}
+	})
+	if v := s.M.Mem.Load(ctr); v != 200 {
+		t.Fatalf("counter = %d, want 200", v)
 	}
 }
 
