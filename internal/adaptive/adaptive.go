@@ -55,17 +55,17 @@
 //     known loser there, and pruning it is what keeps the cell free of
 //     serial commits — and only the software modes (STM, Cohorts) are
 //     probed against the incumbent;
-//   - hardware-friendly (fallback share below HWFriendly): the software
+//   - hardware-friendly (fallback share below hwFriendly): the software
 //     modes cannot beat a hardware path that already commits everything,
 //     so only ASF-TM is probed;
 //   - mixed: every non-pruned runtime is probed.
 //
-// Probes are abandoned early: once a candidate has ProbeMin commits and
-// its rate sits below AbandonFrac of the best rate measured this round,
+// Probes are abandoned early: once a candidate has probeMin commits and
+// its rate sits below abandonFrac of the best rate measured this round,
 // the rest of its window is not worth buying. After the probes the
 // selector settles on the highest-rate runtime and re-evaluates only on a
 // sustained rate collapse (two consecutive exploitation windows below
-// (1-RevertDrop) of the settled rate), which re-opens probing — a phase
+// (1-revertDrop) of the settled rate), which re-opens probing — a phase
 // change.
 //
 // Every switch is recorded ({cycle, from, to, trigger}); E13 prints the
@@ -96,41 +96,45 @@ const (
 // new mode. Mode indices stay far below it.
 const latchBit mem.Word = 1 << 8
 
-// Config tunes the selector.
+// Policy constants.
+const (
+	// startMode is the mode the selector begins in.
+	startMode = ModeHyTM
+	// capacityPrune and swSharePrune: observing a capacity-abort rate or a
+	// software-fallback commit share above these in the starting window
+	// removes ASF-TM from the probe candidates (its serial convoy is the
+	// known loser on capacity-bound phases, and pruning it keeps the cell
+	// serial-free).
+	capacityPrune = 0.05
+	swSharePrune  = 0.30
+	// hwFriendly: a starting-window software-fallback share at or below
+	// this classifies the phase as hardware-friendly, and only ASF-TM is
+	// probed (the software modes cannot beat a hardware path that already
+	// commits everything).
+	hwFriendly = 0.05
+	// probeWarmup: the first commits of every probe window are discarded
+	// before the rate clock starts — a mode switch leaves the caches cold
+	// for the incoming runtime's metadata, and the transient would bias
+	// every probe toward whichever candidate happens to run last.
+	probeWarmup = 16
+	// probeMin and abandonFrac: a probe with at least probeMin post-warmup
+	// commits whose rate is below abandonFrac of the round's best measured
+	// rate is abandoned without finishing its window.
+	probeMin    = 40
+	abandonFrac = 0.8
+	// revertDrop: an exploitation window whose commit rate falls below
+	// (1-revertDrop) times the settled rate counts toward re-probing; two
+	// consecutive such windows trigger it.
+	revertDrop = 0.30
+)
+
+// Config holds the selector's window sizes and its test rotation.
 type Config struct {
 	// ProbeWindow is the per-window commit count during probing;
 	// ExploitWindow the (larger) count between re-evaluations after
 	// settling.
 	ProbeWindow   uint64
 	ExploitWindow uint64
-	// Start is the mode the selector begins in.
-	Start int
-	// CapacityPrune and SWSharePrune: observing a capacity-abort rate or a
-	// software-fallback commit share above these in the starting window
-	// removes ASF-TM from the probe candidates (its serial convoy is the
-	// known loser on capacity-bound phases, and pruning it keeps the cell
-	// serial-free).
-	CapacityPrune float64
-	SWSharePrune  float64
-	// HWFriendly: a starting-window software-fallback share at or below
-	// this classifies the phase as hardware-friendly, and only ASF-TM is
-	// probed (the software modes cannot beat a hardware path that already
-	// commits everything).
-	HWFriendly float64
-	// ProbeWarmup: the first commits of every probe window are discarded
-	// before the rate clock starts — a mode switch leaves the caches cold
-	// for the incoming runtime's metadata, and the transient would bias
-	// every probe toward whichever candidate happens to run last.
-	ProbeWarmup uint64
-	// ProbeMin and AbandonFrac: a probe with at least ProbeMin post-warmup
-	// commits whose rate is below AbandonFrac of the round's best measured
-	// rate is abandoned without finishing its window.
-	ProbeMin    uint64
-	AbandonFrac float64
-	// RevertDrop: an exploitation window whose commit rate falls below
-	// (1-RevertDrop) times the settled rate counts toward re-probing; two
-	// consecutive such windows trigger it.
-	RevertDrop float64
 	// ForceRotate is a test knob: ignore the policy and rotate through all
 	// modes, one switch per probe window — exercises the switch protocol
 	// against every runtime pair under -race.
@@ -139,18 +143,7 @@ type Config struct {
 
 // DefaultConfig returns the evaluation configuration.
 func DefaultConfig() Config {
-	return Config{
-		ProbeWindow:   128,
-		ExploitWindow: 1024,
-		Start:         ModeHyTM,
-		CapacityPrune: 0.05,
-		SWSharePrune:  0.30,
-		HWFriendly:    0.05,
-		ProbeWarmup:   16,
-		ProbeMin:      40,
-		AbandonFrac:   0.8,
-		RevertDrop:    0.30,
-	}
+	return Config{ProbeWindow: 128, ExploitWindow: 1024}
 }
 
 // Switch is one entry of the selector's decision log. The json tags are the
@@ -248,7 +241,7 @@ func New(m *sim.Machine, layout *mem.Layout, name string, inner [NumModes]tm.Run
 		r.live[i] = base + mem.Addr(1+i)*mem.LineSize
 		r.prev[i] = make([]tm.Stats, NumModes)
 	}
-	m.Mem.Store(r.modeAddr, mem.Word(r.cfg.Start))
+	m.Mem.Store(r.modeAddr, startMode)
 	// Quiescent-state subscription: barrier spins and thread exits call
 	// CPU.IdleHint, which retracts the core's lazy live announcement so a
 	// draining switch never waits on a core that is parked in
@@ -261,7 +254,6 @@ func New(m *sim.Machine, layout *mem.Layout, name string, inner [NumModes]tm.Run
 // SetConfig replaces the configuration (before any transaction runs).
 func (r *Runtime) SetConfig(cfg Config) {
 	r.cfg = cfg
-	r.m.Mem.Store(r.modeAddr, mem.Word(cfg.Start))
 	r.resetController()
 }
 
@@ -330,14 +322,6 @@ func (r *Runtime) Switches() []Switch {
 	return r.ctl.switches
 }
 
-// Mode returns the active mode's runtime label. Barrier-only.
-func (r *Runtime) Mode() string {
-	if r.m.Running() {
-		panic("adaptive: Mode while the machine is running")
-	}
-	return r.inner[int(r.m.Mem.Load(r.modeAddr)&^latchBit)].Name()
-}
-
 // Atomic implements tm.Runtime: pass the gate, delegate, account.
 func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	id := c.ID()
@@ -402,17 +386,7 @@ func (r *Runtime) afterTx(c *sim.CPU, mode int) {
 	// The core's own inner stats are safe to read on its own goroutine.
 	cur := r.inner[mode].Stats(id)
 	delta := cur
-	prev := r.prev[id][mode]
-	delta.Commits -= prev.Commits
-	delta.Serial -= prev.Serial
-	delta.SWCommits -= prev.SWCommits
-	for i := range delta.Aborts {
-		delta.Aborts[i] -= prev.Aborts[i]
-	}
-	delta.MallocAborts -= prev.MallocAborts
-	delta.STMAborts -= prev.STMAborts
-	delta.SeqAborts -= prev.SeqAborts
-	delta.Seals -= prev.Seals
+	delta.Sub(r.prev[id][mode])
 	r.prev[id][mode] = cur
 
 	target := -1
@@ -425,7 +399,7 @@ func (r *Runtime) afterTx(c *sim.CPU, mode int) {
 		}
 		ctl.win.Add(delta)
 		r.met.modeCommits[mode].Add(id, delta.Commits)
-		if ctl.probing && !ctl.warmed && ctl.win.Commits >= r.cfg.ProbeWarmup {
+		if ctl.probing && !ctl.warmed && ctl.win.Commits >= probeWarmup {
 			// Warmup over: restart the window so the measured rate is the
 			// candidate's steady state, not its post-switch cold caches.
 			ctl.warmed = true
@@ -462,13 +436,13 @@ func (r *Runtime) afterTx(c *sim.CPU, mode int) {
 }
 
 // abandonProbe reports whether the current probe window is measurably a
-// loser — classification has happened, the window has ProbeMin commits,
-// and its rate sits below AbandonFrac of the round's best measurement —
+// loser — classification has happened, the window has probeMin commits,
+// and its rate sits below abandonFrac of the round's best measurement —
 // so the rest of the window is not worth buying. Runs under the global
 // turn.
 func (r *Runtime) abandonProbe(now uint64) bool {
 	ctl := &r.ctl
-	if !ctl.probing || !ctl.warmed || !ctl.classified || ctl.win.Commits < r.cfg.ProbeMin ||
+	if !ctl.probing || !ctl.warmed || !ctl.classified || ctl.win.Commits < probeMin ||
 		ctl.winStart == 0 || now <= ctl.winStart {
 		return false
 	}
@@ -482,7 +456,7 @@ func (r *Runtime) abandonProbe(now uint64) bool {
 		return false
 	}
 	rate := float64(ctl.win.Commits) * 1000 / float64(now-ctl.winStart)
-	return rate < r.cfg.AbandonFrac*best
+	return rate < abandonFrac*best
 }
 
 // evaluate closes a window and decides the next mode. Runs under the
@@ -511,7 +485,7 @@ func (r *Runtime) evaluate(now uint64) (target int, trigger string) {
 		// Abort attribution prunes candidates: a capacity-bound phase
 		// (observed from any window) never probes ASF-TM — its serial
 		// convoy is the known loser and the only serial source.
-		if capR > r.cfg.CapacityPrune || swShare > r.cfg.SWSharePrune {
+		if capR > capacityPrune || swShare > swSharePrune {
 			ctl.pruned[ModeASFTM] = true
 		}
 		if !ctl.classified {
@@ -527,7 +501,7 @@ func (r *Runtime) evaluate(now uint64) (target int, trigger string) {
 						ctl.cands = append(ctl.cands, mode)
 					}
 				}
-			case ctl.mode == ModeHyTM && swShare <= r.cfg.HWFriendly:
+			case ctl.mode == ModeHyTM && swShare <= hwFriendly:
 				// Hardware-friendly: the fallback path is idle, so the
 				// software modes cannot beat the incumbent — only the
 				// cheaper pure-hardware runtime can.
@@ -563,7 +537,7 @@ func (r *Runtime) evaluate(now uint64) (target int, trigger string) {
 	}
 
 	// Exploiting: watch for a sustained rate collapse (phase change).
-	if rate < (1-r.cfg.RevertDrop)*ctl.settledRate {
+	if rate < (1-revertDrop)*ctl.settledRate {
 		ctl.slowWindows++
 		if ctl.slowWindows >= 2 {
 			// Re-open probing from the current mode. The collapsed rate is

@@ -27,49 +27,38 @@ import (
 	"asfstack/internal/tm"
 )
 
-// Config tunes the runtime's contention management and ABI costs.
-type Config struct {
-	// MaxHWAttempts is how many hardware attempts are made before a
+// Contention management and ABI costs.
+const (
+	// maxHWAttempts is how many hardware attempts are made before a
 	// transaction restarts in serial-irrevocable mode. Capacity
 	// overflows switch immediately.
-	MaxHWAttempts int
-	// BackoffBase and BackoffMax bound the exponential back-off (cycles).
-	BackoffBase uint64
-	BackoffMax  uint64
+	maxHWAttempts = 16
+	// backoffBase and backoffMax bound the exponential back-off (cycles),
+	// which doubles at most backoffShift times.
+	backoffBase  = 64
+	backoffMax   = 1 << 14
+	backoffShift = 8
 
-	// ABI software costs, in instructions. BeginInstr covers the setjmp
+	// ABI software costs, in instructions. beginInstr covers the setjmp
 	// register checkpoint, descriptor setup and mode dispatch; the paper
 	// measures this added code making ASF's start/commit cost comparable
 	// to the STM's (Table 1).
-	BeginInstr   int
-	CommitInstr  int
-	BarrierInstr int // per Load/Store around the inlined LOCK MOV
-}
-
-// DefaultConfig returns the configuration used in the evaluation.
-func DefaultConfig() Config {
-	return Config{
-		MaxHWAttempts: 16,
-		BackoffBase:   64,
-		BackoffMax:    1 << 14,
-		BeginInstr:    60,
-		CommitInstr:   16,
-		BarrierInstr:  2,
-	}
-}
+	beginInstr   = 60
+	commitInstr  = 16
+	barrierInstr = 2 // per Load/Store around the inlined LOCK MOV
+)
 
 // Runtime implements tm.Runtime on ASF.
 type Runtime struct {
 	sys  *asf.System
 	heap *tm.Heap
-	cfg  Config
 
 	serialLock mem.Addr // global token, alone on its cache line
 
-	stats []tm.Stats
 	txs   []hwTx // per-core transaction descriptors (reused)
 	depth []int  // per-core flat-nesting depth of Atomic calls
 
+	tm.StatsTable
 	tm.Observers
 
 	met rtMetrics
@@ -106,11 +95,10 @@ func New(sys *asf.System, heap *tm.Heap, m *sim.Machine, layout *mem.Layout) *Ru
 	r := &Runtime{
 		sys:        sys,
 		heap:       heap,
-		cfg:        DefaultConfig(),
 		serialLock: base,
-		stats:      make([]tm.Stats, cores),
 		txs:        make([]hwTx, cores),
 		depth:      make([]int, cores),
+		StatsTable: make(tm.StatsTable, cores),
 	}
 	for i := range r.txs {
 		r.txs[i] = hwTx{r: r}
@@ -118,19 +106,14 @@ func New(sys *asf.System, heap *tm.Heap, m *sim.Machine, layout *mem.Layout) *Ru
 	return r
 }
 
-// SetConfig replaces the contention-management configuration.
-func (r *Runtime) SetConfig(cfg Config) { r.cfg = cfg }
-
 // Name returns the ASF variant label (the figures key runs by it).
 func (r *Runtime) Name() string { return r.sys.Variant().Name }
 
-// Stats implements tm.Runtime.
-func (r *Runtime) Stats(core int) tm.Stats { return r.stats[core] }
-
-// ResetStats implements tm.Runtime.
+// ResetStats implements tm.Runtime: the outcome counters and the ASF
+// units' own.
 func (r *Runtime) ResetStats() {
-	for i := range r.stats {
-		r.stats[i] = tm.Stats{}
+	r.StatsTable.ResetStats()
+	for i := range r.StatsTable {
 		r.sys.Unit(i).ResetStats()
 	}
 }
@@ -150,7 +133,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	r.depth[id] = 1
 	defer func() { r.depth[id] = 0 }()
 
-	st := &r.stats[id]
+	st := &r.StatsTable[id]
 	u := r.sys.Unit(id)
 	t := &r.txs[id]
 	t.c, t.u, t.serial = c, u, false
@@ -163,7 +146,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		if attempts == 0 {
 			r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathHW, Aborter: sim.NoCore, Addr: sim.NoAddr})
 		}
-		c.Exec(r.cfg.BeginInstr)
+		c.Exec(beginInstr)
 
 		reason, code := u.Region(func() {
 			// The global serial token is the first speculative
@@ -176,7 +159,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			c.SetCategory(sim.CatTxApp)
 			body(t)
 			c.SetCategory(sim.CatTxStartCommit)
-			c.Exec(r.cfg.CommitInstr)
+			c.Exec(commitInstr)
 		})
 
 		if reason == sim.AbortNone {
@@ -216,7 +199,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			switch code {
 			case tm.CodeMallocRefill:
 				st.MallocAborts++
-				r.heap.Refill(c, r.heap.ChunkSize)
+				r.heap.Refill(c, tm.ChunkSize)
 			case tm.CodeSerialRunning:
 				st.Aborts[sim.AbortContention]++
 				r.waitSerialFree(c)
@@ -228,14 +211,14 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			}
 		case sim.AbortContention:
 			st.Aborts[sim.AbortContention]++
-			r.backoff(c, attempts)
+			r.met.backoff.Observe(id, tm.Backoff(c, attempts, backoffBase, backoffShift, backoffMax))
 		default:
 			// Page fault (now handled), interrupt, syscall:
 			// retry immediately.
 			st.Aborts[reason]++
 		}
 
-		if serial || attempts >= r.cfg.MaxHWAttempts {
+		if serial || attempts >= maxHWAttempts {
 			r.met.hwAttempts.Observe(id, uint64(attempts))
 			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
 				Aborter: sim.NoCore, Addr: sim.NoAddr})
@@ -243,17 +226,6 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			return
 		}
 	}
-}
-
-// backoff spins for a randomised exponential delay.
-func (r *Runtime) backoff(c *sim.CPU, attempt int) {
-	limit := r.cfg.BackoffBase << uint(min(attempt, 8))
-	if limit > r.cfg.BackoffMax {
-		limit = r.cfg.BackoffMax
-	}
-	delay := uint64(c.Rand().Int63n(int64(limit))) + 1
-	r.met.backoff.Observe(c.ID(), delay)
-	c.Cycles(delay)
 }
 
 // waitSerialFree polls the token (plain reads; they do not conflict) until
@@ -286,7 +258,7 @@ func (r *Runtime) runSerial(c *sim.CPU, t *hwTx, body func(tx tm.Tx)) {
 	c.Store(r.serialLock, 0)
 	r.met.serialCycles.Add(c.ID(), c.Now()-held)
 	t.serial = false
-	st := &r.stats[c.ID()]
+	st := &r.StatsTable[c.ID()]
 	st.Commits++
 	st.Serial++
 	r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSerial,
@@ -312,7 +284,7 @@ func (t *hwTx) Load(a mem.Addr) mem.Word {
 		t.c.Exec(2) // serial-mode ABI dispatch
 		v = t.c.Load(a)
 	} else {
-		t.c.Exec(t.r.cfg.BarrierInstr)
+		t.c.Exec(barrierInstr)
 		v = t.u.Load(a)
 	}
 	t.c.SetCategory(prev)
@@ -326,42 +298,32 @@ func (t *hwTx) Store(a mem.Addr, v mem.Word) {
 		t.c.Exec(2)
 		t.c.Store(a, v)
 	} else {
-		t.c.Exec(t.r.cfg.BarrierInstr)
+		t.c.Exec(barrierInstr)
 		t.u.Store(a, v)
 	}
 	t.c.SetCategory(prev)
 }
 
-// Alloc implements tm.Tx: pool allocation that aborts to refill.
-func (t *hwTx) Alloc(size uint64) mem.Addr {
-	for {
-		a, ok := t.r.heap.AllocFast(t.c, size, mem.WordSize)
-		if ok {
-			return a
-		}
-		if t.serial {
-			t.r.heap.Refill(t.c, size)
-			continue
-		}
-		// Unsafe to call the real allocator speculatively: abort,
-		// refill outside the region, retry (§3.3).
-		t.u.Abort(tm.CodeMallocRefill)
-	}
-}
+// Alloc implements tm.Tx.
+func (t *hwTx) Alloc(size uint64) mem.Addr { return t.alloc(size, mem.WordSize) }
 
 // AllocLines implements tm.Tx.
 func (t *hwTx) AllocLines(n int) mem.Addr {
-	for {
-		a, ok := t.r.heap.AllocFast(t.c, uint64(n)*mem.LineSize, mem.LineSize)
-		if ok {
-			return a
-		}
-		if t.serial {
-			t.r.heap.Refill(t.c, uint64(n)*mem.LineSize)
-			continue
-		}
+	return t.alloc(uint64(n)*mem.LineSize, mem.LineSize)
+}
+
+// alloc is pool allocation. The serial path refills inline; the hardware
+// path must not call the real allocator speculatively, so it aborts,
+// refills outside the region and retries (§3.3).
+func (t *hwTx) alloc(size, align uint64) mem.Addr {
+	if t.serial {
+		return t.r.heap.Alloc(t.c, size, align)
+	}
+	a, ok := t.r.heap.AllocFast(t.c, size, align)
+	if !ok {
 		t.u.Abort(tm.CodeMallocRefill)
 	}
+	return a
 }
 
 // Free implements tm.Tx.

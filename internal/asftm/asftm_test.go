@@ -74,6 +74,12 @@ func TestMallocRefillAbortsOnce(t *testing.T) {
 	if st.Commits != 1 {
 		t.Fatalf("commits = %d", st.Commits)
 	}
+	// ASF-TM counts a refill abort in MallocAborts only, outside
+	// TotalAborts: Fig. 6's total adds MallocAborts back.
+	if st.MallocAborts != 1 || st.Aborts[sim.AbortExplicit] != 0 {
+		t.Fatalf("malloc aborts = %d, explicit aborts = %d; want 1 and 0",
+			st.MallocAborts, st.Aborts[sim.AbortExplicit])
+	}
 }
 
 func TestSerialTokenAbortsHardwareRegions(t *testing.T) {
@@ -183,14 +189,11 @@ func TestAbortWasteAccounting(t *testing.T) {
 }
 
 // TestMaxHWAttemptsHonored: a transaction that aborts on every hardware
-// attempt must make exactly MaxHWAttempts attempts before falling back to
-// serial-irrevocable mode — the configured bound, not one more (this was
-// an off-by-one: `attempts > max` allowed max+1 attempts).
+// attempt must make exactly maxHWAttempts attempts before falling back to
+// serial-irrevocable mode — the bound, not one more (this was an
+// off-by-one: `attempts > max` allowed max+1 attempts).
 func TestMaxHWAttemptsHonored(t *testing.T) {
 	m, r := newRT(t, 1, asf.LLB256)
-	cfg := DefaultConfig()
-	cfg.MaxHWAttempts = 5
-	r.SetConfig(cfg)
 
 	hw, serial := 0, 0
 	m.Run(func(c *sim.CPU) {
@@ -203,15 +206,15 @@ func TestMaxHWAttemptsHonored(t *testing.T) {
 			tx.(*Tx).u.Abort(0xDEAD) // retryable explicit abort, no back-off
 		})
 	})
-	if hw != cfg.MaxHWAttempts || serial != 1 {
+	if hw != maxHWAttempts || serial != 1 {
 		t.Fatalf("hardware attempts = %d, serial runs = %d; want exactly %d and 1",
-			hw, serial, cfg.MaxHWAttempts)
+			hw, serial, maxHWAttempts)
 	}
 	st := r.Stats(0)
 	if st.Commits != 1 || st.Serial != 1 {
 		t.Fatalf("stats = %+v, want one serial commit", st)
 	}
-	if st.Aborts[sim.AbortExplicit] != uint64(cfg.MaxHWAttempts) {
-		t.Fatalf("explicit aborts = %d, want %d", st.Aborts[sim.AbortExplicit], cfg.MaxHWAttempts)
+	if st.Aborts[sim.AbortExplicit] != maxHWAttempts {
+		t.Fatalf("explicit aborts = %d, want %d", st.Aborts[sim.AbortExplicit], maxHWAttempts)
 	}
 }

@@ -24,6 +24,12 @@ func allocated(run func()) (objects, bytes uint64) {
 // most one pool chunk (none once its sets are filled). The accesses stay
 // below the directory's first growth.
 func TestHierarchyBytesFollowFootprint(t *testing.T) {
+	// Keep the runtime's own allocations out of the counts: with one P,
+	// ReadMemStats restarting the world wakes no idle P, so it starts no
+	// OS thread (whose runtime structures are heap objects), and the
+	// collection here starts the collector's workers before any count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	cfg := Barcelona()
 	cfg.Sockets = 4
 	var h *Hierarchy

@@ -55,53 +55,36 @@ import (
 	"asfstack/internal/tm"
 )
 
-// Config tunes the runtime's software path lengths and policies.
-type Config struct {
-	// Turbo enables turbo mode: the last running transaction of a sealed
-	// cohort drops instrumentation and commits first.
-	Turbo bool
-	// MaxAttempts is the starvation valve: commit-validation failures
+// Policies and software path lengths.
+const (
+	// maxAttempts is the starvation valve: commit-validation failures
 	// before the transaction escalates to a solo (irrevocable) cohort.
 	// A validation failure implies another transaction committed, so the
 	// system always makes progress; the valve only bounds per-transaction
 	// starvation.
-	MaxAttempts int
-	// SpinCycles is the poll interval for the admission gate and the
+	maxAttempts = 4096
+	// spinCycles is the poll interval for the admission gate and the
 	// seal/order waits.
-	SpinCycles uint64
+	spinCycles = 160
 
 	// Software path lengths, in instructions (beyond the memory traffic,
 	// which is charged by the cache model). The barriers are cheaper than
 	// TinySTM's: no lock-table hashing, no version checks — one log append.
-	BeginInstr, CommitInstr int
-	ReadInstr, WriteInstr   int
-	ValidateInstrPerEntry   int
-	WritebackInstrPerEntry  int
-}
-
-// DefaultConfig returns the evaluation configuration (turbo off — the
-// "Cohorts" column; the "Cohorts-turbo" stack flips Turbo on).
-func DefaultConfig() Config {
-	return Config{
-		Turbo:       false,
-		MaxAttempts: 4096,
-		SpinCycles:  160,
-
-		BeginInstr:             40,
-		CommitInstr:            24,
-		ReadInstr:              12,
-		WriteInstr:             16,
-		ValidateInstrPerEntry:  4,
-		WritebackInstrPerEntry: 4,
-	}
-}
+	beginInstr             = 40
+	commitInstr            = 24
+	readInstr              = 12
+	writeInstr             = 16
+	validateInstrPerEntry  = 4
+	writebackInstrPerEntry = 4
+)
 
 // Runtime implements tm.Runtime with the Cohorts algorithm.
 type Runtime struct {
 	m    *sim.Machine
 	heap *tm.Heap
-	cfg  Config
-	name string
+	// turboMode enables turbo mode: the last running transaction of a
+	// sealed cohort drops instrumentation and commits first.
+	turboMode bool
 
 	// The shared counters, each alone on its cache line (the cohorts.h
 	// pad_dword_t discipline — sealing must not false-share with joining).
@@ -112,10 +95,10 @@ type Runtime struct {
 	turbo    mem.Addr // core+1 of the cohort's turbo transaction, else 0
 	solo     mem.Addr // solo-cohort (irrevocable) admission latch
 
-	stats []tm.Stats
 	txs   []coTx
 	depth []int // per-core flat-nesting depth of Atomic calls
 
+	tm.StatsTable
 	tm.Observers
 
 	// turboInCohort counts turbo entries in the current cohort and
@@ -164,19 +147,19 @@ func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 	r.met.validationAborts = reg.Counter("cohorts/validation_aborts")
 }
 
-// New builds the Cohorts runtime over machine m. Its metadata (the cohort
-// counters and the per-thread logs) is laid out in layout's space and
-// prefaulted. name is the figure label ("Cohorts", "Cohorts-turbo").
-func New(m *sim.Machine, heap *tm.Heap, layout *mem.Layout, name string) *Runtime {
+// New builds the Cohorts runtime over machine m, with turbo mode on or off
+// (the "Cohorts-turbo" and "Cohorts" figure labels). Its metadata (the
+// cohort counters and the per-thread logs) is laid out in layout's space
+// and prefaulted.
+func New(m *sim.Machine, heap *tm.Heap, layout *mem.Layout, turbo bool) *Runtime {
 	cores := m.Config().Cores
 	r := &Runtime{
-		m:     m,
-		heap:  heap,
-		cfg:   DefaultConfig(),
-		name:  name,
-		stats: make([]tm.Stats, cores),
-		txs:   make([]coTx, cores),
-		depth: make([]int, cores),
+		m:          m,
+		heap:       heap,
+		turboMode:  turbo,
+		txs:        make([]coTx, cores),
+		depth:      make([]int, cores),
+		StatsTable: make(tm.StatsTable, cores),
 	}
 	base, end := layout.Region(6 * mem.LineSize)
 	m.Mem.Prefault(base, uint64(end-base))
@@ -188,32 +171,21 @@ func New(m *sim.Machine, heap *tm.Heap, layout *mem.Layout, name string) *Runtim
 	r.solo = base + 5*mem.LineSize
 
 	for i := range r.txs {
-		logBase, logEnd := layout.Region(1 << 18) // 256 KiB of log space
-		m.Mem.Prefault(logBase, uint64(logEnd-logBase))
 		r.txs[i] = coTx{
-			r:        r,
-			windex:   make(map[mem.Addr]int),
-			readLog:  logBase,
-			writeLog: logBase + (1 << 17),
+			r:      r,
+			windex: make(map[mem.Addr]int),
+			log:    tm.NewLogSpace(m.Mem, layout),
 		}
 	}
 	return r
 }
 
-// SetConfig replaces the configuration (before any transaction runs).
-func (r *Runtime) SetConfig(cfg Config) { r.cfg = cfg }
-
 // Name implements tm.Runtime.
-func (r *Runtime) Name() string { return r.name }
-
-// Stats implements tm.Runtime.
-func (r *Runtime) Stats(core int) tm.Stats { return r.stats[core] }
-
-// ResetStats implements tm.Runtime.
-func (r *Runtime) ResetStats() {
-	for i := range r.stats {
-		r.stats[i] = tm.Stats{}
+func (r *Runtime) Name() string {
+	if r.turboMode {
+		return "Cohorts-turbo"
 	}
+	return "Cohorts"
 }
 
 // TurboViolations returns how many cohorts saw more than one turbo entry —
@@ -226,9 +198,6 @@ func (r *Runtime) Counters() (started, sealed, finished, order uint64) {
 	return uint64(r.m.Mem.Load(r.started)), uint64(r.m.Mem.Load(r.sealed)),
 		uint64(r.m.Mem.Load(r.finished)), uint64(r.m.Mem.Load(r.order))
 }
-
-// coConflict is the panic sentinel for the software longjmp on abort.
-type coConflict struct{ core int }
 
 // Transaction modes.
 const (
@@ -250,7 +219,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	r.depth[id] = 1
 	defer func() { r.depth[id] = 0 }()
 
-	st := &r.stats[id]
+	st := &r.StatsTable[id]
 	t := &r.txs[id]
 	t.c = c
 
@@ -266,24 +235,12 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		}
 		t.begin()
 
-		committed := func() (committed bool) {
-			defer func() {
-				rec := recover()
-				if rec == nil {
-					return
-				}
-				if cc, ok := rec.(coConflict); ok && cc.core == id {
-					committed = false
-					return
-				}
-				panic(rec)
-			}()
+		committed := tm.Attempt(c, func() {
 			c.SetCategory(sim.CatTxApp)
 			body(t)
 			c.SetCategory(sim.CatTxStartCommit)
 			t.commit()
-			return true
-		}()
+		})
 
 		if committed {
 			st.Commits++
@@ -318,7 +275,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		}
 		r.Record(c, ev)
 		t.reset()
-		if force || attempts >= r.cfg.MaxAttempts {
+		if force || attempts >= maxAttempts {
 			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
 				Aborter: sim.NoCore, Addr: sim.NoAddr})
 			r.runSolo(c, t, body)
@@ -332,7 +289,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 // abort — the runtime's serial-irrevocable mode.
 func (r *Runtime) runSolo(c *sim.CPU, t *coTx, body func(tx tm.Tx)) {
 	id := c.ID()
-	st := &r.stats[id]
+	st := &r.StatsTable[id]
 	c.SetCategory(sim.CatTxStartCommit)
 	attemptStart := c.Now()
 	// Latch the solo word (queue behind any other solo transaction).
@@ -340,7 +297,7 @@ func (r *Runtime) runSolo(c *sim.CPU, t *coTx, body func(tx tm.Tx)) {
 		if _, ok := c.CAS(r.solo, 0, mem.Word(id+1)); ok {
 			break
 		}
-		c.Cycles(uint64(c.Rand().Int63n(int64(r.cfg.SpinCycles))) + r.cfg.SpinCycles)
+		c.Cycles(uint64(c.Rand().Int63n(spinCycles)) + spinCycles)
 	}
 	// Drain: no new members can join (begin re-checks solo after its
 	// increment), so wait until every live cohort has fully finished and
@@ -350,14 +307,14 @@ func (r *Runtime) runSolo(c *sim.CPU, t *coTx, body func(tx tm.Tx)) {
 		if c.Load(r.started) == 0 && c.Load(r.sealed) == 0 {
 			break
 		}
-		c.Cycles(r.cfg.SpinCycles)
+		c.Cycles(spinCycles)
 	}
 	r.met.soloEntries.Inc(id)
 	t.mode = modeSolo
 	c.SetCategory(sim.CatTxApp)
 	body(t)
 	c.SetCategory(sim.CatTxStartCommit)
-	c.Exec(r.cfg.CommitInstr)
+	c.Exec(commitInstr)
 	r.NotifyCommit(c, true) // before the release: the latch is the commit point
 	c.Store(r.solo, 0)
 	t.mode = modeInstr
@@ -397,10 +354,7 @@ type coTx struct {
 	reads  []readEntry
 	writes []writeEntry
 	windex map[mem.Addr]int
-
-	// readLog/writeLog are the simulated-memory backing of the logs, so
-	// each append charges a real store (the logs stay cache-hot).
-	readLog, writeLog mem.Addr
+	log    tm.LogSpace
 
 	// lastBy/lastAddr stash the abort edge for the flight recorder before
 	// the software longjmp unwinds (value validation cannot identify the
@@ -416,7 +370,7 @@ func (t *coTx) abort() {
 // abortAt records the conflicting address, then unwinds.
 func (t *coTx) abortAt(a mem.Addr) {
 	t.lastBy, t.lastAddr = sim.NoCore, a
-	panic(coConflict{core: t.c.ID()})
+	tm.Unwind(t.c)
 }
 
 // begin joins the current cohort: admission is open while no member has
@@ -427,12 +381,12 @@ func (t *coTx) abortAt(a mem.Addr) {
 func (t *coTx) begin() {
 	c := t.c
 	r := t.r
-	c.Exec(r.cfg.BeginInstr)
+	c.Exec(beginInstr)
 	t.mode = modeInstr
 	t.irrevocable = false
 	for {
 		if c.Load(r.solo) != 0 || c.Load(r.sealed) != 0 {
-			c.Cycles(r.cfg.SpinCycles)
+			c.Cycles(spinCycles)
 			continue
 		}
 		c.FetchAdd(r.started, 1)
@@ -440,7 +394,7 @@ func (t *coTx) begin() {
 			return // joined the open cohort
 		}
 		c.FetchAdd(r.started, ^mem.Word(0)) // back out and wait
-		c.Cycles(r.cfg.SpinCycles)
+		c.Cycles(spinCycles)
 	}
 }
 
@@ -458,7 +412,7 @@ func (t *coTx) begin() {
 func (t *coTx) maybeTurbo() {
 	c := t.c
 	r := t.r
-	if t.mode != modeInstr || !r.cfg.Turbo {
+	if t.mode != modeInstr || !r.turboMode {
 		return
 	}
 	s := c.Load(r.sealed)
@@ -481,7 +435,7 @@ func (t *coTx) maybeTurbo() {
 	// Publish the redo log in place and go uninstrumented.
 	for i := range t.writes {
 		w := &t.writes[i]
-		c.Exec(r.cfg.WritebackInstrPerEntry)
+		c.Exec(writebackInstrPerEntry)
 		c.Store(w.addr, w.val)
 	}
 	t.mode = modeTurbo
@@ -492,8 +446,8 @@ func (t *coTx) commit() {
 	c := t.c
 	r := t.r
 	id := c.ID()
-	st := &r.stats[id]
-	c.Exec(r.cfg.CommitInstr)
+	st := &r.StatsTable[id]
+	c.Exec(commitInstr)
 
 	switch t.mode {
 	case modeSolo:
@@ -541,7 +495,7 @@ func (t *coTx) commit() {
 		if c.Load(r.started) == s {
 			break
 		}
-		c.Cycles(r.cfg.SpinCycles)
+		c.Cycles(spinCycles)
 	}
 	r.met.sealWait.Add(id, c.Now()-sealStart)
 
@@ -551,7 +505,7 @@ func (t *coTx) commit() {
 	// only counts non-turbo turns.)
 	orderStart := c.Now()
 	for uint64(c.Load(r.order)) != myOrder {
-		c.Cycles(r.cfg.SpinCycles)
+		c.Cycles(spinCycles)
 	}
 	r.met.orderWait.Add(id, c.Now()-orderStart)
 
@@ -563,7 +517,7 @@ func (t *coTx) commit() {
 	if myOrder > 0 || turboHere {
 		for i := range t.reads {
 			e := &t.reads[i]
-			c.Exec(r.cfg.ValidateInstrPerEntry)
+			c.Exec(validateInstrPerEntry)
 			if c.Load(e.addr) != e.val {
 				r.met.validationAborts.Inc(id)
 				t.finishMember(true)
@@ -575,7 +529,7 @@ func (t *coTx) commit() {
 	// Write back the redo log and pass the turn.
 	for i := range t.writes {
 		w := &t.writes[i]
-		c.Exec(r.cfg.WritebackInstrPerEntry)
+		c.Exec(writebackInstrPerEntry)
 		c.Store(w.addr, w.val)
 	}
 	r.NotifyCommit(c, false)
@@ -630,18 +584,6 @@ func (t *coTx) reset() {
 	t.irrevocable = false
 }
 
-// readLogSlot returns the next simulated-memory slot of the value log,
-// wrapping within its region (the charge is what matters).
-func (t *coTx) readLogSlot() mem.Addr {
-	off := (uint64(len(t.reads)) * 2 * mem.WordSize) & ((1 << 17) - 1)
-	return t.readLog + mem.Addr(off)
-}
-
-func (t *coTx) writeLogSlot(i int) mem.Addr {
-	off := (uint64(i) * 2 * mem.WordSize) & ((1 << 17) - 1)
-	return t.writeLog + mem.Addr(off)
-}
-
 // --- tm.Tx -----------------------------------------------------------------
 
 // Load implements tm.Tx: read-own-write from the redo log, else a plain
@@ -656,13 +598,13 @@ func (t *coTx) Load(a mem.Addr) mem.Word {
 		c.Exec(2)
 		return c.Load(a)
 	}
-	c.Exec(t.r.cfg.ReadInstr)
+	c.Exec(readInstr)
 	if i, ok := t.windex[a]; ok {
 		return t.writes[i].val
 	}
 	v := c.Load(a)
 	// Value-log append: address + value (two simulated stores).
-	slot := t.readLogSlot()
+	slot := t.log.ReadSlot(len(t.reads), 2*mem.WordSize)
 	c.Store(slot, mem.Word(a))
 	c.Store(slot+mem.WordSize, v)
 	t.reads = append(t.reads, readEntry{addr: a, val: v})
@@ -681,14 +623,14 @@ func (t *coTx) Store(a mem.Addr, v mem.Word) {
 		c.Store(a, v)
 		return
 	}
-	c.Exec(t.r.cfg.WriteInstr)
+	c.Exec(writeInstr)
 	if i, ok := t.windex[a]; ok {
 		t.writes[i].val = v
-		c.Store(t.writeLogSlot(i)+mem.WordSize, v)
+		c.Store(t.log.WriteSlot(i, 2*mem.WordSize)+mem.WordSize, v)
 		return
 	}
 	i := len(t.writes)
-	slot := t.writeLogSlot(i)
+	slot := t.log.WriteSlot(i, 2*mem.WordSize)
 	c.Store(slot, mem.Word(a))
 	c.Store(slot+mem.WordSize, v)
 	t.windex[a] = i
@@ -697,25 +639,11 @@ func (t *coTx) Store(a mem.Addr, v mem.Word) {
 
 // Alloc implements tm.Tx. Cohorts can refill inline: writes are buffered,
 // so no speculative region is at risk during the refill.
-func (t *coTx) Alloc(size uint64) mem.Addr {
-	for {
-		a, ok := t.r.heap.AllocFast(t.c, size, mem.WordSize)
-		if ok {
-			return a
-		}
-		t.r.heap.Refill(t.c, size)
-	}
-}
+func (t *coTx) Alloc(size uint64) mem.Addr { return t.r.heap.Alloc(t.c, size, mem.WordSize) }
 
 // AllocLines implements tm.Tx.
 func (t *coTx) AllocLines(n int) mem.Addr {
-	for {
-		a, ok := t.r.heap.AllocFast(t.c, uint64(n)*mem.LineSize, mem.LineSize)
-		if ok {
-			return a
-		}
-		t.r.heap.Refill(t.c, uint64(n)*mem.LineSize)
-	}
+	return t.r.heap.Alloc(t.c, uint64(n)*mem.LineSize, mem.LineSize)
 }
 
 // Free implements tm.Tx.

@@ -15,11 +15,7 @@ func newRT(t *testing.T, cores int, turbo bool) (*sim.Machine, *Runtime) {
 	m.Mem.Prefault(0, 1<<21)
 	layout := mem.NewLayout(1 << 22)
 	heap := tm.NewHeap(m.Mem, layout, cores, 16<<20)
-	r := New(m, heap, layout, "Cohorts-test")
-	cfg := DefaultConfig()
-	cfg.Turbo = turbo
-	r.SetConfig(cfg)
-	return m, r
+	return m, New(m, heap, layout, turbo)
 }
 
 // counterTotal pulls one cohorts/* counter out of a registry snapshot.

@@ -1,15 +1,30 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"asfstack"
 	"asfstack/internal/stamp"
 )
+
+// update rewrites the sim pin (testdata/sim_digests.json) from this run's
+// digests. TestParallelExperimentDeterminism writes it only when every
+// experiment's parallel=1 and parallel=4 runs agree.
+var update = flag.Bool("update", false, "rewrite testdata/sim_digests.json when the determinism runs agree")
+
+// simPinPath is the committed pin of the sim contract: one digest per
+// experiment in Names, over simSections at the determinism-suite scales.
+const simPinPath = "testdata/sim_digests.json"
 
 func renderTables(tables []*Table) string {
 	var b strings.Builder
@@ -64,10 +79,20 @@ func simSections(t *testing.T, name string, o Options) string {
 	return b.String()
 }
 
+// simDigest is the pin's digest of one simSections string: a sha256
+// prefix, as bench/asfperf's digests.json uses.
+func simDigest(sections string) string {
+	sum := sha256.Sum256([]byte(sections))
+	return hex.EncodeToString(sum[:])[:16]
+}
+
 // TestParallelExperimentDeterminism is the harness-level determinism
 // suite: every registered experiment runs with worker counts 1 and 4, and
 // both runs' sim sections — every cell's cycles, stats, metrics snapshot,
-// profile, and every rendered table — must be byte-identical.
+// profile, and every rendered table — must be byte-identical. Across
+// commits, the same bytes must match the pin in testdata/sim_digests.json:
+// a change that moves simulated results on purpose re-pins with -update
+// and names the experiments that moved.
 func TestParallelExperimentDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps are slow")
@@ -78,6 +103,14 @@ func TestParallelExperimentDeterminism(t *testing.T) {
 		"fig4": 0.02, "fig6": 0.02, "adaptive": 0.02, "txprof": 0.03,
 		"grid64": 0.01, "litmus": 0.02, "server": 0.02,
 	}
+	var mu sync.Mutex
+	digests := make(map[string]string, len(Names))
+	// Cleanup runs after every parallel subtest has finished.
+	t.Cleanup(func() {
+		if !t.Failed() {
+			checkSimPin(t, digests)
+		}
+	})
 	for _, name := range Names {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -90,7 +123,49 @@ func TestParallelExperimentDeterminism(t *testing.T) {
 			if got := simSections(t, name, Options{Scale: scale, Parallel: 4}); got != base {
 				t.Fatalf("%s: sim sections differ between parallel=4 and parallel=1", name)
 			}
+			mu.Lock()
+			digests[name] = simDigest(base)
+			mu.Unlock()
 		})
+	}
+}
+
+// checkSimPin compares the digests of the experiments that ran against the
+// pin and fails naming every one that moved; with -update it rewrites their
+// entries instead.
+func checkSimPin(t *testing.T, got map[string]string) {
+	pin := map[string]string{}
+	data, err := os.ReadFile(simPinPath)
+	if err == nil {
+		err = json.Unmarshal(data, &pin)
+	}
+	if err != nil && !(*update && errors.Is(err, os.ErrNotExist)) {
+		t.Errorf("reading the sim pin: %v", err)
+		return
+	}
+	if *update {
+		for name, d := range got {
+			pin[name] = d
+		}
+		out, err := json.MarshalIndent(pin, "", "  ")
+		if err == nil {
+			err = os.WriteFile(simPinPath, append(out, '\n'), 0o644)
+		}
+		if err != nil {
+			t.Errorf("writing the sim pin: %v", err)
+		}
+		return
+	}
+	var moved []string
+	for name, d := range got {
+		if pin[name] != d {
+			moved = append(moved, fmt.Sprintf("%s (%s, pinned %q)", name, d, pin[name]))
+		}
+	}
+	if len(moved) > 0 {
+		slices.Sort(moved)
+		t.Errorf("sim sections moved from %s for %d experiment(s): %s; if the change is intended, re-pin with -update and list them in CHANGES.md",
+			simPinPath, len(moved), strings.Join(moved, ", "))
 	}
 }
 

@@ -36,9 +36,9 @@
 //
 // Mode selection: capacity overflows fall back to software immediately
 // (the working set will never fit); contention retries in hardware with
-// back-off up to MaxHWAttempts, then falls back to software; the software
+// back-off up to maxHWAttempts, then falls back to software; the software
 // path escalates to serial only on an explicit irrevocability request or
-// as a livelock safety valve after MaxSWAttempts.
+// as a livelock safety valve after maxSWAttempts.
 package hytm
 
 import (
@@ -49,79 +49,61 @@ import (
 	"asfstack/internal/tm"
 )
 
-// Config tunes contention management and ABI costs for both paths.
-type Config struct {
-	// MaxHWAttempts is how many hardware attempts are made before a
+// Contention management and ABI costs for both paths.
+const (
+	// maxHWAttempts is how many hardware attempts are made before a
 	// transaction falls back to the concurrent software path. Capacity
 	// overflows fall back immediately.
-	MaxHWAttempts int
-	// MaxSWAttempts is the livelock safety valve: software attempts before
+	maxHWAttempts = 16
+	// maxSWAttempts is the livelock safety valve: software attempts before
 	// the transaction escalates to serial-irrevocable mode. Software
 	// conflicts are value-based and a failed validation means someone else
 	// committed, so in practice this bound is never reached.
-	MaxSWAttempts int
-	// BackoffBase and BackoffMax bound the exponential back-off (cycles).
-	BackoffBase uint64
-	BackoffMax  uint64
+	maxSWAttempts = 1024
+	// backoffBase and backoffMax bound the exponential back-off (cycles),
+	// which doubles at most backoffShift times.
+	backoffBase  = 64
+	backoffMax   = 1 << 14
+	backoffShift = 8
 
-	// ForceSW routes every transaction straight to the concurrent software
-	// fallback, skipping the hardware attempts. Litmus conformance runs use
-	// it to exercise the fallback's isolation behaviour directly — the
-	// suite's transactions are far too small to overflow an LLB naturally.
-	ForceSW bool
-
-	// Hardware-path ABI costs, in instructions (as asftm.Config).
-	BeginInstr   int
-	CommitInstr  int
-	BarrierInstr int
+	// Hardware-path ABI costs, in instructions (as ASF-TM's).
+	beginInstr   = 60
+	commitInstr  = 16
+	barrierInstr = 2
 
 	// Software-path lengths, in instructions (beyond the memory traffic,
 	// which is charged by the cache model). The redo-log write barrier is
 	// cheaper than TinySTM's encounter-time locking (no CAS), the read
 	// barrier pays the two seqlock sample loads instead of lock checks.
-	SWBeginInstr, SWCommitInstr int
-	SWReadInstr, SWWriteInstr   int
-	SWValidateInstrPerEntry     int
-	SWWritebackInstrPerEntry    int
-}
-
-// DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config {
-	return Config{
-		MaxHWAttempts: 16,
-		MaxSWAttempts: 1024,
-		BackoffBase:   64,
-		BackoffMax:    1 << 14,
-
-		BeginInstr:   60,
-		CommitInstr:  16,
-		BarrierInstr: 2,
-
-		SWBeginInstr:             50,
-		SWCommitInstr:            30,
-		SWReadInstr:              20,
-		SWWriteInstr:             25,
-		SWValidateInstrPerEntry:  4,
-		SWWritebackInstrPerEntry: 4,
-	}
-}
+	swBeginInstr             = 50
+	swCommitInstr            = 30
+	swReadInstr              = 20
+	swWriteInstr             = 25
+	swValidateInstrPerEntry  = 4
+	swWritebackInstrPerEntry = 4
+)
 
 // Runtime implements tm.Runtime as a hardware/software hybrid.
 type Runtime struct {
+	// ForceSW routes every transaction straight to the concurrent software
+	// fallback, skipping the hardware attempts. Litmus conformance runs use
+	// it to exercise the fallback's isolation behaviour directly — the
+	// suite's transactions are far too small to overflow an LLB naturally.
+	// Set it before the first transaction.
+	ForceSW bool
+
 	sys  *asf.System
 	heap *tm.Heap
-	m    *sim.Machine
-	cfg  Config
 	name string
 
 	swSeq   mem.Addr // commit-sequence seqlock
 	swCount mem.Addr // live software-fallback transactions (same line as swSeq)
 	hwSeq   mem.Addr // hardware-commit counter, alone on its cache line
 
-	stats []tm.Stats
 	txs   []hyTx
 	depth []int // per-core flat-nesting depth of Atomic calls
 
+	tm.StatsTable
 	tm.Observers
 
 	met rtMetrics
@@ -175,44 +157,34 @@ func New(sys *asf.System, heap *tm.Heap, m *sim.Machine, layout *mem.Layout, nam
 	m.Mem.Prefault(base, 2*mem.LineSize)
 	cores := m.Config().Cores
 	r := &Runtime{
-		sys:     sys,
-		heap:    heap,
-		m:       m,
-		cfg:     DefaultConfig(),
-		name:    name,
-		swSeq:   base,
-		swCount: base + mem.WordSize,
-		hwSeq:   base + mem.LineSize,
-		stats:   make([]tm.Stats, cores),
-		txs:     make([]hyTx, cores),
-		depth:   make([]int, cores),
+		sys:        sys,
+		heap:       heap,
+		name:       name,
+		swSeq:      base,
+		swCount:    base + mem.WordSize,
+		hwSeq:      base + mem.LineSize,
+		txs:        make([]hyTx, cores),
+		depth:      make([]int, cores),
+		StatsTable: make(tm.StatsTable, cores),
 	}
 	for i := range r.txs {
-		logBase, logEnd := layout.Region(1 << 18) // 256 KiB of log space
-		m.Mem.Prefault(logBase, uint64(logEnd-logBase))
 		r.txs[i] = hyTx{
-			r:        r,
-			windex:   make(map[mem.Addr]int),
-			readLog:  logBase,
-			writeLog: logBase + (1 << 17),
+			r:      r,
+			windex: make(map[mem.Addr]int),
+			log:    tm.NewLogSpace(m.Mem, layout),
 		}
 	}
 	return r
 }
 
-// SetConfig replaces the contention-management configuration.
-func (r *Runtime) SetConfig(cfg Config) { r.cfg = cfg }
-
 // Name implements tm.Runtime.
 func (r *Runtime) Name() string { return r.name }
 
-// Stats implements tm.Runtime.
-func (r *Runtime) Stats(core int) tm.Stats { return r.stats[core] }
-
-// ResetStats implements tm.Runtime.
+// ResetStats implements tm.Runtime: the outcome counters and the ASF
+// units' own.
 func (r *Runtime) ResetStats() {
-	for i := range r.stats {
-		r.stats[i] = tm.Stats{}
+	r.StatsTable.ResetStats()
+	for i := range r.StatsTable {
 		r.sys.Unit(i).ResetStats()
 	}
 }
@@ -240,12 +212,12 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	r.depth[id] = 1
 	defer func() { r.depth[id] = 0 }()
 
-	st := &r.stats[id]
+	st := &r.StatsTable[id]
 	u := r.sys.Unit(id)
 	t := &r.txs[id]
 	t.c, t.u, t.mode, t.wrote = c, u, modeHW, false
 
-	if r.cfg.ForceSW {
+	if r.ForceSW {
 		r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathSW,
 			Aborter: sim.NoCore, Addr: sim.NoAddr})
 		r.runSW(c, t, body)
@@ -261,7 +233,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathHW,
 				Aborter: sim.NoCore, Addr: sim.NoAddr})
 		}
-		c.Exec(r.cfg.BeginInstr)
+		c.Exec(beginInstr)
 
 		reason, code := u.Region(func() {
 			// Subscribe: the commit-sequence word is the first
@@ -286,7 +258,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 				// conflict window on the counter line is one commit.
 				u.Store(r.hwSeq, u.Load(r.hwSeq)+1)
 			}
-			c.Exec(r.cfg.CommitInstr)
+			c.Exec(commitInstr)
 		})
 
 		if reason == sim.AbortNone {
@@ -327,7 +299,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			case tm.CodeMallocRefill:
 				st.MallocAborts++
 				st.Aborts[sim.AbortExplicit]++
-				r.heap.Refill(c, r.heap.ChunkSize)
+				r.heap.Refill(c, tm.ChunkSize)
 			case tm.CodeSeqLocked:
 				st.Aborts[sim.AbortContention]++
 				st.SeqAborts++
@@ -345,13 +317,13 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			}
 		case sim.AbortContention:
 			st.Aborts[sim.AbortContention]++
-			r.backoff(c, attempts)
+			r.met.backoff.Observe(id, tm.Backoff(c, attempts, backoffBase, backoffShift, backoffMax))
 		default:
 			// Page fault (now handled), interrupt, syscall: retry.
 			st.Aborts[reason]++
 		}
 
-		if fallback || attempts >= r.cfg.MaxHWAttempts {
+		if fallback || attempts >= maxHWAttempts {
 			r.met.hwAttempts.Observe(id, uint64(attempts))
 			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSW,
 				Aborter: sim.NoCore, Addr: sim.NoAddr})
@@ -359,17 +331,6 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			return
 		}
 	}
-}
-
-// backoff spins for a randomised exponential delay.
-func (r *Runtime) backoff(c *sim.CPU, attempt int) {
-	limit := r.cfg.BackoffBase << uint(min(attempt, 8))
-	if limit > r.cfg.BackoffMax {
-		limit = r.cfg.BackoffMax
-	}
-	delay := uint64(c.Rand().Int63n(int64(limit))) + 1
-	r.met.backoff.Observe(c.ID(), delay)
-	c.Cycles(delay)
 }
 
 // waitSeqEven polls the commit-sequence word with plain reads (they do not
@@ -381,14 +342,11 @@ func (r *Runtime) waitSeqEven(c *sim.CPU) {
 	}
 }
 
-// hyConflict is the panic sentinel for the software longjmp on abort.
-type hyConflict struct{ core int }
-
 // runSW executes body on the concurrent software fallback path, retrying
 // on validation failures until commit (or serial escalation).
 func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 	id := c.ID()
-	st := &r.stats[id]
+	st := &r.StatsTable[id]
 	entry := c.Now()
 	// Announce the fallback: hardware writers start bumping hwSeq, and the
 	// write probe aborts any in-flight region that read a zero count.
@@ -401,24 +359,12 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 		attemptStart := c.Now()
 		t.swBegin()
 
-		committed := func() (committed bool) {
-			defer func() {
-				rec := recover()
-				if rec == nil {
-					return
-				}
-				if hc, ok := rec.(hyConflict); ok && hc.core == id {
-					committed = false
-					return
-				}
-				panic(rec)
-			}()
+		committed := tm.Attempt(c, func() {
 			c.SetCategory(sim.CatTxApp)
 			body(t)
 			c.SetCategory(sim.CatTxStartCommit)
 			t.swCommit()
-			return true
-		}()
+		})
 
 		if committed {
 			st.Commits++
@@ -447,7 +393,7 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 		force := t.forceSerial
 		t.forceSerial = false
 		t.swReset()
-		if force || retries >= r.cfg.MaxSWAttempts {
+		if force || retries >= maxSWAttempts {
 			r.met.swAttempts.Observe(id, uint64(retries))
 			r.met.swCycles.Add(id, c.Now()-entry)
 			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
@@ -455,7 +401,7 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 			r.runSerial(c, t, body)
 			return
 		}
-		r.backoff(c, retries)
+		r.met.backoff.Observe(id, tm.Backoff(c, retries, backoffBase, backoffShift, backoffMax))
 	}
 }
 
@@ -466,7 +412,7 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 // re-validate by value against the serial transaction's in-place writes.
 func (r *Runtime) runSerial(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 	id := c.ID()
-	st := &r.stats[id]
+	st := &r.StatsTable[id]
 	c.SetCategory(sim.CatTxStartCommit)
 	attemptStart := c.Now()
 	var seq mem.Word
@@ -536,10 +482,7 @@ type hyTx struct {
 	reads          []swRead
 	writes         []swWrite
 	windex         map[mem.Addr]int
-
-	// readLog/writeLog are the simulated-memory backing of the logs, so
-	// each append charges a real store (the logs stay cache-hot).
-	readLog, writeLog mem.Addr
+	log            tm.LogSpace
 
 	// lastBy/lastAddr stash the abort edge for the flight recorder before
 	// the software longjmp unwinds (NOrec value validation cannot identify
@@ -555,14 +498,14 @@ func (t *hyTx) swAbort() {
 // swAbortAt records the conflicting address, then unwinds.
 func (t *hyTx) swAbortAt(a mem.Addr) {
 	t.lastBy, t.lastAddr = sim.NoCore, a
-	panic(hyConflict{core: t.c.ID()})
+	tm.Unwind(t.c)
 }
 
 // swBegin samples a consistent (even) seqlock snapshot.
 func (t *hyTx) swBegin() {
 	c := t.c
 	t.mode = modeSW
-	c.Exec(t.r.cfg.SWBeginInstr)
+	c.Exec(swBeginInstr)
 	for {
 		s := c.Load(t.r.swSeq)
 		if s&1 == 0 {
@@ -588,7 +531,7 @@ func (t *hyTx) swRevalidate() {
 		h := c.Load(t.r.hwSeq)
 		for i := range t.reads {
 			e := &t.reads[i]
-			c.Exec(t.r.cfg.SWValidateInstrPerEntry)
+			c.Exec(swValidateInstrPerEntry)
 			if c.Load(e.addr) != e.val {
 				t.swAbortAt(e.addr)
 			}
@@ -605,7 +548,7 @@ func (t *hyTx) swRevalidate() {
 // either moved since the snapshot.
 func (t *hyTx) swLoad(a mem.Addr) mem.Word {
 	c := t.c
-	c.Exec(t.r.cfg.SWReadInstr)
+	c.Exec(swReadInstr)
 	if i, ok := t.windex[a]; ok {
 		return t.writes[i].val
 	}
@@ -618,7 +561,7 @@ func (t *hyTx) swLoad(a mem.Addr) mem.Word {
 		v = c.Load(a)
 	}
 	// Append to the read log (one simulated store).
-	c.Store(t.readLogSlot(), mem.Word(a))
+	c.Store(t.log.ReadSlot(len(t.reads), mem.WordSize), mem.Word(a))
 	t.reads = append(t.reads, swRead{addr: a, val: v})
 	return v
 }
@@ -627,16 +570,17 @@ func (t *hyTx) swLoad(a mem.Addr) mem.Word {
 // commit, so concurrent readers never see speculative software state.
 func (t *hyTx) swStore(a mem.Addr, v mem.Word) {
 	c := t.c
-	c.Exec(t.r.cfg.SWWriteInstr)
+	c.Exec(swWriteInstr)
 	if i, ok := t.windex[a]; ok {
 		t.writes[i].val = v
-		c.Store(t.writeLog+mem.Addr((uint64(i)*2+1)*mem.WordSize)&((1<<17)-1), v)
+		c.Store(t.log.WriteSlot(i, 2*mem.WordSize)+mem.WordSize, v)
 		return
 	}
 	// Redo-log append: address + value (two simulated stores).
 	i := len(t.writes)
-	c.Store(t.writeLogSlot(i), mem.Word(a))
-	c.Store(t.writeLogSlot(i)+mem.WordSize, v)
+	slot := t.log.WriteSlot(i, 2*mem.WordSize)
+	c.Store(slot, mem.Word(a))
+	c.Store(slot+mem.WordSize, v)
 	t.windex[a] = i
 	t.writes = append(t.writes, swWrite{addr: a, val: v})
 }
@@ -646,7 +590,7 @@ func (t *hyTx) swStore(a mem.Addr, v mem.Word) {
 func (t *hyTx) swCommit() {
 	c := t.c
 	r := t.r
-	c.Exec(r.cfg.SWCommitInstr)
+	c.Exec(swCommitInstr)
 	if len(t.writes) == 0 {
 		if c.Load(r.swSeq) != t.swSnap || c.Load(r.hwSeq) != t.hwSnap {
 			t.swRevalidate()
@@ -654,7 +598,7 @@ func (t *hyTx) swCommit() {
 		return
 	}
 	id := c.ID()
-	st := &r.stats[id]
+	st := &r.StatsTable[id]
 	for {
 		if c.Load(r.swSeq) != t.swSnap {
 			// Someone committed since the snapshot: re-validate (and
@@ -681,7 +625,7 @@ func (t *hyTx) swCommit() {
 	if c.Load(r.hwSeq) != t.hwSnap {
 		for i := range t.reads {
 			e := &t.reads[i]
-			c.Exec(r.cfg.SWValidateInstrPerEntry)
+			c.Exec(swValidateInstrPerEntry)
 			if c.Load(e.addr) != e.val {
 				c.Store(r.swSeq, t.swSnap+2) // release before unwinding
 				t.swAbortAt(e.addr)
@@ -690,7 +634,7 @@ func (t *hyTx) swCommit() {
 	}
 	for i := range t.writes {
 		w := &t.writes[i]
-		c.Exec(r.cfg.SWWritebackInstrPerEntry)
+		c.Exec(swWritebackInstrPerEntry)
 		c.Store(w.addr, w.val)
 	}
 	c.Store(r.swSeq, t.swSnap+2)
@@ -703,18 +647,6 @@ func (t *hyTx) swReset() {
 	t.mode = modeHW
 }
 
-// readLogSlot returns the next simulated-memory slot of the read log,
-// wrapping within its region (the charge is what matters).
-func (t *hyTx) readLogSlot() mem.Addr {
-	off := (uint64(len(t.reads)) * mem.WordSize) & ((1 << 17) - 1)
-	return t.readLog + mem.Addr(off)
-}
-
-func (t *hyTx) writeLogSlot(i int) mem.Addr {
-	off := (uint64(i) * 2 * mem.WordSize) & ((1 << 17) - 1)
-	return t.writeLog + mem.Addr(off)
-}
-
 // --- tm.Tx -----------------------------------------------------------------
 
 // Load implements tm.Tx.
@@ -723,7 +655,7 @@ func (t *hyTx) Load(a mem.Addr) mem.Word {
 	var v mem.Word
 	switch t.mode {
 	case modeHW:
-		t.c.Exec(t.r.cfg.BarrierInstr)
+		t.c.Exec(barrierInstr)
 		v = t.u.Load(a)
 	case modeSW:
 		v = t.swLoad(a)
@@ -740,7 +672,7 @@ func (t *hyTx) Store(a mem.Addr, v mem.Word) {
 	prev := t.c.SetCategory(sim.CatTxLoadStore)
 	switch t.mode {
 	case modeHW:
-		t.c.Exec(t.r.cfg.BarrierInstr)
+		t.c.Exec(barrierInstr)
 		t.u.Store(a, v)
 		t.wrote = true
 	case modeSW:
@@ -752,36 +684,26 @@ func (t *hyTx) Store(a mem.Addr, v mem.Word) {
 	t.c.SetCategory(prev)
 }
 
-// Alloc implements tm.Tx: pool allocation. The software and serial paths
-// can refill inline (no speculative region is at risk); the hardware path
-// aborts to refill outside the region (§3.3).
-func (t *hyTx) Alloc(size uint64) mem.Addr {
-	for {
-		a, ok := t.r.heap.AllocFast(t.c, size, mem.WordSize)
-		if ok {
-			return a
-		}
-		if t.mode != modeHW {
-			t.r.heap.Refill(t.c, size)
-			continue
-		}
-		t.u.Abort(tm.CodeMallocRefill)
-	}
-}
+// Alloc implements tm.Tx.
+func (t *hyTx) Alloc(size uint64) mem.Addr { return t.alloc(size, mem.WordSize) }
 
 // AllocLines implements tm.Tx.
 func (t *hyTx) AllocLines(n int) mem.Addr {
-	for {
-		a, ok := t.r.heap.AllocFast(t.c, uint64(n)*mem.LineSize, mem.LineSize)
-		if ok {
-			return a
-		}
-		if t.mode != modeHW {
-			t.r.heap.Refill(t.c, uint64(n)*mem.LineSize)
-			continue
-		}
+	return t.alloc(uint64(n)*mem.LineSize, mem.LineSize)
+}
+
+// alloc is pool allocation. The software and serial paths refill inline
+// (no speculative region is at risk); the hardware path aborts to refill
+// outside the region (§3.3).
+func (t *hyTx) alloc(size, align uint64) mem.Addr {
+	if t.mode != modeHW {
+		return t.r.heap.Alloc(t.c, size, align)
+	}
+	a, ok := t.r.heap.AllocFast(t.c, size, align)
+	if !ok {
 		t.u.Abort(tm.CodeMallocRefill)
 	}
+	return a
 }
 
 // Free implements tm.Tx.

@@ -163,6 +163,12 @@ func TestMallocRefillAbortsOnce(t *testing.T) {
 	if st.Commits != 1 {
 		t.Fatalf("commits = %d", st.Commits)
 	}
+	// HyTM counts a refill abort in MallocAborts and in the explicit
+	// hardware aborts as well (ASF-TM counts it in MallocAborts only).
+	if st.MallocAborts != 1 || st.Aborts[sim.AbortExplicit] != 1 {
+		t.Fatalf("malloc aborts = %d, explicit aborts = %d; want 1 and 1",
+			st.MallocAborts, st.Aborts[sim.AbortExplicit])
+	}
 }
 
 func TestBecomeIrrevocableGoesSerial(t *testing.T) {
@@ -223,9 +229,6 @@ func TestBecomeIrrevocableFromSoftware(t *testing.T) {
 // budget must land on the concurrent software path, not serial mode.
 func TestMaxHWAttemptsFallsBackToSoftware(t *testing.T) {
 	m, r := newRT(t, 1, asf.LLB256)
-	cfg := DefaultConfig()
-	cfg.MaxHWAttempts = 5
-	r.SetConfig(cfg)
 
 	hw, sw := 0, 0
 	m.Run(func(c *sim.CPU) {
@@ -239,8 +242,8 @@ func TestMaxHWAttemptsFallsBackToSoftware(t *testing.T) {
 			tx.Store(0xC000, mem.Word(sw))
 		})
 	})
-	if hw != 5 || sw != 1 {
-		t.Fatalf("hardware attempts = %d, software runs = %d; want 5 and 1", hw, sw)
+	if hw != maxHWAttempts || sw != 1 {
+		t.Fatalf("hardware attempts = %d, software runs = %d; want %d and 1", hw, sw, maxHWAttempts)
 	}
 	st := r.Stats(0)
 	if st.SWCommits != 1 || st.Serial != 0 {

@@ -51,10 +51,10 @@ type RuntimeConfig struct {
 	// serial-irrevocable path (BecomeIrrevocable as the first action).
 	ForceSerial bool
 	// ForceSW routes every hybrid transaction to the software fallback
-	// (hytm.Config.ForceSW).
+	// (hytm.Runtime.ForceSW).
 	ForceSW bool
 	// STMUnsafe turns off the STM's privatization safety
-	// (stm.Config.PrivatizationSafe) — the regression configuration that
+	// (stm.Runtime.PrivatizationSafe) — the regression configuration that
 	// reproduces the zombie-writeback bug the suite originally flushed out.
 	// Not part of Matrix; see TestSTMPrivatizationRegression.
 	STMUnsafe bool
@@ -254,14 +254,10 @@ func Explore(t *Test, rc RuntimeConfig, opts ExploreOptions) *Result {
 		Profile:     true,
 	})
 	if rc.ForceSW {
-		hcfg := hytm.DefaultConfig()
-		hcfg.ForceSW = true
-		s.HYTM.SetConfig(hcfg)
+		s.RT.(*hytm.Runtime).ForceSW = true
 	}
 	if rc.STMUnsafe {
-		scfg := stm.DefaultConfig()
-		scfg.PrivatizationSafe = false
-		s.STM.SetConfig(scfg)
+		s.RT.(*stm.Runtime).PrivatizationSafe = false
 	}
 
 	// The commit hook runs under the global turn (via SpecOp), so appends

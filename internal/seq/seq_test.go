@@ -13,7 +13,7 @@ func TestSequentialRuntime(t *testing.T) {
 	m.Mem.Prefault(0, 1<<20)
 	layout := mem.NewLayout(mem.PageSize)
 	heap := tm.NewHeap(m.Mem, layout, 1, 8<<20)
-	r := New(heap, 1)
+	r := New(m, heap)
 	if r.Name() != "Sequential" {
 		t.Fatalf("name = %q", r.Name())
 	}

@@ -6,20 +6,16 @@ import (
 	"asfstack"
 	"asfstack/internal/mem"
 	"asfstack/internal/sim"
-	"asfstack/internal/stm"
 	"asfstack/internal/tm"
 )
 
 // TestBalanceConservedWithoutSerialFallback: concurrent transfers between
-// accounts conserve the total balance when the STM never falls back to
-// serial-irrevocable mode, so every commit goes through optimistic
-// validation alone.
+// accounts conserve the total balance while the STM never falls back to
+// serial-irrevocable mode (no transaction reaches the retry bound), so
+// every commit goes through optimistic validation alone.
 func TestBalanceConservedWithoutSerialFallback(t *testing.T) {
 	const threads, accounts, transfers, initBal = 4, 16, 300, 1000
 	s := asfstack.New(asfstack.Options{Cores: threads, Runtime: "STM"})
-	cfg := stm.DefaultConfig()
-	cfg.MaxRetriesBeforeSerial = 1 << 30 // never go serial
-	s.RT.(*stm.Runtime).SetConfig(cfg)
 	base := s.AllocShared(accounts * mem.LineSize)
 	acct := func(i int) mem.Addr { return base + mem.Addr(i*mem.LineSize) }
 	for i := 0; i < accounts; i++ {
@@ -44,7 +40,7 @@ func TestBalanceConservedWithoutSerialFallback(t *testing.T) {
 	st := s.TotalStats()
 	t.Logf("commits=%d stmAborts=%d serial=%d", st.Commits, st.STMAborts, st.Serial)
 	if st.Serial != 0 {
-		t.Fatalf("%d serial-irrevocable commits with the fallback disabled", st.Serial)
+		t.Fatalf("%d serial-irrevocable commits, want optimistic commits only", st.Serial)
 	}
 	if sum != accounts*initBal {
 		t.Fatalf("total = %d, want %d", sum, accounts*initBal)

@@ -28,51 +28,30 @@ import (
 	"asfstack/internal/tm"
 )
 
-// Config tunes the STM's geometry and costs.
-type Config struct {
-	// LockBits sets the versioned-lock array size to 2^LockBits entries
+// Geometry, contention management and costs.
+const (
+	// lockBits sets the versioned-lock array size to 2^lockBits entries
 	// (one word each). TinySTM's default array is 2^20 entries; scaled
-	// to this simulator's footprints we default to 2^18 (2 MiB).
-	LockBits uint
-	// MaxRetriesBeforeSerial bounds optimistic retries before the
+	// to this simulator's footprints we use 2^18 (2 MiB).
+	lockBits = 18
+	// maxRetriesBeforeSerial bounds optimistic retries before the
 	// transaction becomes irrevocable (TinySTM's serial mode).
-	MaxRetriesBeforeSerial int
-	// PrivatizationSafe enables commit-time quiescence (TinySTM's
-	// stm_quiesce): a committing writer waits until every concurrent
-	// transaction has finished or revalidated against its commit before
-	// returning. Without it a doomed transaction can write through — or
-	// undo — in place *after* a privatizing transaction committed,
-	// clobbering data its owner now accesses with plain operations (the
-	// litmus suite's privatization test catches exactly this). On by
-	// default; the litmus matrix pins the unsafe behaviour as a regression.
-	PrivatizationSafe bool
-	// Backoff bounds (cycles).
-	BackoffBase, BackoffMax uint64
+	maxRetriesBeforeSerial = 64
+	// backoffBase and backoffMax bound the exponential back-off (cycles),
+	// which doubles at most backoffShift times.
+	backoffBase  = 64
+	backoffMax   = 1 << 16
+	backoffShift = 10
 
 	// Software path lengths, in instructions (beyond the memory traffic,
 	// which is charged by the cache model).
-	BeginInstr, CommitInstr int
-	ReadInstr, WriteInstr   int
-	ValidateInstrPerEntry   int
-	UndoInstrPerEntry       int
-}
-
-// DefaultConfig returns the evaluation configuration.
-func DefaultConfig() Config {
-	return Config{
-		LockBits:               18,
-		MaxRetriesBeforeSerial: 64,
-		PrivatizationSafe:      true,
-		BackoffBase:            64,
-		BackoffMax:             1 << 16,
-		BeginInstr:             70,
-		CommitInstr:            30,
-		ReadInstr:              35,
-		WriteInstr:             55,
-		ValidateInstrPerEntry:  4,
-		UndoInstrPerEntry:      6,
-	}
-}
+	beginInstr            = 70
+	commitInstr           = 30
+	readInstr             = 35
+	writeInstr            = 55
+	validateInstrPerEntry = 4
+	undoInstrPerEntry     = 6
+)
 
 // lock word encoding: LSB set = locked, owner core in the upper bits;
 // LSB clear = version (commit timestamp << 1).
@@ -84,9 +63,19 @@ func versionWord(ts uint64) mem.Word { return mem.Word(ts << 1) }
 
 // Runtime implements tm.Runtime with the TinySTM algorithm.
 type Runtime struct {
+	// PrivatizationSafe enables commit-time quiescence (TinySTM's
+	// stm_quiesce): a committing writer waits until every concurrent
+	// transaction has finished or revalidated against its commit before
+	// returning. Without it a doomed transaction can write through — or
+	// undo — in place *after* a privatizing transaction committed,
+	// clobbering data its owner now accesses with plain operations (the
+	// litmus suite's privatization test catches exactly this). New turns
+	// it on; the litmus matrix turns it off to pin the unsafe behaviour as
+	// a regression. Set it before the first transaction.
+	PrivatizationSafe bool
+
 	m    *sim.Machine
 	heap *tm.Heap
-	cfg  Config
 
 	clockAddr mem.Addr // global version clock
 	lockBase  mem.Addr // versioned-lock array
@@ -101,9 +90,9 @@ type Runtime struct {
 	// it is not a zombie hazard and nobody needs to wait for it).
 	statusBase mem.Addr
 
-	stats []tm.Stats
 	descs []*txDesc
 
+	tm.StatsTable
 	tm.Observers
 
 	met rtMetrics
@@ -160,11 +149,7 @@ type txDesc struct {
 	forceSerial bool   // BecomeIrrevocable requested a serial restart
 	active      bool
 	depth       int
-
-	// readLog/writeLog are the simulated-memory backing of the logs, so
-	// each append charges a real store (TinySTM's logs are ordinary
-	// malloc'd arrays that stay cache-hot).
-	readLog, writeLog mem.Addr
+	log         tm.LogSpace
 
 	// lastBy/lastAddr: the causality edge of the most recent abort (lock
 	// owner that conflicted and the contended word), recorded just before
@@ -173,18 +158,14 @@ type txDesc struct {
 	lastAddr mem.Addr
 }
 
-// stmConflict is the panic sentinel for the software longjmp on abort.
-type stmConflict struct{ core int }
-
 // New builds the STM over machine m. Its metadata (clock, lock array,
 // per-thread logs) is laid out in layout's space and prefaulted: TinySTM
 // allocates these at startup.
 func New(m *sim.Machine, heap *tm.Heap, layout *mem.Layout) *Runtime {
-	cfg := DefaultConfig()
 	cores := m.Config().Cores
-	r := &Runtime{m: m, heap: heap, cfg: cfg, stats: make([]tm.Stats, cores)}
+	r := &Runtime{PrivatizationSafe: true, m: m, heap: heap, StatsTable: make(tm.StatsTable, cores)}
 
-	nLocks := uint64(1) << cfg.LockBits
+	nLocks := uint64(1) << lockBits
 	base, end := layout.Region(nLocks*mem.WordSize + 2*mem.PageSize)
 	m.Mem.Prefault(base, uint64(end-base))
 	r.clockAddr = base
@@ -197,32 +178,13 @@ func New(m *sim.Machine, heap *tm.Heap, layout *mem.Layout) *Runtime {
 	r.statusBase = statusBase
 
 	for i := 0; i < cores; i++ {
-		logBase, logEnd := layout.Region(1 << 18) // 256 KiB of log space
-		m.Mem.Prefault(logBase, uint64(logEnd-logBase))
-		r.descs = append(r.descs, &txDesc{
-			r:        r,
-			readLog:  logBase,
-			writeLog: logBase + (1 << 17),
-		})
+		r.descs = append(r.descs, &txDesc{r: r, log: tm.NewLogSpace(m.Mem, layout)})
 	}
 	return r
 }
 
-// SetConfig replaces the configuration (before any transaction runs).
-func (r *Runtime) SetConfig(cfg Config) { r.cfg = cfg }
-
 // Name implements tm.Runtime.
 func (r *Runtime) Name() string { return "STM" }
-
-// Stats implements tm.Runtime.
-func (r *Runtime) Stats(core int) tm.Stats { return r.stats[core] }
-
-// ResetStats implements tm.Runtime.
-func (r *Runtime) ResetStats() {
-	for i := range r.stats {
-		r.stats[i] = tm.Stats{}
-	}
-}
 
 func (r *Runtime) lockFor(a mem.Addr) mem.Addr {
 	idx := (uint64(a) >> mem.WordShift) & r.lockMask
@@ -236,7 +198,7 @@ func (r *Runtime) statusAddr(core int) mem.Addr {
 // publishStatus records this core's live start timestamp (or idle) for
 // quiescing committers.
 func (t *txDesc) publishStatus(live bool) {
-	if !t.r.cfg.PrivatizationSafe {
+	if !t.r.PrivatizationSafe {
 		return
 	}
 	w := mem.Word(0)
@@ -255,7 +217,7 @@ func (t *txDesc) publishStatus(live bool) {
 // so two quiescing writers never wait for each other; zombies drain because
 // their next barrier revalidates against the moved clock and aborts.
 func (r *Runtime) quiesce(c *sim.CPU, ts uint64) {
-	if !r.cfg.PrivatizationSafe || len(r.descs) == 1 {
+	if !r.PrivatizationSafe || len(r.descs) == 1 {
 		return
 	}
 	me := c.ID()
@@ -283,7 +245,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		return
 	}
 	t.c = c
-	st := &r.stats[c.ID()]
+	st := &r.StatsTable[c.ID()]
 
 	retries := 0
 	for {
@@ -296,24 +258,12 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		}
 		t.begin()
 
-		committed := func() (committed bool) {
-			defer func() {
-				rec := recover()
-				if rec == nil {
-					return
-				}
-				if sc, ok := rec.(stmConflict); ok && sc.core == c.ID() {
-					committed = false
-					return
-				}
-				panic(rec)
-			}()
+		committed := tm.Attempt(c, func() {
 			c.SetCategory(sim.CatTxApp)
 			body(t)
 			c.SetCategory(sim.CatTxStartCommit)
 			t.commit()
-			return true
-		}()
+		})
 
 		if committed {
 			r.NotifyCommit(c, t.serial)
@@ -354,8 +304,8 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		st.STMAborts++
 		retries++
 		t.reset()
-		r.backoff(c, retries)
-		if retries >= r.cfg.MaxRetriesBeforeSerial || t.forceSerial {
+		r.met.backoff.Observe(c.ID(), tm.Backoff(c, retries, backoffBase, backoffShift, backoffMax))
+		if retries >= maxRetriesBeforeSerial || t.forceSerial {
 			t.forceSerial = false
 			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
 				Aborter: sim.NoCore, Addr: sim.NoAddr})
@@ -365,16 +315,6 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			t.serial = true
 		}
 	}
-}
-
-func (r *Runtime) backoff(c *sim.CPU, attempt int) {
-	limit := r.cfg.BackoffBase << uint(min(attempt, 10))
-	if limit > r.cfg.BackoffMax {
-		limit = r.cfg.BackoffMax
-	}
-	delay := uint64(c.Rand().Int63n(int64(limit))) + 1
-	r.met.backoff.Observe(c.ID(), delay)
-	c.Cycles(delay)
 }
 
 // acquireSerial makes the transaction irrevocable: all other transactions
@@ -394,7 +334,7 @@ func (r *Runtime) releaseSerial(c *sim.CPU) { c.Store(r.serialLock, 0) }
 
 func (t *txDesc) begin() {
 	c := t.c
-	c.Exec(t.r.cfg.BeginInstr)
+	c.Exec(beginInstr)
 	if t.serial {
 		// Irrevocable: already holds the token; run with locking but
 		// without the possibility of self-abort.
@@ -420,7 +360,7 @@ func (t *txDesc) abort() { t.abortDue(sim.NoCore, sim.NoAddr) }
 // when unknown), stashed on the descriptor for the flight recorder.
 func (t *txDesc) abortDue(by int, addr mem.Addr) {
 	t.lastBy, t.lastAddr = by, addr
-	panic(stmConflict{core: t.c.ID()})
+	tm.Unwind(t.c)
 }
 
 // ownerOf resolves a lock word to an owner core for abort attribution.
@@ -437,7 +377,7 @@ func (t *txDesc) Load(a mem.Addr) mem.Word {
 	prev := c.SetCategory(sim.CatTxLoadStore)
 	defer c.SetCategory(prev)
 
-	c.Exec(t.r.cfg.ReadInstr)
+	c.Exec(readInstr)
 	la := t.r.lockFor(a)
 	l := c.Load(la)
 	if isLocked(l) {
@@ -467,7 +407,7 @@ func (t *txDesc) Load(a mem.Addr) mem.Word {
 		t.extend()
 	}
 	// Append to the read log (one simulated store).
-	c.Store(t.readLogSlot(), mem.Word(la))
+	c.Store(t.log.ReadSlot(len(t.reads), mem.WordSize), mem.Word(la))
 	t.reads = append(t.reads, readEntry{lockAddr: la, version: l})
 	return v
 }
@@ -478,7 +418,7 @@ func (t *txDesc) Store(a mem.Addr, v mem.Word) {
 	prev := c.SetCategory(sim.CatTxLoadStore)
 	defer c.SetCategory(prev)
 
-	c.Exec(t.r.cfg.WriteInstr)
+	c.Exec(writeInstr)
 	la := t.r.lockFor(a)
 	l := c.Load(la)
 	first := false
@@ -509,8 +449,9 @@ func (t *txDesc) Store(a mem.Addr, v mem.Word) {
 	}
 	old := c.Load(a)
 	// Undo-log append: address + old value (two simulated stores).
-	c.Store(t.writeLogSlot(), mem.Word(a))
-	c.Store(t.writeLogSlot(), old)
+	slot := t.log.WriteSlot(len(t.writes), 2*mem.WordSize)
+	c.Store(slot, mem.Word(a))
+	c.Store(slot+mem.WordSize, old)
 	t.writes = append(t.writes, writeEntry{addr: a, old: old, lockAddr: la, first: first})
 	c.Store(a, v)
 }
@@ -522,7 +463,7 @@ func (t *txDesc) extend() {
 	now := versionOf(c.Load(t.r.clockAddr) &^ 1)
 	for i := range t.reads {
 		e := &t.reads[i]
-		c.Exec(t.r.cfg.ValidateInstrPerEntry)
+		c.Exec(validateInstrPerEntry)
 		l := c.Load(e.lockAddr)
 		if l != e.version && !(isLocked(l) && lockOwner(l) == c.ID()) {
 			if t.serial {
@@ -541,7 +482,7 @@ func (t *txDesc) extend() {
 
 func (t *txDesc) commit() {
 	c := t.c
-	c.Exec(t.r.cfg.CommitInstr)
+	c.Exec(commitInstr)
 	if len(t.writes) == 0 {
 		t.publishStatus(false)
 		return // read-only: nothing to publish, nobody saw us
@@ -583,7 +524,7 @@ func (t *txDesc) undo() {
 	}
 	for i := len(t.writes) - 1; i >= 0; i-- {
 		w := &t.writes[i]
-		c.Exec(t.r.cfg.UndoInstrPerEntry)
+		c.Exec(undoInstrPerEntry)
 		c.Store(w.addr, w.old)
 	}
 	ts := uint64(c.FetchAdd(t.r.clockAddr, 2))>>1 + 1
@@ -603,39 +544,13 @@ func (t *txDesc) reset() {
 	t.depth = 0
 }
 
-// readLogSlot returns the next simulated-memory slot of the read log,
-// wrapping within its region (the charge is what matters).
-func (t *txDesc) readLogSlot() mem.Addr {
-	off := (uint64(len(t.reads)) * mem.WordSize) & ((1 << 17) - 1)
-	return t.readLog + mem.Addr(off)
-}
-
-func (t *txDesc) writeLogSlot() mem.Addr {
-	off := (uint64(len(t.writes)) * 2 * mem.WordSize) & ((1 << 17) - 1)
-	return t.writeLog + mem.Addr(off)
-}
-
 // Alloc implements tm.Tx. The STM can refill inline: no speculative region
 // is at risk.
-func (t *txDesc) Alloc(size uint64) mem.Addr {
-	for {
-		a, ok := t.r.heap.AllocFast(t.c, size, mem.WordSize)
-		if ok {
-			return a
-		}
-		t.r.heap.Refill(t.c, size)
-	}
-}
+func (t *txDesc) Alloc(size uint64) mem.Addr { return t.r.heap.Alloc(t.c, size, mem.WordSize) }
 
 // AllocLines implements tm.Tx.
 func (t *txDesc) AllocLines(n int) mem.Addr {
-	for {
-		a, ok := t.r.heap.AllocFast(t.c, uint64(n)*mem.LineSize, mem.LineSize)
-		if ok {
-			return a
-		}
-		t.r.heap.Refill(t.c, uint64(n)*mem.LineSize)
-	}
+	return t.r.heap.Alloc(t.c, uint64(n)*mem.LineSize, mem.LineSize)
 }
 
 // Free implements tm.Tx.

@@ -176,3 +176,28 @@ func TestUndoReleasesAtFreshVersion(t *testing.T) {
 		}
 	})
 }
+
+// TestUndoLogHoldsAddressAndOldValue: each undo-log entry in simulated
+// memory holds the written address and the value it replaced, one word
+// each.
+func TestUndoLogHoldsAddressAndOldValue(t *testing.T) {
+	m, r := newSTM(t, 1)
+	m.Mem.Prefault(0, 1<<20)
+	m.Mem.Store(0x100, 11)
+	m.Mem.Store(0x208, 22)
+	m.Run(func(c *sim.CPU) {
+		r.Atomic(c, func(tx tm.Tx) {
+			tx.Store(0x100, 1)
+			tx.Store(0x208, 2)
+		})
+	})
+	for i, want := range []struct {
+		addr mem.Addr
+		old  mem.Word
+	}{{0x100, 11}, {0x208, 22}} {
+		slot := r.descs[0].log.WriteSlot(i, 2*mem.WordSize)
+		if a, old := m.Mem.Load(slot), m.Mem.Load(slot+mem.WordSize); a != mem.Word(want.addr) || old != want.old {
+			t.Errorf("undo-log entry %d = (%#x, %d), want (%#x, %d)", i, a, old, uint64(want.addr), want.old)
+		}
+	}
+}

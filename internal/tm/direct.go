@@ -13,37 +13,24 @@ import (
 //
 // It is not a transaction: there is no atomicity and no rollback. Using it
 // concurrently with real transactions on the same data is a workload bug.
-func Direct(c *sim.CPU, heap *Heap) Tx {
-	return &directTx{c: c, heap: heap}
+func Direct(c *sim.CPU, heap *Heap) *DirectTx {
+	return &DirectTx{c: c, heap: heap}
 }
 
-type directTx struct {
+// DirectTx is the Tx that Direct returns. The sequential runtime runs every
+// atomic block on one per core.
+type DirectTx struct {
 	c    *sim.CPU
 	heap *Heap
 }
 
-func (t *directTx) Load(a mem.Addr) mem.Word     { return t.c.Load(a) }
-func (t *directTx) Store(a mem.Addr, v mem.Word) { t.c.Store(a, v) }
-func (t *directTx) CPU() *sim.CPU                { return t.c }
-func (t *directTx) Irrevocable() bool            { return true }
-func (t *directTx) Free(a mem.Addr)              { t.heap.Free(t.c, a) }
+func (t *DirectTx) Load(a mem.Addr) mem.Word     { return t.c.Load(a) }
+func (t *DirectTx) Store(a mem.Addr, v mem.Word) { t.c.Store(a, v) }
+func (t *DirectTx) CPU() *sim.CPU                { return t.c }
+func (t *DirectTx) Irrevocable() bool            { return true }
+func (t *DirectTx) Free(a mem.Addr)              { t.heap.Free(t.c, a) }
+func (t *DirectTx) Alloc(size uint64) mem.Addr   { return t.heap.Alloc(t.c, size, mem.WordSize) }
 
-func (t *directTx) Alloc(size uint64) mem.Addr {
-	for {
-		a, ok := t.heap.AllocFast(t.c, size, mem.WordSize)
-		if ok {
-			return a
-		}
-		t.heap.Refill(t.c, size)
-	}
-}
-
-func (t *directTx) AllocLines(n int) mem.Addr {
-	for {
-		a, ok := t.heap.AllocFast(t.c, uint64(n)*mem.LineSize, mem.LineSize)
-		if ok {
-			return a
-		}
-		t.heap.Refill(t.c, uint64(n)*mem.LineSize)
-	}
+func (t *DirectTx) AllocLines(n int) mem.Addr {
+	return t.heap.Alloc(t.c, uint64(n)*mem.LineSize, mem.LineSize)
 }

@@ -17,7 +17,7 @@ import (
 // worst case — which is not abort-safe inside an ASF region. ASF-TM
 // therefore aborts with CodeMallocRefill, refills outside the region, and
 // retries: the paper's "Abort (malloc)" events. STM and serial transactions
-// refill inline.
+// refill inline (Alloc).
 //
 // Allocations made by aborted transactions are leaked (the pool pointer is
 // not rolled back); this is the same robustness-by-leak design the paper's
@@ -26,24 +26,22 @@ type Heap struct {
 	arenas []*mem.Arena
 	pool   []uint64 // per core: bytes remaining before a refill is needed
 	frees  uint64   // accounted Free calls (validation/accounting only)
-
-	// ChunkSize is how many bytes a refill adds to the fast pool.
-	ChunkSize uint64
-	// RefillCost is the extra kernel cost of a refill (sbrk/mmap path).
-	RefillCost uint64
-	// AllocInstr is the instruction cost of a fast-path allocation.
-	AllocInstr int
 }
+
+const (
+	// ChunkSize is the least a refill adds to the fast pool, in bytes.
+	ChunkSize = 64 << 10
+	// refillCost is the extra kernel cost of a refill (sbrk/mmap path).
+	refillCost = 800
+	// allocInstr is the instruction cost of a fast-path allocation.
+	allocInstr = 25
+)
 
 // NewHeap carves one arena per core out of layout and prefaults nothing:
 // freshly allocated pages fault on first touch, exactly the behaviour that
 // produces the hash-set page-fault aborts in Table 1.
 func NewHeap(m *mem.Memory, layout *mem.Layout, cores int, bytesPerCore uint64) *Heap {
-	h := &Heap{
-		ChunkSize:  64 << 10,
-		RefillCost: 800,
-		AllocInstr: 25,
-	}
+	h := &Heap{}
 	for i := 0; i < cores; i++ {
 		base, end := layout.Region(bytesPerCore)
 		h.arenas = append(h.arenas, mem.NewArena(m, base, end))
@@ -56,7 +54,7 @@ func NewHeap(m *mem.Memory, layout *mem.Layout, cores int, bytesPerCore uint64) 
 // ok=false means the pool is exhausted: the caller must Refill (outside any
 // hardware region) and try again.
 func (h *Heap) AllocFast(c *sim.CPU, size, align uint64) (a mem.Addr, ok bool) {
-	c.Exec(h.AllocInstr)
+	c.Exec(allocInstr)
 	if size > h.pool[c.ID()] {
 		return 0, false
 	}
@@ -68,12 +66,25 @@ func (h *Heap) AllocFast(c *sim.CPU, size, align uint64) (a mem.Addr, ok bool) {
 // kernel. Must not be called inside an ASF speculative region (the system
 // call would abort it); runtimes abort first and refill from the begin path.
 func (h *Heap) Refill(c *sim.CPU, need uint64) {
-	chunk := h.ChunkSize
+	chunk := uint64(ChunkSize)
 	for chunk < need {
 		chunk *= 2
 	}
-	c.Syscall(h.RefillCost)
+	c.Syscall(refillCost)
 	h.pool[c.ID()] += chunk
+}
+
+// Alloc allocates on core c where no hardware region is at risk — a
+// software or serial transaction, setup code — refilling the pool inline
+// whenever AllocFast finds it empty. Hardware paths use AllocFast and
+// abort with CodeMallocRefill instead.
+func (h *Heap) Alloc(c *sim.CPU, size, align uint64) mem.Addr {
+	for {
+		if a, ok := h.AllocFast(c, size, align); ok {
+			return a
+		}
+		h.Refill(c, size)
+	}
 }
 
 // Free accounts a transactional free of the block at a. The arena model

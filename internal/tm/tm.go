@@ -75,8 +75,10 @@ type Stats struct {
 	// Aborts per hardware reason (indexed by sim.AbortReason).
 	Aborts [sim.NumAbortReasons]uint64
 	// MallocAborts: explicit aborts taken to refill the transactional
-	// allocator (the paper's "Abort (malloc)" category). These are also
-	// counted in Aborts[sim.AbortExplicit].
+	// allocator (the paper's "Abort (malloc)" category). The runtimes
+	// count them differently: HyTM also counts each in
+	// Aborts[sim.AbortExplicit]; ASF-TM counts them here only, so they
+	// fall outside TotalAborts and Attempts (Fig. 6 adds them back).
 	MallocAborts uint64
 	// STMAborts: software aborts of an STM runtime (conflict, validation
 	// failure). Hardware runtimes leave this zero.
@@ -94,7 +96,8 @@ type Stats struct {
 	Seals uint64
 }
 
-// TotalAborts sums hardware and software aborts.
+// TotalAborts sums hardware and software aborts. ASF-TM's malloc-refill
+// aborts are not among them (see MallocAborts).
 func (s *Stats) TotalAborts() uint64 {
 	var t uint64
 	for _, v := range s.Aborts {
@@ -120,6 +123,20 @@ func (s *Stats) Add(o Stats) {
 	s.Seals += o.Seals
 }
 
+// Sub removes other from s: the outcomes between two snapshots.
+func (s *Stats) Sub(o Stats) {
+	s.Commits -= o.Commits
+	s.Serial -= o.Serial
+	s.SWCommits -= o.SWCommits
+	for i := range s.Aborts {
+		s.Aborts[i] -= o.Aborts[i]
+	}
+	s.MallocAborts -= o.MallocAborts
+	s.STMAborts -= o.STMAborts
+	s.SeqAborts -= o.SeqAborts
+	s.Seals -= o.Seals
+}
+
 // Explicit-abort software codes (carried in rAX by the ABORT instruction).
 const (
 	// CodeMallocRefill: the transactional allocator ran out of pool and
@@ -128,8 +145,6 @@ const (
 	// CodeSerialRunning: a serial-irrevocable transaction holds the
 	// global token; the hardware path cannot proceed.
 	CodeSerialRunning uint64 = 0x5E71A1
-	// CodeUserRetry: the program requested an explicit retry.
-	CodeUserRetry uint64 = 0x7E781
 	// CodeSerialRequest: the program (via the compiler's serialize
 	// lowering, §3.3) asked to restart in serial-irrevocable mode
 	// before an action with no transaction-safe version.

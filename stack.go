@@ -92,22 +92,11 @@ type Stack struct {
 	M      *sim.Machine
 	Layout *mem.Layout
 	Heap   *tm.Heap
-	// ASF is the installed ASF system, or nil for the STM and
+	// ASF is the installed ASF system, or nil for the STM, Cohorts and
 	// sequential runtimes (which run on the bare machine).
 	ASF *asf.System
-	// ASFTM is the ASF-TM runtime when Runtime selected one, else nil.
-	ASFTM *asftm.Runtime
-	// HYTM is the hybrid runtime when Runtime selected one ("HyTM-8",
-	// "HyTM-256"), else nil.
-	HYTM *hytm.Runtime
-	// STM is the TinySTM runtime when Runtime is "STM", else nil.
-	STM *stm.Runtime
-	// COHORTS is the batch-commit runtime when Runtime is "Cohorts" or
-	// "Cohorts-turbo", else nil.
-	COHORTS *cohorts.Runtime
 	// ADAPT is the online runtime selector when Runtime is "Adaptive-8",
-	// "Adaptive-256" (or the "adaptive" alias), else nil. When set, the
-	// per-runtime fields above point at its inner instances.
+	// "Adaptive-256" (or the "adaptive" alias), else nil.
 	ADAPT *adaptive.Runtime
 	// RT is the selected runtime behind the portable ABI.
 	RT tm.Runtime
@@ -233,11 +222,11 @@ func Build(opts Options) (*Stack, error) {
 	s.gauges.register(s.Metrics)
 	switch opts.Runtime {
 	case "STM":
-		s.STM = stm.New(m, heap, layout)
-		s.STM.SetMetrics(s.Metrics)
-		s.RT = s.STM
+		rt := stm.New(m, heap, layout)
+		rt.SetMetrics(s.Metrics)
+		s.RT = rt
 	case "Sequential", "":
-		s.RT = seq.New(heap, opts.Cores)
+		s.RT = seq.New(m, heap)
 	case "HyTM-8", "HyTM-256":
 		// The hybrid runtime runs on the same ASF hardware variants as
 		// ASF-TM; the label selects the LLB size.
@@ -247,16 +236,13 @@ func Build(opts Options) (*Stack, error) {
 		}
 		s.ASF = asf.Install(m, v)
 		s.ASF.SetMetrics(s.Metrics)
-		s.HYTM = hytm.New(s.ASF, heap, m, layout, opts.Runtime)
-		s.HYTM.SetMetrics(s.Metrics)
-		s.RT = s.HYTM
+		rt := hytm.New(s.ASF, heap, m, layout, opts.Runtime)
+		rt.SetMetrics(s.Metrics)
+		s.RT = rt
 	case "Cohorts", "Cohorts-turbo":
-		s.COHORTS = cohorts.New(m, heap, layout, opts.Runtime)
-		s.COHORTS.SetMetrics(s.Metrics)
-		cfg := cohorts.DefaultConfig()
-		cfg.Turbo = opts.Runtime == "Cohorts-turbo"
-		s.COHORTS.SetConfig(cfg)
-		s.RT = s.COHORTS
+		rt := cohorts.New(m, heap, layout, opts.Runtime == "Cohorts-turbo")
+		rt.SetMetrics(s.Metrics)
+		s.RT = rt
 	case "Adaptive-8", "Adaptive-256", "adaptive":
 		// The selector owns one instance of every runtime over the same
 		// machine, heap, and ASF system, and switches the active one at
@@ -267,26 +253,23 @@ func Build(opts Options) (*Stack, error) {
 		}
 		s.ASF = asf.Install(m, v)
 		s.ASF.SetMetrics(s.Metrics)
-		s.ASFTM = asftm.New(s.ASF, heap, m, layout)
-		s.ASFTM.SetMetrics(s.Metrics)
-		s.HYTM = hytm.New(s.ASF, heap, m, layout, hname)
-		s.HYTM.SetMetrics(s.Metrics)
-		s.STM = stm.New(m, heap, layout)
-		s.STM.SetMetrics(s.Metrics)
-		s.COHORTS = cohorts.New(m, heap, layout, "Cohorts-turbo")
-		s.COHORTS.SetMetrics(s.Metrics)
-		ccfg := cohorts.DefaultConfig()
-		ccfg.Turbo = true
-		s.COHORTS.SetConfig(ccfg)
+		at := asftm.New(s.ASF, heap, m, layout)
+		at.SetMetrics(s.Metrics)
+		ht := hytm.New(s.ASF, heap, m, layout, hname)
+		ht.SetMetrics(s.Metrics)
+		st := stm.New(m, heap, layout)
+		st.SetMetrics(s.Metrics)
+		ct := cohorts.New(m, heap, layout, true)
+		ct.SetMetrics(s.Metrics)
 		name := opts.Runtime
 		if name == "adaptive" {
 			name = "Adaptive-8"
 		}
 		s.ADAPT = adaptive.New(m, layout, name, [adaptive.NumModes]tm.Runtime{
-			adaptive.ModeASFTM:   s.ASFTM,
-			adaptive.ModeHyTM:    s.HYTM,
-			adaptive.ModeSTM:     s.STM,
-			adaptive.ModeCohorts: s.COHORTS,
+			adaptive.ModeASFTM:   at,
+			adaptive.ModeHyTM:    ht,
+			adaptive.ModeSTM:     st,
+			adaptive.ModeCohorts: ct,
 		})
 		s.ADAPT.SetMetrics(s.Metrics)
 		s.RT = s.ADAPT
@@ -298,9 +281,9 @@ func Build(opts Options) (*Stack, error) {
 		}
 		s.ASF = asf.Install(m, v)
 		s.ASF.SetMetrics(s.Metrics)
-		s.ASFTM = asftm.New(s.ASF, heap, m, layout)
-		s.ASFTM.SetMetrics(s.Metrics)
-		s.RT = s.ASFTM
+		rt := asftm.New(s.ASF, heap, m, layout)
+		rt.SetMetrics(s.Metrics)
+		s.RT = rt
 	}
 	if _, ok := s.RT.(tm.ProfilableRuntime); ok && opts.Profile {
 		s.Prof = txprof.NewRecorder(opts.Cores, 0)
