@@ -84,8 +84,9 @@ func main() {
 		printTopology(*topology, r.Metrics)
 		fmt.Printf("throughput   %.2f tx/µs\n", r.Throughput())
 		fmt.Printf("duration     %.3f ms simulated\n", r.Millis())
+		hs, _ := r.Metrics.Histogram("server/sojourn_cyc")
 		fmt.Printf("sojourn      p50 %.0f  p95 %.0f  p99 %.0f  p999 %.0f  max %d cycles\n",
-			r.P50, r.P95, r.P99, r.P999, r.MaxSojourn)
+			r.P50, r.P95, r.P99, r.P999, hs.Max)
 		printRun(r.RunResult)
 	default:
 		fmt.Fprintf(os.Stderr, "asfsim: unknown workload %q\n", *workload)

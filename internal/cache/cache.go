@@ -250,15 +250,6 @@ func (h *Hierarchy) Occupancy(c int) (l1, l2 int) {
 	return cc.l1.nValid, cc.l2.nValid
 }
 
-// L3Occupancy reports how many lines are resident across all L3 slices.
-func (h *Hierarchy) L3Occupancy() int {
-	n := 0
-	for _, a := range h.l3s {
-		n += a.nValid
-	}
-	return n
-}
-
 // sockOf returns the socket core c lives on (cores are socket-major).
 func (h *Hierarchy) sockOf(c int) int { return c / h.coresPer }
 
@@ -274,9 +265,6 @@ func (h *Hierarchy) homeSock(line mem.Addr) int {
 
 // homeSlice returns the L3 slice lines of this address cache in.
 func (h *Hierarchy) homeSlice(line mem.Addr) *array { return &h.l3s[h.homeSock(line)] }
-
-// NumCores returns the number of cores the hierarchy was built for.
-func (h *Hierarchy) NumCores() int { return len(h.cores) }
 
 // state returns the coherence-directory entry for line, creating a neutral
 // one on first touch. The returned pointer is valid until the next insertion

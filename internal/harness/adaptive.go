@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"asfstack/internal/adaptive"
 	"asfstack/internal/intset"
 	"asfstack/internal/stamp"
 )
@@ -50,52 +49,27 @@ func Adaptive(o Options) ([]*Table, error) {
 	// the measurement.
 	ops := int(4800 * o.scale())
 	nR, nT := len(adaptiveRuntimes), len(adaptiveThreads)
-
-	stampMS := make([]slot[float64], len(adaptiveApps)*nR*nT)
-	stampSer := make([]slot[uint64], len(adaptiveApps)*nR*nT)
 	var cells []cell
-	for ai, app := range adaptiveApps {
-		for ri, rt := range adaptiveRuntimes {
-			for ti, th := range adaptiveThreads {
-				dst := &stampMS[(ai*nR+ri)*nT+ti]
-				ser := &stampSer[(ai*nR+ri)*nT+ti]
+	for _, app := range adaptiveApps {
+		for _, rt := range adaptiveRuntimes {
+			for _, th := range adaptiveThreads {
 				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
-				cells = append(cells, stampCell(fmt.Sprintf("adaptive %-14s %-13s t=%d", app, rt, th), cfg,
-					func(r stamp.Result) (string, error) {
-						dst.set(r.Millis())
-						ser.set(r.Stats.Serial)
-						return fmt.Sprintf("%.3fms", r.Millis()), nil
-					}))
+				cells = append(cells, stampCell(fmt.Sprintf("adaptive %-14s %-13s t=%d", app, rt, th), cfg))
 			}
 		}
 	}
-
-	nI := len(adaptiveIntset)
-	intThr := make([]slot[float64], nI*nR)
-	intSer := make([]slot[uint64], nI*nR)
-	var capLog slot[[]adaptive.Switch]
-	for zi, se := range adaptiveIntset {
-		for ri, rt := range adaptiveRuntimes {
-			dst := &intThr[zi*nR+ri]
-			ser := &intSer[zi*nR+ri]
-			isCapAdaptive := se.structure == "linkedlist" && rt == "Adaptive-8"
+	for _, se := range adaptiveIntset {
+		for _, rt := range adaptiveRuntimes {
 			cfg := intset.Config{
 				Options:   o.spec(rt, 8),
 				Structure: se.structure, Range: uint64(2 * se.size), UpdatePct: 20, InitialSize: se.size,
 				OpsPerThread: ops,
 			}
-			cells = append(cells, intsetCell(fmt.Sprintf("adaptive %-10s size=%-4d %-13s t=8", se.structure, se.size, rt), cfg,
-				func(r intset.Result) (string, error) {
-					dst.set(r.Throughput())
-					ser.set(r.Stats.Serial)
-					if isCapAdaptive {
-						capLog.set(r.Switches)
-					}
-					return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
-				}))
+			cells = append(cells, intsetCell(fmt.Sprintf("adaptive %-10s size=%-4d %-13s t=8", se.structure, se.size, rt), cfg))
 		}
 	}
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
+	stampR, intR := reps[:len(adaptiveApps)*nR*nT], reps[len(adaptiveApps)*nR*nT:]
 
 	var tables []*Table
 	for ai, app := range adaptiveApps {
@@ -107,7 +81,7 @@ func Adaptive(o Options) ([]*Table, error) {
 		for ri, rt := range adaptiveRuntimes {
 			row := []any{rt}
 			for ti := range adaptiveThreads {
-				row = append(row, stampMS[(ai*nR+ri)*nT+ti].cell())
+				row = append(row, entry(stampR[(ai*nR+ri)*nT+ti], ms))
 			}
 			t.Add(row...)
 		}
@@ -125,7 +99,7 @@ func Adaptive(o Options) ([]*Table, error) {
 	for ri, rt := range adaptiveRuntimes {
 		row := []any{rt}
 		for zi := range adaptiveIntset {
-			row = append(row, intThr[zi*nR+ri].cell())
+			row = append(row, entry(intR[zi*nR+ri], tput))
 		}
 		it.Add(row...)
 	}
@@ -142,51 +116,32 @@ func Adaptive(o Options) ([]*Table, error) {
 	ad := nR - 1 // Adaptive-8 is last in adaptiveRuntimes
 	for ai, app := range adaptiveApps {
 		for ti, th := range adaptiveThreads {
-			bi, ok := -1, true
-			for ri := 0; ri < ad; ri++ {
-				s := stampMS[(ai*nR+ri)*nT+ti]
-				if !s.ok {
-					ok = false
-					break
-				}
-				if bi < 0 || s.val < stampMS[(ai*nR+bi)*nT+ti].val {
-					bi = ri
-				}
+			cs := make([]*CellReport, nR) // this cell's runtimes
+			for ri := range cs {
+				cs[ri] = stampR[(ai*nR+ri)*nT+ti]
 			}
-			a := stampMS[(ai*nR+ad)*nT+ti]
 			label := fmt.Sprintf("%s t=%d", app, th)
-			if !ok || !a.ok || bi < 0 {
+			bi, ok := bestStatic(cs, func(s *CellSim) float64 { return -ms(s) })
+			if !ok {
 				sum.Add(label, "ms", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
 				continue
 			}
-			best := stampMS[(ai*nR+bi)*nT+ti].val
-			gap := (best - a.val) / best * 100
-			sum.Add(label, "ms", adaptiveRuntimes[bi], best, a.val, gap,
-				stampSer[(ai*nR+bi)*nT+ti].val, stampSer[(ai*nR+ad)*nT+ti].val)
+			best, a := ms(cs[bi].Sim), ms(cs[ad].Sim)
+			gap := (best - a) / best * 100
+			sum.Add(label, "ms", adaptiveRuntimes[bi], best, a, gap, cs[bi].Sim.Stats.Serial, cs[ad].Sim.Stats.Serial)
 		}
 	}
 	for zi, se := range adaptiveIntset {
-		bi, ok := -1, true
-		for ri := 0; ri < ad; ri++ {
-			s := intThr[zi*nR+ri]
-			if !s.ok {
-				ok = false
-				break
-			}
-			if bi < 0 || s.val > intThr[zi*nR+bi].val {
-				bi = ri
-			}
-		}
-		a := intThr[zi*nR+ad]
+		cs := intR[zi*nR : (zi+1)*nR]
 		label := fmt.Sprintf("%s/%d", se.structure, se.size)
-		if !ok || !a.ok || bi < 0 || intThr[zi*nR+bi].val == 0 {
+		bi, ok := bestStatic(cs, tput)
+		if !ok || tput(cs[bi].Sim) == 0 {
 			sum.Add(label, "tx/µs", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
 			continue
 		}
-		best := intThr[zi*nR+bi].val
-		gap := (a.val - best) / best * 100
-		sum.Add(label, "tx/µs", adaptiveRuntimes[bi], best, a.val, gap,
-			intSer[zi*nR+bi].val, intSer[zi*nR+ad].val)
+		best, a := tput(cs[bi].Sim), tput(cs[ad].Sim)
+		gap := (a - best) / best * 100
+		sum.Add(label, "tx/µs", adaptiveRuntimes[bi], best, a, gap, cs[bi].Sim.Stats.Serial, cs[ad].Sim.Stats.Serial)
 	}
 	tables = append(tables, sum)
 
@@ -199,16 +154,32 @@ func Adaptive(o Options) ([]*Table, error) {
 		Header: []string{"cycle", "from", "to", "trigger"},
 		Note:   "probe = next candidate window; settle = exploit the best rate; reprobe = settled rate degraded",
 	}
-	if capLog.ok {
-		if len(capLog.val) == 0 {
-			lg.Add("-", "-", "-", "no switches: start mode won every probe")
-		}
-		for _, e := range capLog.val {
+	switch capCell := intR[ad]; { // adaptiveIntset[0], the linked list, on Adaptive-8
+	case capCell.Sim == nil:
+		lg.Add("ERR", "ERR", "ERR", "ERR")
+	case len(capCell.Sim.Switches) == 0:
+		lg.Add("-", "-", "-", "no switches: start mode won every probe")
+	default:
+		for _, e := range capCell.Sim.Switches {
 			lg.Add(e.Cycle, e.From, e.To, e.Trigger)
 		}
-	} else {
-		lg.Add("ERR", "ERR", "ERR", "ERR")
 	}
 	tables = append(tables, lg)
 	return tables, err
+}
+
+// bestStatic returns the index of the static runtime (all of cs but the
+// last, the selector) with the highest score, and false when any of the
+// cell's runtimes failed.
+func bestStatic(cs []*CellReport, score func(*CellSim) float64) (int, bool) {
+	bi := 0
+	for ri, c := range cs {
+		if c.Sim == nil {
+			return 0, false
+		}
+		if ri < len(cs)-1 && score(c.Sim) > score(cs[bi].Sim) {
+			bi = ri
+		}
+	}
+	return bi, true
 }

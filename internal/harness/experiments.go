@@ -26,32 +26,36 @@ func (o Options) spec(runtime string, cores int) asfstack.Options {
 }
 
 // stampCell, intsetCell and serverCell make one workload run a cell: the
-// run's measured phase is recorded on the cell's report, and fill sets the
-// experiment's table slots from the result and returns the progress
-// summary (or rejects the result).
-func stampCell(label string, cfg stamp.Config, fill func(stamp.Result) (string, error)) cell {
+// run's measured phase is recorded on the cell's report, which is where
+// the experiment's tables read it.
+func stampCell(label string, cfg stamp.Config) cell {
 	return cell{label: label, run: func(rec *CellRecord) (string, error) {
 		r, err := stampRun(cfg)
 		if err != nil {
 			return "", err
 		}
 		rec.ObserveRun(r.RunResult)
-		return fill(r)
+		return fmt.Sprintf("%.3fms", r.Millis()), nil
 	}}
 }
 
-func intsetCell(label string, cfg intset.Config, fill func(intset.Result) (string, error)) cell {
+func intsetCell(label string, cfg intset.Config) cell {
 	return cell{label: label, run: func(rec *CellRecord) (string, error) {
 		r, err := intsetRun(cfg)
 		if err != nil {
 			return "", err
 		}
+		// A profiled cell without a profile fails here rather than in E14's
+		// table assembly, which reads the profile outside the cell's recover.
+		if cfg.Profile && r.Profile == nil {
+			return "", fmt.Errorf("runtime %q produced no profile", cfg.Runtime)
+		}
 		rec.ObserveRun(r.RunResult)
-		return fill(r)
+		return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
 	}}
 }
 
-func serverCell(label string, cfg server.Config, fill func(server.Result) (string, error)) cell {
+func serverCell(label string, cfg server.Config) cell {
 	return cell{label: label, run: func(rec *CellRecord) (string, error) {
 		r, err := serverRun(cfg)
 		if err != nil {
@@ -59,24 +63,25 @@ func serverCell(label string, cfg server.Config, fill func(server.Result) (strin
 		}
 		rec.ObserveRun(r.RunResult)
 		rec.ObserveLatency(r.P50, r.P95, r.P99, r.P999)
-		return fill(r)
+		return fmt.Sprintf("p99=%.0f cyc", r.P99), nil
 	}}
 }
 
-// millis fills a STAMP execution-time slot (ms).
-func millis(dst *slot[float64]) func(stamp.Result) (string, error) {
-	return func(r stamp.Result) (string, error) {
-		dst.set(r.Millis())
-		return fmt.Sprintf("%.3fms", r.Millis()), nil
-	}
+// ms and tput are the STAMP execution time (ms) and the IntegerSet or
+// server throughput (tx/µs) of a cell's measured phase.
+func ms(s *CellSim) float64 { return asfstack.RunResult{Cycles: s.Cycles}.Millis() }
+
+func tput(s *CellSim) float64 {
+	return asfstack.RunResult{Cycles: s.Cycles, Stats: s.Stats}.Throughput()
 }
 
-// throughput fills an IntegerSet throughput slot (tx/µs).
-func throughput(dst *slot[float64]) func(intset.Result) (string, error) {
-	return func(r intset.Result) (string, error) {
-		dst.set(r.Throughput())
-		return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
+// entry is the table entry f computes from a cell's report, or "ERR" when
+// the cell failed and its report has no sim section.
+func entry(c *CellReport, f func(*CellSim) float64) any {
+	if c.Sim == nil {
+		return "ERR"
 	}
+	return f(c.Sim)
 }
 
 // asfVariants are the four hardware configurations, in figure order.
@@ -95,21 +100,19 @@ var threadCounts = []int{1, 2, 4, 8}
 // per-benchmark deviation (the paper's 10–35% bars).
 func Fig3(o Options) ([]*Table, error) {
 	scale := o.scale()
-	sims := make([]slot[float64], len(stamp.Apps))
-	nats := make([]slot[float64], len(stamp.Apps))
 	var cells []cell
-	for i, app := range stamp.Apps {
+	for _, app := range stamp.Apps {
 		for _, native := range []bool{false, true} {
-			dst, kind := &sims[i], "sim"
+			kind := "sim"
 			cfg := stamp.Config{Options: o.spec("Sequential", 1), App: app, Scale: scale}
 			if native {
 				nr := sim.NativeReference(1)
-				dst, kind, cfg.Machine = &nats[i], "native", &nr
+				kind, cfg.Machine = "native", &nr
 			}
-			cells = append(cells, stampCell(fmt.Sprintf("fig3 %-14s %s", app, kind), cfg, millis(dst)))
+			cells = append(cells, stampCell(fmt.Sprintf("fig3 %-14s %s", app, kind), cfg))
 		}
 	}
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
 
 	t := &Table{
 		Title:  "Fig. 3 — simulator accuracy (1 thread, no TM): deviation of simulated vs native-reference runtime",
@@ -117,12 +120,13 @@ func Fig3(o Options) ([]*Table, error) {
 		Note:   "paper: 5 of 8 benchmarks within 10–15%; vacation and kmeans deviate most",
 	}
 	for i, app := range stamp.Apps {
-		if sims[i].ok && nats[i].ok {
-			dev := (sims[i].val - nats[i].val) / nats[i].val * 100
-			t.Add(app, sims[i].val, nats[i].val, dev)
-		} else {
-			t.Add(app, sims[i].cell(), nats[i].cell(), "ERR")
+		sc, nc := reps[2*i], reps[2*i+1]
+		if sc.Sim == nil || nc.Sim == nil {
+			t.Add(app, entry(sc, ms), entry(nc, ms), "ERR")
+			continue
 		}
+		s, n := ms(sc.Sim), ms(nc.Sim)
+		t.Add(app, s, n, (s-n)/n*100)
 	}
 	return []*Table{t}, err
 }
@@ -133,21 +137,18 @@ func Fig4(o Options) ([]*Table, error) {
 	scale := o.scale()
 	rts := append(asfVariants(), "STM")
 	nR, nT := len(rts), len(threadCounts)
-	ms := make([]slot[float64], len(stamp.Apps)*nR*nT)
-	seq := make([]slot[float64], len(stamp.Apps))
 	var cells []cell
-	for ai, app := range stamp.Apps {
-		for ri, rt := range rts {
-			for ti, th := range threadCounts {
+	for _, app := range stamp.Apps {
+		for _, rt := range rts {
+			for _, th := range threadCounts {
 				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
-				cells = append(cells, stampCell(fmt.Sprintf("fig4 %-14s %-14s t=%d", app, rt, th),
-					cfg, millis(&ms[(ai*nR+ri)*nT+ti])))
+				cells = append(cells, stampCell(fmt.Sprintf("fig4 %-14s %-14s t=%d", app, rt, th), cfg))
 			}
 		}
 		cfg := stamp.Config{Options: o.spec("Sequential", 1), App: app, Scale: scale}
-		cells = append(cells, stampCell(fmt.Sprintf("fig4 %-14s Sequential     t=1", app), cfg, millis(&seq[ai])))
+		cells = append(cells, stampCell(fmt.Sprintf("fig4 %-14s Sequential     t=1", app), cfg))
 	}
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
 
 	var tables []*Table
 	for ai, app := range stamp.Apps {
@@ -155,14 +156,15 @@ func Fig4(o Options) ([]*Table, error) {
 			Title:  fmt.Sprintf("Fig. 4 — STAMP: %s (execution time, ms; lower is better)", app),
 			Header: []string{"runtime", "1", "2", "4", "8"},
 		}
+		cs := reps[ai*(nR*nT+1):] // the app's runtime × thread cells, then Sequential
 		for ri, rt := range rts {
 			row := []any{rt}
 			for ti := range threadCounts {
-				row = append(row, ms[(ai*nR+ri)*nT+ti].cell())
+				row = append(row, entry(cs[ri*nT+ti], ms))
 			}
 			t.Add(row...)
 		}
-		t.Add("Sequential", seq[ai].cell(), "-", "-", "-")
+		t.Add("Sequential", entry(cs[nR*nT], ms), "-", "-", "-")
 		tables = append(tables, t)
 	}
 	return tables, err
@@ -186,21 +188,19 @@ func Fig5(o Options) ([]*Table, error) {
 	ops := int(1500 * o.scale())
 	rts := asfVariants()
 	nR, nT := len(rts), len(threadCounts)
-	thr := make([]slot[float64], len(fig5Panels)*nR*nT)
 	var cells []cell
-	for pi, panel := range fig5Panels {
-		for ri, rt := range rts {
-			for ti, th := range threadCounts {
+	for _, panel := range fig5Panels {
+		for _, rt := range rts {
+			for _, th := range threadCounts {
 				cfg := panel
 				cfg.Options = o.spec(rt, th)
 				cfg.OpsPerThread = ops
 				cells = append(cells, intsetCell(
-					fmt.Sprintf("fig5 %-10s r=%-6d %-14s t=%d", panel.Structure, panel.Range, rt, th),
-					cfg, throughput(&thr[(pi*nR+ri)*nT+ti])))
+					fmt.Sprintf("fig5 %-10s r=%-6d %-14s t=%d", panel.Structure, panel.Range, rt, th), cfg))
 			}
 		}
 	}
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
 
 	var tables []*Table
 	for pi, panel := range fig5Panels {
@@ -212,7 +212,7 @@ func Fig5(o Options) ([]*Table, error) {
 		for ri, rt := range rts {
 			row := []any{rt}
 			for ti := range threadCounts {
-				row = append(row, thr[(pi*nR+ri)*nT+ti].cell())
+				row = append(row, entry(reps[(pi*nR+ri)*nT+ti], tput))
 			}
 			t.Add(row...)
 		}
@@ -221,49 +221,22 @@ func Fig5(o Options) ([]*Table, error) {
 	return tables, err
 }
 
-// abortRow is one Fig. 6 table row's worth of percentages, computed by the
-// cell so assembly is pure formatting.
-type abortRow struct {
-	cont, pf, cap, mal, sys, other, tot float64
-}
-
 // Fig6 — abort breakdown: percentage of transaction attempts aborted, by
 // cause, for every STAMP application, ASF variant and thread count.
 func Fig6(o Options) ([]*Table, error) {
 	scale := o.scale()
 	rts := asfVariants()
 	nR, nT := len(rts), len(threadCounts)
-	rows := make([]slot[abortRow], len(stamp.Apps)*nR*nT)
 	var cells []cell
-	for ai, app := range stamp.Apps {
-		for ri, rt := range rts {
-			for ti, th := range threadCounts {
-				dst := &rows[(ai*nR+ri)*nT+ti]
+	for _, app := range stamp.Apps {
+		for _, rt := range rts {
+			for _, th := range threadCounts {
 				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
-				cells = append(cells, stampCell(fmt.Sprintf("fig6 %-14s %-14s t=%d", app, rt, th), cfg,
-					func(r stamp.Result) (string, error) {
-						at := float64(r.Stats.Attempts())
-						if at == 0 {
-							at = 1
-						}
-						pct := func(n uint64) float64 { return float64(n) / at * 100 }
-						dst.set(abortRow{
-							cont: pct(r.Stats.Aborts[sim.AbortContention]),
-							pf:   pct(r.Stats.Aborts[sim.AbortPageFault]),
-							cap:  pct(r.Stats.Aborts[sim.AbortCapacity]),
-							mal:  pct(r.Stats.MallocAborts),
-							sys:  pct(r.Stats.Aborts[sim.AbortSyscall]),
-							other: pct(r.Stats.Aborts[sim.AbortInterrupt] +
-								r.Stats.Aborts[sim.AbortExplicit] +
-								r.Stats.Aborts[sim.AbortDisallowed]),
-							tot: pct(r.Stats.TotalAborts() + r.Stats.MallocAborts),
-						})
-						return fmt.Sprintf("total=%.1f%%", dst.val.tot), nil
-					}))
+				cells = append(cells, stampCell(fmt.Sprintf("fig6 %-14s %-14s t=%d", app, rt, th), cfg))
 			}
 		}
 	}
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
 
 	var tables []*Table
 	for ai, app := range stamp.Apps {
@@ -274,13 +247,25 @@ func Fig6(o Options) ([]*Table, error) {
 		}
 		for ri, rt := range rts {
 			for ti, th := range threadCounts {
-				s := rows[(ai*nR+ri)*nT+ti]
-				if s.ok {
-					r := s.val
-					t.Add(rt, th, r.cont, r.pf, r.cap, r.mal, r.sys, r.other, r.tot)
-				} else {
+				c := reps[(ai*nR+ri)*nT+ti]
+				if c.Sim == nil {
 					t.Add(rt, th, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
+					continue
 				}
+				st := c.Sim.Stats
+				at := float64(st.Attempts())
+				if at == 0 {
+					at = 1
+				}
+				pct := func(n uint64) float64 { return float64(n) / at * 100 }
+				t.Add(rt, th,
+					pct(st.Aborts[sim.AbortContention]),
+					pct(st.Aborts[sim.AbortPageFault]),
+					pct(st.Aborts[sim.AbortCapacity]),
+					pct(st.MallocAborts),
+					pct(st.Aborts[sim.AbortSyscall]),
+					pct(st.Aborts[sim.AbortInterrupt]+st.Aborts[sim.AbortExplicit]+st.Aborts[sim.AbortDisallowed]),
+					pct(st.TotalAborts()+st.MallocAborts))
 			}
 		}
 		tables = append(tables, t)
@@ -304,26 +289,23 @@ func Fig7(o Options) ([]*Table, error) {
 			[]int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}},
 	}
 
-	slots := make([][]slot[float64], len(series))
 	var cells []cell
-	for si, se := range series {
-		slots[si] = make([]slot[float64], len(rts)*len(se.sizes))
-		for ri, rt := range rts {
-			for zi, sz := range se.sizes {
+	for _, se := range series {
+		for _, rt := range rts {
+			for _, sz := range se.sizes {
 				cfg := intset.Config{
 					Options:   o.spec(rt, 8),
 					Structure: se.structure, Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
 					OpsPerThread: ops,
 				}
-				cells = append(cells, intsetCell(fmt.Sprintf("fig7 %-10s %-14s size=%-4d", se.structure, rt, sz),
-					cfg, throughput(&slots[si][ri*len(se.sizes)+zi])))
+				cells = append(cells, intsetCell(fmt.Sprintf("fig7 %-10s %-14s size=%-4d", se.structure, rt, sz), cfg))
 			}
 		}
 	}
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
 
 	var tables []*Table
-	for si, se := range series {
+	for _, se := range series {
 		header := []string{"variant"}
 		for _, sz := range se.sizes {
 			header = append(header, fmt.Sprint(sz))
@@ -332,11 +314,12 @@ func Fig7(o Options) ([]*Table, error) {
 		for ri, rt := range rts {
 			row := []any{rt}
 			for zi := range se.sizes {
-				row = append(row, slots[si][ri*len(se.sizes)+zi].cell())
+				row = append(row, entry(reps[ri*len(se.sizes)+zi], tput))
 			}
 			t.Add(row...)
 		}
 		tables = append(tables, t)
+		reps = reps[len(rts)*len(se.sizes):]
 	}
 	return tables, err
 }
@@ -348,22 +331,20 @@ func Fig8(o Options) ([]*Table, error) {
 	sizes := []int{8, 16, 32, 64, 128, 256, 512}
 	llbs := []string{"LLB-8", "LLB-256"}
 	modes := []bool{false, true}
-	thr := make([]slot[float64], len(llbs)*len(modes)*len(sizes))
 	var cells []cell
-	for li, llb := range llbs {
-		for mi, er := range modes {
-			for zi, sz := range sizes {
+	for _, llb := range llbs {
+		for _, er := range modes {
+			for _, sz := range sizes {
 				cfg := intset.Config{
 					Options:   o.spec(llb, 8),
 					Structure: "linkedlist", Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
 					OpsPerThread: ops, EarlyRelease: er,
 				}
-				cells = append(cells, intsetCell(fmt.Sprintf("fig8 %-8s er=%-5v size=%-4d", llb, er, sz),
-					cfg, throughput(&thr[(li*len(modes)+mi)*len(sizes)+zi])))
+				cells = append(cells, intsetCell(fmt.Sprintf("fig8 %-8s er=%-5v size=%-4d", llb, er, sz), cfg))
 			}
 		}
 	}
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
 
 	var tables []*Table
 	for li, llb := range llbs {
@@ -378,7 +359,7 @@ func Fig8(o Options) ([]*Table, error) {
 			}
 			row := []any{label}
 			for zi := range sizes {
-				row = append(row, thr[(li*len(modes)+mi)*len(sizes)+zi].cell())
+				row = append(row, entry(reps[(li*len(modes)+mi)*len(sizes)+zi], tput))
 			}
 			t.Add(row...)
 		}
@@ -400,26 +381,16 @@ var table1Configs = []intset.Config{
 // category, with ratios (Table 1), and the normalised composition (Fig. 9).
 func Table1(o Options) ([]*Table, error) {
 	ops := int(4000 * o.scale())
-	asfB := make([]slot[sim.Breakdown], len(table1Configs))
-	stmB := make([]slot[sim.Breakdown], len(table1Configs))
 	var cells []cell
-	for ci, cfg := range table1Configs {
+	for _, cfg := range table1Configs {
 		for _, rt := range []string{"LLB-256", "STM"} {
-			dst := &asfB[ci]
-			if rt == "STM" {
-				dst = &stmB[ci]
-			}
 			c := cfg
 			c.Options = o.spec(rt, 1)
 			c.OpsPerThread = ops
-			cells = append(cells, intsetCell(fmt.Sprintf("table1 %-10s %-8s", cfg.Structure, rt), c,
-				func(r intset.Result) (string, error) {
-					dst.set(r.Breakdown)
-					return fmt.Sprintf("total=%d cycles", r.Breakdown.Total()), nil
-				}))
+			cells = append(cells, intsetCell(fmt.Sprintf("table1 %-10s %-8s", cfg.Structure, rt), c))
 		}
 	}
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
 
 	cats := []struct {
 		label string
@@ -443,40 +414,59 @@ func Table1(o Options) ([]*Table, error) {
 				cfg.Structure, cfg.UpdatePct, cfg.InitialSize),
 			Header: []string{"category", "ASF", "STM", "ratio (STM/ASF)"},
 		}
-		if !asfB[ci].ok || !stmB[ci].ok {
-			for _, cc := range cats {
-				t.Add(cc.label, "ERR", "ERR", "ERR")
+		// A failed cell's column reads ERR, and so does every ratio to it;
+		// Fig. 9 normalises both rows to the STM total.
+		cs := [2]*CellSim{reps[2*ci].Sim, reps[2*ci+1].Sim} // ASF, STM
+		var b [2]sim.Breakdown
+		for i, s := range cs {
+			if s != nil {
+				b[i] = breakdown(s)
 			}
-			tables = append(tables, t)
-			norm.Add(cfg.Structure, "ASF", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
-			norm.Add(cfg.Structure, "STM", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
-			continue
 		}
-		a, s := asfB[ci].val, stmB[ci].val
-		for _, cc := range cats {
-			ratio := "-"
-			if a[cc.cat] > 0 {
-				ratio = fmt.Sprintf("%.2f", float64(s[cc.cat])/float64(a[cc.cat]))
+		col := func(i int, cat sim.Category) any {
+			if cs[i] == nil {
+				return "ERR"
 			}
-			t.Add(cc.label, a[cc.cat], s[cc.cat], ratio)
+			return b[i][cat]
+		}
+		for _, cc := range cats {
+			ratio := "ERR"
+			if cs[0] != nil && cs[1] != nil {
+				ratio = "-"
+				if a := b[0][cc.cat]; a > 0 {
+					ratio = fmt.Sprintf("%.2f", float64(b[1][cc.cat])/float64(a))
+				}
+			}
+			t.Add(cc.label, col(0, cc.cat), col(1, cc.cat), ratio)
 		}
 		tables = append(tables, t)
 
-		stmTotal := float64(s.Total())
-		for _, e := range []struct {
-			rt string
-			b  sim.Breakdown
-		}{{"ASF", a}, {"STM", s}} {
-			rt, b := e.rt, e.b
+		stmTotal := float64(b[1].Total())
+		for i, rt := range []string{"ASF", "STM"} {
+			if cs[i] == nil || cs[1] == nil {
+				norm.Add(cfg.Structure, rt, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
+				continue
+			}
 			norm.Add(cfg.Structure, rt,
-				float64(b[sim.CatNonInstr])/stmTotal,
-				float64(b[sim.CatTxApp])/stmTotal,
-				float64(b[sim.CatAbort])/stmTotal,
-				float64(b[sim.CatTxLoadStore])/stmTotal,
-				float64(b[sim.CatTxStartCommit])/stmTotal,
-				float64(b.Total())/stmTotal)
+				float64(b[i][sim.CatNonInstr])/stmTotal,
+				float64(b[i][sim.CatTxApp])/stmTotal,
+				float64(b[i][sim.CatAbort])/stmTotal,
+				float64(b[i][sim.CatTxLoadStore])/stmTotal,
+				float64(b[i][sim.CatTxStartCommit])/stmTotal,
+				float64(b[i].Total())/stmTotal)
 		}
 	}
 	tables = append(tables, norm)
 	return tables, err
+}
+
+// breakdown is a cell's per-category cycle count summed over cores, as its
+// sim/cycles/* gauges record it.
+func breakdown(s *CellSim) sim.Breakdown {
+	var b sim.Breakdown
+	for k := range b {
+		g, _ := s.Metrics.Gauge("sim/cycles/" + sim.Category(k).String())
+		b[k] = g.Total
+	}
+	return b
 }

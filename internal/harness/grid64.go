@@ -29,34 +29,28 @@ var grid64Runtimes = []string{"LLB-256", "HyTM-8", "STM", "Cohorts-turbo", "Adap
 // head-to-head at 64 threads.
 func Grid64(o Options) ([]*Table, error) {
 	ops := int(1500 * o.scale())
-	nP, nT := len(grid64Panels), len(grid64Threads)
-	thr := make([]slot[float64], nP*nT)
+	nP, nT, nR := len(grid64Panels), len(grid64Threads), len(grid64Runtimes)
 	var cells []cell
-	for pi, panel := range grid64Panels {
-		for ti, th := range grid64Threads {
+	for _, panel := range grid64Panels {
+		for _, th := range grid64Threads {
 			cfg := panel
 			cfg.Options = o.spec("LLB-256", th)
 			cfg.OpsPerThread = ops
 			cells = append(cells, intsetCell(
-				fmt.Sprintf("grid64 %-10s r=%-6d LLB-256 t=%d", panel.Structure, panel.Range, th),
-				cfg, throughput(&thr[pi*nT+ti])))
+				fmt.Sprintf("grid64 %-10s r=%-6d LLB-256 t=%d", panel.Structure, panel.Range, th), cfg))
 		}
 	}
-
-	nR := len(grid64Runtimes)
-	rtThr := make([]slot[float64], nP*nR)
-	for pi, panel := range grid64Panels {
-		for ri, rt := range grid64Runtimes {
+	for _, panel := range grid64Panels {
+		for _, rt := range grid64Runtimes {
 			cfg := panel
 			cfg.Options = o.spec(rt, 64)
 			cfg.OpsPerThread = ops
 			cells = append(cells, intsetCell(
-				fmt.Sprintf("grid64 %-10s r=%-6d %-13s t=64", panel.Structure, panel.Range, rt),
-				cfg, throughput(&rtThr[pi*nR+ri])))
+				fmt.Sprintf("grid64 %-10s r=%-6d %-13s t=64", panel.Structure, panel.Range, rt), cfg))
 		}
 	}
-
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
+	scalR, rtR := reps[:nP*nT], reps[nP*nT:]
 
 	scal := &Table{
 		Title:  "E15 — 64-core grid: Fig. 5 large panels on ASF-TM (LLB-256), throughput (tx/µs)",
@@ -66,7 +60,7 @@ func Grid64(o Options) ([]*Table, error) {
 	for pi, panel := range grid64Panels {
 		row := []any{fmt.Sprintf("%s/%d", panel.Structure, panel.Range)}
 		for ti := range grid64Threads {
-			row = append(row, thr[pi*nT+ti].cell())
+			row = append(row, entry(scalR[pi*nT+ti], tput))
 		}
 		scal.Add(row...)
 	}
@@ -78,7 +72,7 @@ func Grid64(o Options) ([]*Table, error) {
 	for pi, panel := range grid64Panels {
 		row := []any{fmt.Sprintf("%s/%d", panel.Structure, panel.Range)}
 		for ri := range grid64Runtimes {
-			row = append(row, rtThr[pi*nR+ri].cell())
+			row = append(row, entry(rtR[pi*nR+ri], tput))
 		}
 		rtab.Add(row...)
 	}

@@ -85,27 +85,38 @@ func progf(w Progress, format string, args ...any) {
 	}
 }
 
-// Experiment names accepted by Run, in paper order; the extension
-// experiments (E11+) follow the paper's figures.
-var Names = []string{"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "table1", "hybrid", "litmus", "adaptive", "txprof", "grid64", "server"}
-
-// Descriptions maps each experiment in Names to the one-line summary
-// cmd/asfbench -list prints.
-var Descriptions = map[string]string{
-	"fig3":     "simulator accuracy: single-threaded STAMP, simulated vs native-reference runtime",
-	"fig4":     "STAMP scalability: execution time for all apps, ASF variants and STM, 1-8 threads",
-	"fig5":     "IntegerSet scalability: throughput for the four ASF variants, eight panels",
-	"fig6":     "abort breakdown: share of aborted attempts by cause, per app/variant/threads",
-	"fig7":     "ASF capacity: throughput vs structure size at 8 threads (list and rbtree)",
-	"fig8":     "early release: linked-list throughput with and without early release",
-	"table1":   "single-thread overhead: cycle breakdown ASF-TM vs TinySTM, plus Fig. 9 composition",
-	"hybrid":   "E11: capacity-bound cells, serial-fallback ASF-TM vs the hybrid (HyTM) runtime",
-	"litmus":   "E12: cross-runtime litmus conformance — deterministic schedule explorer vs oracle envelopes",
-	"adaptive": "E13: static-vs-adaptive runtime selection — four statics vs the online selector, with its decision log",
-	"txprof":   "E14: wasted-work accounting — flight-recorder profiles for every runtime on the Fig. 5 cells",
-	"grid64":   "E15: 64-core grid — Fig. 5 large panels and the E13 runtime field widened to 64 threads",
-	"server":   "E16: open-loop server — sojourn-time quantiles per (runtime × topology × load), multi-socket topologies, overload tail",
+// experiments is the registry Run dispatches on, in paper order; the
+// extension experiments (E11+) follow the paper's figures. desc is the
+// one-line summary cmd/asfbench -list prints.
+var experiments = []struct {
+	name, desc string
+	run        func(Options) ([]*Table, error)
+}{
+	{"fig3", "simulator accuracy: single-threaded STAMP, simulated vs native-reference runtime", Fig3},
+	{"fig4", "STAMP scalability: execution time for all apps, ASF variants and STM, 1-8 threads", Fig4},
+	{"fig5", "IntegerSet scalability: throughput for the four ASF variants, eight panels", Fig5},
+	{"fig6", "abort breakdown: share of aborted attempts by cause, per app/variant/threads", Fig6},
+	{"fig7", "ASF capacity: throughput vs structure size at 8 threads (list and rbtree)", Fig7},
+	{"fig8", "early release: linked-list throughput with and without early release", Fig8},
+	{"table1", "single-thread overhead: cycle breakdown ASF-TM vs TinySTM, plus Fig. 9 composition", Table1},
+	{"hybrid", "E11: capacity-bound cells, serial-fallback ASF-TM vs the hybrid (HyTM) runtime", Hybrid},
+	{"litmus", "E12: cross-runtime litmus conformance — deterministic schedule explorer vs oracle envelopes", Litmus},
+	{"adaptive", "E13: static-vs-adaptive runtime selection — four statics vs the online selector, with its decision log", Adaptive},
+	{"txprof", "E14: wasted-work accounting — flight-recorder profiles for every runtime on the Fig. 5 cells", Txprof},
+	{"grid64", "E15: 64-core grid — Fig. 5 large panels and the E13 runtime field widened to 64 threads", Grid64},
+	{"server", "E16: open-loop server — sojourn-time quantiles per (runtime × topology × load), multi-socket topologies, overload tail", Server},
 }
+
+// Names lists the experiments Run accepts, in registry order, and
+// Descriptions maps each to its one-line summary.
+var Names, Descriptions = func() ([]string, map[string]string) {
+	names := make([]string, len(experiments))
+	descs := make(map[string]string, len(experiments))
+	for i, e := range experiments {
+		names[i], descs[e.name] = e.name, e.desc
+	}
+	return names, descs
+}()
 
 // Run executes one named experiment and returns its tables in figure
 // order — the experiment's own tables followed by its abort-attribution
@@ -126,34 +137,10 @@ func Run(name string, o Options) ([]*Table, error) {
 
 // runExperiment dispatches to the experiment function by name.
 func runExperiment(name string, o Options) ([]*Table, error) {
-	switch name {
-	case "fig3":
-		return Fig3(o)
-	case "fig4":
-		return Fig4(o)
-	case "fig5":
-		return Fig5(o)
-	case "fig6":
-		return Fig6(o)
-	case "fig7":
-		return Fig7(o)
-	case "fig8":
-		return Fig8(o)
-	case "table1":
-		return Table1(o)
-	case "hybrid":
-		return Hybrid(o)
-	case "litmus":
-		return Litmus(o)
-	case "adaptive":
-		return Adaptive(o)
-	case "txprof":
-		return Txprof(o)
-	case "grid64":
-		return Grid64(o)
-	case "server":
-		return Server(o)
-	default:
-		return nil, fmt.Errorf("harness: unknown experiment %q (want one of %v)", name, Names)
+	for _, e := range experiments {
+		if e.name == name {
+			return e.run(o)
+		}
 	}
+	return nil, fmt.Errorf("harness: unknown experiment %q (want one of %v)", name, Names)
 }

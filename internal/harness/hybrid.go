@@ -5,7 +5,6 @@ import (
 
 	"asfstack/internal/intset"
 	"asfstack/internal/stamp"
-	"asfstack/internal/tm"
 )
 
 // hybridApps are the capacity-bound STAMP applications E11 re-runs: the
@@ -36,54 +35,29 @@ func Hybrid(o Options) ([]*Table, error) {
 	scale := o.scale()
 	ops := int(1200 * o.scale())
 	nR, nT := len(hybridRuntimes), len(threadCounts)
-
-	stampMS := make([]slot[float64], len(hybridApps)*nR*nT)
-	stampMix := make([]slot[hybridMix], len(hybridApps)*nR*nT)
 	var cells []cell
-	for ai, app := range hybridApps {
-		for ri, rt := range hybridRuntimes {
-			for ti, th := range threadCounts {
-				dst := &stampMS[(ai*nR+ri)*nT+ti]
-				mix := &stampMix[(ai*nR+ri)*nT+ti]
+	for _, app := range hybridApps {
+		for _, rt := range hybridRuntimes {
+			for _, th := range threadCounts {
 				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
-				cells = append(cells, stampCell(fmt.Sprintf("hybrid %-14s %-8s t=%d", app, rt, th), cfg,
-					func(r stamp.Result) (string, error) {
-						dst.set(r.Millis())
-						mix.set(newHybridMix(r.Stats))
-						return fmt.Sprintf("%.3fms", r.Millis()), nil
-					}))
+				cells = append(cells, stampCell(fmt.Sprintf("hybrid %-14s %-8s t=%d", app, rt, th), cfg))
 			}
 		}
 	}
-
-	nI := 0
 	for _, se := range hybridIntset {
-		nI += len(se.sizes)
-	}
-	intThr := make([]slot[float64], nI*nR)
-	intMix := make([]slot[hybridMix], nI*nR)
-	base := 0
-	for _, se := range hybridIntset {
-		for zi, sz := range se.sizes {
-			for ri, rt := range hybridRuntimes {
-				dst := &intThr[(base+zi)*nR+ri]
-				mix := &intMix[(base+zi)*nR+ri]
+		for _, sz := range se.sizes {
+			for _, rt := range hybridRuntimes {
 				cfg := intset.Config{
 					Options:   o.spec(rt, 8),
 					Structure: se.structure, Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
 					OpsPerThread: ops,
 				}
-				cells = append(cells, intsetCell(fmt.Sprintf("hybrid %-10s size=%-4d %-8s t=8", se.structure, sz, rt), cfg,
-					func(r intset.Result) (string, error) {
-						dst.set(r.Throughput())
-						mix.set(newHybridMix(r.Stats))
-						return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
-					}))
+				cells = append(cells, intsetCell(fmt.Sprintf("hybrid %-10s size=%-4d %-8s t=8", se.structure, sz, rt), cfg))
 			}
 		}
-		base += len(se.sizes)
 	}
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
+	stampR, intR := reps[:len(hybridApps)*nR*nT], reps[len(hybridApps)*nR*nT:]
 
 	var tables []*Table
 	for ai, app := range hybridApps {
@@ -95,14 +69,14 @@ func Hybrid(o Options) ([]*Table, error) {
 		for ri, rt := range hybridRuntimes {
 			row := []any{rt}
 			for ti := range threadCounts {
-				row = append(row, stampMS[(ai*nR+ri)*nT+ti].cell())
+				row = append(row, entry(stampR[(ai*nR+ri)*nT+ti], ms))
 			}
 			t.Add(row...)
 		}
 		tables = append(tables, t)
 	}
 
-	base = 0
+	base := 0
 	for _, se := range hybridIntset {
 		header := []string{"runtime"}
 		for _, sz := range se.sizes {
@@ -116,7 +90,7 @@ func Hybrid(o Options) ([]*Table, error) {
 		for ri, rt := range hybridRuntimes {
 			row := []any{rt}
 			for zi := range se.sizes {
-				row = append(row, intThr[(base+zi)*nR+ri].cell())
+				row = append(row, entry(intR[(base+zi)*nR+ri], tput))
 			}
 			t.Add(row...)
 		}
@@ -134,41 +108,28 @@ func Hybrid(o Options) ([]*Table, error) {
 	}
 	t8 := len(threadCounts) - 1
 	for ai, app := range hybridApps {
-		s := stampMS[(ai*nR+0)*nT+t8]
-		h := stampMS[(ai*nR+1)*nT+t8]
-		m := stampMix[(ai*nR+1)*nT+t8]
-		if s.ok && h.ok && m.ok && h.val > 0 {
-			imp := (s.val - h.val) / s.val * 100
-			sum.Add(app, "ms", s.val, h.val, imp, m.val.hw, m.val.sw, m.val.serial, m.val.seq)
-		} else {
-			sum.Add(app, "ms", s.cell(), h.cell(), "ERR", "ERR", "ERR", "ERR", "ERR")
+		s, h := stampR[(ai*nR+0)*nT+t8], stampR[(ai*nR+1)*nT+t8]
+		if s.Sim == nil || h.Sim == nil || ms(h.Sim) <= 0 {
+			sum.Add(app, "ms", entry(s, ms), entry(h, ms), "ERR", "ERR", "ERR", "ERR", "ERR")
+			continue
 		}
+		sv, hv, st := ms(s.Sim), ms(h.Sim), h.Sim.Stats
+		sum.Add(app, "ms", sv, hv, (sv-hv)/sv*100, st.Commits-st.SWCommits-st.Serial, st.SWCommits, st.Serial, st.SeqAborts)
 	}
 	base = 0
 	for _, se := range hybridIntset {
 		for zi, sz := range se.sizes {
-			s := intThr[(base+zi)*nR+0]
-			h := intThr[(base+zi)*nR+1]
-			m := intMix[(base+zi)*nR+1]
+			s, h := intR[(base+zi)*nR+0], intR[(base+zi)*nR+1]
 			label := fmt.Sprintf("%s/%d", se.structure, sz)
-			if s.ok && h.ok && m.ok && s.val > 0 {
-				imp := (h.val - s.val) / s.val * 100
-				sum.Add(label, "tx/µs", s.val, h.val, imp, m.val.hw, m.val.sw, m.val.serial, m.val.seq)
-			} else {
-				sum.Add(label, "tx/µs", s.cell(), h.cell(), "ERR", "ERR", "ERR", "ERR", "ERR")
+			if s.Sim == nil || h.Sim == nil || tput(s.Sim) <= 0 {
+				sum.Add(label, "tx/µs", entry(s, tput), entry(h, tput), "ERR", "ERR", "ERR", "ERR", "ERR")
+				continue
 			}
+			sv, hv, st := tput(s.Sim), tput(h.Sim), h.Sim.Stats
+			sum.Add(label, "tx/µs", sv, hv, (hv-sv)/sv*100, st.Commits-st.SWCommits-st.Serial, st.SWCommits, st.Serial, st.SeqAborts)
 		}
 		base += len(se.sizes)
 	}
 	tables = append(tables, sum)
 	return tables, err
-}
-
-// hybridMix is the hybrid runtime's commit-path split for one cell.
-type hybridMix struct {
-	hw, sw, serial, seq uint64
-}
-
-func newHybridMix(st tm.Stats) hybridMix {
-	return hybridMix{hw: st.Commits - st.SWCommits - st.Serial, sw: st.SWCommits, serial: st.Serial, seq: st.SeqAborts}
 }

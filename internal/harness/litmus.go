@@ -33,24 +33,25 @@ func Litmus(o Options) ([]*Table, error) {
 		iters    int // interleavings actually run
 		cycles   uint64
 	}
-	res := make([]slot[obs], len(litmus.Tests)*nR)
+	// A violating cell fails but keeps its observations: the matrix shows
+	// VIOL:n for it. A nil entry is a cell that panicked.
+	res := make([]*obs, len(litmus.Tests)*nR)
 	var cells []cell
 	for ti, tt := range litmus.Tests {
 		for ri, rc := range matrix {
-			tt, rc := tt, rc
 			dst := &res[ti*nR+ri]
 			cells = append(cells, cell{
 				label: fmt.Sprintf("litmus %-22s %-11s", tt.Name, rc.Label),
 				run: func(rec *CellRecord) (string, error) {
 					r := litmus.Explore(tt, rc, litmus.ExploreOptions{Seed: litmusSeed, Iters: iters})
 					rec.ObserveRun(asfstack.RunResult{Cycles: r.Cycles, Stats: r.Stats})
-					dst.set(obs{
+					*dst = &obs{
 						distinct: len(r.Outcomes),
 						allowed:  len(r.Allowed),
 						viol:     len(r.Violations),
 						iters:    r.Iters,
 						cycles:   r.Cycles,
-					})
+					}
 					if len(r.Violations) > 0 {
 						return "", fmt.Errorf("%s", r.Violations[0])
 					}
@@ -59,7 +60,7 @@ func Litmus(o Options) ([]*Table, error) {
 			})
 		}
 	}
-	err := runCells(cells, o)
+	_, err := runCells(cells, o)
 
 	// Matrix: one row per test, one column per runtime. A conforming cell
 	// reads observed/allowed (how much of the envelope the explorer reached);
@@ -80,12 +81,12 @@ func Litmus(o Options) ([]*Table, error) {
 		for ri := range matrix {
 			s := res[ti*nR+ri]
 			switch {
-			case !s.ok:
+			case s == nil:
 				row = append(row, "ERR")
-			case s.val.viol > 0:
-				row = append(row, fmt.Sprintf("VIOL:%d", s.val.viol))
+			case s.viol > 0:
+				row = append(row, fmt.Sprintf("VIOL:%d", s.viol))
 			default:
-				row = append(row, fmt.Sprintf("%d/%d", s.val.distinct, s.val.allowed))
+				row = append(row, fmt.Sprintf("%d/%d", s.distinct, s.allowed))
 			}
 		}
 		mt.Add(row...)
@@ -103,14 +104,14 @@ func Litmus(o Options) ([]*Table, error) {
 		ok := true
 		for ti := range litmus.Tests {
 			s := res[ti*nR+ri]
-			if !s.ok {
+			if s == nil {
 				ok = false
 				break
 			}
-			itersSum += s.val.iters
-			distinct += s.val.distinct
-			viol += s.val.viol
-			cyc += s.val.cycles
+			itersSum += s.iters
+			distinct += s.distinct
+			viol += s.viol
+			cyc += s.cycles
 		}
 		if !ok {
 			st.Add(rc.Label, rc.Isolation.String(), len(litmus.Tests), "ERR", "ERR", "ERR", "ERR")

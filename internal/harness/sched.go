@@ -51,8 +51,8 @@ func (o Options) workers() int {
 }
 
 // CellError is the failure of a single experiment cell. Experiments join
-// cell errors and still return every table; the failed cells render as
-// "ERR" in their table slots.
+// cell errors and still return every table; the failed cells' entries
+// read "ERR".
 type CellError struct {
 	Cell string // cell label, e.g. "fig5 rbtree r=1024 LLB-8 t=4"
 	Err  error
@@ -62,40 +62,21 @@ func (e *CellError) Error() string { return fmt.Sprintf("cell %q: %v", e.Cell, e
 func (e *CellError) Unwrap() error { return e.Err }
 
 // cell is one independent unit of work — one simulated machine built, run
-// and measured — whose results land in fixed slots of the experiment's
-// tables. run returns a short summary line for the progress stream and
-// records its simulated outcome on rec (for the report layer).
+// and measured. run returns a short summary line for the progress stream
+// and records its simulated outcome on rec, from which the cell's report
+// and the experiment's tables are built.
 type cell struct {
 	label string
 	run   func(rec *CellRecord) (summary string, err error)
 }
 
-// slot is a single-writer result location pre-allocated by an experiment:
-// exactly one cell sets it, and the assembly code reads it only after the
-// worker pool has drained. A slot left unset (its cell failed) renders as
-// "ERR".
-type slot[T any] struct {
-	val T
-	ok  bool
-}
-
-func (s *slot[T]) set(v T) { s.val, s.ok = v, true }
-
-// cell returns the value for a table slot, or "ERR" when the producing
-// cell failed (its error is reported separately through runCells).
-func (s *slot[T]) cell() any {
-	if !s.ok {
-		return "ERR"
-	}
-	return s.val
-}
-
 // runCells drains cells through a pool of worker goroutines and returns
-// the joined per-cell errors (nil when every cell succeeded), in cell
-// order. A cell that fails — by error or by panic — is reported and the
-// remaining cells keep running; the experiment still assembles every
-// table.
-func runCells(cells []cell, o Options) error {
+// one report per cell, in cell order, with the joined per-cell errors (nil
+// when every cell succeeded). A cell that fails — by error or by panic —
+// is reported with no sim section and the remaining cells keep running;
+// the experiment still assembles every table, reading "ERR" where a
+// failed cell's numbers would be.
+func runCells(cells []cell, o Options) ([]*CellReport, error) {
 	workers := o.workers()
 	if workers > len(cells) {
 		workers = len(cells)
@@ -155,7 +136,7 @@ func runCells(cells []cell, o Options) error {
 	if o.sink != nil {
 		*o.sink = reps
 	}
-	return errors.Join(errs...)
+	return reps, errors.Join(errs...)
 }
 
 // runCell runs one cell, converting a workload panic (simulator

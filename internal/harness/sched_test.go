@@ -14,7 +14,12 @@ import (
 	"testing"
 
 	"asfstack"
+	"asfstack/internal/intset"
+	"asfstack/internal/metrics"
+	"asfstack/internal/server"
 	"asfstack/internal/stamp"
+	"asfstack/internal/tm"
+	"asfstack/internal/txprof"
 )
 
 // update rewrites the sim pin (testdata/sim_digests.json) from this run's
@@ -170,16 +175,16 @@ func checkSimPin(t *testing.T, got map[string]string) {
 }
 
 // TestRunCellsCollectsFailures drives the scheduler directly: erroring and
-// panicking cells must be reported as CellErrors in cell order while the
-// healthy cells still complete.
+// panicking cells must be reported as CellErrors in cell order, with
+// reports that carry the error and no sim section, while the healthy cells
+// still complete.
 func TestRunCellsCollectsFailures(t *testing.T) {
-	var good slot[float64]
 	cells := []cell{
 		{label: "bad-error", run: func(*CellRecord) (string, error) {
 			return "", errors.New("boom")
 		}},
-		{label: "good", run: func(*CellRecord) (string, error) {
-			good.set(1.5)
+		{label: "good", run: func(rec *CellRecord) (string, error) {
+			rec.ObserveRun(asfstack.RunResult{Cycles: 15})
 			return "ok", nil
 		}},
 		{label: "bad-panic", run: func(*CellRecord) (string, error) {
@@ -187,12 +192,20 @@ func TestRunCellsCollectsFailures(t *testing.T) {
 		}},
 	}
 	var prog strings.Builder
-	err := runCells(cells, Options{Parallel: 2, Progress: &prog})
+	reps, err := runCells(cells, Options{Parallel: 2, Progress: &prog})
 	if err == nil {
 		t.Fatal("failures not reported")
 	}
-	if !good.ok || good.val != 1.5 {
-		t.Fatalf("healthy cell did not complete: %+v", good)
+	if len(reps) != len(cells) {
+		t.Fatalf("%d reports for %d cells", len(reps), len(cells))
+	}
+	if g := reps[1]; g.Label != "good" || g.Err != "" || g.Sim == nil || g.Sim.Cycles != 15 {
+		t.Fatalf("healthy cell did not complete: %+v", g)
+	}
+	for _, i := range []int{0, 2} {
+		if reps[i].Err == "" || reps[i].Sim != nil {
+			t.Fatalf("failed cell %q: err %q, sim %+v", reps[i].Label, reps[i].Err, reps[i].Sim)
+		}
 	}
 	var ce *CellError
 	if !errors.As(err, &ce) {
@@ -212,45 +225,139 @@ func TestRunCellsCollectsFailures(t *testing.T) {
 	}
 }
 
-// TestRunReportsFailingCells injects failures into fig3's workload entry
-// point: Run must return the full table with ERR cells, join one CellError
-// per failure, and keep every healthy row intact — never crash.
+// TestRunReportsFailingCells injects failures into every workload
+// experiment through instant fakes of the workload entry points: in each,
+// the first cell fails by error and the last by panic. The experiment must
+// return all its tables, shaped as in a healthy run, with "ERR" for every
+// entry that differs from it, and join exactly one CellError per failed
+// cell. ERR may stand only where a value computed from the cells stands
+// (an entry that reads ERR when every cell fails), and each of the
+// experiment's own tables must keep at least one such value intact, so a
+// failure cannot blank out whole tables. Table assembly reads the cell
+// reports outside the cells' recover, so a failed cell's missing sim
+// section must not crash it.
 func TestRunReportsFailingCells(t *testing.T) {
-	orig := stampRun
-	defer func() { stampRun = orig }()
-	stampRun = func(cfg stamp.Config) (stamp.Result, error) {
-		native := cfg.Machine != nil // fig3's native-reference cells
+	origStamp, origIntset, origServer := stampRun, intsetRun, serverRun
+	defer func() { stampRun, intsetRun, serverRun = origStamp, origIntset, origServer }()
+	// Parallel 1 runs the cells in cell order, so calls numbers them.
+	var calls, failErr, failPanic int
+	var failAll bool
+	run := func(o asfstack.Options) (asfstack.RunResult, error) {
+		n := calls
+		calls++
 		switch {
-		case cfg.App == "ssca2" && !native:
-			return stamp.Result{}, errors.New("injected failure")
-		case cfg.App == "genome" && native:
+		case failAll || n == failErr:
+			return asfstack.RunResult{}, errors.New("injected failure")
+		case n == failPanic:
 			panic("injected panic")
 		}
-		return stamp.Result{Config: cfg, RunResult: asfstack.RunResult{Cycles: 2_200_000}}, nil // 1 ms
+		// Every real run has a metrics snapshot, and a profile when asked.
+		r := asfstack.RunResult{Cycles: 2_200_000, Stats: tm.Stats{Commits: 2200}, Metrics: &metrics.Snapshot{}}
+		if o.Profile {
+			r.Profile = &txprof.Profile{}
+		}
+		return r, nil
+	}
+	stampRun = func(cfg stamp.Config) (stamp.Result, error) {
+		r, err := run(cfg.Options)
+		return stamp.Result{Config: cfg, RunResult: r}, err
+	}
+	intsetRun = func(cfg intset.Config) (intset.Result, error) {
+		r, err := run(cfg.Options)
+		return intset.Result{Config: cfg, RunResult: r}, err
+	}
+	serverRun = func(cfg server.Config) (server.Result, error) {
+		r, err := run(cfg.Options)
+		return server.Result{Config: cfg, RunResult: r}, err
 	}
 
-	tables, err := Run("fig3", Options{Scale: 0.1, Parallel: 4})
-	if err == nil {
-		t.Fatal("failing cells produced no error")
-	}
-	var ce *CellError
-	if !errors.As(err, &ce) {
-		t.Fatalf("error %v does not unwrap to *CellError", err)
-	}
-	for _, want := range []string{"ssca2", "injected failure", "genome", "injected panic"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
+	for _, name := range Names {
+		if name == "litmus" { // runs no workload entry point
+			continue
 		}
-	}
-	if len(tables) != 2 { // the fig3 table plus the abort-attribution table
-		t.Fatalf("tables = %d, want 2 despite failures", len(tables))
-	}
-	out := renderTables(tables)
-	if !strings.Contains(out, "ERR") {
-		t.Fatalf("failed cells not marked ERR:\n%s", out)
-	}
-	// Healthy rows must carry real values.
-	if !strings.Contains(out, fmt.Sprintf("%.2f", 1.0)) {
-		t.Fatalf("healthy cells missing from table:\n%s", out)
+		t.Run(name, func(t *testing.T) {
+			o := Options{Scale: 0.1, Parallel: 1}
+			calls, failErr, failPanic, failAll = 0, -1, -1, false
+			healthy, err := RunReport(name, o)
+			if err != nil {
+				t.Fatalf("healthy run: %v", err)
+			}
+			calls, failAll = 0, true
+			none, _ := RunReport(name, o)
+			if none == nil || len(none.Tables) != len(healthy.Tables) {
+				t.Fatalf("run with every cell failing returned no report or lost tables")
+			}
+			last := len(healthy.Cells) - 1
+			calls, failErr, failPanic, failAll = 0, 0, last, false
+			rep, err := RunReport(name, o)
+			if rep == nil {
+				t.Fatalf("no report: %v", err)
+			}
+
+			var joined interface{ Unwrap() []error }
+			if !errors.As(err, &joined) || len(joined.Unwrap()) != 2 {
+				t.Fatalf("error %v does not join two cell errors", err)
+			}
+			for i, e := range joined.Unwrap() {
+				var ce *CellError
+				if !errors.As(e, &ce) {
+					t.Fatalf("error %v is not a *CellError", e)
+				}
+				if want := rep.Cells[[]int{0, last}[i]].Label; strings.TrimRight(ce.Cell, " ") != want {
+					t.Errorf("cell error %d names %q, want %q", i, ce.Cell, want)
+				}
+			}
+			for _, want := range []string{"injected failure", "injected panic"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+			for i, c := range rep.Cells {
+				if failed := i == 0 || i == last; failed != (c.Sim == nil) || failed != (c.Err != "") {
+					t.Errorf("cell %q: err %q, sim %v", c.Label, c.Err, c.Sim != nil)
+				}
+			}
+
+			if len(rep.Tables) != len(healthy.Tables) {
+				t.Fatalf("tables = %d, want %d despite failures", len(rep.Tables), len(healthy.Tables))
+			}
+			errs := 0 // ERR entries in the experiment's own tables
+			for ti, tab := range rep.Tables {
+				want, vals := healthy.Tables[ti], none.Tables[ti]
+				if len(tab.Rows) != len(want.Rows) || len(vals.Rows) != len(want.Rows) {
+					t.Fatalf("%s: %d rows (%d with every cell failing), want %d",
+						tab.Title, len(tab.Rows), len(vals.Rows), len(want.Rows))
+				}
+				kept := 0 // computed values equal to the healthy run's
+				for ri, row := range tab.Rows {
+					if len(row) != len(want.Rows[ri]) || len(vals.Rows[ri]) != len(want.Rows[ri]) {
+						t.Fatalf("%s row %d: %d entries (%d with every cell failing), want %d",
+							tab.Title, ri, len(row), len(vals.Rows[ri]), len(want.Rows[ri]))
+					}
+					for ci, v := range row {
+						computed := vals.Rows[ri][ci] == "ERR"
+						switch {
+						case v == want.Rows[ri][ci]:
+							if computed {
+								kept++
+							}
+						case v != "ERR":
+							t.Errorf("%s row %d col %d: %q, want %q or ERR", tab.Title, ri, ci, v, want.Rows[ri][ci])
+						case !computed:
+							t.Errorf("%s row %d col %d: ERR where the table has no computed value (%q)",
+								tab.Title, ri, ci, want.Rows[ri][ci])
+						case ti < len(rep.Tables)-1:
+							errs++
+						}
+					}
+				}
+				if ti < len(rep.Tables)-1 && kept == 0 {
+					t.Errorf("%s: no healthy value survived the failures:\n%s", tab.Title, renderTables([]*Table{tab}))
+				}
+			}
+			if errs == 0 {
+				t.Fatalf("no ERR entries in the experiment's tables:\n%s", renderTables(rep.Tables))
+			}
+		})
 	}
 }

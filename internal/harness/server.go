@@ -22,15 +22,6 @@ var serverLoads = []float64{0.5, 0.9, 1.4}
 // serverRuntimes is the E13 runtime field on the server workload.
 var serverRuntimes = []string{"LLB-256", "HyTM-256", "STM", "Cohorts-turbo", "Adaptive-256"}
 
-// serverObs is one cell's table-facing measurements.
-type serverObs struct {
-	p50, p95, p99, p999 float64
-	max                 uint64
-	thr                 float64
-	xsock               uint64
-	perSock             []uint64
-}
-
 // Server — E16: the open-loop transactional server. One cell per
 // (topology × runtime × load): each runs the vacation-style reservation
 // service under a pre-drawn open-loop arrival schedule and reports
@@ -39,35 +30,18 @@ type serverObs struct {
 // from the closed-loop throughput ranking of Fig. 5/E13, which is the
 // point of measuring latency open-loop.
 func Server(o Options) ([]*Table, error) {
-	nT, nR, nL := len(serverTopologies), len(serverRuntimes), len(serverLoads)
-	obs := make([]slot[serverObs], nT*nR*nL)
+	nR, nL := len(serverRuntimes), len(serverLoads)
 	var cells []cell
-	for ti, topology := range serverTopologies {
-		tp, err := topo.Parse(topology)
-		if err != nil {
-			return nil, fmt.Errorf("harness: server topology %q: %w", topology, err)
-		}
-		for ri, rt := range serverRuntimes {
-			for li, load := range serverLoads {
-				dst := &obs[(ti*nR+ri)*nL+li]
+	for _, topology := range serverTopologies {
+		for _, rt := range serverRuntimes {
+			for _, load := range serverLoads {
 				cfg := server.Config{Options: o.spec(rt, 0), Load: load, Scale: o.scale()}
 				cfg.Topology = topology
-				cells = append(cells, serverCell(fmt.Sprintf("server %-5s %-13s load=%.2f", topology, rt, load), cfg,
-					func(r server.Result) (string, error) {
-						ob := serverObs{
-							p50: r.P50, p95: r.P95, p99: r.P99, p999: r.P999,
-							max: r.MaxSojourn, thr: r.Throughput(), xsock: r.XSockHops,
-						}
-						if g, ok := r.Metrics.Gauge("cache/xsock_hops"); ok {
-							ob.perSock = tp.PerSocket(g.PerCore)
-						}
-						dst.set(ob)
-						return fmt.Sprintf("p99=%.0f cyc", r.P99), nil
-					}))
+				cells = append(cells, serverCell(fmt.Sprintf("server %-5s %-13s load=%.2f", topology, rt, load), cfg))
 			}
 		}
 	}
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
 
 	var tables []*Table
 	for ti, topology := range serverTopologies {
@@ -80,14 +54,15 @@ func Server(o Options) ([]*Table, error) {
 		}
 		for ri, rt := range serverRuntimes {
 			for li, load := range serverLoads {
-				s := obs[(ti*nR+ri)*nL+li]
-				if !s.ok {
+				c := reps[(ti*nR+ri)*nL+li]
+				if c.Sim == nil {
 					t.Add(rt, load, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
 					continue
 				}
-				t.Add(rt, load,
-					s.val.p50, s.val.p95, s.val.p99, s.val.p999,
-					s.val.max, s.val.thr, s.val.xsock)
+				s := c.Sim
+				soj, _ := s.Metrics.Histogram("server/sojourn_cyc")
+				hops, _ := s.Metrics.Gauge("cache/xsock_hops")
+				t.Add(rt, load, s.P50Cycles, s.P95Cycles, s.P99Cycles, s.P999Cycles, soj.Max, tput(s), hops.Total)
 			}
 		}
 		tables = append(tables, t)
@@ -105,13 +80,16 @@ func Server(o Options) ([]*Table, error) {
 		ps.Header = append(ps.Header, fmt.Sprintf("sock%d", s))
 	}
 	for ri, rt := range serverRuntimes {
-		s := obs[(big*nR+ri)*nL+nL-1]
+		c := reps[(big*nR+ri)*nL+nL-1]
 		row := []any{rt}
-		for k := 0; k < tpBig.Sockets; k++ {
-			if !s.ok || k >= len(s.val.perSock) {
+		if c.Sim == nil {
+			for range tpBig.Sockets {
 				row = append(row, "ERR")
-			} else {
-				row = append(row, s.val.perSock[k])
+			}
+		} else {
+			hops, _ := c.Sim.Metrics.Gauge("cache/xsock_hops")
+			for _, n := range tpBig.PerSocket(hops.PerCore) {
+				row = append(row, n)
 			}
 		}
 		ps.Add(row...)
@@ -130,14 +108,16 @@ func Server(o Options) ([]*Table, error) {
 			type rp struct {
 				rt  string
 				p99 float64
-				ok  bool
 			}
 			rps := make([]rp, nR)
 			all := true
 			for ri, rt := range serverRuntimes {
-				s := obs[(ti*nR+ri)*nL+li]
-				rps[ri] = rp{rt: rt, p99: s.val.p99, ok: s.ok}
-				all = all && s.ok
+				c := reps[(ti*nR+ri)*nL+li]
+				if c.Sim == nil {
+					all = false
+					break
+				}
+				rps[ri] = rp{rt: rt, p99: c.Sim.P99Cycles}
 			}
 			if !all {
 				rank.Add(topology, load, "ERR")

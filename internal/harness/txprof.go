@@ -1,11 +1,6 @@
 package harness
 
-import (
-	"fmt"
-
-	"asfstack/internal/intset"
-	"asfstack/internal/txprof"
-)
+import "fmt"
 
 // txprofRuntimes are the E14 columns: one representative of every runtime
 // family behind the tm ABI.
@@ -20,27 +15,18 @@ var txprofRuntimes = []string{"LLB-256", "HyTM-8", "STM", "Cohorts-turbo", "Adap
 func Txprof(o Options) ([]*Table, error) {
 	ops := int(1500 * o.scale())
 	nR := len(txprofRuntimes)
-	sums := make([]slot[txprof.Summary], len(fig5Panels)*nR)
 	var cells []cell
-	for pi, panel := range fig5Panels {
-		for ri, rt := range txprofRuntimes {
-			dst := &sums[pi*nR+ri]
+	for _, panel := range fig5Panels {
+		for _, rt := range txprofRuntimes {
 			cfg := panel
 			cfg.Options = o.spec(rt, 8)
 			cfg.Profile = true
 			cfg.OpsPerThread = ops
 			cells = append(cells, intsetCell(
-				fmt.Sprintf("txprof %-10s r=%-6d %-14s t=8", panel.Structure, panel.Range, rt), cfg,
-				func(r intset.Result) (string, error) {
-					if r.Profile == nil {
-						return "", fmt.Errorf("runtime %q produced no profile", rt)
-					}
-					dst.set(r.Profile.Summary)
-					return fmt.Sprintf("wasted=%.1f%%", 100*r.Profile.Summary.WastedRatio), nil
-				}))
+				fmt.Sprintf("txprof %-10s r=%-6d %-14s t=8", panel.Structure, panel.Range, rt), cfg))
 		}
 	}
-	err := runCells(cells, o)
+	reps, err := runCells(cells, o)
 
 	t := &Table{
 		Title: "E14 — wasted work (txprof flight recorder; Fig. 5 cells, 8 threads)",
@@ -53,12 +39,12 @@ func Txprof(o Options) ([]*Table, error) {
 	for pi, panel := range fig5Panels {
 		cellName := fmt.Sprintf("%s/%d", panel.Structure, panel.Range)
 		for ri, rt := range txprofRuntimes {
-			s := sums[pi*nR+ri]
-			if !s.ok {
+			c := reps[pi*nR+ri]
+			if c.Sim == nil {
 				t.Add(cellName, rt, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
 				continue
 			}
-			sum := s.val
+			sum := c.Sim.Profile.Summary
 			topLine, topEdge := "-", "-"
 			if len(sum.TopLines) > 0 {
 				topLine = fmt.Sprintf("%s x%d", sum.TopLines[0].Addr, sum.TopLines[0].Count)

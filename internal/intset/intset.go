@@ -47,16 +47,6 @@ type Result struct {
 	asfstack.RunResult
 }
 
-// Throughput returns committed transactions per microsecond at the
-// simulated clock (2.2 GHz), the Fig. 5/7/8 metric.
-func (r Result) Throughput() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	us := float64(r.Cycles) / 2200.0 // cycles per µs at 2.2 GHz
-	return float64(r.Stats.Commits) / us
-}
-
 type setIface interface {
 	Contains(tx tm.Tx, k uint64) bool
 	Insert(tx tm.Tx, k uint64) bool

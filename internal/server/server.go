@@ -60,19 +60,6 @@ type Result struct {
 	// Sojourn-time quantiles (arrival → commit, simulated cycles),
 	// interpolated from the server/sojourn_cyc histogram.
 	P50, P95, P99, P999 float64
-	MaxSojourn          uint64
-
-	// XSockHops is the machine total of cross-socket directory hops (zero
-	// on single-socket runs).
-	XSockHops uint64
-}
-
-// Throughput returns committed requests per simulated microsecond.
-func (r Result) Throughput() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.Requests) / (float64(r.Cycles) / 2200)
 }
 
 // world is the server's shared store plus the per-core session queues.
@@ -338,10 +325,6 @@ func Run(cfg Config) (Result, error) {
 		res.P95 = hs.Quantile(0.95)
 		res.P99 = hs.Quantile(0.99)
 		res.P999 = hs.Quantile(0.999)
-		res.MaxSojourn = hs.Max
-	}
-	if g, ok := res.Metrics.Gauge("cache/xsock_hops"); ok {
-		res.XSockHops = g.Total
 	}
 
 	var verr error

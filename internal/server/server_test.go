@@ -113,12 +113,25 @@ func TestRunSmoke(t *testing.T) {
 			t.Fatalf("quantiles not monotone: %v", qs)
 		}
 	}
-	if r.P50 <= 0 || r.P999 > float64(r.MaxSojourn) {
-		t.Fatalf("quantiles outside (0, max=%d]: %v", r.MaxSojourn, qs)
+	if m := maxSojourn(r); r.P50 <= 0 || r.P999 > float64(m) {
+		t.Fatalf("quantiles outside (0, max=%d]: %v", m, qs)
 	}
-	if r.XSockHops != 0 {
-		t.Fatalf("single-socket run counted %d cross-socket hops", r.XSockHops)
+	if h := xsockHops(r); h != 0 {
+		t.Fatalf("single-socket run counted %d cross-socket hops", h)
 	}
+}
+
+// maxSojourn is the longest sojourn the run's server/sojourn_cyc
+// histogram recorded.
+func maxSojourn(r Result) uint64 {
+	hs, _ := r.Metrics.Histogram("server/sojourn_cyc")
+	return hs.Max
+}
+
+// xsockHops is the machine total of the run's cache/xsock_hops gauge.
+func xsockHops(r Result) uint64 {
+	g, _ := r.Metrics.Gauge("cache/xsock_hops")
+	return g.Total
 }
 
 // simFingerprint is the deterministic part of a Result.
@@ -140,7 +153,7 @@ func fingerprint(r Result) simFingerprint {
 	return simFingerprint{
 		Cycles: r.Cycles, Requests: r.Requests,
 		P50: r.P50, P95: r.P95, P99: r.P99, P999: r.P999,
-		Max: r.MaxSojourn, XSock: r.XSockHops,
+		Max: maxSojourn(r), XSock: xsockHops(r),
 		Commits: r.Stats.Commits, Aborts: aborts,
 	}
 }
@@ -227,12 +240,30 @@ func TestRunTopologyCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if multi.XSockHops == 0 {
+	if xsockHops(multi) == 0 {
 		t.Fatal("2x2 run recorded zero cross-socket hops")
 	}
 	if hs, ok := multi.Metrics.Histogram("server/sojourn_cyc"); !ok || hs.Count != multi.Requests {
 		t.Fatalf("sojourn histogram count = %v, want one observation per request (%d)",
 			hs.Count, multi.Requests)
+	}
+}
+
+// TestRunCommitsEqualRequests: every request commits exactly one
+// transaction on each runtime of the E16 field, so the commit rate
+// RunResult.Throughput reports is the server's request rate.
+func TestRunCommitsEqualRequests(t *testing.T) {
+	for _, rt := range []string{"LLB-256", "HyTM-256", "STM", "Cohorts-turbo", "Adaptive-256"} {
+		cfg := smallConfig(rt)
+		cfg.Cores = 0
+		cfg.Topology = "2x2"
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", rt, err)
+		}
+		if r.Stats.Commits != r.Requests {
+			t.Errorf("%s: %d commits for %d requests", rt, r.Stats.Commits, r.Requests)
+		}
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 // nothing but the access path itself.
 func TestSteadyStateLoadAllocsNothing(t *testing.T) {
 	m := New(Barcelona(1))
-	defer m.Close()
 	m.Mem.Prefault(0, 1<<20)
 	const lines = 512
 	var allocs uint64

@@ -436,9 +436,6 @@ func (c *CPU) FetchAdd(a mem.Addr, delta mem.Word) mem.Word {
 	return old
 }
 
-// Fence charges a full memory barrier.
-func (c *CPU) Fence() { c.Cycles(8) }
-
 // IdleHint announces a quiescent state: the core is in a long
 // non-transactional wait (a barrier spin, a thread exit) and will start no
 // transaction before its next runtime entry point. Runtimes that track

@@ -19,7 +19,6 @@ func runMixed(seed int64, cores int, stores bool) (mem.Word, uint64, []cache.Sta
 	cfg := Barcelona(cores)
 	cfg.Seed = seed
 	m := New(cfg)
-	defer m.Close()
 	m.Mem.Prefault(0, 1<<20)
 	kinds := 3
 	if stores {

@@ -152,8 +152,6 @@ type Machine struct {
 	resume     int      // core id the driver resumes next (set by grant)
 	collecting bool     // Run's startup sweep is in progress; no grants yet
 
-	closed atomic.Bool
-
 	running atomic.Bool // a Run call is in flight
 
 	failure any // first workload panic, re-raised after shutdown
@@ -245,18 +243,6 @@ func (m *Machine) CyclesToNanos(cy uint64) float64 {
 	return float64(cy) / float64(m.cfg.ClockHz) * 1e9
 }
 
-// Close marks the machine shut down. The machine cannot Run again
-// afterwards. Idempotent. Coroutines live only inside a Run call, so there
-// is nothing to tear down; Close exists to catch use-after-close bugs.
-func (m *Machine) Close() {
-	if m.closed.Swap(true) {
-		return
-	}
-	if m.running.Load() {
-		panic("sim: Close while a Run call is in flight")
-	}
-}
-
 // Run executes one thread body per core (len(bodies) ≤ Cores) to completion
 // and returns the simulated duration in cycles (the maximum core clock).
 // It may be called repeatedly; cores keep their clocks across calls so a
@@ -269,9 +255,6 @@ func (m *Machine) Close() {
 func (m *Machine) Run(bodies ...func(c *CPU)) uint64 {
 	if len(bodies) > len(m.cpus) {
 		panic("sim: more thread bodies than cores")
-	}
-	if m.closed.Load() {
-		panic("sim: Run on a closed machine")
 	}
 	m.running.Store(true)
 	defer m.running.Store(false)

@@ -415,6 +415,16 @@ type RunResult struct {
 // at the 2.2 GHz clock.
 func (r RunResult) Millis() float64 { return float64(r.Cycles) / 2_200_000.0 }
 
+// Throughput returns committed transactions per simulated microsecond at
+// the 2.2 GHz clock: the IntegerSet metric of Fig. 5/7/8, and the server's
+// request rate, since each request commits once.
+func (r RunResult) Throughput() float64 {
+	if r.Cycles == 0 {
+		return 0
+	}
+	return float64(r.Stats.Commits) / (float64(r.Cycles) / 2200)
+}
+
 // Measure runs the measured phase: BeginMeasured, then body on every core
 // (start is the phase's common start cycle), then the harvest of its
 // measurements at the closing barrier.
