@@ -129,7 +129,7 @@ func allocBound(b *testing.B, maxAllocs, maxBytes uint64, body func()) {
 // (3 STAMP apps × 5 runtimes × 2 thread counts + 2 IntegerSet cells × 5
 // runtimes). An allocation gate.
 func BenchmarkAdaptive(b *testing.B) {
-	allocBound(b, 27_820, 79_185_024, func() {
+	allocBound(b, 27_591, 55_400_728, func() {
 		if _, err := harness.Adaptive(harness.Options{Scale: benchScale}); err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func BenchmarkFig5Cell(b *testing.B) {
 		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 8, Seed: 1},
 		Structure: "linkedlist", Range: 512, UpdatePct: 20, OpsPerThread: 1500}
 	var thr float64
-	allocBound(b, 639, 1_585_712, func() {
+	allocBound(b, 631, 1_192_416, func() {
 		r, err := intset.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -163,7 +163,7 @@ func BenchmarkServerCell(b *testing.B) {
 		Options: asfstack.Options{Runtime: "LLB-256", Topology: "2x8", Seed: 1, SeedSet: true},
 		Load:    1.4, Scale: 0.25}
 	var r server.Result
-	allocBound(b, 1_136, 2_232_248, func() {
+	allocBound(b, 1_095, 1_239_720, func() {
 		var err error
 		r, err = server.Run(cfg)
 		if err != nil {

@@ -1,6 +1,10 @@
 package cache
 
-import "asfstack/internal/mem"
+import (
+	"math/bits"
+
+	"asfstack/internal/mem"
+)
 
 // entry is one cache line's bookkeeping, packed into 16 bytes. Data values
 // live in mem.Memory; the entry only tracks residency, dirtiness, recency,
@@ -42,12 +46,22 @@ func (e *entry) setFlag(f mem.Addr, on bool) {
 // and it keeps the hot path free of map machinery entirely.
 //
 // The entries live in blocks. Block b holds sets [b<<blockShift,
-// (b+1)<<blockShift), each set's ways contiguous, so a set never straddles
-// a block. A block is carved from the hierarchy's pool on the first insert
-// into one of its sets: the host pays for the sets a run fills, not for
-// the whole geometry. A lookup in a block never filled finds nothing.
+// (b+1)<<blockShift), setsPerBlock of them or every set when the array has
+// fewer. All sets of a block have the same number of ways, len(blk) >>
+// blockShift, each set's ways contiguous. A block has no ways until the
+// first insert into one of its sets, then one. An insert that finds every
+// way of its set valid widens the block four-fold, up to assoc, and takes
+// the first new way: the host pays for the lines a run keeps resident, not
+// for the whole geometry, and a miss in a sparse set scans few ways.
+//
+// Widening is exact. An insert always takes the first invalid way, so a set
+// whose occupancy never passed k has used only ways [0, k); the ways a
+// block has not grown yet are the invalid ways after them. Victim choice,
+// LRU tie-breaks and forEach's (set, way) order therefore match an array
+// built with every way. An insert may move its block's entries, so no
+// *entry may be held across an insert into the same array.
 type array struct {
-	blocks     [][]entry // nil until the first insert into one of the block's sets
+	blocks     [][]entry // a block's sets have len(blk) >> blockShift ways each
 	pool       *blockPool
 	assoc      int
 	setMask    mem.Addr
@@ -56,18 +70,14 @@ type array struct {
 	nValid     int      // resident-line count, backing the occupancy gauges
 }
 
-// blockEnts caps a block at 256 entries, 4 KiB: a block holds the largest
-// power of two of whole sets that fits, or one set when a set is larger.
-const blockEnts = 256
+// setsPerBlock is how many sets share a block and its way count.
+const setsPerBlock = 16
 
 // newArray builds an array of sizeBytes at assoc ways, whose set count
 // Config.Validate has checked is a power of two. Its blocks come from pool.
 func newArray(sizeBytes, assoc int, pool *blockPool) array {
 	nSets := sizeBytes / mem.LineSize / assoc
-	shift := uint(0)
-	for 2<<shift <= nSets && assoc<<(shift+1) <= blockEnts {
-		shift++
-	}
+	shift := uint(bits.TrailingZeros(uint(min(nSets, setsPerBlock))))
 	return array{
 		blocks:     make([][]entry, nSets>>shift),
 		pool:       pool,
@@ -83,10 +93,8 @@ func newArray(sizeBytes, assoc int, pool *blockPool) array {
 func (a *array) lookup(line mem.Addr) *entry {
 	s := (line >> mem.LineShift) & a.setMask
 	blk := a.blocks[s>>a.blockShift]
-	if blk == nil {
-		return nil
-	}
-	set := blk[int(s&a.offMask)*a.assoc:][:a.assoc]
+	ways := len(blk) >> a.blockShift
+	set := blk[int(s&a.offMask)*ways:][:ways]
 	want := line | entValid
 	for i := range set {
 		if set[i].tag&^(entDirty|entSpecRead) == want {
@@ -100,11 +108,9 @@ func (a *array) lookup(line mem.Addr) *entry {
 // value) and true if a valid line was evicted.
 func (a *array) insert(line mem.Addr, now uint64) (victim entry, evicted bool) {
 	s := (line >> mem.LineShift) & a.setMask
-	blk := &a.blocks[s>>a.blockShift]
-	if *blk == nil {
-		*blk = a.pool.carve(a.assoc << a.blockShift)
-	}
-	set := (*blk)[int(s&a.offMask)*a.assoc:][:a.assoc]
+	b, off := s>>a.blockShift, int(s&a.offMask)
+	ways := len(a.blocks[b]) >> a.blockShift
+	set := a.blocks[b][off*ways:][:ways]
 	var slot *entry
 	for i := range set {
 		e := &set[i]
@@ -116,6 +122,12 @@ func (a *array) insert(line mem.Addr, now uint64) (victim entry, evicted bool) {
 			slot = e
 		}
 	}
+	if ways < a.assoc && (slot == nil || slot.valid()) {
+		// Every way the set has is valid, so the first invalid way of
+		// the full set is the next one: widen and take it.
+		blk := a.widen(b, ways)
+		slot = &blk[off*(len(blk)>>a.blockShift)+ways]
+	}
 	if slot.valid() {
 		victim, evicted = *slot, true
 	} else {
@@ -123,6 +135,20 @@ func (a *array) insert(line mem.Addr, now uint64) (victim entry, evicted bool) {
 	}
 	*slot = entry{tag: line | entValid, lastUse: now}
 	return victim, evicted
+}
+
+// widen replaces block b, whose sets have ways ways, by one whose sets have
+// four times as many (one when the block is empty), capped at assoc. Each
+// set's ways keep their order, followed by invalid ones. The old block
+// stays unused in its chunk.
+func (a *array) widen(b mem.Addr, ways int) []entry {
+	next := min(max(4*ways, 1), a.assoc)
+	old, blk := a.blocks[b], a.pool.carve(next<<a.blockShift)
+	for s := range 1 << a.blockShift {
+		copy(blk[s*next:], old[s*ways:(s+1)*ways])
+	}
+	a.blocks[b] = blk
+	return blk
 }
 
 // remove invalidates line if present.
@@ -133,9 +159,9 @@ func (a *array) remove(line mem.Addr) {
 	}
 }
 
-// forEach visits every valid entry in (set, way) order, walking the filled
-// blocks in order. Iteration must be deterministic: FlushPrivate refills L3
-// in this order, and hash order would leak into L3's LRU state and make
+// forEach visits every valid entry in (set, way) order, walking the blocks
+// in order. Iteration must be deterministic: FlushPrivate refills L3 in
+// this order, and hash order would leak into L3's LRU state and make
 // measured-phase timings vary from run to run.
 func (a *array) forEach(fn func(*entry)) {
 	for _, blk := range a.blocks {
@@ -148,18 +174,19 @@ func (a *array) forEach(fn func(*entry)) {
 }
 
 // blockPool carves array blocks from chunks of poolChunk entries, shared by
-// every array of a hierarchy. A chunk is never moved or freed, so *entry
-// pointers stay valid; a chunk's tail too short for the next block is left
-// unused.
+// every array of a hierarchy. A chunk is never moved or freed, and a block
+// outgrown by widen stays where it is, unused; a chunk's tail too short for
+// the next block is left unused too.
 type blockPool struct {
 	free []entry
 }
 
-// poolChunk is how many entries the pool allocates at a time, 32 blocks of
-// 4 KiB. An access fills at most three new blocks, its line's L1, L2 and L3
-// sets (every victim's sets were filled when the victim was), so it
+// poolChunk is how many entries the pool allocates at a time, 128 KiB. An
+// access inserts into at most six sets: its line's L1, L2 and L3 sets, the
+// L1 victim's L2 set and the two L2 victims' L3 sets. So it widens at most
+// six blocks, of at most 256 entries each on the Barcelona geometry, and
 // allocates at most one chunk.
-const poolChunk = 32 * blockEnts
+const poolChunk = 8 << 10
 
 func (p *blockPool) carve(n int) []entry {
 	if len(p.free) < n {
@@ -193,21 +220,14 @@ const tlbValid mem.Addr = 1
 
 func (e *tlbEntry) valid() bool { return e.key != 0 }
 
+// newTLB builds a TLB of entries at assoc ways, whose set count
+// Config.Validate has checked is a power of two; the fully associative L1
+// TLB has one set.
 func newTLB(entries, assoc int) tlbArray {
-	nSets := entries / assoc
-	if nSets == 0 {
-		nSets = 1
-	}
-	// Round set count up to a power of two for masking; fully associative
-	// TLBs (assoc == entries) have one set and are unaffected.
-	p := 1
-	for p < nSets {
-		p <<= 1
-	}
 	return tlbArray{
-		ents:    make([]tlbEntry, p*assoc),
+		ents:    make([]tlbEntry, entries),
 		assoc:   assoc,
-		setMask: mem.Addr(p - 1),
+		setMask: mem.Addr(entries/assoc - 1),
 	}
 }
 

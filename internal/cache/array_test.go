@@ -64,26 +64,30 @@ func TestEntryTagEncoding(t *testing.T) {
 
 // refArray is the reference model for array: every set's ways held in one
 // eager slice per set, with the replacement rule spelled out (the first
-// invalid way, else the least recently used one).
+// invalid way, else the least recently used one). high records the highest
+// way each set has used, -1 before its first insert.
 type refArray struct {
 	sets   [][]entry
+	high   []int
 	nValid int
 }
 
 func newRefArray(sizeBytes, assoc int) *refArray {
 	r := &refArray{sets: make([][]entry, sizeBytes/mem.LineSize/assoc)}
+	r.high = make([]int, len(r.sets))
 	for i := range r.sets {
 		r.sets[i] = make([]entry, assoc)
+		r.high[i] = -1
 	}
 	return r
 }
 
-func (r *refArray) set(line mem.Addr) []entry {
-	return r.sets[int(line>>mem.LineShift)%len(r.sets)]
+func (r *refArray) index(line mem.Addr) int {
+	return int(line>>mem.LineShift) % len(r.sets)
 }
 
 func (r *refArray) lookup(line mem.Addr) *entry {
-	set := r.set(line)
+	set := r.sets[r.index(line)]
 	for i := range set {
 		if set[i].valid() && set[i].line() == line {
 			return &set[i]
@@ -93,7 +97,8 @@ func (r *refArray) lookup(line mem.Addr) *entry {
 }
 
 func (r *refArray) insert(line mem.Addr, now uint64) (victim entry, evicted bool) {
-	set := r.set(line)
+	s := r.index(line)
+	set := r.sets[s]
 	way := -1
 	for i := range set {
 		if !set[i].valid() {
@@ -113,6 +118,7 @@ func (r *refArray) insert(line mem.Addr, now uint64) (victim entry, evicted bool
 		r.nValid++
 	}
 	set[way] = entry{tag: line | entValid, lastUse: now}
+	r.high[s] = max(r.high[s], way)
 	return victim, evicted
 }
 
@@ -136,33 +142,55 @@ func (r *refArray) valid() []entry {
 	return out
 }
 
+// checkWays fails unless every block of a has the way count its sets call
+// for: none before the first insert into one of them, else the smallest of
+// 1, 4, 16, ... (capped at the associativity) above the highest way any of
+// them has used in ref.
+func checkWays(t *testing.T, op uint64, a *array, ref *refArray) {
+	t.Helper()
+	per := len(ref.sets) / len(a.blocks)
+	for b, blk := range a.blocks {
+		high := slices.Max(ref.high[b*per : (b+1)*per])
+		want := 0
+		for high >= want {
+			want = min(max(4*want, 1), a.assoc)
+		}
+		if got := len(blk) >> a.blockShift; got != want || len(blk) != want*per {
+			t.Fatalf("op %d: block %d has %d entries, %d ways per set; want %d ways (highest way used %d)",
+				op, b, len(blk), got, want, high)
+		}
+	}
+}
+
+// geometries are the arrays the array tests run on: the Barcelona L1, L2
+// and L3, a 3-way array whose ways grow 1, 3, and a single 512-way set
+// whose ways grow 1, 4, 16, 64, 256, 512.
+var geometries = []struct {
+	name        string
+	size, assoc int
+}{
+	{"L1", 64 << 10, 2},
+	{"L2", 512 << 10, 16},
+	{"L3", 2 << 20, 16},
+	{"3-way", 3 * 512 * mem.LineSize, 3},
+	{"512-way", 512 * mem.LineSize, 512},
+}
+
 // TestArrayMatchesReference drives random insert, lookup, remove, flag and
-// forEach streams against the reference model. Lines fall in a handful of
-// sets: the first and the last, the two on either side of entry blockEnts
-// (where a block cut at a fixed entry count would split a set), and a few
-// at random. The first fills go to those sets last to first, so blocks are
-// carved out of index order, and each set sees enough distinct lines to
-// evict. The geometries are the Barcelona L1, L2 and L3, a 3-way array
-// whose sets do not divide blockEnts, and a single 512-way set larger than
-// blockEnts.
+// forEach streams against the reference model, and checks every block's
+// way count after each operation. Lines fall in a handful of sets: the
+// first and the last, the two on either side of the first block boundary
+// (set setsPerBlock), and a few at random. The first fills go to those sets
+// last to first, so blocks fill out of index order, and each set sees
+// enough distinct lines to evict.
 func TestArrayMatchesReference(t *testing.T) {
-	for _, g := range []struct {
-		name        string
-		size, assoc int
-	}{
-		{"L1", 64 << 10, 2},
-		{"L2", 512 << 10, 16},
-		{"L3", 2 << 20, 16},
-		{"3-way", 3 * 512 * mem.LineSize, 3},
-		{"512-way", 512 * mem.LineSize, 512},
-	} {
+	for _, g := range geometries {
 		t.Run(g.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g.assoc)))
 			a := newArray(g.size, g.assoc, new(blockPool))
 			ref := newRefArray(g.size, g.assoc)
 			nSets := len(ref.sets)
-			edge := (blockEnts - 1) / g.assoc
-			sets := []int{0, edge % nSets, (edge + 1) % nSets, nSets - 1}
+			sets := []int{0, (setsPerBlock - 1) % nSets, setsPerBlock % nSets, nSets - 1}
 			for i := 0; i < 3; i++ {
 				sets = append(sets, rng.Intn(nSets))
 			}
@@ -196,9 +224,11 @@ func TestArrayMatchesReference(t *testing.T) {
 				}
 			}
 			now := uint64(0)
+			checkWays(t, now, &a, ref)
 			for i := len(sets) - 1; i >= 0; i-- {
 				now++
 				fill(lineIn(sets[i]), now)
+				checkWays(t, now, &a, ref)
 			}
 			for ; now <= 20_000; now++ {
 				line := lineIn(sets[rng.Intn(len(sets))])
@@ -228,8 +258,58 @@ func TestArrayMatchesReference(t *testing.T) {
 				if a.nValid != ref.nValid {
 					t.Fatalf("op %d: nValid = %d, want %d", now, a.nValid, ref.nValid)
 				}
+				checkWays(t, now, &a, ref)
 			}
 			checkForEach(now)
+		})
+	}
+}
+
+// TestWidenKeepsFlags: the dirty and speculative-read flags of resident
+// lines survive every widening of their block. One line goes into each set
+// of the first block, then set 0 fills way by way until it has every way;
+// each line gets its flags right after its insert, before the next widening,
+// and after every insert every line of the block must still be resident,
+// clean or flagged as it was left.
+func TestWidenKeepsFlags(t *testing.T) {
+	for _, g := range geometries {
+		t.Run(g.name, func(t *testing.T) {
+			a := newArray(g.size, g.assoc, new(blockPool))
+			nSets := g.size / mem.LineSize / g.assoc
+			per := min(nSets, setsPerBlock)
+			type flagged struct {
+				line            mem.Addr
+				dirty, specRead bool
+			}
+			var lines []flagged
+			add := func(set, tag int) {
+				l := flagged{line: mem.Addr(tag*nSets+set) << mem.LineShift}
+				n := len(lines)
+				l.dirty, l.specRead = n%2 == 0, n%3 != 1
+				if _, evicted := a.insert(l.line, uint64(n+1)); evicted {
+					t.Fatalf("insert %d (set %d, tag %d) evicted a line", n, set, tag)
+				}
+				e := a.lookup(l.line)
+				e.setDirty(l.dirty)
+				e.setSpecRead(l.specRead)
+				lines = append(lines, l)
+				for _, l := range lines {
+					e := a.lookup(l.line)
+					if e == nil || e.dirty() != l.dirty || e.specRead() != l.specRead {
+						t.Fatalf("after insert %d (set %d, %d ways): line %v is %+v, want dirty %v, specRead %v",
+							n, set, len(a.blocks[0])/per, l.line, e, l.dirty, l.specRead)
+					}
+				}
+			}
+			for set := per - 1; set >= 0; set-- {
+				add(set, 0)
+			}
+			for tag := 1; tag < g.assoc; tag++ {
+				add(0, tag)
+			}
+			if ways := len(a.blocks[0]) / per; ways != g.assoc {
+				t.Fatalf("set 0 is full at %d ways, want %d", ways, g.assoc)
+			}
 		})
 	}
 }

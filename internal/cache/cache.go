@@ -69,9 +69,9 @@ type Config struct {
 	XSockLat uint64
 }
 
-// Validate reports a geometry New cannot build: each cache level needs at
-// least one way and a power-of-two set count, the L1 TLB at least one
-// entry, and the L2 TLB at least one way.
+// Validate reports a geometry New cannot build: each cache level and the
+// L2 TLB need at least one way and a power-of-two set count, and the L1 TLB
+// at least one entry.
 func (c Config) Validate() error {
 	for _, l := range [...]struct {
 		name        string
@@ -91,8 +91,9 @@ func (c Config) Validate() error {
 	if c.TLB2Assoc < 1 {
 		return fmt.Errorf("cache: L2 TLB associativity %d, want at least 1", c.TLB2Assoc)
 	}
-	if c.TLB2Entries < 0 {
-		return fmt.Errorf("cache: %d L2 TLB entries is negative", c.TLB2Entries)
+	if n := c.TLB2Entries / c.TLB2Assoc; n < 1 || n&(n-1) != 0 || n*c.TLB2Assoc != c.TLB2Entries {
+		return fmt.Errorf("cache: %d L2 TLB entries at %d ways, want the ways times a power of two",
+			c.TLB2Entries, c.TLB2Assoc)
 	}
 	return nil
 }

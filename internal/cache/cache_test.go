@@ -19,10 +19,11 @@ func allocated(run func()) (objects, bytes uint64) {
 }
 
 // TestHierarchyBytesFollowFootprint: a hierarchy's arrays cost the host the
-// sets a run fills, not the whole geometry. Building the 64-core, 4-socket
-// Barcelona hierarchy allocates under 1 MiB, and each access allocates at
-// most one pool chunk (none once its sets are filled). The accesses stay
-// below the directory's first growth.
+// lines a run keeps resident, not the whole geometry. Building the 64-core,
+// 4-socket Barcelona hierarchy allocates under 1 MiB, each access allocates
+// at most one pool chunk (none once its sets are wide enough), and 600
+// sparse accesses, which fill a few ways of each of many blocks, take at
+// most 8 chunks. The accesses stay below the directory's first growth.
 func TestHierarchyBytesFollowFootprint(t *testing.T) {
 	// Keep the runtime's own allocations out of the counts: with one P,
 	// ReadMemStats restarting the world wakes no idle P, so it starts no
@@ -50,6 +51,9 @@ func TestHierarchyBytesFollowFootprint(t *testing.T) {
 		chunks += objects
 	}
 	t.Logf("600 accesses allocated %d chunks", chunks)
+	if chunks > 8 {
+		t.Fatalf("600 accesses allocated %d chunks, want at most 8", chunks)
+	}
 }
 
 func TestHitLevels(t *testing.T) {

@@ -102,8 +102,15 @@ func boundedPareto(rng *rand.Rand, lo, hi, alpha float64) float64 {
 func (w *world) generate(core int) *reqQueue {
 	cfg := w.cfg
 	// Independent stream per core, decoupled from the simulator's own
-	// per-core RNGs (which the workload bodies never touch).
-	rng := rand.New(rand.NewSource(cfg.Seed*0x9E3779B9 + int64(core)*0x85EBCA77 + 1))
+	// per-core RNGs (which the workload bodies never touch). Seeding sets
+	// the whole generator state, so the cores share one generator.
+	seed := cfg.Seed*0x9E3779B9 + int64(core)*0x85EBCA77 + 1
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(seed))
+	} else {
+		w.rng.Seed(seed)
+	}
+	rng := w.rng
 	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(w.items-1))
 
 	q := newReqQueue(cfg.RequestsPerCore)

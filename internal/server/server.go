@@ -11,6 +11,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"asfstack"
 	"asfstack/internal/mem"
@@ -75,6 +76,7 @@ type world struct {
 	custTree *txlib.RBTree
 
 	queues []*reqQueue
+	rng    *rand.Rand // generate's schedule generator, re-seeded per core
 
 	sojourn metrics.Histogram
 }

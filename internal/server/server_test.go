@@ -56,10 +56,14 @@ func TestQueueFIFO(t *testing.T) {
 }
 
 // TestGenerateDeterministic: the open-loop schedule is a pure function of
-// the config — regenerating yields the identical stream, and arrivals are
-// strictly non-decreasing.
+// the config and the core — regenerating yields the identical stream, a
+// core's stream does not depend on the cores generated before it on the
+// same world, and arrivals are strictly non-decreasing.
 func TestGenerateDeterministic(t *testing.T) {
-	w := &world{cfg: Config{Options: asfstack.Options{Seed: 42}, Load: 0.9, ZipfS: 1.2, RequestsPerCore: 200}, items: 64, customers: 32}
+	newWorld := func() *world {
+		return &world{cfg: Config{Options: asfstack.Options{Seed: 42}, Load: 0.9, ZipfS: 1.2, RequestsPerCore: 200}, items: 64, customers: 32}
+	}
+	w := newWorld()
 	a, b := w.generate(3), w.generate(3)
 	if !reflect.DeepEqual(a.buf, b.buf) {
 		t.Fatal("regenerated schedule differs")
@@ -67,6 +71,9 @@ func TestGenerateDeterministic(t *testing.T) {
 	other := w.generate(4)
 	if reflect.DeepEqual(a.buf, other.buf) {
 		t.Fatal("different cores drew identical schedules")
+	}
+	if fresh := newWorld().generate(4); !reflect.DeepEqual(other.buf, fresh.buf) {
+		t.Fatal("core 4's schedule after core 3's differs from a fresh world's")
 	}
 	var prev uint64
 	hot := 0

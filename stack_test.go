@@ -297,6 +297,10 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 			Machine: machine(func(c *cache.Config) { c.TLB1Entries = 0 })}, "0 L1 TLB entries"},
 		{"L2 TLB without ways", Options{Cores: 4, Runtime: "LLB-256",
 			Machine: machine(func(c *cache.Config) { c.TLB2Assoc = 0 })}, "L2 TLB associativity 0"},
+		{"L2 TLB of 3 sets", Options{Cores: 4, Runtime: "LLB-256",
+			Machine: machine(func(c *cache.Config) { c.TLB2Entries = 12 })}, "12 L2 TLB entries at 4 ways"},
+		{"L2 TLB without entries", Options{Cores: 4, Runtime: "LLB-256",
+			Machine: machine(func(c *cache.Config) { c.TLB2Entries = 0 })}, "0 L2 TLB entries at 4 ways"},
 		{"heap of 2^62 per core", Options{Cores: 4, Runtime: "LLB-256", HeapPerCore: 1 << 62}, "cross mem.MaxAddr"},
 		{"heap that wraps when page-aligned", Options{Cores: 4, Runtime: "LLB-256", HeapPerCore: 1<<64 - 4096},
 			"cross mem.MaxAddr"},
