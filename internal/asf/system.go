@@ -19,20 +19,28 @@ type System struct {
 	units   []*Unit
 
 	// prot maps a line address to its protection state — the model of
-	// what coherence probes would discover. Entries are created on first
-	// protection and kept forever (bounded by the workload's footprint):
-	// a quiescent entry (no readers, no writer) answers every probe
-	// exactly like an absent one, and the stable *protState pointers let
-	// the units and the pcache below skip the map on the hot paths.
+	// what coherence probes would discover. A quiescent entry (no readers,
+	// no writer) answers every probe exactly like an absent one, so
+	// protFor purges the quiescent entries once the map has doubled since
+	// the last purge, and hands them out again. An entry stays put while
+	// any region protects its line, which is the only time the units hold
+	// its pointer (LLB entries and read-set slots), so they skip the map
+	// at region end.
 	prot map[mem.Addr]*protState
+	// protKeep is len(prot) after the last purge.
+	protKeep int
+	// protSpare holds purged entries, handed out before new ones are
+	// carved.
+	protSpare []*protState
 	// protFree is the unused tail of the chunk protFor carves new entries
-	// from. A chunk is never moved or freed, so the pointers stay stable.
+	// from. A chunk is never moved or freed.
 	protFree []protState
 
 	// pcache is a direct-mapped line→protState cache in front of prot,
-	// the same idiom as mem's page cache. Because prot entries are never
-	// deleted, cached pointers cannot dangle; a collision only costs a
-	// map lookup.
+	// the same idiom as mem's page cache. A purge empties it, since it
+	// may name the entries the purge recycles; between purges no entry
+	// leaves prot, so cached pointers cannot dangle, and a collision
+	// only costs a map lookup.
 	pcache [pcacheSlots]pcacheEnt
 
 	// Socket topology (from the machine config): an abort probe that has
@@ -100,6 +108,10 @@ type protState struct {
 	writer  int8   // core holding it speculatively modified, or -1
 }
 
+// quiescent reports an entry no region protects: every probe reads it like
+// an absent one.
+func (p *protState) quiescent() bool { return p.readers == 0 && p.writer < 0 }
+
 // Install builds the ASF system for machine m with the given implementation
 // variant and hooks it into the simulator. Each core's Unit is registered
 // as its speculative unit.
@@ -129,7 +141,9 @@ func (s *System) Variant() Variant { return s.variant }
 // Unit returns core i's speculative unit.
 func (s *System) Unit(i int) *Unit { return s.units[i] }
 
-// protFor returns line's directory entry, materialising it on first use.
+// protFor returns line's directory entry, materialising it when the line
+// has none. Before it inserts into a map that has doubled since the last
+// purge (and holds at least protChunk entries), it purges.
 func (s *System) protFor(line mem.Addr) *protState {
 	e := &s.pcache[int(line>>mem.LineShift)&(pcacheSlots-1)]
 	if e.p != nil && e.line == line {
@@ -137,10 +151,17 @@ func (s *System) protFor(line mem.Addr) *protState {
 	}
 	p, ok := s.prot[line]
 	if !ok {
-		if len(s.protFree) == 0 {
-			s.protFree = make([]protState, protChunk)
+		if len(s.prot) >= max(2*s.protKeep, protChunk) {
+			s.purge()
 		}
-		p, s.protFree = &s.protFree[0], s.protFree[1:]
+		if n := len(s.protSpare); n > 0 {
+			p, s.protSpare = s.protSpare[n-1], s.protSpare[:n-1]
+		} else {
+			if len(s.protFree) == 0 {
+				s.protFree = make([]protState, protChunk)
+			}
+			p, s.protFree = &s.protFree[0], s.protFree[1:]
+		}
 		p.writer = -1
 		s.prot[line] = p
 	}
@@ -148,8 +169,32 @@ func (s *System) protFor(line mem.Addr) *protState {
 	return p
 }
 
+// purge deletes every quiescent entry from prot and keeps it in protSpare
+// for reuse, and empties the pcache, whose pointers may name those
+// entries. protSpare is sized once, to hold what it has and what the
+// purge adds.
+func (s *System) purge() {
+	dead := 0
+	for _, p := range s.prot {
+		if p.quiescent() {
+			dead++
+		}
+	}
+	if n := len(s.protSpare) + dead; cap(s.protSpare) < n {
+		s.protSpare = append(make([]*protState, 0, n), s.protSpare...)
+	}
+	for line, p := range s.prot {
+		if p.quiescent() {
+			delete(s.prot, line)
+			s.protSpare = append(s.protSpare, p)
+		}
+	}
+	s.protKeep = len(s.prot)
+	s.pcache = [pcacheSlots]pcacheEnt{}
+}
+
 // protLookup is protFor without materialisation: nil means the line has
-// never been protected, which every caller treats like a quiescent entry.
+// no entry, which every caller treats like a quiescent one.
 func (s *System) protLookup(line mem.Addr) *protState {
 	e := &s.pcache[int(line>>mem.LineShift)&(pcacheSlots-1)]
 	if e.p != nil && e.line == line {
@@ -274,12 +319,12 @@ func (s *System) abortAll(except int) {
 }
 
 // ProtectedLines returns how many lines are currently protected machine-
-// wide (diagnostics and tests). Quiescent directory entries — kept for
-// pointer stability — do not count.
+// wide (diagnostics and tests). Quiescent directory entries, which stay
+// until the next purge, do not count.
 func (s *System) ProtectedLines() int {
 	n := 0
 	for _, p := range s.prot {
-		if p.readers != 0 || p.writer >= 0 {
+		if !p.quiescent() {
 			n++
 		}
 	}

@@ -284,8 +284,8 @@ func (u *Unit) reset() {
 }
 
 // releaseProt drops this core's marks from a directory entry. The entry
-// itself stays in the directory (see System.prot); a quiescent entry is
-// indistinguishable from an absent one to every probe.
+// itself stays in the directory until a purge (see System.prot); a
+// quiescent entry is indistinguishable from an absent one to every probe.
 func (u *Unit) releaseProt(p *protState) {
 	p.readers &^= 1 << uint(u.c.ID())
 	if int(p.writer) == u.c.ID() {

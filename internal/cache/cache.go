@@ -268,10 +268,10 @@ func (h *Hierarchy) homeSock(line mem.Addr) int {
 func (h *Hierarchy) homeSlice(line mem.Addr) *array { return &h.l3s[h.homeSock(line)] }
 
 // state returns the coherence-directory entry for line, creating a neutral
-// one on first touch. The returned pointer is valid until the next insertion
-// of a never-seen line (which may grow the table); within one Access, only
-// the initial state() call can insert — every other line consulted (victims,
-// remote holders) has been through Access before and is already present.
+// one when it has none. It is the only call that inserts, and so the only
+// one that may purge or grow the directory and move its slots. Access calls
+// it once, before any other directory use; every later site only clears
+// bits and uses find, so the pointer stays valid for the rest of the access.
 func (h *Hierarchy) state(line mem.Addr) *lineState {
 	return h.dir.getOrInsert(line)
 }
@@ -301,8 +301,9 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 
 	if e := cc.l1.lookup(line); e != nil {
 		// L1 hit: plain reads need no directory consultation at all —
-		// an L1-resident line always has a directory entry (entries are
-		// never deleted), and reads don't change coherence state.
+		// an L1-resident line always has a directory entry holding this
+		// core's bit (so no purge deletes it), and reads don't change
+		// coherence state.
 		e.lastUse = h.tick
 		res.Level = L1
 		res.Cycles += h.cfg.L1Lat
@@ -369,9 +370,9 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 		res.Cycles += h.upgrade(c, line, ls)
 	}
 
-	// Install in the private hierarchy.
+	// Install in the private hierarchy. Nothing since state() inserted into
+	// the directory, so ls still points at line's slot.
 	h.fillPrivate(c, line, write)
-	ls = h.state(line) // downgrade/invalidate may have replaced it
 	ls.holders |= mask
 	if write {
 		ls.setOwner(c)
@@ -423,8 +424,7 @@ func (h *Hierarchy) upgrade(c int, line mem.Addr, ls *lineState) uint64 {
 // written back (to the line's home L3 slice in this model). If forWrite,
 // the copy is invalidated.
 func (h *Hierarchy) downgrade(o int, line mem.Addr, forWrite bool) {
-	ls := h.state(line)
-	if ls.owner() == o {
+	if ls := h.dir.find(line); ls != nil && ls.owner() == o {
 		ls.setOwner(-1)
 	}
 	h.fill(h.homeSlice(line), line)
@@ -451,11 +451,7 @@ func (h *Hierarchy) invalidate(o int, line mem.Addr) {
 		h.cores[o].l1.remove(line)
 	}
 	h.cores[o].l2.remove(line)
-	ls := h.state(line)
-	ls.holders &^= 1 << uint(o)
-	if ls.owner() == o {
-		ls.setOwner(-1)
-	}
+	h.release(o, line)
 	h.stats[o].Evictions++
 	if h.onEvict != nil {
 		h.onEvict(o, line, spec)
@@ -491,7 +487,11 @@ func (h *Hierarchy) fillPrivate(c int, line mem.Addr, dirty bool) {
 			if h.onEvict != nil {
 				h.onEvict(c, vl, true)
 			}
-			h.state(vl).holders &^= 1 << uint(c)
+			// Only the holder bit goes: a dirty line keeps its owner, and
+			// its slot with it.
+			if ls := h.dir.find(vl); ls != nil {
+				ls.holders &^= 1 << uint(c)
+			}
 		}
 	}
 	if e := cc.l1.lookup(line); e != nil && dirty {
@@ -513,14 +513,21 @@ func (h *Hierarchy) dropFromPrivate(c int, v entry) {
 		return
 	}
 	h.fill(h.homeSlice(vl), vl)
-	ls := h.state(vl)
-	ls.holders &^= 1 << uint(c)
-	if ls.owner() == c {
-		ls.setOwner(-1)
-	}
+	h.release(c, vl)
 	h.stats[c].Evictions++
 	if h.onEvict != nil {
 		h.onEvict(c, vl, v.specRead())
+	}
+}
+
+// release clears core c's holder bit and ownership of line, which has
+// left c's private caches. A line without a directory slot has neither.
+func (h *Hierarchy) release(c int, line mem.Addr) {
+	if ls := h.dir.find(line); ls != nil {
+		ls.holders &^= 1 << uint(c)
+		if ls.owner() == c {
+			ls.setOwner(-1)
+		}
 	}
 }
 
@@ -560,11 +567,7 @@ func (h *Hierarchy) Drop(c int, line mem.Addr) {
 	line = line.Line()
 	h.cores[c].l1.remove(line)
 	h.cores[c].l2.remove(line)
-	ls := h.state(line)
-	ls.holders &^= 1 << uint(c)
-	if ls.owner() == c {
-		ls.setOwner(-1)
-	}
+	h.release(c, line)
 }
 
 func (h *Hierarchy) tlbLookup(c int, page mem.Addr) uint64 {
@@ -597,11 +600,7 @@ func (h *Hierarchy) FlushPrivate(c int) {
 		h.fill(h.homeSlice(line), line)
 		cc.l1.remove(line)
 		cc.l2.remove(line)
-		ls := h.state(line)
-		ls.holders &^= 1 << uint(c)
-		if ls.owner() == c {
-			ls.setOwner(-1)
-		}
+		h.release(c, line)
 	}
 }
 

@@ -13,15 +13,18 @@ import (
 //
 // Invariants the rest of the hierarchy relies on:
 //
-//   - Entries are never deleted (the old map never deleted either; a line
-//     whose holders mask drains to zero simply stays with neutral state).
-//   - Pointers returned by getOrInsert stay valid until the next insertion
-//     that grows the table. The hierarchy only inserts for lines that were
-//     never accessed before — the initial state() call in Access — so all
-//     later state() calls during the same access resolve to existing slots
-//     and cannot move memory.
-//   - The table is never iterated, so slot order cannot leak into simulated
-//     timing (the determinism property PR 1 established for the arrays).
+//   - Only live lines are sure to keep a slot. A neutral slot (no holders,
+//     no owner) answers every reader exactly like an absent line, so an
+//     insert that finds the table at its 3/4 load limit first purges the
+//     neutral slots, and doubles the table only if the live ones still
+//     fill more than 5/8 of it. A slot holding only an owner is live and
+//     survives.
+//   - Pointers returned by getOrInsert and find stay valid until the next
+//     getOrInsert that inserts, which may purge or grow. The hierarchy
+//     inserts only in the first state() call of an Access; every other
+//     site uses find, which never inserts, so no held pointer can move.
+//   - Slot order never reaches simulated timing: lookups follow a line's
+//     own probe run, and a purge only deletes neutral slots.
 //   - Every line is below mem.MaxAddr, which the packed key needs.
 type dirTable struct {
 	slots []lineState
@@ -58,6 +61,11 @@ func (s *lineState) line() mem.Addr {
 	return mem.Addr(s.key>>lsLineShift) &^ (mem.LineSize - 1)
 }
 
+// neutral reports an occupied slot with no holders and no owner.
+func (s *lineState) neutral() bool {
+	return s.key != 0 && s.holders == 0 && s.key&lsOwner == 0
+}
+
 const dirMinSlots = 1 << 10
 
 // fibMult is 2^64 / phi, the standard multiplicative-hashing constant: the
@@ -70,32 +78,82 @@ func (d *dirTable) init() {
 	d.shift = 64 - 10
 }
 
+// home returns the slot line's probe run starts at.
+func (d *dirTable) home(line mem.Addr) uint64 { return (uint64(line) * fibMult) >> d.shift }
+
+// slot returns the index of line's slot and true, or the index of the
+// empty slot that ends line's probe run and false.
+func (d *dirTable) slot(line mem.Addr) (uint64, bool) {
+	want := uint64(line)<<lsLineShift | lsUsed
+	mask := uint64(len(d.slots) - 1)
+	for i := d.home(line); ; i = (i + 1) & mask {
+		switch k := d.slots[i].key; {
+		case k&^lsOwner == want:
+			return i, true
+		case k == 0:
+			return i, false
+		}
+	}
+}
+
+// find returns line's slot, or nil when the line has none: it holds no
+// copy anywhere and no owner, so there is nothing to clear.
+func (d *dirTable) find(line mem.Addr) *lineState {
+	if i, ok := d.slot(line); ok {
+		return &d.slots[i]
+	}
+	return nil
+}
+
 // getOrInsert returns the state for line, creating a neutral entry (no
-// holders, no owner) on first touch — the same semantics as the old map's
-// state() helper.
+// holders, no owner) when it has none. An insert into a table at its load
+// limit purges the neutral slots first, and grows the table if the live
+// slots still fill more than 5/8 of it.
 func (d *dirTable) getOrInsert(line mem.Addr) *lineState {
 	if line >= mem.MaxAddr {
 		panic(fmt.Sprintf("cache: line %v is beyond mem.MaxAddr", line))
 	}
-	want := uint64(line)<<lsLineShift | lsUsed
-	mask := uint64(len(d.slots) - 1)
-	i := (uint64(line) * fibMult) >> d.shift
-	for {
-		s := &d.slots[i]
-		if s.key&^lsOwner == want {
-			return s
-		}
-		if s.key == 0 {
-			if d.used >= len(d.slots)*3/4 {
+	i, ok := d.slot(line)
+	if !ok {
+		if d.used >= len(d.slots)*3/4 {
+			d.purge()
+			if d.used > len(d.slots)*5/8 {
 				d.grow()
-				return d.getOrInsert(line)
 			}
-			d.used++
-			s.key = want
-			return s
+			i, _ = d.slot(line)
 		}
-		i = (i + 1) & mask
+		d.used++
+		d.slots[i].key = uint64(line)<<lsLineShift | lsUsed
 	}
+	return &d.slots[i]
+}
+
+// purge deletes every neutral slot in place. Each deletion shifts the rest
+// of its probe run back (backward-shift deletion), so every remaining line
+// stays reachable from its home slot and no tombstones are left.
+func (d *dirTable) purge() {
+	for i := 0; i < len(d.slots); {
+		if d.slots[i].neutral() {
+			d.remove(uint64(i)) // may move a later slot into i: look again
+			continue
+		}
+		i++
+	}
+}
+
+// remove empties slot i, then walks the probe run after it and moves back
+// into the hole each slot whose home does not lie cyclically in (hole, j].
+func (d *dirTable) remove(i uint64) {
+	mask := uint64(len(d.slots) - 1)
+	for j := (i + 1) & mask; d.slots[j].key != 0; j = (j + 1) & mask {
+		if (j-d.home(d.slots[j].line()))&mask < (j-i)&mask {
+			continue // its home is after the hole: it must stay
+		}
+		d.slots[i] = d.slots[j]
+		i = j
+	}
+	d.slots[i] = lineState{}
+	d.used--
 }
 
 func (d *dirTable) grow() {
@@ -107,7 +165,7 @@ func (d *dirTable) grow() {
 		if s.key == 0 {
 			continue
 		}
-		i := (uint64(s.line()) * fibMult) >> d.shift
+		i := d.home(s.line())
 		for d.slots[i].key != 0 {
 			i = (i + 1) & mask
 		}
