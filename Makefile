@@ -1,10 +1,11 @@
 # Tier-1 verification targets. `make verify` is what CI and pre-merge
 # checks run: a gofmt check, build + vet + full tests, the race detector on
-# the three packages with real host concurrency or schedule exploration
-# (the parallel experiment scheduler, the TM runtime it drives, and the
-# litmus explorer), and vet + tests of the nested bench module, which
-# `./...` skips but which compiles against the stack's option and report
-# types.
+# the packages with real host concurrency or schedule exploration (the
+# parallel experiment scheduler, the litmus explorer, the transaction
+# lifecycle driver in internal/tm and every runtime it serves: ASF-TM,
+# HyTM, STM, Cohorts and the adaptive selector), and vet + tests of the
+# nested bench module, which `./...` skips but which compiles against the
+# stack's option and report types.
 
 GO ?= go
 
@@ -23,7 +24,8 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -short ./internal/harness ./internal/asftm ./internal/litmus
+	$(GO) test -race -short ./internal/harness ./internal/asftm ./internal/litmus \
+		./internal/tm ./internal/hytm ./internal/stm ./internal/cohorts ./internal/adaptive
 
 benchmod:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

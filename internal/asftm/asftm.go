@@ -53,13 +53,11 @@ type Runtime struct {
 	sys  *asf.System
 	heap *tm.Heap
 
-	serialLock mem.Addr // global token, alone on its cache line
+	serial tm.SerialToken // global token, alone on its cache line
 
-	txs   []hwTx // per-core transaction descriptors (reused)
-	depth []int  // per-core flat-nesting depth of Atomic calls
+	txs []hwTx // per-core transaction descriptors (reused)
 
-	tm.StatsTable
-	tm.Observers
+	tm.Lifecycle
 
 	met rtMetrics
 }
@@ -93,15 +91,14 @@ func New(sys *asf.System, heap *tm.Heap, m *sim.Machine, layout *mem.Layout) *Ru
 	m.Mem.Prefault(base, mem.LineSize)
 	cores := m.Config().Cores
 	r := &Runtime{
-		sys:        sys,
-		heap:       heap,
-		serialLock: base,
-		txs:        make([]hwTx, cores),
-		depth:      make([]int, cores),
-		StatsTable: make(tm.StatsTable, cores),
+		sys:       sys,
+		heap:      heap,
+		serial:    tm.SerialToken{Addr: base},
+		txs:       make([]hwTx, cores),
+		Lifecycle: tm.NewLifecycle(cores),
 	}
 	for i := range r.txs {
-		r.txs[i] = hwTx{r: r}
+		r.txs[i] = hwTx{r: r, c: m.CPU(i), u: sys.Unit(i)}
 	}
 	return r
 }
@@ -119,168 +116,128 @@ func (r *Runtime) ResetStats() {
 }
 
 // Atomic implements tm.Runtime: the _ITM_beginTransaction /
-// _ITM_commitTransaction pair with all retry logic in between.
+// _ITM_commitTransaction pair, hardware first.
 func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
-	id := c.ID()
-	if r.depth[id] > 0 {
-		// Flat nesting at the language level: run inside the
-		// enclosing transaction.
-		r.depth[id]++
-		body(&r.txs[id])
-		r.depth[id]--
-		return
-	}
-	r.depth[id] = 1
-	defer func() { r.depth[id] = 0 }()
-
-	st := &r.StatsTable[id]
-	u := r.sys.Unit(id)
-	t := &r.txs[id]
-	t.c, t.u, t.serial = c, u, false
-
-	attempts := 0
-	for {
-		c.SetCategory(sim.CatTxStartCommit)
-		snap := c.Counters()
-		attemptStart := c.Now()
-		if attempts == 0 {
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathHW, Aborter: sim.NoCore, Addr: sim.NoAddr})
-		}
-		c.Exec(beginInstr)
-
-		reason, code := u.Region(func() {
-			// The global serial token is the first speculative
-			// read of every region: if a serial transaction holds
-			// it we must not proceed, and if one acquires it later
-			// the CAS write aborts us instantly.
-			if u.Load(r.serialLock) != 0 {
-				u.Abort(tm.CodeSerialRunning)
-			}
-			c.SetCategory(sim.CatTxApp)
-			body(t)
-			c.SetCategory(sim.CatTxStartCommit)
-			c.Exec(commitInstr)
-		})
-
-		if reason == sim.AbortNone {
-			st.Commits++
-			r.met.hwAttempts.Observe(id, uint64(attempts+1))
-			r.NotifyCommit(c, false)
-			if r.Profiling() {
-				read, write := u.LastSetSizes()
-				r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathHW,
-					Aborter: sim.NoCore, Addr: sim.NoAddr,
-					Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
-			}
-			c.SetCategory(sim.CatNonInstr)
-			return
-		}
-
-		// The attempt's cycles are wasted work: move them to the
-		// abort/restart bucket, like the paper's trace annotation.
-		c.MoveToAbort(snap)
-		if r.Profiling() {
-			by, addr := u.LastAbortEdge()
-			read, write := u.LastSetSizes()
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathHW,
-				Cause: reason, Code: code, Aborter: by, Addr: addr,
-				Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
-		}
-		c.SetCategory(sim.CatAbort)
-		attempts++
-
-		serial := false
-		switch reason {
-		case sim.AbortCapacity:
-			// No point retrying: the working set does not fit.
-			st.Aborts[sim.AbortCapacity]++
-			serial = true
-		case sim.AbortExplicit:
-			switch code {
-			case tm.CodeMallocRefill:
-				st.MallocAborts++
-				r.heap.Refill(c, tm.ChunkSize)
-			case tm.CodeSerialRunning:
-				st.Aborts[sim.AbortContention]++
-				r.waitSerialFree(c)
-			case tm.CodeSerialRequest:
-				st.Aborts[sim.AbortExplicit]++
-				serial = true
-			default:
-				st.Aborts[sim.AbortExplicit]++
-			}
-		case sim.AbortContention:
-			st.Aborts[sim.AbortContention]++
-			r.met.backoff.Observe(id, tm.Backoff(c, attempts, backoffBase, backoffShift, backoffMax))
-		default:
-			// Page fault (now handled), interrupt, syscall:
-			// retry immediately.
-			st.Aborts[reason]++
-		}
-
-		if serial || attempts >= maxHWAttempts {
-			r.met.hwAttempts.Observe(id, uint64(attempts))
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
-			r.runSerial(c, t, body)
-			return
-		}
-	}
+	r.Run(c, &r.txs[c.ID()], tm.PathHW, body)
 }
 
-// waitSerialFree polls the token (plain reads; they do not conflict) until
-// the serial transaction releases it.
-func (r *Runtime) waitSerialFree(c *sim.CPU) {
-	for c.Load(r.serialLock) != 0 {
-		c.Cycles(200)
+// Enter implements tm.Paths: the serial path takes its token inside the
+// attempt.
+func (t *hwTx) Enter(tm.TxPath) {}
+
+// Attempt implements tm.Paths. A hardware attempt is one ASF region; the
+// serial one takes the global token with a plain CAS (aborting every
+// in-flight region that monitors it), runs the body uninstrumented and
+// releases the token.
+func (t *hwTx) Attempt(p tm.TxPath, body func(tm.Tx)) bool {
+	c, u, r := t.c, t.u, t.r
+	if p == tm.PathSerial {
+		r.serial.Acquire(c)
+		r.met.serialEntries.Inc(c.ID())
+		held := c.Now() // token acquired; measure simulated cycles held
+		tm.RunBody(c, t, body)
+		r.NotifyCommit(c, true) // before the release: the token is the commit point
+		r.serial.Release(c)
+		r.met.serialCycles.Add(c.ID(), c.Now()-held)
+		return true
 	}
+	c.Exec(beginInstr)
+	t.reason, t.code = u.Region(func() {
+		// The global serial token is the first speculative read of
+		// every region: if a serial transaction holds it we must not
+		// proceed, and if one acquires it later the CAS write aborts
+		// us instantly.
+		if u.Load(r.serial.Addr) != 0 {
+			u.Abort(tm.CodeSerialRunning)
+		}
+		tm.RunBody(c, t, body)
+		c.Exec(commitInstr)
+	})
+	if t.reason != sim.AbortNone {
+		return false
+	}
+	r.NotifyCommit(c, false)
+	return true
 }
 
-// runSerial executes body in serial-irrevocable mode: the global token is
-// taken with a plain CAS (aborting every in-flight hardware region that
-// monitors it), the body runs uninstrumented, and the token is released.
-func (r *Runtime) runSerial(c *sim.CPU, t *hwTx, body func(tx tm.Tx)) {
-	c.SetCategory(sim.CatTxStartCommit)
-	attemptStart := c.Now()
-	for {
-		if _, ok := c.CAS(r.serialLock, 0, 1); ok {
-			break
-		}
-		c.Cycles(uint64(c.Rand().Int63n(400)) + 100)
-	}
-	t.serial = true
-	r.met.serialEntries.Inc(c.ID())
-	held := c.Now() // token acquired; measure simulated cycles held
-	c.SetCategory(sim.CatTxApp)
-	body(t)
-	c.SetCategory(sim.CatTxStartCommit)
-	r.NotifyCommit(c, true) // before the release: the token is the commit point
-	c.Store(r.serialLock, 0)
-	r.met.serialCycles.Add(c.ID(), c.Now()-held)
-	t.serial = false
+// Aborted implements tm.Paths: ASF has rolled the region back already.
+func (t *hwTx) Aborted(_ tm.TxPath, ev tm.TxEvent) tm.TxEvent {
+	read, write := t.u.LastSetSizes()
+	ev.Cause, ev.Code, ev.Reads, ev.Writes = t.reason, t.code, uint32(read), uint32(write)
+	ev.Aborter, ev.Addr = t.u.LastAbortEdge()
+	return ev
+}
+
+// Retry implements tm.Paths: capacity overflows and irrevocability
+// requests go serial at once, contention backs off, a held token is
+// waited out, and the transaction goes serial after maxHWAttempts.
+func (t *hwTx) Retry(p tm.TxPath, n int) tm.TxPath {
+	c, r := t.c, t.r
 	st := &r.StatsTable[c.ID()]
-	st.Commits++
-	st.Serial++
-	r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSerial,
-		Aborter: sim.NoCore, Addr: sim.NoAddr, Cycles: c.Now() - attemptStart})
-	c.SetCategory(sim.CatNonInstr)
+	serial := false
+	switch t.reason {
+	case sim.AbortCapacity:
+		// No point retrying: the working set does not fit.
+		st.Aborts[sim.AbortCapacity]++
+		serial = true
+	case sim.AbortExplicit:
+		switch t.code {
+		case tm.CodeMallocRefill:
+			st.MallocAborts++
+			r.heap.Refill(c, tm.ChunkSize)
+		case tm.CodeSerialRunning:
+			st.Aborts[sim.AbortContention]++
+			r.serial.Drain(c)
+		case tm.CodeSerialRequest:
+			st.Aborts[sim.AbortExplicit]++
+			serial = true
+		default:
+			st.Aborts[sim.AbortExplicit]++
+		}
+	case sim.AbortContention:
+		st.Aborts[sim.AbortContention]++
+		r.met.backoff.Observe(c.ID(), tm.Backoff(c, n, backoffBase, backoffShift, backoffMax))
+	default:
+		// Page fault (now handled), interrupt, syscall: retry
+		// immediately.
+		st.Aborts[t.reason]++
+	}
+	if serial || n >= maxHWAttempts {
+		r.met.hwAttempts.Observe(c.ID(), uint64(n))
+		return tm.PathSerial
+	}
+	return p
+}
+
+// Committed implements tm.Paths.
+func (t *hwTx) Committed(p tm.TxPath, n int, ev tm.TxEvent) tm.TxEvent {
+	if p == tm.PathHW {
+		t.r.met.hwAttempts.Observe(t.c.ID(), uint64(n))
+		read, write := t.u.LastSetSizes()
+		ev.Reads, ev.Writes = uint32(read), uint32(write)
+	}
+	return ev
 }
 
 // hwTx implements tm.Tx for both the hardware and the serial code path —
 // the two code paths the compiler generates, dispatched by the begin
 // function's return value (§3.1).
 type hwTx struct {
-	r      *Runtime
-	c      *sim.CPU
-	u      *asf.Unit
-	serial bool
+	tm.Frame
+	r *Runtime
+	c *sim.CPU
+	u *asf.Unit
+
+	// reason and code are the last hardware attempt's abort.
+	reason sim.AbortReason
+	code   uint64
 }
 
 // Load implements tm.Tx.
 func (t *hwTx) Load(a mem.Addr) mem.Word {
 	prev := t.c.SetCategory(sim.CatTxLoadStore)
 	var v mem.Word
-	if t.serial {
+	if t.Irrevocable() {
 		t.c.Exec(2) // serial-mode ABI dispatch
 		v = t.c.Load(a)
 	} else {
@@ -294,7 +251,7 @@ func (t *hwTx) Load(a mem.Addr) mem.Word {
 // Store implements tm.Tx.
 func (t *hwTx) Store(a mem.Addr, v mem.Word) {
 	prev := t.c.SetCategory(sim.CatTxLoadStore)
-	if t.serial {
+	if t.Irrevocable() {
 		t.c.Exec(2)
 		t.c.Store(a, v)
 	} else {
@@ -316,7 +273,7 @@ func (t *hwTx) AllocLines(n int) mem.Addr {
 // path must not call the real allocator speculatively, so it aborts,
 // refills outside the region and retries (§3.3).
 func (t *hwTx) alloc(size, align uint64) mem.Addr {
-	if t.serial {
+	if t.Irrevocable() {
 		return t.r.heap.Alloc(t.c, size, align)
 	}
 	a, ok := t.r.heap.AllocFast(t.c, size, align)
@@ -332,14 +289,11 @@ func (t *hwTx) Free(a mem.Addr) { t.r.heap.Free(t.c, a) }
 // CPU implements tm.Tx.
 func (t *hwTx) CPU() *sim.CPU { return t.c }
 
-// Irrevocable implements tm.Tx.
-func (t *hwTx) Irrevocable() bool { return t.serial }
-
 // BecomeIrrevocable implements tm.Irrevocably: a hardware transaction
 // aborts with a software code and restarts directly in serial mode; a
 // serial transaction already is irrevocable.
 func (t *hwTx) BecomeIrrevocable() {
-	if !t.serial {
+	if !t.Irrevocable() {
 		t.u.Abort(tm.CodeSerialRequest)
 	}
 }
@@ -349,7 +303,7 @@ func (t *hwTx) BecomeIrrevocable() {
 // mode. Callers must type-assert the tm.Tx to *asftm.Tx — early release is
 // an ASF-specific extension, not part of the portable ABI.
 func (t *hwTx) Release(a mem.Addr) {
-	if !t.serial {
+	if !t.Irrevocable() {
 		t.u.Release(a)
 	}
 }

@@ -95,11 +95,9 @@ type Runtime struct {
 	turbo    mem.Addr // core+1 of the cohort's turbo transaction, else 0
 	solo     mem.Addr // solo-cohort (irrevocable) admission latch
 
-	txs   []coTx
-	depth []int // per-core flat-nesting depth of Atomic calls
+	txs []coTx
 
-	tm.StatsTable
-	tm.Observers
+	tm.Lifecycle
 
 	// turboInCohort counts turbo entries in the current cohort and
 	// turboViolations records cohorts that saw more than one — the
@@ -154,12 +152,11 @@ func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 func New(m *sim.Machine, heap *tm.Heap, layout *mem.Layout, turbo bool) *Runtime {
 	cores := m.Config().Cores
 	r := &Runtime{
-		m:          m,
-		heap:       heap,
-		turboMode:  turbo,
-		txs:        make([]coTx, cores),
-		depth:      make([]int, cores),
-		StatsTable: make(tm.StatsTable, cores),
+		m:         m,
+		heap:      heap,
+		turboMode: turbo,
+		txs:       make([]coTx, cores),
+		Lifecycle: tm.NewLifecycle(cores),
 	}
 	base, end := layout.Region(6 * mem.LineSize)
 	m.Mem.Prefault(base, uint64(end-base))
@@ -173,6 +170,7 @@ func New(m *sim.Machine, heap *tm.Heap, layout *mem.Layout, turbo bool) *Runtime
 	for i := range r.txs {
 		r.txs[i] = coTx{
 			r:      r,
+			c:      m.CPU(i),
 			windex: make(map[mem.Addr]int),
 			log:    tm.NewLogSpace(m.Mem, layout),
 		}
@@ -199,102 +197,29 @@ func (r *Runtime) Counters() (started, sealed, finished, order uint64) {
 		uint64(r.m.Mem.Load(r.finished)), uint64(r.m.Mem.Load(r.order))
 }
 
-// Transaction modes.
-const (
-	modeInstr = iota // instrumented: value log + redo log
-	modeTurbo        // turbo: plain accesses, commits first in its cohort
-	modeSolo         // solo cohort: irrevocable, plain accesses, alone
-)
-
 // Atomic implements tm.Runtime.
 func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
-	id := c.ID()
-	if r.depth[id] > 0 {
-		// Flat nesting at the language level.
-		r.depth[id]++
-		body(&r.txs[id])
-		r.depth[id]--
-		return
-	}
-	r.depth[id] = 1
-	defer func() { r.depth[id] = 0 }()
-
-	st := &r.StatsTable[id]
-	t := &r.txs[id]
-	t.c = c
-
-	attempts := 0
-	for {
-		attempts++
-		c.SetCategory(sim.CatTxStartCommit)
-		snap := c.Counters()
-		attemptStart := c.Now()
-		if attempts == 1 {
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathSW,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
-		}
-		t.begin()
-
-		committed := tm.Attempt(c, func() {
-			c.SetCategory(sim.CatTxApp)
-			body(t)
-			c.SetCategory(sim.CatTxStartCommit)
-			t.commit()
-		})
-
-		if committed {
-			st.Commits++
-			r.met.attempts.Observe(id, uint64(attempts))
-			path := tm.PathSW
-			if t.mode == modeTurbo {
-				path = tm.PathTurbo
-			}
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: path,
-				Aborter: sim.NoCore, Addr: sim.NoAddr,
-				Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)), Cycles: c.Now() - attemptStart})
-			t.reset()
-			c.SetCategory(sim.CatNonInstr)
-			return
-		}
-
-		// Aborted at commit validation (or unwound by BecomeIrrevocable):
-		// the redo log was never published, so there is nothing to undo.
-		c.MoveToAbort(snap)
-		c.SetCategory(sim.CatAbort)
-		force := t.forceSolo
-		t.forceSolo = false
-		ev := tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathSW,
-			STM: true, Aborter: t.lastBy, Addr: t.lastAddr,
-			Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)), Cycles: c.Now() - attemptStart}
-		if force {
-			// The irrevocability unwind, recorded as ASF-TM records its own.
-			ev.STM, ev.Cause, ev.Code = false, sim.AbortExplicit, tm.CodeSerialRequest
-			ev.Aborter, ev.Addr = sim.NoCore, sim.NoAddr
-		} else {
-			st.STMAborts++
-		}
-		r.Record(c, ev)
-		t.reset()
-		if force || attempts >= maxAttempts {
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
-			r.runSolo(c, t, body)
-			return
-		}
-	}
+	r.Run(c, &r.txs[c.ID()], tm.PathSW, body)
 }
 
-// runSolo executes body as a solo cohort: admission latched shut, existing
-// cohorts drained, then plain in-place accesses with no possibility of
-// abort — the runtime's serial-irrevocable mode.
-func (r *Runtime) runSolo(c *sim.CPU, t *coTx, body func(tx tm.Tx)) {
-	id := c.ID()
-	st := &r.StatsTable[id]
-	c.SetCategory(sim.CatTxStartCommit)
-	attemptStart := c.Now()
+// Enter implements tm.Paths: the solo cohort latches inside its attempt.
+func (t *coTx) Enter(tm.TxPath) {}
+
+// Attempt implements tm.Paths: one cohort member, whose only abort point
+// is commit validation, or a solo cohort (PathSerial): admission latched
+// shut, existing cohorts drained, then plain in-place accesses with no
+// possibility of abort — the runtime's serial-irrevocable mode.
+func (t *coTx) Attempt(p tm.TxPath, body func(tm.Tx)) bool {
+	c, r := t.c, t.r
+	if p != tm.PathSerial {
+		t.begin()
+		tm.RunBody(c, t, body)
+		t.commit()
+		return true
+	}
 	// Latch the solo word (queue behind any other solo transaction).
 	for {
-		if _, ok := c.CAS(r.solo, 0, mem.Word(id+1)); ok {
+		if _, ok := c.CAS(r.solo, 0, mem.Word(c.ID()+1)); ok {
 			break
 		}
 		c.Cycles(uint64(c.Rand().Int63n(spinCycles)) + spinCycles)
@@ -309,20 +234,51 @@ func (r *Runtime) runSolo(c *sim.CPU, t *coTx, body func(tx tm.Tx)) {
 		}
 		c.Cycles(spinCycles)
 	}
-	r.met.soloEntries.Inc(id)
-	t.mode = modeSolo
-	c.SetCategory(sim.CatTxApp)
-	body(t)
-	c.SetCategory(sim.CatTxStartCommit)
+	r.met.soloEntries.Inc(c.ID())
+	tm.RunBody(c, t, body)
 	c.Exec(commitInstr)
 	r.NotifyCommit(c, true) // before the release: the latch is the commit point
 	c.Store(r.solo, 0)
-	t.mode = modeInstr
-	st.Commits++
-	st.Serial++
-	r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSerial,
-		Aborter: sim.NoCore, Addr: sim.NoAddr, Cycles: c.Now() - attemptStart})
-	c.SetCategory(sim.CatNonInstr)
+	return true
+}
+
+// Aborted implements tm.Paths: the redo log was never published, so there
+// is nothing to undo. An irrevocability unwind is recorded as ASF-TM
+// records its own.
+func (t *coTx) Aborted(_ tm.TxPath, ev tm.TxEvent) tm.TxEvent {
+	if t.forceSolo {
+		ev.Cause, ev.Code = sim.AbortExplicit, tm.CodeSerialRequest
+	} else {
+		ev.STM = true
+	}
+	ev.Reads, ev.Writes = uint32(len(t.reads)), uint32(len(t.writes))
+	return ev
+}
+
+// Retry implements tm.Paths: retry at once (Cohorts never backs off), or
+// go solo on an irrevocability request or after maxAttempts.
+func (t *coTx) Retry(p tm.TxPath, n int) tm.TxPath {
+	force := t.forceSolo
+	t.forceSolo = false
+	t.reset()
+	if force || n >= maxAttempts {
+		return tm.PathSerial
+	}
+	return p
+}
+
+// Committed implements tm.Paths.
+func (t *coTx) Committed(p tm.TxPath, n int, ev tm.TxEvent) tm.TxEvent {
+	if p == tm.PathSerial {
+		return ev
+	}
+	t.r.met.attempts.Observe(t.c.ID(), uint64(n))
+	if t.turbo {
+		ev.Path = tm.PathTurbo
+	}
+	ev.Reads, ev.Writes = uint32(len(t.reads)), uint32(len(t.writes))
+	t.reset()
+	return ev
 }
 
 // --- transaction descriptor ------------------------------------------------
@@ -337,12 +293,16 @@ type writeEntry struct {
 	val  mem.Word
 }
 
-// coTx implements tm.Tx for the three Cohorts code paths — instrumented,
-// turbo, solo — dispatched by mode.
+// coTx implements tm.Tx for the three Cohorts code paths: instrumented
+// (value log and redo log) and turbo (plain accesses, commits first in its
+// cohort) on PathSW, and a solo cohort (plain accesses, alone) on
+// PathSerial. An abort blames no core: value validation cannot identify
+// the aborter.
 type coTx struct {
-	r    *Runtime
-	c    *sim.CPU
-	mode int
+	tm.Frame
+	r     *Runtime
+	c     *sim.CPU
+	turbo bool // this attempt switched to turbo mode
 
 	// forceSolo carries a BecomeIrrevocable request out of the abort
 	// unwind; irrevocable marks a turbo transaction granted
@@ -355,22 +315,6 @@ type coTx struct {
 	writes []writeEntry
 	windex map[mem.Addr]int
 	log    tm.LogSpace
-
-	// lastBy/lastAddr stash the abort edge for the flight recorder before
-	// the software longjmp unwinds (value validation cannot identify the
-	// aborter, so lastBy stays sim.NoCore).
-	lastBy   int
-	lastAddr mem.Addr
-}
-
-func (t *coTx) abort() {
-	t.abortAt(sim.NoAddr)
-}
-
-// abortAt records the conflicting address, then unwinds.
-func (t *coTx) abortAt(a mem.Addr) {
-	t.lastBy, t.lastAddr = sim.NoCore, a
-	tm.Unwind(t.c)
 }
 
 // begin joins the current cohort: admission is open while no member has
@@ -382,7 +326,7 @@ func (t *coTx) begin() {
 	c := t.c
 	r := t.r
 	c.Exec(beginInstr)
-	t.mode = modeInstr
+	t.turbo = false
 	t.irrevocable = false
 	for {
 		if c.Load(r.solo) != 0 || c.Load(r.sealed) != 0 {
@@ -412,7 +356,7 @@ func (t *coTx) begin() {
 func (t *coTx) maybeTurbo() {
 	c := t.c
 	r := t.r
-	if t.mode != modeInstr || !r.turboMode {
+	if t.turbo || t.Path() == tm.PathSerial || !r.turboMode {
 		return
 	}
 	s := c.Load(r.sealed)
@@ -438,7 +382,7 @@ func (t *coTx) maybeTurbo() {
 		c.Exec(writebackInstrPerEntry)
 		c.Store(w.addr, w.val)
 	}
-	t.mode = modeTurbo
+	t.turbo = true
 }
 
 // commit is the batched cohort commit described in the package comment.
@@ -449,10 +393,7 @@ func (t *coTx) commit() {
 	st := &r.StatsTable[id]
 	c.Exec(commitInstr)
 
-	switch t.mode {
-	case modeSolo:
-		return // runSolo owns the commit protocol
-	case modeTurbo:
+	if t.turbo {
 		// Writes are already in place and nothing can invalidate the
 		// value log (every other member is sealed and waiting), so the
 		// turbo transaction commits first: seal — which opens the commit
@@ -521,7 +462,7 @@ func (t *coTx) commit() {
 			if c.Load(e.addr) != e.val {
 				r.met.validationAborts.Inc(id)
 				t.finishMember(true)
-				t.abortAt(e.addr)
+				t.Abandon(t.c, sim.NoCore, e.addr)
 			}
 		}
 	}
@@ -580,7 +521,7 @@ func (t *coTx) reset() {
 	t.reads = t.reads[:0]
 	t.writes = t.writes[:0]
 	clear(t.windex)
-	t.mode = modeInstr
+	t.turbo = false
 	t.irrevocable = false
 }
 
@@ -594,7 +535,7 @@ func (t *coTx) Load(a mem.Addr) mem.Word {
 	prev := c.SetCategory(sim.CatTxLoadStore)
 	defer c.SetCategory(prev)
 	t.maybeTurbo()
-	if t.mode != modeInstr {
+	if t.turbo || t.Path() == tm.PathSerial {
 		c.Exec(2)
 		return c.Load(a)
 	}
@@ -618,7 +559,7 @@ func (t *coTx) Store(a mem.Addr, v mem.Word) {
 	prev := c.SetCategory(sim.CatTxLoadStore)
 	defer c.SetCategory(prev)
 	t.maybeTurbo()
-	if t.mode != modeInstr {
+	if t.turbo || t.Path() == tm.PathSerial {
 		c.Exec(2)
 		c.Store(a, v)
 		return
@@ -654,17 +595,17 @@ func (t *coTx) CPU() *sim.CPU { return t.c }
 
 // Irrevocable implements tm.Tx: true in a solo cohort, and for a turbo
 // transaction that was granted a BecomeIrrevocable request in place.
-func (t *coTx) Irrevocable() bool { return t.mode == modeSolo || t.irrevocable }
+func (t *coTx) Irrevocable() bool { return t.Path() == tm.PathSerial || t.irrevocable }
 
 // BecomeIrrevocable implements tm.Irrevocably: a Cohorts transaction can
 // never become irrevocable in place, so the transaction unwinds and
-// restarts as a solo cohort (seal-and-drain; see runSolo). cohorts.h
+// restarts as a solo cohort (seal-and-drain; see Attempt). cohorts.h
 // asserts instead; the ABI requires an answer.
 func (t *coTx) BecomeIrrevocable() {
-	if t.mode == modeSolo {
+	if t.Path() == tm.PathSerial {
 		return
 	}
-	if t.mode == modeTurbo {
+	if t.turbo {
 		// A turbo transaction has published writes in place and cannot
 		// roll back — but it also cannot abort (every other member of its
 		// cohort is sealed and waiting, and turbo commits first), which
@@ -676,7 +617,7 @@ func (t *coTx) BecomeIrrevocable() {
 	// include a member that will never seal.
 	t.c.FetchAdd(t.r.started, ^mem.Word(0))
 	t.forceSolo = true
-	t.abort()
+	t.Abandon(t.c, sim.NoCore, sim.NoAddr)
 }
 
 // Tx is the exported name of the runtime's transaction descriptor.

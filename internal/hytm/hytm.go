@@ -100,11 +100,9 @@ type Runtime struct {
 	swCount mem.Addr // live software-fallback transactions (same line as swSeq)
 	hwSeq   mem.Addr // hardware-commit counter, alone on its cache line
 
-	txs   []hyTx
-	depth []int // per-core flat-nesting depth of Atomic calls
+	txs []hyTx
 
-	tm.StatsTable
-	tm.Observers
+	tm.Lifecycle
 
 	met rtMetrics
 }
@@ -157,19 +155,20 @@ func New(sys *asf.System, heap *tm.Heap, m *sim.Machine, layout *mem.Layout, nam
 	m.Mem.Prefault(base, 2*mem.LineSize)
 	cores := m.Config().Cores
 	r := &Runtime{
-		sys:        sys,
-		heap:       heap,
-		name:       name,
-		swSeq:      base,
-		swCount:    base + mem.WordSize,
-		hwSeq:      base + mem.LineSize,
-		txs:        make([]hyTx, cores),
-		depth:      make([]int, cores),
-		StatsTable: make(tm.StatsTable, cores),
+		sys:       sys,
+		heap:      heap,
+		name:      name,
+		swSeq:     base,
+		swCount:   base + mem.WordSize,
+		hwSeq:     base + mem.LineSize,
+		txs:       make([]hyTx, cores),
+		Lifecycle: tm.NewLifecycle(cores),
 	}
 	for i := range r.txs {
 		r.txs[i] = hyTx{
 			r:      r,
+			c:      m.CPU(i),
+			u:      sys.Unit(i),
 			windex: make(map[mem.Addr]int),
 			log:    tm.NewLogSpace(m.Mem, layout),
 		}
@@ -189,148 +188,173 @@ func (r *Runtime) ResetStats() {
 	}
 }
 
-// Transaction modes. A transaction starts in hardware and only moves
-// forward: hw → sw → serial.
-const (
-	modeHW = iota
-	modeSW
-	modeSerial
-)
-
 // Atomic implements tm.Runtime: hardware attempts with the seqlock
 // subscription, then the concurrent software fallback, then (explicit
 // request or livelock valve only) serial-irrevocable mode.
 func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
-	id := c.ID()
-	if r.depth[id] > 0 {
-		// Flat nesting at the language level.
-		r.depth[id]++
-		body(&r.txs[id])
-		r.depth[id]--
-		return
-	}
-	r.depth[id] = 1
-	defer func() { r.depth[id] = 0 }()
-
-	st := &r.StatsTable[id]
-	u := r.sys.Unit(id)
-	t := &r.txs[id]
-	t.c, t.u, t.mode, t.wrote = c, u, modeHW, false
-
+	first := tm.PathHW
 	if r.ForceSW {
-		r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathSW,
-			Aborter: sim.NoCore, Addr: sim.NoAddr})
-		r.runSW(c, t, body)
-		return
+		first = tm.PathSW
 	}
+	r.Run(c, &r.txs[c.ID()], first, body)
+}
 
-	attempts := 0
-	for {
-		c.SetCategory(sim.CatTxStartCommit)
-		snap := c.Counters()
-		attemptStart := c.Now()
-		if attempts == 0 {
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathHW,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
+// Enter implements tm.Paths: entering the software path announces the
+// fallback, so hardware writers start bumping hwSeq, and the write probe
+// aborts any in-flight region that read a zero count. The transaction
+// leaves the population after its final commit (Committed).
+func (t *hyTx) Enter(p tm.TxPath) {
+	if p == tm.PathSW {
+		t.swEntry = t.c.Now()
+		t.c.FetchAdd(t.r.swCount, 1)
+		t.announced = true
+	}
+}
+
+// Attempt implements tm.Paths: one ASF region subscribed to the seqlock,
+// one software attempt, or the serial transaction.
+func (t *hyTx) Attempt(p tm.TxPath, body func(tm.Tx)) bool {
+	c, u, r := t.c, t.u, t.r
+	switch p {
+	case tm.PathSerial:
+		r.runSerial(c, t, body)
+		return true
+	case tm.PathSW:
+		t.swBegin()
+		tm.RunBody(c, t, body)
+		t.swCommit()
+		r.NotifyCommit(c, false)
+		return true
+	}
+	c.Exec(beginInstr)
+	t.wrote = false
+	t.reason, t.code = u.Region(func() {
+		// Subscribe: the commit-sequence word is the first
+		// speculative read of every region. Odd means a software
+		// writeback (or serial transaction) is in flight — we must
+		// not read around it; and any later acquisition's CAS write
+		// aborts us instantly.
+		if u.Load(r.swSeq)&1 != 0 {
+			u.Abort(tm.CodeSeqLocked)
 		}
-		c.Exec(beginInstr)
-
-		reason, code := u.Region(func() {
-			// Subscribe: the commit-sequence word is the first
-			// speculative read of every region. Odd means a software
-			// writeback (or serial transaction) is in flight — we must
-			// not read around it; and any later acquisition's CAS write
-			// aborts us instantly.
-			if u.Load(r.swSeq)&1 != 0 {
-				u.Abort(tm.CodeSeqLocked)
-			}
-			// Same subscribed line: if a software transaction arrives
-			// after this load, its population increment aborts us, so a
-			// false answer stays true for the whole region.
-			t.swPresent = u.Load(r.swCount) != 0
-			c.SetCategory(sim.CatTxApp)
-			body(t)
-			c.SetCategory(sim.CatTxStartCommit)
-			if t.wrote && t.swPresent {
-				// Publish the commit to the concurrent software
-				// transactions: their value validation re-arms when
-				// the counter moves. Last store of the region, so the
-				// conflict window on the counter line is one commit.
-				u.Store(r.hwSeq, u.Load(r.hwSeq)+1)
-			}
-			c.Exec(commitInstr)
-		})
-
-		if reason == sim.AbortNone {
-			st.Commits++
-			r.met.hwCommits.Inc(id)
-			r.met.hwAttempts.Observe(id, uint64(attempts+1))
-			r.NotifyCommit(c, false)
-			if r.Profiling() {
-				read, write := u.LastSetSizes()
-				r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathHW,
-					Aborter: sim.NoCore, Addr: sim.NoAddr,
-					Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
-			}
-			c.SetCategory(sim.CatNonInstr)
-			return
+		// Same subscribed line: if a software transaction arrives
+		// after this load, its population increment aborts us, so a
+		// false answer stays true for the whole region.
+		t.swPresent = u.Load(r.swCount) != 0
+		tm.RunBody(c, t, body)
+		if t.wrote && t.swPresent {
+			// Publish the commit to the concurrent software
+			// transactions: their value validation re-arms when
+			// the counter moves. Last store of the region, so the
+			// conflict window on the counter line is one commit.
+			u.Store(r.hwSeq, u.Load(r.hwSeq)+1)
 		}
+		c.Exec(commitInstr)
+	})
+	if t.reason != sim.AbortNone {
+		return false
+	}
+	r.NotifyCommit(c, false)
+	return true
+}
 
-		c.MoveToAbort(snap)
-		if r.Profiling() {
-			by, addr := u.LastAbortEdge()
-			read, write := u.LastSetSizes()
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathHW,
-				Cause: reason, Code: code, Aborter: by, Addr: addr,
-				Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
+// Aborted implements tm.Paths. A software attempt's redo log is simply
+// discarded — nothing was published, so there is no undo.
+func (t *hyTx) Aborted(p tm.TxPath, ev tm.TxEvent) tm.TxEvent {
+	if p == tm.PathSW {
+		ev.STM, ev.Reads, ev.Writes = true, uint32(len(t.reads)), uint32(len(t.writes))
+		return ev
+	}
+	read, write := t.u.LastSetSizes()
+	ev.Cause, ev.Code, ev.Reads, ev.Writes = t.reason, t.code, uint32(read), uint32(write)
+	ev.Aborter, ev.Addr = t.u.LastAbortEdge()
+	return ev
+}
+
+// Retry implements tm.Paths. Hardware: capacity overflows fall back to
+// software at once, contention backs off, a held seqlock is waited out,
+// an irrevocability request goes serial, and maxHWAttempts falls back to
+// software. Software: an irrevocability request or maxSWAttempts
+// escalates to serial, anything else backs off.
+func (t *hyTx) Retry(p tm.TxPath, n int) tm.TxPath {
+	c, r := t.c, t.r
+	id := c.ID()
+	st := &r.StatsTable[id]
+	if p == tm.PathSW {
+		force := t.forceSerial
+		t.forceSerial = false
+		t.swReset()
+		if force || n >= maxSWAttempts {
+			r.met.swAttempts.Observe(id, uint64(n))
+			r.met.swCycles.Add(id, c.Now()-t.swEntry)
+			return tm.PathSerial
 		}
-		c.SetCategory(sim.CatAbort)
-		attempts++
-		t.wrote = false
-
-		fallback := false
-		switch reason {
-		case sim.AbortCapacity:
-			// The working set does not fit: go software, concurrently.
-			st.Aborts[sim.AbortCapacity]++
-			fallback = true
-		case sim.AbortExplicit:
-			switch code {
-			case tm.CodeMallocRefill:
-				st.MallocAborts++
-				st.Aborts[sim.AbortExplicit]++
-				r.heap.Refill(c, tm.ChunkSize)
-			case tm.CodeSeqLocked:
-				st.Aborts[sim.AbortContention]++
-				st.SeqAborts++
-				r.met.seqAborts.Inc(id)
-				r.waitSeqEven(c)
-			case tm.CodeSerialRequest:
-				st.Aborts[sim.AbortExplicit]++
-				r.met.hwAttempts.Observe(id, uint64(attempts))
-				r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
-					Aborter: sim.NoCore, Addr: sim.NoAddr})
-				r.runSerial(c, t, body)
-				return
-			default:
-				st.Aborts[sim.AbortExplicit]++
-			}
-		case sim.AbortContention:
+		r.met.backoff.Observe(id, tm.Backoff(c, n, backoffBase, backoffShift, backoffMax))
+		return p
+	}
+	fallback := false
+	switch t.reason {
+	case sim.AbortCapacity:
+		// The working set does not fit: go software, concurrently.
+		st.Aborts[sim.AbortCapacity]++
+		fallback = true
+	case sim.AbortExplicit:
+		switch t.code {
+		case tm.CodeMallocRefill:
+			st.MallocAborts++
+			st.Aborts[sim.AbortExplicit]++
+			r.heap.Refill(c, tm.ChunkSize)
+		case tm.CodeSeqLocked:
 			st.Aborts[sim.AbortContention]++
-			r.met.backoff.Observe(id, tm.Backoff(c, attempts, backoffBase, backoffShift, backoffMax))
+			st.SeqAborts++
+			r.met.seqAborts.Inc(id)
+			r.waitSeqEven(c)
+		case tm.CodeSerialRequest:
+			st.Aborts[sim.AbortExplicit]++
+			r.met.hwAttempts.Observe(id, uint64(n))
+			return tm.PathSerial
 		default:
-			// Page fault (now handled), interrupt, syscall: retry.
-			st.Aborts[reason]++
+			st.Aborts[sim.AbortExplicit]++
 		}
-
-		if fallback || attempts >= maxHWAttempts {
-			r.met.hwAttempts.Observe(id, uint64(attempts))
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSW,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
-			r.runSW(c, t, body)
-			return
-		}
+	case sim.AbortContention:
+		st.Aborts[sim.AbortContention]++
+		r.met.backoff.Observe(id, tm.Backoff(c, n, backoffBase, backoffShift, backoffMax))
+	default:
+		// Page fault (now handled), interrupt, syscall: retry.
+		st.Aborts[t.reason]++
 	}
+	if fallback || n >= maxHWAttempts {
+		r.met.hwAttempts.Observe(id, uint64(n))
+		return tm.PathSW
+	}
+	return p
+}
+
+// Committed implements tm.Paths. A transaction that entered the software
+// path leaves the fallback population here, under CatNonInstr, whichever
+// path it committed on.
+func (t *hyTx) Committed(p tm.TxPath, n int, ev tm.TxEvent) tm.TxEvent {
+	c, r := t.c, t.r
+	id := c.ID()
+	switch p {
+	case tm.PathHW:
+		r.met.hwCommits.Inc(id)
+		r.met.hwAttempts.Observe(id, uint64(n))
+		read, write := t.u.LastSetSizes()
+		ev.Reads, ev.Writes = uint32(read), uint32(write)
+	case tm.PathSW:
+		r.StatsTable[id].SWCommits++
+		r.met.swCommits.Inc(id)
+		r.met.swAttempts.Observe(id, uint64(n))
+		r.met.swCycles.Add(id, c.Now()-t.swEntry)
+		ev.Reads, ev.Writes = uint32(len(t.reads)), uint32(len(t.writes))
+		t.swReset()
+	}
+	if t.announced {
+		t.announced = false
+		c.FetchAdd(r.swCount, ^mem.Word(0))
+	}
+	return ev
 }
 
 // waitSeqEven polls the commit-sequence word with plain reads (they do not
@@ -342,67 +366,18 @@ func (r *Runtime) waitSeqEven(c *sim.CPU) {
 	}
 }
 
-// runSW executes body on the concurrent software fallback path, retrying
-// on validation failures until commit (or serial escalation).
-func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
-	id := c.ID()
-	st := &r.StatsTable[id]
-	entry := c.Now()
-	// Announce the fallback: hardware writers start bumping hwSeq, and the
-	// write probe aborts any in-flight region that read a zero count.
-	c.FetchAdd(r.swCount, 1)
-	defer c.FetchAdd(r.swCount, ^mem.Word(0))
-	retries := 0
-	for {
-		c.SetCategory(sim.CatTxStartCommit)
-		snap := c.Counters()
-		attemptStart := c.Now()
-		t.swBegin()
-
-		committed := tm.Attempt(c, func() {
-			c.SetCategory(sim.CatTxApp)
-			body(t)
-			c.SetCategory(sim.CatTxStartCommit)
-			t.swCommit()
-		})
-
-		if committed {
-			st.Commits++
-			st.SWCommits++
-			r.NotifyCommit(c, false)
-			r.met.swCommits.Inc(id)
-			r.met.swAttempts.Observe(id, uint64(retries+1))
-			r.met.swCycles.Add(id, c.Now()-entry)
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSW,
-				Aborter: sim.NoCore, Addr: sim.NoAddr,
-				Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)), Cycles: c.Now() - attemptStart})
-			t.swReset()
-			c.SetCategory(sim.CatNonInstr)
-			return
-		}
-
-		// Aborted: the redo log is simply discarded — nothing was
-		// published, so there is no undo.
-		c.MoveToAbort(snap)
-		r.Record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathSW,
-			STM: true, Aborter: t.lastBy, Addr: t.lastAddr,
-			Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)), Cycles: c.Now() - attemptStart})
-		c.SetCategory(sim.CatAbort)
-		st.STMAborts++
-		retries++
-		force := t.forceSerial
-		t.forceSerial = false
-		t.swReset()
-		if force || retries >= maxSWAttempts {
-			r.met.swAttempts.Observe(id, uint64(retries))
-			r.met.swCycles.Add(id, c.Now()-entry)
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
-			r.runSerial(c, t, body)
-			return
-		}
-		r.met.backoff.Observe(id, tm.Backoff(c, retries, backoffBase, backoffShift, backoffMax))
+// lockSeq takes the seqlock from its even value s with one CAS and reports
+// whether it did. It counts the subscribed hardware regions the
+// acquisition kills (seqlock-induced aborts, attributed here: the victims
+// observe an indistinguishable contention abort).
+func (r *Runtime) lockSeq(c *sim.CPU, s mem.Word) bool {
+	killed := uint64(r.sys.Monitors(c, r.swSeq))
+	if _, ok := c.CAS(r.swSeq, s, s+1); !ok {
+		return false
 	}
+	r.StatsTable[c.ID()].SeqAborts += killed
+	r.met.seqAborts.Add(c.ID(), killed)
+	return true
 }
 
 // runSerial executes body in serial-irrevocable mode: a degenerate
@@ -412,40 +387,17 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 // re-validate by value against the serial transaction's in-place writes.
 func (r *Runtime) runSerial(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 	id := c.ID()
-	st := &r.StatsTable[id]
-	c.SetCategory(sim.CatTxStartCommit)
-	attemptStart := c.Now()
-	var seq mem.Word
-	for {
-		s := c.Load(r.swSeq)
-		if s&1 == 0 {
-			killed := r.sys.Monitors(c, r.swSeq)
-			if _, ok := c.CAS(r.swSeq, s, s+1); ok {
-				seq = s
-				if killed > 0 {
-					st.SeqAborts += uint64(killed)
-					r.met.seqAborts.Add(id, uint64(killed))
-				}
-				break
-			}
-		}
+	seq := c.Load(r.swSeq)
+	for seq&1 != 0 || !r.lockSeq(c, seq) {
 		c.Cycles(uint64(c.Rand().Int63n(400)) + 100)
+		seq = c.Load(r.swSeq)
 	}
-	t.mode = modeSerial
 	r.met.serialEntries.Inc(id)
 	held := c.Now()
-	c.SetCategory(sim.CatTxApp)
-	body(t)
-	c.SetCategory(sim.CatTxStartCommit)
+	tm.RunBody(c, t, body)
 	r.NotifyCommit(c, true) // before the release: the seqlock is the commit point
 	c.Store(r.swSeq, seq+2)
 	r.met.serialCycles.Add(id, c.Now()-held)
-	t.mode = modeHW
-	st.Commits++
-	st.Serial++
-	r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSerial,
-		Aborter: sim.NoCore, Addr: sim.NoAddr, Cycles: c.Now() - attemptStart})
-	c.SetCategory(sim.CatNonInstr)
 }
 
 // --- transaction descriptor ------------------------------------------------
@@ -461,20 +413,29 @@ type swWrite struct {
 }
 
 // hyTx implements tm.Tx for all three code paths — hardware, concurrent
-// software, serial — dispatched by mode, like the begin function's return
-// value selects the compiled code path (§3.1).
+// software, serial — dispatched on the attempt's path (tm.Frame.Path),
+// like the begin function's return value selects the compiled code path
+// (§3.1). A software abort blames no
+// core: NOrec value validation cannot identify the aborter.
 type hyTx struct {
-	r    *Runtime
-	c    *sim.CPU
-	u    *asf.Unit
-	mode int
+	tm.Frame
+	r *Runtime
+	c *sim.CPU
+	u *asf.Unit
 	// wrote marks a hardware transaction that performed a transactional
 	// store; swPresent records whether software transactions existed at
 	// region begin (together they decide the hwSeq bump at commit).
 	wrote, swPresent bool
+	// reason and code are the last hardware attempt's abort.
+	reason sim.AbortReason
+	code   uint64
 	// forceSerial carries a BecomeIrrevocable request out of the software
 	// path's abort unwind.
 	forceSerial bool
+	// announced marks a transaction counted in swCount since swEntry, the
+	// cycle it entered the software path.
+	announced bool
+	swEntry   uint64
 
 	// Software descriptor: NOrec-style value-logged reads and a redo log
 	// with an index for read-own-write.
@@ -483,28 +444,11 @@ type hyTx struct {
 	writes         []swWrite
 	windex         map[mem.Addr]int
 	log            tm.LogSpace
-
-	// lastBy/lastAddr stash the abort edge for the flight recorder before
-	// the software longjmp unwinds (NOrec value validation cannot identify
-	// the aborter, so lastBy stays sim.NoCore).
-	lastBy   int
-	lastAddr mem.Addr
-}
-
-func (t *hyTx) swAbort() {
-	t.swAbortAt(sim.NoAddr)
-}
-
-// swAbortAt records the conflicting address, then unwinds.
-func (t *hyTx) swAbortAt(a mem.Addr) {
-	t.lastBy, t.lastAddr = sim.NoCore, a
-	tm.Unwind(t.c)
 }
 
 // swBegin samples a consistent (even) seqlock snapshot.
 func (t *hyTx) swBegin() {
 	c := t.c
-	t.mode = modeSW
 	c.Exec(swBeginInstr)
 	for {
 		s := c.Load(t.r.swSeq)
@@ -533,7 +477,7 @@ func (t *hyTx) swRevalidate() {
 			e := &t.reads[i]
 			c.Exec(swValidateInstrPerEntry)
 			if c.Load(e.addr) != e.val {
-				t.swAbortAt(e.addr)
+				t.Abandon(t.c, sim.NoCore, e.addr)
 			}
 		}
 		if c.Load(t.r.swSeq) == s {
@@ -597,8 +541,6 @@ func (t *hyTx) swCommit() {
 		}
 		return
 	}
-	id := c.ID()
-	st := &r.StatsTable[id]
 	for {
 		if c.Load(r.swSeq) != t.swSnap {
 			// Someone committed since the snapshot: re-validate (and
@@ -606,19 +548,10 @@ func (t *hyTx) swCommit() {
 			t.swRevalidate()
 			continue
 		}
-		// Count the subscribed hardware regions the acquisition is about
-		// to kill (seqlock-induced aborts, attributed here: the victims
-		// observe an indistinguishable contention abort).
-		killed := r.sys.Monitors(c, r.swSeq)
-		if _, ok := c.CAS(r.swSeq, t.swSnap, t.swSnap+1); !ok {
-			c.Cycles(uint64(c.Rand().Int63n(200)) + 50)
-			continue
+		if r.lockSeq(c, t.swSnap) {
+			break
 		}
-		if killed > 0 {
-			st.SeqAborts += uint64(killed)
-			r.met.seqAborts.Add(id, uint64(killed))
-		}
-		break
+		c.Cycles(uint64(c.Rand().Int63n(200)) + 50)
 	}
 	// Seqlock held (odd). The acquisition CAS itself validated that no
 	// software commit intervened; a hardware commit still might have.
@@ -628,7 +561,7 @@ func (t *hyTx) swCommit() {
 			c.Exec(swValidateInstrPerEntry)
 			if c.Load(e.addr) != e.val {
 				c.Store(r.swSeq, t.swSnap+2) // release before unwinding
-				t.swAbortAt(e.addr)
+				t.Abandon(t.c, sim.NoCore, e.addr)
 			}
 		}
 	}
@@ -644,7 +577,6 @@ func (t *hyTx) swReset() {
 	t.reads = t.reads[:0]
 	t.writes = t.writes[:0]
 	clear(t.windex)
-	t.mode = modeHW
 }
 
 // --- tm.Tx -----------------------------------------------------------------
@@ -653,11 +585,11 @@ func (t *hyTx) swReset() {
 func (t *hyTx) Load(a mem.Addr) mem.Word {
 	prev := t.c.SetCategory(sim.CatTxLoadStore)
 	var v mem.Word
-	switch t.mode {
-	case modeHW:
+	switch t.Path() {
+	case tm.PathHW:
 		t.c.Exec(barrierInstr)
 		v = t.u.Load(a)
-	case modeSW:
+	case tm.PathSW:
 		v = t.swLoad(a)
 	default: // serial: plain accesses behind the seqlock
 		t.c.Exec(2)
@@ -670,12 +602,12 @@ func (t *hyTx) Load(a mem.Addr) mem.Word {
 // Store implements tm.Tx.
 func (t *hyTx) Store(a mem.Addr, v mem.Word) {
 	prev := t.c.SetCategory(sim.CatTxLoadStore)
-	switch t.mode {
-	case modeHW:
+	switch t.Path() {
+	case tm.PathHW:
 		t.c.Exec(barrierInstr)
 		t.u.Store(a, v)
 		t.wrote = true
-	case modeSW:
+	case tm.PathSW:
 		t.swStore(a, v)
 	default:
 		t.c.Exec(2)
@@ -696,7 +628,7 @@ func (t *hyTx) AllocLines(n int) mem.Addr {
 // (no speculative region is at risk); the hardware path aborts to refill
 // outside the region (§3.3).
 func (t *hyTx) alloc(size, align uint64) mem.Addr {
-	if t.mode != modeHW {
+	if t.Path() != tm.PathHW {
 		return t.r.heap.Alloc(t.c, size, align)
 	}
 	a, ok := t.r.heap.AllocFast(t.c, size, align)
@@ -712,20 +644,17 @@ func (t *hyTx) Free(a mem.Addr) { t.r.heap.Free(t.c, a) }
 // CPU implements tm.Tx.
 func (t *hyTx) CPU() *sim.CPU { return t.c }
 
-// Irrevocable implements tm.Tx.
-func (t *hyTx) Irrevocable() bool { return t.mode == modeSerial }
-
 // BecomeIrrevocable implements tm.Irrevocably: a hardware transaction
 // aborts with a software code and restarts directly in serial mode; a
 // software transaction unwinds and escalates; a serial transaction already
 // is irrevocable.
 func (t *hyTx) BecomeIrrevocable() {
-	switch t.mode {
-	case modeHW:
+	switch t.Path() {
+	case tm.PathHW:
 		t.u.Abort(tm.CodeSerialRequest)
-	case modeSW:
+	case tm.PathSW:
 		t.forceSerial = true
-		t.swAbort()
+		t.Abandon(t.c, sim.NoCore, sim.NoAddr)
 	}
 }
 
@@ -733,7 +662,7 @@ func (t *hyTx) BecomeIrrevocable() {
 // workload's hand-over-hand traversal); the software and serial paths have
 // no monitored read set to trim, so it is a no-op there.
 func (t *hyTx) Release(a mem.Addr) {
-	if t.mode == modeHW {
+	if t.Path() == tm.PathHW {
 		t.u.Release(a)
 	}
 }

@@ -234,7 +234,7 @@ func TestMaxHWAttemptsFallsBackToSoftware(t *testing.T) {
 	m.Run(func(c *sim.CPU) {
 		r.Atomic(c, func(tx tm.Tx) {
 			h := tx.(*Tx)
-			if h.mode == modeHW {
+			if h.Path() == tm.PathHW {
 				hw++
 				h.u.Abort(0xDEAD) // retryable explicit abort
 			}

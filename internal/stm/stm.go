@@ -74,14 +74,13 @@ type Runtime struct {
 	// a regression. Set it before the first transaction.
 	PrivatizationSafe bool
 
-	m    *sim.Machine
 	heap *tm.Heap
 
 	clockAddr mem.Addr // global version clock
 	lockBase  mem.Addr // versioned-lock array
 	lockMask  uint64
 
-	serialLock mem.Addr // irrevocable-mode token
+	serial tm.SerialToken // irrevocable-mode token
 
 	// statusBase is the per-core published transaction status used by
 	// commit-time quiescence, one cache line per core. The word encodes
@@ -92,8 +91,7 @@ type Runtime struct {
 
 	descs []*txDesc
 
-	tm.StatsTable
-	tm.Observers
+	tm.Lifecycle
 
 	met rtMetrics
 }
@@ -139,23 +137,16 @@ type writeEntry struct {
 }
 
 type txDesc struct {
+	tm.Frame
 	r           *Runtime
 	c           *sim.CPU
 	start       uint64
 	reads       []readEntry
 	writes      []writeEntry
-	serial      bool
 	serialStart uint64 // cycle the irrevocability token was acquired
 	forceSerial bool   // BecomeIrrevocable requested a serial restart
-	active      bool
-	depth       int
+	aborted     int    // software attempts before the serial one
 	log         tm.LogSpace
-
-	// lastBy/lastAddr: the causality edge of the most recent abort (lock
-	// owner that conflicted and the contended word), recorded just before
-	// the longjmp for the flight recorder.
-	lastBy   int
-	lastAddr mem.Addr
 }
 
 // New builds the STM over machine m. Its metadata (clock, lock array,
@@ -163,13 +154,13 @@ type txDesc struct {
 // allocates these at startup.
 func New(m *sim.Machine, heap *tm.Heap, layout *mem.Layout) *Runtime {
 	cores := m.Config().Cores
-	r := &Runtime{PrivatizationSafe: true, m: m, heap: heap, StatsTable: make(tm.StatsTable, cores)}
+	r := &Runtime{PrivatizationSafe: true, heap: heap, Lifecycle: tm.NewLifecycle(cores)}
 
 	nLocks := uint64(1) << lockBits
 	base, end := layout.Region(nLocks*mem.WordSize + 2*mem.PageSize)
 	m.Mem.Prefault(base, uint64(end-base))
 	r.clockAddr = base
-	r.serialLock = base + mem.LineSize
+	r.serial = tm.SerialToken{Addr: base + mem.LineSize}
 	r.lockBase = base + mem.PageSize
 	r.lockMask = nLocks - 1
 
@@ -178,7 +169,7 @@ func New(m *sim.Machine, heap *tm.Heap, layout *mem.Layout) *Runtime {
 	r.statusBase = statusBase
 
 	for i := 0; i < cores; i++ {
-		r.descs = append(r.descs, &txDesc{r: r, log: tm.NewLogSpace(m.Mem, layout)})
+		r.descs = append(r.descs, &txDesc{r: r, c: m.CPU(i), log: tm.NewLogSpace(m.Mem, layout)})
 	}
 	return r
 }
@@ -237,130 +228,86 @@ func (r *Runtime) quiesce(c *sim.CPU, ts uint64) {
 
 // Atomic implements tm.Runtime.
 func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
-	t := r.descs[c.ID()]
-	if t.active {
-		t.depth++
-		body(t)
-		t.depth--
-		return
-	}
-	t.c = c
-	st := &r.StatsTable[c.ID()]
+	r.Run(c, r.descs[c.ID()], tm.PathSW, body)
+}
 
-	retries := 0
-	for {
-		c.SetCategory(sim.CatTxStartCommit)
-		snap := c.Counters()
-		attemptStart := c.Now()
-		if retries == 0 {
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathSW,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
-		}
-		t.begin()
-
-		committed := tm.Attempt(c, func() {
-			c.SetCategory(sim.CatTxApp)
-			body(t)
-			c.SetCategory(sim.CatTxStartCommit)
-			t.commit()
-		})
-
-		if committed {
-			r.NotifyCommit(c, t.serial)
-			if t.serial {
-				r.releaseSerial(c)
-				r.met.serialCycles.Add(c.ID(), c.Now()-t.serialStart)
-				st.Serial++
-			}
-			id := c.ID()
-			r.met.attempts.Observe(id, uint64(retries+1))
-			r.met.readCommit.Observe(id, uint64(len(t.reads)))
-			r.met.writeCommit.Observe(id, uint64(len(t.writes)))
-			if r.Profiling() {
-				path := tm.PathSW
-				if t.serial {
-					path = tm.PathSerial
-				}
-				r.Record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: path,
-					Aborter: sim.NoCore, Addr: sim.NoAddr,
-					Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)),
-					Cycles: c.Now() - attemptStart})
-			}
-			t.reset()
-			st.Commits++
-			c.SetCategory(sim.CatNonInstr)
-			return
-		}
-
-		// Aborted: roll back in-place writes, release locks, back off.
-		t.undo()
-		t.publishStatus(false)
-		c.MoveToAbort(snap)
-		r.Record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathSW, STM: true,
-			Aborter: t.lastBy, Addr: t.lastAddr,
-			Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)),
-			Cycles: c.Now() - attemptStart})
-		c.SetCategory(sim.CatAbort)
-		st.STMAborts++
-		retries++
-		t.reset()
-		r.met.backoff.Observe(c.ID(), tm.Backoff(c, retries, backoffBase, backoffShift, backoffMax))
-		if retries >= maxRetriesBeforeSerial || t.forceSerial {
-			t.forceSerial = false
-			r.Record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
-			r.acquireSerial(c)
-			r.met.serialEntries.Inc(c.ID())
-			t.serialStart = c.Now()
-			t.serial = true
-		}
+// Enter implements tm.Paths: the serial path takes the irrevocability
+// token as it is entered, in the abort handler, and then runs like the
+// software path; all other transactions fail validation against its
+// in-place writes and wait out the token.
+func (t *txDesc) Enter(p tm.TxPath) {
+	if p == tm.PathSerial {
+		t.r.serial.Acquire(t.c)
+		t.r.met.serialEntries.Inc(t.c.ID())
+		t.serialStart = t.c.Now()
 	}
 }
 
-// acquireSerial makes the transaction irrevocable: all other transactions
-// will fail validation against its in-place writes and wait out the token.
-func (r *Runtime) acquireSerial(c *sim.CPU) {
-	for {
-		if _, ok := c.CAS(r.serialLock, 0, 1); ok {
-			return
-		}
-		c.Cycles(uint64(c.Rand().Int63n(400)) + 100)
+// Attempt implements tm.Paths: conflicts unwind to the driver.
+func (t *txDesc) Attempt(p tm.TxPath, body func(tm.Tx)) bool {
+	t.begin()
+	tm.RunBody(t.c, t, body)
+	t.commit()
+	t.r.NotifyCommit(t.c, p == tm.PathSerial)
+	if p == tm.PathSerial {
+		t.r.serial.Release(t.c)
 	}
+	return true
 }
 
-func (r *Runtime) releaseSerial(c *sim.CPU) { c.Store(r.serialLock, 0) }
+// Aborted implements tm.Paths: roll back in-place writes and release
+// locks.
+func (t *txDesc) Aborted(_ tm.TxPath, ev tm.TxEvent) tm.TxEvent {
+	t.undo()
+	t.publishStatus(false)
+	ev.STM, ev.Reads, ev.Writes = true, uint32(len(t.reads)), uint32(len(t.writes))
+	return ev
+}
+
+// Retry implements tm.Paths: back off, then go serial after
+// maxRetriesBeforeSerial attempts or on an irrevocability request.
+func (t *txDesc) Retry(p tm.TxPath, n int) tm.TxPath {
+	c := t.c
+	t.reset()
+	t.r.met.backoff.Observe(c.ID(), tm.Backoff(c, n, backoffBase, backoffShift, backoffMax))
+	if n >= maxRetriesBeforeSerial || t.forceSerial {
+		t.forceSerial = false
+		t.aborted = n
+		return tm.PathSerial
+	}
+	return p
+}
+
+// Committed implements tm.Paths.
+func (t *txDesc) Committed(p tm.TxPath, n int, ev tm.TxEvent) tm.TxEvent {
+	id := t.c.ID()
+	if p == tm.PathSerial {
+		t.r.met.serialCycles.Add(id, t.c.Now()-t.serialStart)
+	}
+	t.r.met.attempts.Observe(id, uint64(t.aborted+n))
+	t.r.met.readCommit.Observe(id, uint64(len(t.reads)))
+	t.r.met.writeCommit.Observe(id, uint64(len(t.writes)))
+	ev.Reads, ev.Writes = uint32(len(t.reads)), uint32(len(t.writes))
+	t.aborted = 0
+	t.reset()
+	return ev
+}
 
 // --- transaction descriptor ----------------------------------------------
 
+// begin starts an attempt. An irrevocable attempt already holds the token
+// and runs with locking but without the possibility of self-abort; any
+// other waits for an irrevocable transaction to drain.
 func (t *txDesc) begin() {
 	c := t.c
 	c.Exec(beginInstr)
-	if t.serial {
-		// Irrevocable: already holds the token; run with locking but
-		// without the possibility of self-abort.
-		_ = 0
-	} else if t.r.m.Config().Cores > 1 {
-		// Wait for any irrevocable transaction to drain.
-		for c.Load(t.r.serialLock) != 0 {
-			c.Cycles(200)
-		}
+	if !t.Irrevocable() && len(t.r.descs) > 1 {
+		t.r.serial.Drain(c)
 	}
 	t.start = versionOf(c.Load(t.r.clockAddr) &^ 1)
-	t.active = true
-	t.depth = 1
-	if !t.serial {
+	if !t.Irrevocable() {
 		t.publishStatus(true)
 	}
-}
-
-func (t *txDesc) abort() { t.abortDue(sim.NoCore, sim.NoAddr) }
-
-// abortDue is abort carrying the causality edge: the conflicting lock's
-// owner (sim.NoCore when unknown) and the contended address (sim.NoAddr
-// when unknown), stashed on the descriptor for the flight recorder.
-func (t *txDesc) abortDue(by int, addr mem.Addr) {
-	t.lastBy, t.lastAddr = by, addr
-	tm.Unwind(t.c)
 }
 
 // ownerOf resolves a lock word to an owner core for abort attribution.
@@ -384,7 +331,7 @@ func (t *txDesc) Load(a mem.Addr) mem.Word {
 		if lockOwner(l) == c.ID() {
 			return c.Load(a) // read own write (in place)
 		}
-		if t.serial {
+		if t.Irrevocable() {
 			// Irrevocable transactions cannot abort; spin until
 			// the owner finishes.
 			for isLocked(l) {
@@ -392,16 +339,16 @@ func (t *txDesc) Load(a mem.Addr) mem.Word {
 				l = c.Load(la)
 			}
 		} else {
-			t.abortDue(lockOwner(l), a)
+			t.Abandon(t.c, lockOwner(l), a)
 		}
 	}
 	v := c.Load(a)
 	l2 := c.Load(la)
 	if l2 != l {
-		if t.serial {
+		if t.Irrevocable() {
 			return t.Load(a)
 		}
-		t.abortDue(ownerOf(l2), a)
+		t.Abandon(t.c, ownerOf(l2), a)
 	}
 	if versionOf(l) > t.start {
 		t.extend()
@@ -424,13 +371,13 @@ func (t *txDesc) Store(a mem.Addr, v mem.Word) {
 	first := false
 	if isLocked(l) {
 		if lockOwner(l) != c.ID() {
-			if t.serial {
+			if t.Irrevocable() {
 				for isLocked(l) {
 					c.Cycles(100)
 					l = c.Load(la)
 				}
 			} else {
-				t.abortDue(lockOwner(l), a)
+				t.Abandon(t.c, lockOwner(l), a)
 			}
 		}
 	}
@@ -439,11 +386,11 @@ func (t *txDesc) Store(a mem.Addr, v mem.Word) {
 			t.extend()
 		}
 		if cur, ok := c.CAS(la, l, lockedBy(c.ID())); !ok {
-			if t.serial {
+			if t.Irrevocable() {
 				t.Store(a, v) // retry
 				return
 			}
-			t.abortDue(ownerOf(cur), a)
+			t.Abandon(t.c, ownerOf(cur), a)
 		}
 		first = true
 	}
@@ -466,14 +413,14 @@ func (t *txDesc) extend() {
 		c.Exec(validateInstrPerEntry)
 		l := c.Load(e.lockAddr)
 		if l != e.version && !(isLocked(l) && lockOwner(l) == c.ID()) {
-			if t.serial {
+			if t.Irrevocable() {
 				continue
 			}
-			t.abortDue(ownerOf(l), sim.NoAddr)
+			t.Abandon(t.c, ownerOf(l), sim.NoAddr)
 		}
 	}
 	t.start = now
-	if !t.serial {
+	if !t.Irrevocable() {
 		// The snapshot moved forward: quiescers waiting on this commit's
 		// timestamp may now stop waiting for us.
 		t.publishStatus(true)
@@ -491,8 +438,8 @@ func (t *txDesc) commit() {
 	// started: it reads in place without logging, so we must not publish
 	// underneath it. (It spins on our locks, so once it can read our
 	// words we have either fully committed or fully undone.)
-	if !t.serial && c.Load(t.r.serialLock) != 0 {
-		t.abortDue(sim.NoCore, t.r.serialLock)
+	if !t.Irrevocable() && c.Load(t.r.serial.Addr) != 0 {
+		t.Abandon(t.c, sim.NoCore, t.r.serial.Addr)
 	}
 	ts := uint64(c.FetchAdd(t.r.clockAddr, 2))>>1 + 1
 	if ts > t.start+1 {
@@ -539,9 +486,6 @@ func (t *txDesc) undo() {
 func (t *txDesc) reset() {
 	t.reads = t.reads[:0]
 	t.writes = t.writes[:0]
-	t.active = false
-	t.serial = false
-	t.depth = 0
 }
 
 // Alloc implements tm.Tx. The STM can refill inline: no speculative region
@@ -559,15 +503,12 @@ func (t *txDesc) Free(a mem.Addr) { t.r.heap.Free(t.c, a) }
 // CPU implements tm.Tx.
 func (t *txDesc) CPU() *sim.CPU { return t.c }
 
-// Irrevocable implements tm.Tx.
-func (t *txDesc) Irrevocable() bool { return t.serial }
-
 // BecomeIrrevocable implements tm.Irrevocably: abort and restart holding
 // the irrevocability token (TinySTM's stm_set_irrevocable with restart).
 func (t *txDesc) BecomeIrrevocable() {
-	if t.serial {
+	if t.Irrevocable() {
 		return
 	}
 	t.forceSerial = true
-	t.abort()
+	t.Abandon(t.c, sim.NoCore, sim.NoAddr)
 }

@@ -6,13 +6,13 @@ import (
 )
 
 // The runtime toolkit: the pieces every TM runtime of the stack needs
-// beside its own algorithm — per-core outcome counters, the software
-// longjmp, randomised back-off and the simulated log space. Each runtime
+// beside its own algorithm and the lifecycle driver — per-core outcome
+// counters, randomised back-off and the simulated log space. Each runtime
 // keeps only its protocol and takes these from here.
 
-// StatsTable is the per-core outcome counters a runtime embeds to
-// implement Runtime.Stats and Runtime.ResetStats. The runtime updates
-// &table[core] from that core's goroutine.
+// StatsTable is the per-core outcome counters that implement Runtime.Stats
+// and Runtime.ResetStats, embedded in every Lifecycle (and in the
+// sequential runtime). &table[core] is updated from that core's goroutine.
 type StatsTable []Stats
 
 // Stats implements Runtime.Stats.
@@ -20,35 +20,6 @@ func (t StatsTable) Stats(core int) Stats { return t[core] }
 
 // ResetStats implements Runtime.ResetStats.
 func (t StatsTable) ResetStats() { clear(t) }
-
-// unwind is the panic value of a software abort: the longjmp back to the
-// begin of the attempt running on core (TinySTM's siglongjmp).
-type unwind struct{ core int }
-
-// Unwind abandons the software attempt running on core c: control returns
-// to the Attempt call that started it, which reports false. It never
-// returns.
-func Unwind(c *sim.CPU) { panic(unwind{core: c.ID()}) }
-
-// Attempt runs one software attempt on core c and reports whether run
-// completed (true) or was abandoned by Unwind on c (false). Any other
-// panic, another core's unwind included, propagates.
-func Attempt(c *sim.CPU, run func()) (completed bool) {
-	defer func() {
-		if completed {
-			return
-		}
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		if u, ok := rec.(unwind); !ok || u.core != c.ID() {
-			panic(rec)
-		}
-	}()
-	run()
-	return true
-}
 
 // Backoff spins core c for a random delay of 1..limit cycles, one draw of
 // the core's generator, where limit is base doubled once per attempt (at

@@ -7,30 +7,6 @@ import (
 	"asfstack/internal/sim"
 )
 
-// TestAttemptUnwindsOwnCoreOnly: Attempt reports false only for an Unwind
-// of its own core; another core's unwind and any other panic propagate.
-func TestAttemptUnwindsOwnCoreOnly(t *testing.T) {
-	m := sim.New(sim.Barcelona(2))
-	c0, c1 := m.CPU(0), m.CPU(1)
-	if !Attempt(c0, func() {}) {
-		t.Fatal("a completed attempt reported false")
-	}
-	if Attempt(c0, func() { Unwind(c0) }) {
-		t.Fatal("an unwound attempt reported true")
-	}
-	propagated := func(run func()) (rec any) {
-		defer func() { rec = recover() }()
-		Attempt(c0, run)
-		return nil
-	}
-	if rec := propagated(func() { Unwind(c1) }); rec != (unwind{core: 1}) {
-		t.Fatalf("core 1's unwind inside core 0's attempt: recovered %v, want it re-panicked", rec)
-	}
-	if rec := propagated(func() { panic("boom") }); rec != "boom" {
-		t.Fatalf("foreign panic: recovered %v, want it re-panicked", rec)
-	}
-}
-
 // TestHeapAllocRefillsOnEmptyPool: Alloc refills exactly when AllocFast
 // fails and charges what the inline AllocFast-then-Refill loop charges.
 func TestHeapAllocRefillsOnEmptyPool(t *testing.T) {

@@ -186,9 +186,10 @@ type Irrevocably interface {
 // --- Transaction lifecycle events ---------------------------------------
 //
 // The types below are the one record of a transaction's lifecycle: the wire
-// format between the runtimes and their sinks, the internal/txprof flight
-// recorder and a traced measured phase (internal/trace). They live in tm so
-// that runtimes depend only on the ABI; the sinks implement TxProfiler.
+// format between the lifecycle driver (Lifecycle.Run) and its sinks, the
+// internal/txprof flight recorder and a traced measured phase
+// (internal/trace). They live in tm so that runtimes depend only on the
+// ABI; the sinks implement TxProfiler.
 
 // TxEventKind tags one flight-recorder record.
 type TxEventKind uint8
@@ -320,46 +321,11 @@ func (t tee) Record(core int, ev TxEvent) {
 }
 
 // ProfilableRuntime is implemented by runtimes that can feed a TxProfiler.
-// Passing nil uninstalls the profiler (the disabled state: runtimes keep
-// one predictable nil-check branch on the hot path and nothing else).
+// Passing nil uninstalls the profiler (the disabled state: the lifecycle
+// driver keeps one predictable nil-check branch per event and nothing
+// else).
 // Like HookableRuntime it is kept out of Runtime so external
 // implementations stay source-compatible.
 type ProfilableRuntime interface {
 	SetProfiler(TxProfiler)
-}
-
-// Observers is the observer state a runtime embeds to implement
-// HookableRuntime and ProfilableRuntime: the commit hook and the profiler.
-// A runtime reports each lifecycle point with one Record call.
-type Observers struct {
-	hook CommitHook
-	prof TxProfiler
-}
-
-// SetCommitHook implements HookableRuntime.
-func (o *Observers) SetCommitHook(h CommitHook) { o.hook = h }
-
-// SetProfiler implements ProfilableRuntime.
-func (o *Observers) SetProfiler(p TxProfiler) { o.prof = p }
-
-// Profiling reports whether a profiler is installed, so a runtime can skip
-// gathering a payload nobody will read.
-func (o *Observers) Profiling() bool { return o.prof != nil }
-
-// Record stamps ev with the core's clock and hands it to the profiler. The
-// nil check is the entire disabled-path cost; recording charges no
-// simulated cycles (the paper's no-interference tracing methodology).
-func (o *Observers) Record(c *sim.CPU, ev TxEvent) {
-	if o.prof != nil {
-		ev.Time = c.Now()
-		o.prof.Record(c.ID(), ev)
-	}
-}
-
-// NotifyCommit reports a commit to the hook under the global turn, so hook
-// invocations across cores are totally ordered (see CommitHook).
-func (o *Observers) NotifyCommit(c *sim.CPU, serial bool) {
-	if o.hook != nil {
-		c.SpecOp(0, func() { o.hook(c.ID(), serial) })
-	}
 }

@@ -1,14 +1,23 @@
 package asfstack
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"asfstack/internal/cache"
+	"asfstack/internal/hytm"
 	"asfstack/internal/mem"
+	"asfstack/internal/metrics"
 	"asfstack/internal/sim"
 	"asfstack/internal/tm"
+	"asfstack/internal/txprof"
 )
 
 // concurrentRuntimes are the runtimes that are correct on >1 thread.
@@ -425,4 +434,286 @@ func TestSeedSet(t *testing.T) {
 				tc.opts.Seed, tc.opts.SeedSet, got, s.Opts.Seed, tc.want)
 		}
 	}
+}
+
+// update rewrites the lifecycle pin (testdata/lifecycle_digests.json) from
+// this run's digests.
+var update = flag.Bool("update", false, "rewrite testdata/lifecycle_digests.json")
+
+// lifecyclePinPath pins TestLifecyclePinned: one digest per runtime.
+const lifecyclePinPath = "testdata/lifecycle_digests.json"
+
+// lifecycleCase is one pinned configuration: a runtime of RuntimeNames,
+// HyTM also with ForceSW.
+type lifecycleCase struct {
+	name, runtime string
+	forceSW       bool
+}
+
+func lifecycleCases() []lifecycleCase {
+	var cases []lifecycleCase
+	for _, rt := range RuntimeNames {
+		if strings.HasPrefix(rt, "HyTM") {
+			cases = append(cases, lifecycleCase{rt + " ForceSW", rt, true})
+		}
+		if rt != "Sequential" {
+			cases = append(cases, lifecycleCase{rt, rt, false})
+		}
+	}
+	return cases
+}
+
+// required lists the transitions the script must reach (in
+// lifecycleTransitions' notation); none on the adaptive selector, whose
+// runtime choice moves with its probes. Codes are the tm.Code* values:
+// 0x5e71a2 a BecomeIrrevocable request, 0x11a110c a malloc refill,
+// 0x5e71a1 the serial token held, 0x5e90c HyTM's seqlock held.
+func (lc lifecycleCase) required() []string {
+	switch rt := lc.runtime; {
+	case lc.forceSW:
+		return []string{"begin sw", "fallback sw->serial after sw stm"}
+	case strings.HasPrefix(rt, "LLB"):
+		return []string{
+			"fallback hw->serial after hw explicit 0x5e71a2",
+			"abort hw explicit 0x11a110c",
+			"abort hw explicit 0x5e71a1",
+			"fallback hw->serial after hw capacity",
+			"abort hw contention",
+		}
+	case strings.HasPrefix(rt, "HyTM"):
+		return []string{
+			"fallback hw->serial after hw explicit 0x5e71a2",
+			"fallback sw->serial after sw stm",
+			"abort hw explicit 0x11a110c",
+			"abort hw explicit 0x5e90c",
+			"fallback hw->sw after hw capacity",
+			"abort hw contention",
+		}
+	case rt == "STM":
+		return []string{"fallback sw->serial after sw stm", "abort sw stm"}
+	case rt == "Cohorts":
+		return []string{"fallback sw->serial after sw explicit 0x5e71a2", "abort sw stm"}
+	case rt == "Cohorts-turbo":
+		return []string{"fallback sw->serial after sw explicit 0x5e71a2", "abort sw stm", "commit turbo"}
+	}
+	return nil
+}
+
+// TestLifecyclePinned pins the transaction lifecycle of every runtime: a
+// scripted 4-core program that reaches each restart, back-off, wait and
+// fallback transition, hashed over everything the lifecycle can move (see
+// lifecycleRun.digest). A change to how runtimes begin, abort, fall back
+// or commit fails here, naming the runtimes that moved; one that moves
+// them on purpose re-pins with -update.
+func TestLifecyclePinned(t *testing.T) {
+	got := map[string]string{}
+	for _, lc := range lifecycleCases() {
+		t.Run(lc.name, func(t *testing.T) {
+			run := runLifecycleScript(lc.runtime, lc.forceSW)
+			seen := lifecycleTransitions(run.res.Trace.Tx)
+			for _, want := range lc.required() {
+				if !seen[want] {
+					t.Errorf("transition %q not reached", want)
+				}
+			}
+			if lc.runtime == "Cohorts-turbo" {
+				solo, _ := run.res.Metrics.Counter("cohorts/solo_entries")
+				granted := 0
+				for _, n := range run.granted {
+					granted += n
+				}
+				if granted <= int(solo.Total) {
+					t.Errorf("no turbo attempt became irrevocable in place (%d grants, %d solo cohorts)", granted, solo.Total)
+				}
+			}
+			got[lc.name] = run.digest()
+		})
+	}
+	if t.Failed() {
+		return
+	}
+	pin := map[string]string{}
+	data, err := os.ReadFile(lifecyclePinPath)
+	if err == nil {
+		err = json.Unmarshal(data, &pin)
+	}
+	if *update {
+		out, err := json.MarshalIndent(got, "", "  ")
+		if err == nil {
+			err = os.WriteFile(lifecyclePinPath, append(out, '\n'), 0o644)
+		}
+		if err != nil {
+			t.Fatalf("writing the lifecycle pin: %v", err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("reading the lifecycle pin: %v", err)
+	}
+	var moved []string
+	for name, d := range got {
+		if pin[name] != d {
+			moved = append(moved, fmt.Sprintf("%s (%s, pinned %q)", name, d, pin[name]))
+		}
+	}
+	slices.Sort(moved)
+	if len(moved) > 0 {
+		t.Errorf("lifecycle moved from %s for %d runtime(s): %s; if the change is intended, re-pin with -update and list them in CHANGES.md",
+			lifecyclePinPath, len(moved), strings.Join(moved, ", "))
+	}
+}
+
+// lifecycleTransitions names every transition a TxEvent stream shows:
+// "begin <path>", "abort <path> <cause>[ <code>]" (cause "stm" for a
+// software-runtime abort), "fallback <from>-><to> after <the abort>" and
+// "commit <path>".
+func lifecycleTransitions(tx [][]tm.TxEvent) map[string]bool {
+	seen := map[string]bool{}
+	for _, evs := range tx {
+		path, last := tm.PathHW, ""
+		for _, ev := range evs {
+			switch ev.Kind {
+			case tm.TxEvBegin:
+				path = ev.Path
+				seen["begin "+path.String()] = true
+			case tm.TxEvAbort:
+				cause := ev.Cause.String()
+				if ev.STM {
+					cause = "stm"
+				}
+				last = ev.Path.String() + " " + cause
+				if ev.Code != 0 {
+					last += fmt.Sprintf(" %#x", ev.Code)
+				}
+				seen["abort "+last] = true
+			case tm.TxEvFallback:
+				seen[fmt.Sprintf("fallback %s->%s after %s", path, ev.Path, last)] = true
+				path = ev.Path
+			case tm.TxEvCommit:
+				seen["commit "+ev.Path.String()] = true
+			}
+		}
+	}
+	return seen
+}
+
+// lifecycleRun is one scripted 4-core run of a runtime, with the flight
+// recorder and the tracer on.
+type lifecycleRun struct {
+	s   *Stack
+	res RunResult
+	// granted counts, per core, the BecomeIrrevocable calls that returned:
+	// a serial attempt, or a Cohorts turbo attempt granted in place.
+	granted [4]int
+}
+
+// runLifecycleScript runs the lifecycle script on rt: every core makes
+// contended increments, allocates, and in turn overflows capacity, asks
+// for irrevocability early, overflows and then asks, and nests. Core 0
+// first runs a long read-mostly transaction that asks for irrevocability
+// at its end, by which time the other cores' first commits have sealed a
+// Cohorts cohort around it, so Cohorts-turbo grants it in place.
+func runLifecycleScript(rt string, forceSW bool) *lifecycleRun {
+	const cores, rounds, bigLines, longLines = 4, 3, 300, 48
+	s := New(Options{Cores: cores, Runtime: rt, Profile: true, Trace: true})
+	if forceSW {
+		s.RT.(*hytm.Runtime).ForceSW = true
+	}
+	ctr := s.AllocShared(8)
+	ro := s.AllocShared(longLines * mem.LineSize)
+	var big [cores]mem.Addr
+	for i := range big {
+		big[i] = s.AllocShared(bigLines * mem.LineSize)
+	}
+	out := &lifecycleRun{s: s}
+	out.res = s.Measure(func(c *sim.CPU, _ uint64) {
+		id := c.ID()
+		irrevocable := func(tx tm.Tx) {
+			tx.(tm.Irrevocably).BecomeIrrevocable()
+			out.granted[id]++
+		}
+		incr := func(tx tm.Tx) {
+			v := tx.Load(ctr)
+			tx.CPU().Exec(300)
+			tx.Store(ctr, v+1)
+		}
+		overflow := func(tx tm.Tx) {
+			for j := 0; j < bigLines; j++ {
+				a := big[id] + mem.Addr(j*mem.LineSize)
+				tx.Store(a, tx.Load(a)+1)
+			}
+		}
+		alloc := func(tx tm.Tx) {
+			p := tx.Alloc(20 << 10)
+			tx.Store(p, mem.Word(id))
+		}
+		bodies := [...]func(tx tm.Tx){
+			overflow,
+			func(tx tm.Tx) {
+				irrevocable(tx)
+				v := tx.Load(ctr)
+				tx.CPU().Exec(2000)
+				tx.Store(ctr, v+1)
+			},
+			func(tx tm.Tx) {
+				overflow(tx)
+				irrevocable(tx)
+			},
+			func(tx tm.Tx) {
+				tx.Store(ctr, tx.Load(ctr)+1)
+				s.Atomic(c, incr)
+			},
+		}
+		if id == 0 {
+			s.Atomic(c, func(tx tm.Tx) {
+				for j := 0; j < longLines; j++ {
+					tx.Load(ro + mem.Addr(j*mem.LineSize))
+					tx.CPU().Exec(120)
+				}
+				irrevocable(tx)
+				tx.Store(ctr, tx.Load(ctr)+1)
+			})
+		} else {
+			for k := 0; k < 3; k++ {
+				s.Atomic(c, incr)
+			}
+		}
+		for round := 0; round < rounds; round++ {
+			for k := 0; k < 4; k++ {
+				s.Atomic(c, incr)
+			}
+			s.Atomic(c, alloc)
+			s.Atomic(c, bodies[(id+round)%len(bodies)])
+		}
+	})
+	return out
+}
+
+// digest hashes everything the run's lifecycle can move: each core's
+// category counters and clock, the runtime's per-core Stats, the sim
+// section of the metrics snapshot, the flight-recorder profile, and the
+// traced run (every category switch and every TxEvent).
+func (l *lifecycleRun) digest() string {
+	type coreState struct {
+		Counters sim.Breakdown
+		Now      uint64
+		Stats    tm.Stats
+	}
+	state := struct {
+		Cores   []coreState
+		Metrics metrics.Section
+		Profile *txprof.Profile
+		Events  []sim.TraceEvent
+		Tx      [][]tm.TxEvent
+	}{Metrics: l.res.Metrics.Sim, Profile: l.res.Profile, Events: l.res.Trace.Events, Tx: l.res.Trace.Tx}
+	for i := 0; i < l.s.Opts.Cores; i++ {
+		c := l.s.M.CPU(i)
+		state.Cores = append(state.Cores, coreState{c.Counters(), c.Now(), l.s.RT.Stats(i)})
+	}
+	j, err := json.Marshal(state)
+	if err != nil {
+		panic(err)
+	}
+	sum := sha256.Sum256(j)
+	return hex.EncodeToString(sum[:])[:16]
 }
