@@ -11,6 +11,7 @@
 //	asfbench -experiment fig5 -format json -o out.json
 //	asfbench -experiment fig5 -trace trace.json  # Chrome trace_event export
 //	asfbench -experiment txprof -profile -format json -o prof.json  # flight-recorder profiles (cmd/tmprof input)
+//	asfbench -cell 'server runtime=LLB-256 topology=2x4 load=1.4 scale=0.1'  # one ad-hoc cell
 //	asfbench -validate out.json                  # check a report's schema
 //
 // Scale shrinks the workload sizes proportionally; 1.0 is the reported
@@ -18,6 +19,10 @@
 // simulated machine each) that -parallel host goroutines run concurrently;
 // tables — and the JSON report's sim sections — are byte-identical for
 // every -parallel value. -v streams per-cell progress to stderr.
+//
+// -cell runs one cell named by a spec (see harness.RunCell) as an
+// experiment named "cell"; the spec sets the cell's size, so -cell with
+// -experiment or -scale is a usage error.
 //
 // -format json emits a versioned BenchReport document (schema
 // "asfstack/bench-report", see internal/harness and EXPERIMENTS.md) instead
@@ -35,6 +40,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,6 +68,8 @@ func main() {
 		"enable the transaction-level flight recorder in every cell (profiles land in the JSON report for cmd/tmprof)")
 	validatePath := flag.String("validate", "", "validate a BenchReport JSON file and exit (runs nothing)")
 	list := flag.Bool("list", false, "print every experiment name with a one-line description and exit")
+	cellSpec := flag.String("cell", "",
+		`run one cell named by a spec, e.g. "server runtime=LLB-256 topology=2x4 load=1.4 scale=0.1", instead of experiments`)
 	flag.Parse()
 
 	if *list {
@@ -84,7 +92,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	names, err := experimentNames(*exp)
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	run, names := harness.RunCell, []string{*cellSpec}
+	var err error
+	switch {
+	case !set["cell"]:
+		run = harness.RunReport
+		names, err = experimentNames(*exp)
+	case set["experiment"] || set["scale"]:
+		err = errors.New("-cell takes neither -experiment nor -scale (the spec sets the cell's size)")
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "asfbench:", err)
 		os.Exit(2)
@@ -98,7 +116,7 @@ func main() {
 	exit := 0
 	for _, name := range names {
 		start := time.Now()
-		rep, err := harness.RunReport(name, harness.Options{
+		rep, err := run(name, harness.Options{
 			Scale:    *scale,
 			Parallel: *parallel,
 			Progress: prog,
@@ -106,7 +124,7 @@ func main() {
 			Profile:  *profile,
 		})
 		if rep == nil {
-			// Unreachable for validated names; defensive.
+			// A cell spec that does not parse.
 			fmt.Fprintln(os.Stderr, "asfbench:", err)
 			os.Exit(2)
 		}

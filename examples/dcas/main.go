@@ -9,9 +9,11 @@ package main
 
 import (
 	"fmt"
+	"strings"
 
 	"asfstack/internal/asf"
 	"asfstack/internal/mem"
+	"asfstack/internal/metrics"
 	"asfstack/internal/sim"
 )
 
@@ -55,6 +57,8 @@ func main() {
 	m := sim.New(sim.Barcelona(threads))
 	m.Mem.Prefault(0, 1<<20)
 	sys := asf.Install(m, asf.LLB8)
+	reg := metrics.New(threads)
+	sys.SetMetrics(reg)
 
 	// Two counters whose SUM must stay invariant: each thread atomically
 	// moves one unit from a to b or back, using DCAS.
@@ -68,14 +72,16 @@ func main() {
 
 	va, vb := m.Mem.Load(a), m.Mem.Load(b)
 	fmt.Printf("a=%d b=%d sum=%d (invariant %d)\n", va, vb, va+vb, 1_000_000)
-	var commits, aborts uint64
-	for i := 0; i < threads; i++ {
-		st := sys.Unit(i).Stats()
-		commits += st.Commits
-		aborts += st.TotalAborts()
+	snap := reg.Snapshot()
+	commits, _ := snap.Counter("asf/commits")
+	var aborts uint64
+	for _, c := range snap.Sim.Counters {
+		if strings.HasPrefix(c.Name, "asf/aborts/") {
+			aborts += c.Total
+		}
 	}
 	fmt.Printf("%d DCAS commits, %d aborts, %.3f simulated ms\n",
-		commits, aborts, float64(dur)/2_200_000)
+		commits.Total, aborts, float64(dur)/2_200_000)
 	if va+vb != 1_000_000 {
 		panic("invariant broken")
 	}

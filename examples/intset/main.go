@@ -35,7 +35,7 @@ func main() {
 	} {
 		r, err := intset.Run(intset.Config{
 			Options:   asfstack.Options{Runtime: v.runtime, Cores: *threads},
-			Structure: "linkedlist", Range: uint64(2 * *size), InitialSize: *size, UpdatePct: 20,
+			Structure: "linkedlist", Range: uint64(2 * *size), UpdatePct: 20,
 			OpsPerThread: *ops, EarlyRelease: v.earlyRelease,
 		})
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"asfstack/internal/mem"
+	"asfstack/internal/metrics"
 	"asfstack/internal/sim"
 )
 
@@ -19,6 +20,8 @@ func TestRegionCommitsStores(t *testing.T) {
 	for _, v := range Variants {
 		t.Run(v.Name, func(t *testing.T) {
 			m, s := testSystem(t, 1, v)
+			reg := metrics.New(1)
+			s.SetMetrics(reg)
 			m.Run(func(c *sim.CPU) {
 				u := s.Unit(0)
 				reason, _ := u.Region(func() {
@@ -32,8 +35,8 @@ func TestRegionCommitsStores(t *testing.T) {
 			if got := m.Mem.Load(0x100); got != 7 {
 				t.Errorf("mem[0x100] = %d, want 7", got)
 			}
-			if st := s.Unit(0).Stats(); st.Commits != 1 {
-				t.Errorf("commits = %d, want 1", st.Commits)
+			if c, _ := reg.Snapshot().Counter("asf/commits"); c.Total != 1 {
+				t.Errorf("asf/commits = %d, want 1", c.Total)
 			}
 			if s.ProtectedLines() != 0 {
 				t.Errorf("%d lines still protected after commit", s.ProtectedLines())

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"asfstack/internal/mem"
+	"asfstack/internal/metrics"
 	"asfstack/internal/sim"
 )
 
@@ -190,8 +191,13 @@ func TestSpeculativeValuesVisibleToOwnPlainLoads(t *testing.T) {
 	}
 }
 
+// TestRegionStatsCount: the asf/starts, asf/commits and asf/aborts/*
+// counters are the one record of region outcomes, and a registry reset (the
+// measured-phase barrier) clears them.
 func TestRegionStatsCount(t *testing.T) {
 	m, s := testSystem(t, 1, LLB8)
+	reg := metrics.New(1)
+	s.SetMetrics(reg)
 	m.Run(func(c *sim.CPU) {
 		u := s.Unit(0)
 		for i := 0; i < 5; i++ {
@@ -199,13 +205,20 @@ func TestRegionStatsCount(t *testing.T) {
 		}
 		u.Region(func() { u.Abort(1) })
 	})
-	st := s.Unit(0).Stats()
-	if st.Starts != 6 || st.Commits != 5 || st.Aborts[sim.AbortExplicit] != 1 {
-		t.Fatalf("stats = %+v", st)
+	total := func(name string) uint64 {
+		c, ok := reg.Snapshot().Counter(name)
+		if !ok {
+			t.Fatalf("no counter %s", name)
+		}
+		return c.Total
 	}
-	s.Unit(0).ResetStats()
-	if st := s.Unit(0).Stats(); st.Starts != 0 {
-		t.Fatal("ResetStats did not clear")
+	explicit := "asf/aborts/" + sim.AbortExplicit.String()
+	if st, cm, ab := total("asf/starts"), total("asf/commits"), total(explicit); st != 6 || cm != 5 || ab != 1 {
+		t.Fatalf("starts %d commits %d explicit aborts %d, want 6, 5, 1", st, cm, ab)
+	}
+	reg.Reset()
+	if st := total("asf/starts"); st != 0 {
+		t.Fatalf("starts = %d after Reset", st)
 	}
 }
 

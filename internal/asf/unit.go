@@ -5,22 +5,6 @@ import (
 	"asfstack/internal/sim"
 )
 
-// Stats counts speculative-region outcomes on one core.
-type Stats struct {
-	Starts  uint64
-	Commits uint64
-	Aborts  [sim.NumAbortReasons]uint64
-}
-
-// TotalAborts sums aborts across reasons.
-func (s *Stats) TotalAborts() uint64 {
-	var t uint64
-	for _, v := range s.Aborts {
-		t += v
-	}
-	return t
-}
-
 // llbEntry is one locked-line-buffer slot: the address of a protected line
 // (with its directory entry, cached so region end never touches the
 // directory map) and, when the line has been speculatively modified, the
@@ -53,7 +37,6 @@ type Unit struct {
 	cacheWrites map[mem.Addr]*[mem.WordsPerLine]mem.Word
 
 	lastAbortCost uint64 // hardware rollback cost, charged at recovery
-	stats         Stats
 
 	// Last-region observability, read by the TM runtime after Region
 	// returns (flight recorder): the read/write-set sizes when the region
@@ -79,12 +62,6 @@ func newUnit(s *System, c *sim.CPU) *Unit {
 
 // Active reports whether a speculative region is in flight (sim.SpecUnit).
 func (u *Unit) Active() bool { return u.active }
-
-// Stats returns the outcome counters.
-func (u *Unit) Stats() Stats { return u.stats }
-
-// ResetStats zeroes the outcome counters (start of a measured phase).
-func (u *Unit) ResetStats() { u.stats = Stats{} }
 
 // CPU returns the core this unit belongs to.
 func (u *Unit) CPU() *sim.CPU { return u.c }
@@ -124,7 +101,6 @@ func (u *Unit) Region(body func()) (reason sim.AbortReason, code uint64) {
 		}
 		u.active = true
 		u.depth = 1
-		u.stats.Starts++
 		u.sys.met.starts.Inc(u.c.ID())
 	})
 
@@ -193,7 +169,6 @@ func (u *Unit) commit() {
 		u.sys.met.readCommit.Observe(u.c.ID(), read)
 		u.sys.met.writeCommit.Observe(u.c.ID(), write)
 		u.reset()
-		u.stats.Commits++
 		u.sys.met.commits.Inc(u.c.ID())
 	})
 }
@@ -259,7 +234,6 @@ func (u *Unit) doRollback(reason sim.AbortReason) {
 	u.sys.met.readAbort.Observe(u.c.ID(), read)
 	u.sys.met.writeAbort.Observe(u.c.ID(), write)
 	u.reset()
-	u.stats.Aborts[reason]++
 	u.sys.met.aborts[reason].Inc(u.c.ID())
 }
 

@@ -106,15 +106,6 @@ func New(sys *asf.System, heap *tm.Heap, m *sim.Machine, layout *mem.Layout) *Ru
 // Name returns the ASF variant label (the figures key runs by it).
 func (r *Runtime) Name() string { return r.sys.Variant().Name }
 
-// ResetStats implements tm.Runtime: the outcome counters and the ASF
-// units' own.
-func (r *Runtime) ResetStats() {
-	r.StatsTable.ResetStats()
-	for i := range r.StatsTable {
-		r.sys.Unit(i).ResetStats()
-	}
-}
-
 // Atomic implements tm.Runtime: the _ITM_beginTransaction /
 // _ITM_commitTransaction pair, hardware first.
 func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {

@@ -54,15 +54,16 @@ type Elider struct {
 	sys *asf.System
 	// MaxAttempts bounds elision retries before falling back.
 	MaxAttempts int
-	// BackoffBase scales the randomised retry back-off (cycles).
-	BackoffBase uint64
 
 	stats []Stats
 }
 
+// backoffBase scales the randomised retry back-off (cycles).
+const backoffBase = 64
+
 // New builds an elider for sys.
 func New(sys *asf.System, cores int) *Elider {
-	return &Elider{sys: sys, MaxAttempts: 4, BackoffBase: 64, stats: make([]Stats, cores)}
+	return &Elider{sys: sys, MaxAttempts: 4, stats: make([]Stats, cores)}
 }
 
 // Stats returns core i's counters.
@@ -128,7 +129,7 @@ func (e *Elider) Critical(c *sim.CPU, m *Mutex, body func(cs CS)) {
 			// The section does not fit in hardware: no point retrying.
 			attempt = e.MaxAttempts
 		default:
-			limit := int64(e.BackoffBase) << uint(min(attempt, 8))
+			limit := int64(backoffBase) << uint(min(attempt, 8))
 			c.Cycles(uint64(c.Rand().Int63n(limit)) + 1)
 		}
 	}

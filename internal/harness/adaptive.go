@@ -62,7 +62,7 @@ func Adaptive(o Options) ([]*Table, error) {
 		for _, rt := range adaptiveRuntimes {
 			cfg := intset.Config{
 				Options:   o.spec(rt, 8),
-				Structure: se.structure, Range: uint64(2 * se.size), UpdatePct: 20, InitialSize: se.size,
+				Structure: se.structure, Range: uint64(2 * se.size), UpdatePct: 20,
 				OpsPerThread: ops,
 			}
 			cells = append(cells, intsetCell(fmt.Sprintf("adaptive %-10s size=%-4d %-13s t=8", se.structure, se.size, rt), cfg))

@@ -295,7 +295,7 @@ func Fig7(o Options) ([]*Table, error) {
 			for _, sz := range se.sizes {
 				cfg := intset.Config{
 					Options:   o.spec(rt, 8),
-					Structure: se.structure, Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
+					Structure: se.structure, Range: uint64(2 * sz), UpdatePct: 20,
 					OpsPerThread: ops,
 				}
 				cells = append(cells, intsetCell(fmt.Sprintf("fig7 %-10s %-14s size=%-4d", se.structure, rt, sz), cfg))
@@ -337,7 +337,7 @@ func Fig8(o Options) ([]*Table, error) {
 			for _, sz := range sizes {
 				cfg := intset.Config{
 					Options:   o.spec(llb, 8),
-					Structure: "linkedlist", Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
+					Structure: "linkedlist", Range: uint64(2 * sz), UpdatePct: 20,
 					OpsPerThread: ops, EarlyRelease: er,
 				}
 				cells = append(cells, intsetCell(fmt.Sprintf("fig8 %-8s er=%-5v size=%-4d", llb, er, sz), cfg))
@@ -371,10 +371,10 @@ func Fig8(o Options) ([]*Table, error) {
 // table1Configs are the four single-thread overhead workloads of Table 1 /
 // Fig. 9.
 var table1Configs = []intset.Config{
-	{Structure: "linkedlist", Range: 256, InitialSize: 128, UpdatePct: 20},
-	{Structure: "skiplist", Range: 256, InitialSize: 128, UpdatePct: 20},
-	{Structure: "rbtree", Range: 256, InitialSize: 128, UpdatePct: 20},
-	{Structure: "hashset", Range: 128000, InitialSize: 64000, UpdatePct: 100, HashBits: 17},
+	{Structure: "linkedlist", Range: 256, UpdatePct: 20},
+	{Structure: "skiplist", Range: 256, UpdatePct: 20},
+	{Structure: "rbtree", Range: 256, UpdatePct: 20},
+	{Structure: "hashset", Range: 128000, UpdatePct: 100}, // 2^17 buckets
 }
 
 // Table1 — single-thread cycle breakdown: ASF-TM (LLB-256) vs TinySTM per
@@ -411,7 +411,7 @@ func Table1(o Options) ([]*Table, error) {
 	for ci, cfg := range table1Configs {
 		t := &Table{
 			Title: fmt.Sprintf("Table 1 — cycles inside transactions: %s / %d%% / %d",
-				cfg.Structure, cfg.UpdatePct, cfg.InitialSize),
+				cfg.Structure, cfg.UpdatePct, cfg.Range/2),
 			Header: []string{"category", "ASF", "STM", "ratio (STM/ASF)"},
 		}
 		// A failed cell's column reads ERR, and so does every ratio to it;

@@ -86,9 +86,9 @@ func TestRunDispatch(t *testing.T) {
 		t.Skip("sweeps are slow")
 	}
 	for _, name := range []string{"fig3", "table1"} {
-		tabs, err := Run(name, Options{Scale: 0.1})
-		if err != nil || len(tabs) == 0 {
-			t.Fatalf("Run(%s): %v, %d tables", name, err, len(tabs))
+		rep, err := RunReport(name, Options{Scale: 0.1})
+		if err != nil || len(rep.Tables) == 0 {
+			t.Fatalf("RunReport(%s): %v, %+v", name, err, rep)
 		}
 	}
 }

@@ -85,7 +85,7 @@ func progf(w Progress, format string, args ...any) {
 	}
 }
 
-// experiments is the registry Run dispatches on, in paper order; the
+// experiments is the registry RunReport dispatches on, in paper order; the
 // extension experiments (E11+) follow the paper's figures. desc is the
 // one-line summary cmd/asfbench -list prints.
 var experiments = []struct {
@@ -107,7 +107,7 @@ var experiments = []struct {
 	{"server", "E16: open-loop server — sojourn-time quantiles per (runtime × topology × load), multi-socket topologies, overload tail", Server},
 }
 
-// Names lists the experiments Run accepts, in registry order, and
+// Names lists the experiments RunReport accepts, in registry order, and
 // Descriptions maps each to its one-line summary.
 var Names, Descriptions = func() ([]string, map[string]string) {
 	names := make([]string, len(experiments))
@@ -117,30 +117,3 @@ var Names, Descriptions = func() ([]string, map[string]string) {
 	}
 	return names, descs
 }()
-
-// Run executes one named experiment and returns its tables in figure
-// order — the experiment's own tables followed by its abort-attribution
-// table. The experiment's independent cells — one simulated machine each —
-// are fanned out over o.Parallel worker goroutines; tables are identical
-// for every worker count.
-//
-// A non-nil error alongside non-nil tables means some cells failed: the
-// error joins one *CellError per failure and the corresponding table
-// entries read "ERR". Nil tables mean the experiment name was unknown.
-func Run(name string, o Options) ([]*Table, error) {
-	rep, err := RunReport(name, o)
-	if rep == nil {
-		return nil, err
-	}
-	return rep.Tables, err
-}
-
-// runExperiment dispatches to the experiment function by name.
-func runExperiment(name string, o Options) ([]*Table, error) {
-	for _, e := range experiments {
-		if e.name == name {
-			return e.run(o)
-		}
-	}
-	return nil, fmt.Errorf("harness: unknown experiment %q (want one of %v)", name, Names)
-}

@@ -24,13 +24,11 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnknown: a cell spec naming an unknown workload yields a
+// nil report and an error (TestRunReportUnknownName covers experiments).
 func TestRunRejectsUnknown(t *testing.T) {
-	tabs, err := Run("fig99", Options{Scale: 1})
-	if err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	if tabs != nil {
-		t.Fatal("unknown experiment produced tables")
+	if rep, err := RunCell("fig99 cores=1", Options{}); err == nil || rep != nil {
+		t.Fatalf("unknown workload: report %v, err %v; want nil and an error", rep, err)
 	}
 }
 

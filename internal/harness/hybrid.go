@@ -49,7 +49,7 @@ func Hybrid(o Options) ([]*Table, error) {
 			for _, rt := range hybridRuntimes {
 				cfg := intset.Config{
 					Options:   o.spec(rt, 8),
-					Structure: se.structure, Range: uint64(2 * sz), UpdatePct: 20, InitialSize: sz,
+					Structure: se.structure, Range: uint64(2 * sz), UpdatePct: 20,
 					OpsPerThread: ops,
 				}
 				cells = append(cells, intsetCell(fmt.Sprintf("hybrid %-10s size=%-4d %-8s t=8", se.structure, sz, rt), cfg))

@@ -209,16 +209,23 @@ func (rec *CellRecord) ObserveLatency(p50, p95, p99, p999 float64) {
 
 // RunReport executes one named experiment and returns its full report:
 // tables (the experiment's own plus the abort-attribution table), and one
-// CellReport per cell in cell order. Like Run, a non-nil error alongside a
-// non-nil report means some cells failed; a nil report means the experiment
-// name was unknown.
+// CellReport per cell in cell order. A non-nil error alongside a non-nil
+// report joins one *CellError per failed cell, whose table entries read
+// "ERR"; a nil report means the experiment name was unknown.
 func RunReport(name string, o Options) (*ExperimentReport, error) {
+	for _, e := range experiments {
+		if e.name == name {
+			return runReport(name, e.run, o)
+		}
+	}
+	return nil, fmt.Errorf("harness: unknown experiment %q (want one of %v)", name, Names)
+}
+
+// runReport runs an experiment function and assembles its report.
+func runReport(name string, run func(Options) ([]*Table, error), o Options) (*ExperimentReport, error) {
 	var cells []*CellReport
 	o.sink = &cells
-	tables, err := runExperiment(name, o)
-	if tables == nil {
-		return nil, err
-	}
+	tables, err := run(o)
 	rep := &ExperimentReport{Name: name, Workers: o.workers(), Tables: tables, Cells: cells}
 	if err != nil {
 		rep.Err = err.Error()

@@ -34,7 +34,7 @@ func TestTableFprintGolden(t *testing.T) {
 }
 
 // TestRunReportUnknownName: an unknown experiment yields a nil report and
-// an error, mirroring Run's nil-tables contract.
+// an error.
 func TestRunReportUnknownName(t *testing.T) {
 	rep, err := RunReport("fig99", Options{})
 	if err == nil {

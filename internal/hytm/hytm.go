@@ -179,15 +179,6 @@ func New(sys *asf.System, heap *tm.Heap, m *sim.Machine, layout *mem.Layout, nam
 // Name implements tm.Runtime.
 func (r *Runtime) Name() string { return r.name }
 
-// ResetStats implements tm.Runtime: the outcome counters and the ASF
-// units' own.
-func (r *Runtime) ResetStats() {
-	r.StatsTable.ResetStats()
-	for i := range r.StatsTable {
-		r.sys.Unit(i).ResetStats()
-	}
-}
-
 // Atomic implements tm.Runtime: hardware attempts with the seqlock
 // subscription, then the concurrent software fallback, then (explicit
 // request or livelock valve only) serial-irrevocable mode.

@@ -29,16 +29,11 @@ type Config struct {
 	Structure string // one of Structures
 	Range     uint64 // keys drawn from [0, Range)
 	UpdatePct int    // 20 → 10% ins / 10% rem / 80% search; 100 → 50/50
-	// InitialSize overrides the default population (Range/2).
-	InitialSize int
 	// OpsPerThread is the measured operation count per thread.
 	OpsPerThread int
 	// EarlyRelease enables the hand-over-hand linked-list traversal
 	// (Fig. 8); only the linked list uses it.
 	EarlyRelease bool
-	// HashBits overrides the hash-set table size (2^HashBits buckets);
-	// Table 1 forces the paper's 2^17-bucket table.
-	HashBits uint
 }
 
 // Result carries the measurements a run produces.
@@ -62,8 +57,8 @@ func (s rbAsSet) Remove(tx tm.Tx, k uint64) bool   { return s.t.Remove(tx, k) }
 func mem0(k uint64) uint64 { return k }
 
 // hashBits picks the table size: the paper's hash set uses 2^17 buckets
-// for the large configuration; smaller ranges shrink accordingly so the
-// table stays about 4× the range.
+// for the large configuration (Table 1's range of 128000); smaller ranges
+// shrink accordingly so the table stays about 4× the range.
 func hashBits(r uint64) uint {
 	bits := uint(4)
 	for ; bits < 17 && (uint64(1)<<bits) < 4*r; bits++ {
@@ -71,12 +66,13 @@ func hashBits(r uint64) uint {
 	return bits
 }
 
-// Run executes one configuration and returns its measurements. A bad
-// configuration (unknown structure, an empty or oversized key range, an
-// update percentage outside 0..100, a negative operation count, an initial
-// size outside 0..Range, a hash table too large for core 0's arena) is
-// reported as an error, not a panic or a hang, so sweep harnesses can fail
-// one cell and continue.
+// Run executes one configuration and returns its measurements. The set
+// starts with Range/2 keys, and the hash set with 2^hashBits(Range)
+// buckets. A bad configuration (unknown structure, an empty or oversized
+// key range, an update percentage outside 0..100, a negative operation
+// count, a hash table too large for core 0's arena) is reported as an
+// error, not a panic or a hang, so sweep harnesses can fail one cell and
+// continue.
 func Run(cfg Config) (Result, error) {
 	switch cfg.Structure {
 	case "linkedlist", "skiplist", "rbtree", "hashset":
@@ -93,30 +89,17 @@ func Run(cfg Config) (Result, error) {
 	if cfg.OpsPerThread < 0 {
 		return Result{}, fmt.Errorf("intset: negative operation count %d", cfg.OpsPerThread)
 	}
-	// Setup draws distinct keys until the set holds InitialSize of them, so
-	// a size above the key range would never finish.
-	if cfg.InitialSize < 0 || uint64(cfg.InitialSize) > cfg.Range {
-		return Result{}, fmt.Errorf("intset: initial size %d outside 0..%d (the key range)",
-			cfg.InitialSize, cfg.Range)
-	}
 	if cfg.OpsPerThread == 0 {
 		cfg.OpsPerThread = 1500
-	}
-	if cfg.InitialSize == 0 {
-		cfg.InitialSize = int(cfg.Range / 2)
 	}
 	s, err := asfstack.Build(cfg.Options)
 	if err != nil {
 		return Result{}, err
 	}
 	cfg.Options = s.Opts
-	bits := cfg.HashBits
-	if bits == 0 {
-		bits = hashBits(cfg.Range)
-	}
+	bits := hashBits(cfg.Range)
 	if cfg.Structure == "hashset" {
-		// Setup carves the bucket array out of core 0's arena. The shift
-		// also rejects bits >= 64, where 1<<bits would wrap to zero.
+		// Setup carves the bucket array out of core 0's arena.
 		if arena := s.Heap.Arena(0).Remaining(); arena/txlib.BucketBytes>>bits == 0 {
 			return Result{}, fmt.Errorf("intset: hash table of 2^%d buckets does not fit core 0's %d-byte arena",
 				bits, arena)
@@ -137,9 +120,9 @@ func Run(cfg Config) (Result, error) {
 		case "hashset":
 			set = txlib.NewHashSet(tx, bits)
 		}
-		// Populate to the initial size with distinct random keys.
+		// Populate to half the key range with distinct random keys.
 		rng := tx.CPU().Rand()
-		for n := 0; n < cfg.InitialSize; {
+		for n := uint64(0); n < cfg.Range/2; {
 			if set.Insert(tx, uint64(rng.Int63n(int64(cfg.Range)))) {
 				n++
 			}

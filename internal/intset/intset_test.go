@@ -137,11 +137,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{func(c *Config) { c.UpdatePct = 150 }, "update percentage 150"},
 		{func(c *Config) { c.OpsPerThread = -5 }, "operation count -5"},
 		{func(c *Config) { c.Range = 1 << 63 }, "key range 9223372036854775808"},
-		{func(c *Config) { c.InitialSize = -1 }, "initial size -1"},
-		{func(c *Config) { c.Range, c.InitialSize = 4, 10 }, "initial size 10 outside 0..4"},
-		{func(c *Config) { c.Structure, c.HashBits = "hashset", 40 }, "2^40 buckets"},
-		{func(c *Config) { c.Structure, c.HashBits = "hashset", 64 }, "2^64 buckets"},
-		{func(c *Config) { c.Structure, c.HashBits, c.HeapPerCore = "hashset", 9, 4096 }, "2^9 buckets does not fit core 0's 4096-byte arena"},
+		{func(c *Config) { c.Structure, c.Range, c.HeapPerCore = "hashset", 128, 4096 }, "2^9 buckets does not fit core 0's 4096-byte arena"},
 	} {
 		cfg := Config{Options: asfstack.Options{Runtime: "STM", Cores: 1}, Structure: "rbtree", Range: 64, OpsPerThread: 1}
 		tc.mutate(&cfg)

@@ -104,16 +104,14 @@ type ExploreOptions struct {
 	Seed int64
 	// Iters is how many interleavings to run.
 	Iters int
-	// Noise is sim.Config.SchedNoise, the per-operation stall bound that
-	// spreads iterations over distinct interleavings. 0 selects
-	// DefaultNoise.
-	Noise uint64
 	// MaxViolations stops the run early once this many envelope violations
 	// are collected (0 means DefaultMaxViolations).
 	MaxViolations int
 }
 
-// DefaultNoise is large enough to reorder operations across cores (cache
+// DefaultNoise is sim.Config.SchedNoise under exploration, the
+// per-operation stall bound that spreads iterations over distinct
+// interleavings: large enough to reorder operations across cores (cache
 // hits are single-digit to double-digit cycles) without drowning the run in
 // stall time.
 const DefaultNoise = 48
@@ -190,7 +188,6 @@ type Result struct {
 	Runtime string
 	Seed    int64
 	Iters   int
-	Noise   uint64
 
 	// Outcomes counts iterations per observed outcome; FirstIter records
 	// the earliest iteration that produced each (the replay pointer).
@@ -231,16 +228,13 @@ func Envelope(t *Test, rc RuntimeConfig) map[string]bool {
 // function of its arguments: the same (test, runtime, options) produce the
 // same Result, bit for bit, on any host.
 func Explore(t *Test, rc RuntimeConfig, opts ExploreOptions) *Result {
-	if opts.Noise == 0 {
-		opts.Noise = DefaultNoise
-	}
 	if opts.MaxViolations == 0 {
 		opts.MaxViolations = DefaultMaxViolations
 	}
 	n := len(t.Threads)
 	cfg := sim.Barcelona(n)
 	cfg.Seed = opts.Seed
-	cfg.SchedNoise = opts.Noise
+	cfg.SchedNoise = DefaultNoise
 
 	// The flight recorder is always on under exploration: Record costs no
 	// simulated cycles, and a violating iteration's dump — reset at each
@@ -287,7 +281,7 @@ func Explore(t *Test, rc RuntimeConfig, opts ExploreOptions) *Result {
 	// instrumented transaction, so each thread also gets a fresh random
 	// start offset every iteration, spanning a few transaction lengths.
 	srng := rand.New(rand.NewSource(opts.Seed*1_000_003 + 17))
-	stagMax := int64(opts.Noise)*32 + 1
+	stagMax := int64(DefaultNoise)*32 + 1
 	stag := make([]uint64, n)
 
 	bodies := make([]func(*sim.CPU), n)
@@ -306,7 +300,7 @@ func Explore(t *Test, rc RuntimeConfig, opts ExploreOptions) *Result {
 
 	res := &Result{
 		Test: t.Name, Runtime: rc.Label,
-		Seed: opts.Seed, Iters: opts.Iters, Noise: opts.Noise,
+		Seed: opts.Seed, Iters: opts.Iters,
 		Outcomes:  map[string]int{},
 		FirstIter: map[string]int{},
 	}

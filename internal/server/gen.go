@@ -111,7 +111,7 @@ func (w *world) generate(core int) *reqQueue {
 		w.rng.Seed(seed)
 	}
 	rng := w.rng
-	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(w.items-1))
+	zipf := rand.NewZipf(rng, zipfS, 1, uint64(w.items-1))
 
 	q := newReqQueue(cfg.RequestsPerCore)
 	mean := float64(baseServiceCycles) / cfg.Load

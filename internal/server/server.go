@@ -28,6 +28,10 @@ import (
 // at a different Load (that spread is what E16's overload cells probe).
 const baseServiceCycles = 25_000
 
+// zipfS is the key-skew exponent of the item-id distribution: a hot head
+// with a long cold tail.
+const zipfS = 1.2
+
 // waitChunk bounds one idle step of a session waiting for its next
 // arrival, so pending timers and asynchronous aborts keep being delivered.
 const waitChunk = 1_000
@@ -44,9 +48,6 @@ type Config struct {
 	// the server into overload: arrivals outpace commits and sojourn time
 	// grows with queue depth.
 	Load float64
-	// ZipfS is the key-skew exponent of the item-id distribution (> 1;
-	// default 1.2 — a hot head with a long cold tail).
-	ZipfS float64
 	// Scale multiplies store size and default request count (1.0 when
 	// zero); used by tests and CI smoke to shrink runs.
 	Scale float64
@@ -258,19 +259,16 @@ func (w *world) validate(tx tm.Tx) error {
 }
 
 // Run executes one configuration to completion and validates the store.
-// Zero Load, ZipfS, Scale and RequestsPerCore take their defaults; a
-// negative or non-finite value, or a ZipfS in (0, 1], is an error.
+// Zero Load, Scale and RequestsPerCore take their defaults; a negative or
+// non-finite value is an error.
 func Run(cfg Config) (Result, error) {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"load", cfg.Load}, {"zipf exponent", cfg.ZipfS}, {"scale", cfg.Scale}} {
+	}{{"load", cfg.Load}, {"scale", cfg.Scale}} {
 		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return Result{}, fmt.Errorf("server: %s %v: want a finite number >= 0 (0 = default)", f.name, f.v)
 		}
-	}
-	if cfg.ZipfS > 0 && cfg.ZipfS <= 1 {
-		return Result{}, fmt.Errorf("server: zipf exponent %v: want > 1 (0 = default)", cfg.ZipfS)
 	}
 	if cfg.RequestsPerCore < 0 {
 		return Result{}, fmt.Errorf("server: negative requests per core %d", cfg.RequestsPerCore)
@@ -281,9 +279,6 @@ func Run(cfg Config) (Result, error) {
 	}
 	if cfg.Load == 0 {
 		cfg.Load = 0.7
-	}
-	if cfg.ZipfS == 0 {
-		cfg.ZipfS = 1.2
 	}
 	if cfg.RequestsPerCore == 0 {
 		cfg.RequestsPerCore = int(200 * scale)

@@ -61,7 +61,7 @@ func TestQueueFIFO(t *testing.T) {
 // same world, and arrivals are strictly non-decreasing.
 func TestGenerateDeterministic(t *testing.T) {
 	newWorld := func() *world {
-		return &world{cfg: Config{Options: asfstack.Options{Seed: 42}, Load: 0.9, ZipfS: 1.2, RequestsPerCore: 200}, items: 64, customers: 32}
+		return &world{cfg: Config{Options: asfstack.Options{Seed: 42}, Load: 0.9, RequestsPerCore: 200}, items: 64, customers: 32}
 	}
 	w := newWorld()
 	a, b := w.generate(3), w.generate(3)
@@ -189,9 +189,8 @@ func TestRunSameSeedReplay(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadConfig: a negative or non-finite load, scale or Zipf
-// exponent, a Zipf exponent in (0, 1] and a negative request count are
-// errors; zero keeps meaning the default.
+// TestRunRejectsBadConfig: a negative or non-finite load or scale and a
+// negative request count are errors; zero keeps meaning the default.
 func TestRunRejectsBadConfig(t *testing.T) {
 	for _, tc := range []struct {
 		mutate func(*Config)
@@ -202,10 +201,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		{func(c *Config) { c.Load = math.Inf(1) }, "load +Inf"},
 		{func(c *Config) { c.Scale = -1 }, "scale -1"},
 		{func(c *Config) { c.Scale = math.NaN() }, "scale NaN"},
-		{func(c *Config) { c.ZipfS = -2 }, "zipf exponent -2"},
-		{func(c *Config) { c.ZipfS = 0.5 }, "zipf exponent 0.5"},
-		{func(c *Config) { c.ZipfS = 1 }, "zipf exponent 1"},
-		{func(c *Config) { c.ZipfS = math.Inf(1) }, "zipf exponent +Inf"},
 		{func(c *Config) { c.RequestsPerCore = -3 }, "requests per core -3"},
 	} {
 		cfg := smallConfig("LLB-256")
@@ -215,10 +210,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		}
 	}
 	cfg := smallConfig("LLB-256")
-	cfg.Load, cfg.ZipfS = 0, 0
+	cfg.Load = 0
 	r, err := Run(cfg)
-	if err != nil || r.Config.Load != 0.7 || r.Config.ZipfS != 1.2 {
-		t.Fatalf("zero load and zipf: load %v zipf %v, %v; want the defaults 0.7 and 1.2", r.Config.Load, r.Config.ZipfS, err)
+	if err != nil || r.Config.Load != 0.7 {
+		t.Fatalf("zero load: load %v, %v; want the default 0.7", r.Config.Load, err)
 	}
 }
 
