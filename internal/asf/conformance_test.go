@@ -221,25 +221,3 @@ func TestRegionStatsCount(t *testing.T) {
 		t.Fatalf("starts = %d after Reset", st)
 	}
 }
-
-func TestAbortAllHelper(t *testing.T) {
-	m, s := testSystem(t, 2, LLB256)
-	var reason sim.AbortReason
-	m.Run(
-		func(c *sim.CPU) {
-			u := s.Unit(0)
-			reason, _ = u.Region(func() {
-				u.Load(0x800)
-				c.Cycles(100_000)
-				u.Load(0x800)
-			})
-		},
-		func(c *sim.CPU) {
-			c.Cycles(10_000)
-			c.SpecOp(0, func() { s.abortAll(1) })
-		},
-	)
-	if reason != sim.AbortContention {
-		t.Fatalf("abortAll did not abort: %v", reason)
-	}
-}

@@ -3,6 +3,7 @@ package asf
 import (
 	"fmt"
 
+	"asfstack/internal/cache"
 	"asfstack/internal/mem"
 	"asfstack/internal/metrics"
 	"asfstack/internal/sim"
@@ -18,30 +19,14 @@ type System struct {
 	variant Variant
 	units   []*Unit
 
-	// prot maps a line address to its protection state — the model of
-	// what coherence probes would discover. A quiescent entry (no readers,
-	// no writer) answers every probe exactly like an absent one, so
-	// protFor purges the quiescent entries once the map has doubled since
-	// the last purge, and hands them out again. An entry stays put while
-	// any region protects its line, which is the only time the units hold
-	// its pointer (LLB entries and read-set slots), so they skip the map
-	// at region end.
-	prot map[mem.Addr]*protState
-	// protKeep is len(prot) after the last purge.
-	protKeep int
-	// protSpare holds purged entries, handed out before new ones are
-	// carved.
-	protSpare []*protState
-	// protFree is the unused tail of the chunk protFor carves new entries
-	// from. A chunk is never moved or freed.
-	protFree []protState
-
-	// pcache is a direct-mapped line→protState cache in front of prot,
-	// the same idiom as mem's page cache. A purge empties it, since it
-	// may name the entries the purge recycles; between purges no entry
-	// leaves prot, so cached pointers cannot dangle, and a collision
-	// only costs a map lookup.
-	pcache [pcacheSlots]pcacheEnt
+	// prot is the protection directory, the model of what coherence
+	// probes would discover, kept in the coherence directory's table: a
+	// line's holders are the cores monitoring it (read or write set) and
+	// its owner is the core holding it speculatively modified. A line no
+	// region protects is a neutral slot, which the table's purge drops.
+	// Only trackRead and trackWrite insert; everything else uses Find or
+	// Release, so no slot pointer is held across an insert.
+	prot cache.Directory
 
 	// Socket topology (from the machine config): an abort probe that has
 	// to cross a socket boundary to reach its victim pays xsockLat extra
@@ -51,16 +36,6 @@ type System struct {
 	xsockLat uint64
 
 	met sysMetrics
-}
-
-const pcacheSlots = 2048 // power of two
-
-// protChunk is how many directory entries protFor allocates at a time.
-const protChunk = 256
-
-type pcacheEnt struct {
-	line mem.Addr
-	p    *protState // nil marks an empty slot
 }
 
 // sysMetrics holds the facility's registered metric handles. All handles
@@ -103,15 +78,6 @@ func (s *System) SetMetrics(reg *metrics.Registry) {
 	s.met.xsockProbes = reg.Counter("asf/xsock_probes")
 }
 
-type protState struct {
-	readers uint64 // cores monitoring the line (read or write set; 64-core cap)
-	writer  int8   // core holding it speculatively modified, or -1
-}
-
-// quiescent reports an entry no region protects: every probe reads it like
-// an absent one.
-func (p *protState) quiescent() bool { return p.readers == 0 && p.writer < 0 }
-
 // Install builds the ASF system for machine m with the given implementation
 // variant and hooks it into the simulator. Each core's Unit is registered
 // as its speculative unit.
@@ -119,7 +85,7 @@ func Install(m *sim.Machine, v Variant) *System {
 	s := &System{
 		m:       m,
 		variant: v,
-		prot:    make(map[mem.Addr]*protState),
+		prot:    cache.NewDirectory(),
 	}
 	if tp := m.Config().Topology; tp.Sockets > 1 {
 		s.coresPer = tp.CoresPerSocket
@@ -140,73 +106,6 @@ func (s *System) Variant() Variant { return s.variant }
 
 // Unit returns core i's speculative unit.
 func (s *System) Unit(i int) *Unit { return s.units[i] }
-
-// protFor returns line's directory entry, materialising it when the line
-// has none. Before it inserts into a map that has doubled since the last
-// purge (and holds at least protChunk entries), it purges.
-func (s *System) protFor(line mem.Addr) *protState {
-	e := &s.pcache[int(line>>mem.LineShift)&(pcacheSlots-1)]
-	if e.p != nil && e.line == line {
-		return e.p
-	}
-	p, ok := s.prot[line]
-	if !ok {
-		if len(s.prot) >= max(2*s.protKeep, protChunk) {
-			s.purge()
-		}
-		if n := len(s.protSpare); n > 0 {
-			p, s.protSpare = s.protSpare[n-1], s.protSpare[:n-1]
-		} else {
-			if len(s.protFree) == 0 {
-				s.protFree = make([]protState, protChunk)
-			}
-			p, s.protFree = &s.protFree[0], s.protFree[1:]
-		}
-		p.writer = -1
-		s.prot[line] = p
-	}
-	e.line, e.p = line, p
-	return p
-}
-
-// purge deletes every quiescent entry from prot and keeps it in protSpare
-// for reuse, and empties the pcache, whose pointers may name those
-// entries. protSpare is sized once, to hold what it has and what the
-// purge adds.
-func (s *System) purge() {
-	dead := 0
-	for _, p := range s.prot {
-		if p.quiescent() {
-			dead++
-		}
-	}
-	if n := len(s.protSpare) + dead; cap(s.protSpare) < n {
-		s.protSpare = append(make([]*protState, 0, n), s.protSpare...)
-	}
-	for line, p := range s.prot {
-		if p.quiescent() {
-			delete(s.prot, line)
-			s.protSpare = append(s.protSpare, p)
-		}
-	}
-	s.protKeep = len(s.prot)
-	s.pcache = [pcacheSlots]pcacheEnt{}
-}
-
-// protLookup is protFor without materialisation: nil means the line has
-// no entry, which every caller treats like a quiescent one.
-func (s *System) protLookup(line mem.Addr) *protState {
-	e := &s.pcache[int(line>>mem.LineShift)&(pcacheSlots-1)]
-	if e.p != nil && e.line == line {
-		return e.p
-	}
-	p, ok := s.prot[line]
-	if !ok {
-		return nil
-	}
-	e.line, e.p = line, p
-	return p
-}
 
 // chargeProbe adds the cross-socket latency of one conflict-abort probe
 // when requester and victim sit on different sockets.
@@ -235,13 +134,13 @@ func (s *System) onAccess(c *sim.CPU, addr mem.Addr, f sim.Flags) {
 		// speculative marks flash-clear — before this access's fills
 		// and invalidations can displace the marks (which would
 		// misreport contention as capacity).
-		if p := s.protLookup(line); p != nil {
-			if w := int(p.writer); w >= 0 && w != self {
+		if p := s.prot.Find(line); p != nil {
+			if w := p.Owner(); w >= 0 && w != self {
 				s.chargeProbe(c, self, w)
 				s.units[w].asyncAbortFrom(sim.AbortContention, self, line)
 			}
 			if write {
-				rd := p.readers &^ (1 << uint(self))
+				rd := p.Holders &^ (1 << uint(self))
 				for o := 0; rd != 0; o, rd = o+1, rd>>1 {
 					if rd&1 != 0 {
 						s.chargeProbe(c, self, o)
@@ -270,7 +169,6 @@ func (s *System) onAccess(c *sim.CPU, addr mem.Addr, f sim.Flags) {
 	}
 
 	// The region is active on this core (tracking phase).
-	p := s.protLookup(line)
 	switch {
 	case locked && write:
 		u.trackWrite(line)
@@ -281,11 +179,13 @@ func (s *System) onAccess(c *sim.CPU, addr mem.Addr, f sim.Flags) {
 		// modified the line, that is the colocation error ASF raises an
 		// exception for. If the line is only in the read set, ASF
 		// hoists the store into the transactional set.
-		if p != nil && int(p.writer) == self {
-			c.RaiseAbort(sim.AbortDisallowed, 0)
-		}
-		if p != nil && p.readers&(1<<uint(self)) != 0 {
-			u.trackWrite(line) // hoisting
+		if p := s.prot.Find(line); p != nil {
+			if p.Owner() == self {
+				c.RaiseAbort(sim.AbortDisallowed, 0)
+			}
+			if p.Holders&(1<<uint(self)) != 0 {
+				u.trackWrite(line) // hoisting
+			}
 		}
 	default:
 		// Plain load: never tracked; reads current (possibly
@@ -307,27 +207,11 @@ func (s *System) onEvict(core int, line mem.Addr, specRead bool) {
 	}
 }
 
-// abortAll aborts every active region except the one on core except
-// (pass -1 to abort all). Used by the serial-irrevocable fallback test
-// helpers and by lock-elision style code.
-func (s *System) abortAll(except int) {
-	for i, u := range s.units {
-		if i != except && u.active {
-			u.asyncAbort(sim.AbortContention)
-		}
-	}
-}
-
 // ProtectedLines returns how many lines are currently protected machine-
-// wide (diagnostics and tests). Quiescent directory entries, which stay
-// until the next purge, do not count.
+// wide (diagnostics and tests). Neutral directory slots, which stay until
+// the next purge, do not count.
 func (s *System) ProtectedLines() int {
-	n := 0
-	for _, p := range s.prot {
-		if !p.quiescent() {
-			n++
-		}
-	}
+	n, _ := s.prot.Live()
 	return n
 }
 
@@ -340,8 +224,8 @@ func (s *System) ProtectedLines() int {
 func (s *System) Monitors(c *sim.CPU, a mem.Addr) int {
 	n := 0
 	c.SpecOp(0, func() {
-		if p := s.protLookup(a.Line()); p != nil {
-			rd := p.readers &^ (1 << uint(c.ID()))
+		if p := s.prot.Find(a.Line()); p != nil {
+			rd := p.Holders &^ (1 << uint(c.ID()))
 			for ; rd != 0; rd >>= 1 {
 				n += int(rd & 1)
 			}

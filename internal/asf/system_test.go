@@ -9,13 +9,14 @@ import (
 
 // TestProtDirectoryFollowsProtectedLines: the protection directory holds
 // the lines live regions protect, not every line ever protected. One core
-// runs 100 regions that each read and write 200 fresh lines; after every
-// region the directory holds at most twice the largest protected set plus
-// protChunk entries, where keeping every line would reach 20,000.
+// runs 100 regions that each read and write 200 fresh lines; the directory
+// must keep its initial 1,024 slots throughout, where keeping every line
+// would double it five times.
 func TestProtDirectoryFollowsProtectedLines(t *testing.T) {
 	const regions, lines = 100, 200
 	m, s := testSystem(t, 1, LLB256)
-	high := 0
+	_, initial := s.prot.Live()
+	high := initial
 	m.Run(func(c *sim.CPU) {
 		u := s.Unit(0)
 		for r := 0; r < regions; r++ {
@@ -31,7 +32,8 @@ func TestProtDirectoryFollowsProtectedLines(t *testing.T) {
 						}
 					}
 				})
-				high = max(high, len(s.prot))
+				_, slots := s.prot.Live()
+				high = max(high, slots)
 				if reason == sim.AbortNone {
 					break
 				}
@@ -41,79 +43,78 @@ func TestProtDirectoryFollowsProtectedLines(t *testing.T) {
 			}
 		}
 	})
-	t.Logf("directory high-water mark %d entries over %d protected lines", high, regions*lines)
-	if bound := 2*lines + protChunk; high > bound {
-		t.Fatalf("directory reached %d entries, want at most %d", high, bound)
+	t.Logf("directory high-water mark %d slots over %d protected lines", high, regions*lines)
+	if initial != 1024 || high != initial {
+		t.Fatalf("directory grew from %d to %d slots, want 1024 throughout", initial, high)
 	}
 	if n := s.ProtectedLines(); n != 0 {
 		t.Fatalf("%d lines still protected after the last commit", n)
 	}
 }
 
-// TestProtPurgeKeepsConflicts: a purge recycles quiescent entries, so it
-// must empty the pcache, whose pointers may name them. A and B share a
-// pcache slot, and D has a slot of its own. Core 0 protects A and D and
-// commits, so both go quiescent with cached pointers. Core 1 then protects
-// protChunk-2 fresh lines and B, whose insert purges and takes one of the
-// two recycled entries; it also overwrites A's cached pointer, but not D's.
-// Afterwards neither A nor D has an entry, and a conflicting write to A
-// still aborts a core-0 region that reads it.
+// TestProtPurgeKeepsConflicts: a purge drops only lines no region protects.
+// Core 0's long region writes A. Meanwhile core 1's regions read 1,600
+// fresh lines: the table holds 768 lines before an insert must purge, and
+// a purge keeps A, so a table that keeps its 1,024 slots has purged at
+// least twice. A must keep its slot, owned by core 0, and a plain store to
+// A from core 1 must still abort core 0's region. One line is protected
+// while core 0's region runs, and none once the store has rolled it back.
 func TestProtPurgeKeepsConflicts(t *testing.T) {
 	const (
-		a    = mem.Addr(0x10000)
-		b    = a + pcacheSlots*mem.LineSize
-		d    = a + mem.LineSize
-		fill = mem.Addr(0x40000) // pcache slots 0 up to protChunk-3
+		a       = mem.Addr(0x10000)
+		fill    = mem.Addr(0x40000)
+		regions = 16
+		lines   = 100 // per region; 16 × 100 = 1,600 fresh lines
 	)
 	m, s := testSystem(t, 2, LLB256)
-	m.Run(func(c *sim.CPU) {
-		u := s.Unit(0)
-		u.Region(func() {
-			u.Load(a)
-			u.Load(d)
-		})
-	})
-	pa, pd := s.protLookup(a), s.protLookup(d)
-	if pa == nil || pd == nil || !pa.quiescent() || !pd.quiescent() {
-		t.Fatalf("after core 0's commit: entries %p and %p, want two quiescent ones", pa, pd)
-	}
-	m.Run(func(*sim.CPU) {}, func(c *sim.CPU) {
-		u := s.Unit(1)
-		u.Region(func() {
-			for i := 0; i < protChunk-2; i++ {
-				u.Load(fill + mem.Addr(i*mem.LineSize))
-			}
-			if len(s.prot) != protChunk {
-				t.Fatalf("%d directory entries before B, want %d", len(s.prot), protChunk)
-			}
-			u.Load(b)
-		})
-	})
-	if pb := s.prot[b]; pb != pa && pb != pd {
-		t.Fatalf("B's entry %p is neither of the purged entries %p and %p", pb, pa, pd)
-	}
-	if p := s.protLookup(a); p != nil {
-		t.Fatalf("protLookup(A) = %p after the purge, want nil", p)
-	}
-	if p := s.protLookup(d); p != nil {
-		t.Fatalf("protLookup(D) = %p after the purge, want nil", p)
-	}
+	_, initial := s.prot.Live()
 	var reason sim.AbortReason
 	m.Run(
 		func(c *sim.CPU) {
 			u := s.Unit(0)
 			reason, _ = u.Region(func() {
-				u.Load(a)
-				c.Cycles(100_000) // stay inside while core 1 writes A
+				u.Store(a, 1)
+				c.Cycles(1_500_000) // stay inside while core 1 streams, below the 2.2M-cycle timer tick
 				u.Load(a)
 			})
 		},
 		func(c *sim.CPU) {
 			c.Cycles(10_000)
-			c.Store(a, 1)
+			u := s.Unit(1)
+			for r := 0; r < regions; r++ {
+				if why, _ := u.Region(func() {
+					for i := 0; i < lines; i++ {
+						u.Load(fill + mem.Addr((r*lines+i)*mem.LineSize))
+					}
+				}); why != sim.AbortNone {
+					t.Errorf("core 1's region %d aborted: %v", r, why)
+					return
+				}
+			}
+			c.SpecOp(0, func() {
+				if _, slots := s.prot.Live(); slots != initial {
+					t.Errorf("directory grew from %d to %d slots over %d fresh lines", initial, slots, regions*lines)
+				}
+				if p := s.prot.Find(a); p == nil || p.Owner() != 0 || p.Holders != 1 {
+					t.Errorf("A's slot after the purges = %+v, want core 0 as owner and only holder", p)
+				}
+				if n := s.ProtectedLines(); n != 1 {
+					t.Errorf("%d lines protected during core 0's region, want 1", n)
+				}
+			})
+			t.Logf("core 1 ended its stream at cycle %d", c.Now())
+			c.Store(a, 2)
+			c.SpecOp(0, func() {
+				if n := s.ProtectedLines(); n != 0 {
+					t.Errorf("%d lines protected after the store rolled core 0 back, want 0", n)
+				}
+			})
 		},
 	)
 	if reason != sim.AbortContention {
-		t.Fatalf("core 0's region read A and ended with %v after core 1 wrote A, want contention", reason)
+		t.Fatalf("core 0's region wrote A and ended with %v after core 1 wrote A, want contention", reason)
+	}
+	if n := s.ProtectedLines(); n != 0 {
+		t.Fatalf("%d lines protected after core 0's region, want 0", n)
 	}
 }

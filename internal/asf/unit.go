@@ -1,17 +1,16 @@
 package asf
 
 import (
+	"asfstack/internal/cache"
 	"asfstack/internal/mem"
 	"asfstack/internal/sim"
 )
 
 // llbEntry is one locked-line-buffer slot: the address of a protected line
-// (with its directory entry, cached so region end never touches the
-// directory map) and, when the line has been speculatively modified, the
-// backup copy that is written back on abort.
+// and, when the line has been speculatively modified, the backup copy that
+// is written back on abort.
 type llbEntry struct {
 	line    mem.Addr
-	p       *protState
 	written bool
 	backup  [mem.WordsPerLine]mem.Word
 }
@@ -30,8 +29,8 @@ type Unit struct {
 	depth  int
 
 	llb        []llbEntry
-	writeCount int                     // written lines (llb or cache)
-	readSet    map[mem.Addr]*protState // hybrid/cache variants: read lines marked in L1
+	writeCount int                   // written lines (llb or cache)
+	readSet    map[mem.Addr]struct{} // hybrid/cache variants: read lines marked in L1
 	// cacheWrites holds backups for the pure cache-based variant, whose
 	// write set lives in L1 speculative bits instead of an LLB.
 	cacheWrites map[mem.Addr]*[mem.WordsPerLine]mem.Word
@@ -53,7 +52,7 @@ func newUnit(s *System, c *sim.CPU) *Unit {
 		sys:         s,
 		c:           c,
 		llb:         make([]llbEntry, 0, s.variant.LLBEntries),
-		readSet:     make(map[mem.Addr]*protState),
+		readSet:     make(map[mem.Addr]struct{}),
 		cacheWrites: make(map[mem.Addr]*[mem.WordsPerLine]mem.Word),
 		lastBy:      sim.NoCore,
 		lastAddr:    sim.NoAddr,
@@ -62,9 +61,6 @@ func newUnit(s *System, c *sim.CPU) *Unit {
 
 // Active reports whether a speculative region is in flight (sim.SpecUnit).
 func (u *Unit) Active() bool { return u.active }
-
-// CPU returns the core this unit belongs to.
-func (u *Unit) CPU() *sim.CPU { return u.c }
 
 // LastSetSizes returns the read/write-set sizes (in lines) of the region
 // that most recently ended — committed or rolled back — on this unit.
@@ -152,15 +148,7 @@ func (u *Unit) commit() {
 		if !u.active {
 			panic("asf: COMMIT outside a speculative region")
 		}
-		for i := range u.llb {
-			u.releaseProt(u.llb[i].p)
-		}
-		for _, p := range u.readSet {
-			u.releaseProt(p)
-		}
-		for line := range u.cacheWrites {
-			u.clearProt(line)
-		}
+		u.releaseAll()
 		if u.sys.variant.L1ReadSet {
 			u.sys.m.Hier.FlashClearSpecRead(u.c.ID())
 		}
@@ -182,16 +170,12 @@ func (u *Unit) rollback(reason sim.AbortReason) {
 	u.doRollback(reason)
 }
 
-// asyncAbort rolls the region back immediately and posts the abort for
-// delivery at the core's next operation. Runs on the *aborting* core's
-// goroutine (or this core's own OS-event path) with the turn held.
-func (u *Unit) asyncAbort(reason sim.AbortReason) {
-	u.asyncAbortFrom(reason, sim.NoCore, sim.NoAddr)
-}
-
-// asyncAbortFrom is asyncAbort carrying the causality edge: the aborting
-// core and the conflicting (or displaced) line, delivered to the victim
-// through its pending-abort state for the flight recorder.
+// asyncAbortFrom rolls the region back immediately and posts the abort for
+// delivery at the core's next operation, with the causality edge: the
+// aborting core and the conflicting (or displaced) line, delivered to the
+// victim through its pending-abort state for the flight recorder. Runs on
+// the *aborting* core's goroutine (or this core's own OS-event path) with
+// the turn held.
 func (u *Unit) asyncAbortFrom(reason sim.AbortReason, by int, line mem.Addr) {
 	if !u.active {
 		return
@@ -202,7 +186,9 @@ func (u *Unit) asyncAbortFrom(reason sim.AbortReason, by int, line mem.Addr) {
 
 // AsyncAbort implements sim.SpecUnit for OS events (interrupts, faults,
 // system calls).
-func (u *Unit) AsyncAbort(reason sim.AbortReason) { u.asyncAbort(reason) }
+func (u *Unit) AsyncAbort(reason sim.AbortReason) {
+	u.asyncAbortFrom(reason, sim.NoCore, sim.NoAddr)
+}
 
 func (u *Unit) doRollback(reason sim.AbortReason) {
 	hier := u.sys.m.Hier
@@ -215,16 +201,12 @@ func (u *Unit) doRollback(reason sim.AbortReason) {
 			memory.StoreLine(e.line, &e.backup)
 			hier.Drop(u.c.ID(), e.line)
 		}
-		u.releaseProt(e.p)
-	}
-	for _, p := range u.readSet {
-		u.releaseProt(p)
 	}
 	for line, backup := range u.cacheWrites {
 		memory.StoreLine(line, backup)
 		hier.Drop(u.c.ID(), line)
-		u.clearProt(line)
 	}
+	u.releaseAll()
 	if u.sys.variant.L1ReadSet {
 		hier.FlashClearSpecRead(u.c.ID())
 	}
@@ -257,19 +239,19 @@ func (u *Unit) reset() {
 	u.depth = 0
 }
 
-// releaseProt drops this core's marks from a directory entry. The entry
-// itself stays in the directory until a purge (see System.prot); a
-// quiescent entry is indistinguishable from an absent one to every probe.
-func (u *Unit) releaseProt(p *protState) {
-	p.readers &^= 1 << uint(u.c.ID())
-	if int(p.writer) == u.c.ID() {
-		p.writer = -1
+// releaseAll drops this core's marks from every line the region protects.
+// A released slot stays in the directory until a purge (see System.prot);
+// a neutral slot is indistinguishable from an absent one to every probe.
+func (u *Unit) releaseAll() {
+	prot, id := &u.sys.prot, u.c.ID()
+	for i := range u.llb {
+		prot.Release(id, u.llb[i].line)
 	}
-}
-
-func (u *Unit) clearProt(line mem.Addr) {
-	if p := u.sys.protLookup(line); p != nil {
-		u.releaseProt(p)
+	for line := range u.readSet {
+		prot.Release(id, line)
+	}
+	for line := range u.cacheWrites {
+		prot.Release(id, line)
 	}
 }
 
@@ -304,30 +286,31 @@ func (u *Unit) Release(a mem.Addr) {
 				if e.written {
 					return // cannot release a written line
 				}
-				p := e.p
 				u.llb[i] = u.llb[len(u.llb)-1]
 				u.llb = u.llb[:len(u.llb)-1]
-				u.releaseProt(p)
+				u.sys.prot.Release(u.c.ID(), line)
 				return
 			}
 		}
 		if _, written := u.cacheWrites[line]; written {
 			return // cannot release a written line
 		}
-		if p, ok := u.readSet[line]; ok {
+		if _, ok := u.readSet[line]; ok {
 			delete(u.readSet, line)
 			u.sys.m.Hier.SetSpecRead(u.c.ID(), line, false)
-			u.releaseProt(p)
+			u.sys.prot.Release(u.c.ID(), line)
 		}
 	})
 }
 
 // --- tracking (called from the access hook, turn held) --------------------
 
+// trackRead and trackWrite are the directory's only inserters, and
+// neither inserts again before its last use of p, so p stays valid.
 func (u *Unit) trackRead(line mem.Addr) {
-	p := u.sys.protFor(line)
+	p := u.sys.prot.GetOrInsert(line)
 	bit := uint64(1) << uint(u.c.ID())
-	if p.readers&bit != 0 || int(p.writer) == u.c.ID() {
+	if p.Holders&bit != 0 || p.Owner() == u.c.ID() {
 		return // already protected by this region
 	}
 	if u.sys.variant.ASF1 && u.writeCount > 0 {
@@ -339,24 +322,24 @@ func (u *Unit) trackRead(line mem.Addr) {
 		if !u.sys.m.Hier.SetSpecRead(u.c.ID(), line, true) {
 			u.c.RaiseAbortAt(sim.AbortCapacity, 0, line)
 		}
-		u.readSet[line] = p
+		u.readSet[line] = struct{}{}
 	} else {
 		if len(u.llb) == cap(u.llb) {
 			u.c.RaiseAbortAt(sim.AbortCapacity, 0, line)
 		}
-		u.llb = append(u.llb, llbEntry{line: line, p: p})
+		u.llb = append(u.llb, llbEntry{line: line})
 		u.sys.met.llbHigh.High(u.c.ID(), uint64(len(u.llb)))
 	}
-	p.readers |= bit
+	p.Holders |= bit
 }
 
 func (u *Unit) trackWrite(line mem.Addr) {
-	p := u.sys.protFor(line)
+	p := u.sys.prot.GetOrInsert(line)
 	bit := uint64(1) << uint(u.c.ID())
-	if int(p.writer) == u.c.ID() {
+	if p.Owner() == u.c.ID() {
 		return // already in the write set
 	}
-	if u.sys.variant.ASF1 && u.writeCount > 0 && p.readers&bit == 0 {
+	if u.sys.variant.ASF1 && u.writeCount > 0 && p.Holders&bit == 0 {
 		// ASF1: no new protected lines after the atomic phase starts.
 		u.c.RaiseAbort(sim.AbortDisallowed, 0)
 	}
@@ -377,7 +360,7 @@ func (u *Unit) trackWrite(line mem.Addr) {
 			(!u.sys.variant.L1ReadSet && len(u.llb) == cap(u.llb)) {
 			u.c.RaiseAbortAt(sim.AbortCapacity, 0, line)
 		}
-		u.llb = append(u.llb, llbEntry{line: line, p: p})
+		u.llb = append(u.llb, llbEntry{line: line})
 		u.sys.met.llbHigh.High(u.c.ID(), uint64(len(u.llb)))
 		e = &u.llb[len(u.llb)-1]
 	}
@@ -393,15 +376,15 @@ func (u *Unit) trackWrite(line mem.Addr) {
 			u.sys.m.Hier.SetSpecRead(u.c.ID(), line, false)
 		}
 	}
-	p.readers |= bit
-	p.writer = int8(u.c.ID())
+	p.Holders |= bit
+	p.SetOwner(u.c.ID())
 }
 
 // trackWriteCache implements the pure cache-based variant's write path:
 // the line's speculative mark lives in L1 (so displacement aborts), and
 // the pre-transaction data is backed up for rollback — the write-back to a
 // backup location §2.3 describes for dirty lines.
-func (u *Unit) trackWriteCache(line mem.Addr, p *protState, bit uint64) {
+func (u *Unit) trackWriteCache(line mem.Addr, p *cache.LineState, bit uint64) {
 	if !u.sys.m.Hier.SetSpecRead(u.c.ID(), line, true) {
 		u.c.RaiseAbortAt(sim.AbortCapacity, 0, line)
 	}
@@ -410,6 +393,6 @@ func (u *Unit) trackWriteCache(line mem.Addr, p *protState, bit uint64) {
 	u.cacheWrites[line] = &backup
 	u.writeCount++
 	delete(u.readSet, line) // now tracked as a write
-	p.readers |= bit
-	p.writer = int8(u.c.ID())
+	p.Holders |= bit
+	p.SetOwner(u.c.ID())
 }

@@ -19,8 +19,8 @@ func TestPackedEntrySizes(t *testing.T) {
 	if n := unsafe.Sizeof(tlbEntry{}); n != 16 {
 		t.Errorf("tlbEntry is %d bytes, want 16", n)
 	}
-	if n := unsafe.Sizeof(lineState{}); n != 16 {
-		t.Errorf("lineState is %d bytes, want 16", n)
+	if n := unsafe.Sizeof(LineState{}); n != 16 {
+		t.Errorf("LineState is %d bytes, want 16", n)
 	}
 }
 

@@ -180,7 +180,7 @@ type Hierarchy struct {
 	cores []coreCaches
 	l3s   []array // one slice per socket; index 0 is the whole L3 when single-socket
 	pool  blockPool
-	dir   dirTable
+	dir   Directory
 	stats []Stats
 
 	sockets  int // ≥ 1
@@ -217,6 +217,7 @@ func New(n int, cfg Config) *Hierarchy {
 		cfg:      cfg,
 		cores:    make([]coreCaches, n),
 		l3s:      make([]array, sockets),
+		dir:      NewDirectory(),
 		stats:    make([]Stats, n),
 		sockets:  sockets,
 		coresPer: n / sockets,
@@ -224,7 +225,6 @@ func New(n int, cfg Config) *Hierarchy {
 	for s := range h.l3s {
 		h.l3s[s] = newArray(cfg.L3Size, cfg.L3Assoc, &h.pool)
 	}
-	h.dir.init()
 	for i := range h.cores {
 		h.cores[i] = coreCaches{
 			l1:   newArray(cfg.L1Size, cfg.L1Assoc, &h.pool),
@@ -271,9 +271,10 @@ func (h *Hierarchy) homeSlice(line mem.Addr) *array { return &h.l3s[h.homeSock(l
 // one when it has none. It is the only call that inserts, and so the only
 // one that may purge or grow the directory and move its slots. Access calls
 // it once, before any other directory use; every later site only clears
-// bits and uses find, so the pointer stays valid for the rest of the access.
-func (h *Hierarchy) state(line mem.Addr) *lineState {
-	return h.dir.getOrInsert(line)
+// bits through Find or Release, so the pointer stays valid for the rest of
+// the access.
+func (h *Hierarchy) state(line mem.Addr) *LineState {
+	return h.dir.GetOrInsert(line)
 }
 
 // Access simulates core c touching addr (write=true for stores) and returns
@@ -323,7 +324,7 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 	// home directory; when that home — or a dirty owner — sits on another
 	// socket, the access pays XSockLat per boundary crossed.
 	mySock := h.sockOf(c)
-	owner := ls.owner()
+	owner := ls.Owner()
 	switch {
 	case cc.l2.lookup(line) != nil:
 		res.Level = L2
@@ -373,19 +374,19 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 	// Install in the private hierarchy. Nothing since state() inserted into
 	// the directory, so ls still points at line's slot.
 	h.fillPrivate(c, line, write)
-	ls.holders |= mask
+	ls.Holders |= mask
 	if write {
-		ls.setOwner(c)
+		ls.SetOwner(c)
 	}
 	return res
 }
 
 // upgrade obtains write permission: invalidates all other private copies.
 // Returns extra latency if any probe was needed.
-func (h *Hierarchy) upgrade(c int, line mem.Addr, ls *lineState) uint64 {
+func (h *Hierarchy) upgrade(c int, line mem.Addr, ls *LineState) uint64 {
 	var cost uint64
-	others := ls.holders &^ (1 << uint(c))
-	owner := ls.owner()
+	others := ls.Holders &^ (1 << uint(c))
+	owner := ls.Owner()
 	if others != 0 || (owner >= 0 && owner != c) {
 		cost = h.cfg.L1Lat * 8 // invalidation probe round-trip
 		if h.sockets > 1 {
@@ -412,11 +413,11 @@ func (h *Hierarchy) upgrade(c int, line mem.Addr, ls *lineState) uint64 {
 		others >>= 1
 	}
 	// Re-read the owner: invalidating it as a holder above cleared it.
-	if o := ls.owner(); o >= 0 && o != c {
+	if o := ls.Owner(); o >= 0 && o != c {
 		h.downgrade(o, line, true)
 	}
-	ls.holders &= 1 << uint(c)
-	ls.setOwner(c)
+	ls.Holders &= 1 << uint(c)
+	ls.SetOwner(c)
 	return cost
 }
 
@@ -424,8 +425,8 @@ func (h *Hierarchy) upgrade(c int, line mem.Addr, ls *lineState) uint64 {
 // written back (to the line's home L3 slice in this model). If forWrite,
 // the copy is invalidated.
 func (h *Hierarchy) downgrade(o int, line mem.Addr, forWrite bool) {
-	if ls := h.dir.find(line); ls != nil && ls.owner() == o {
-		ls.setOwner(-1)
+	if ls := h.dir.Find(line); ls != nil && ls.Owner() == o {
+		ls.SetOwner(-1)
 	}
 	h.fill(h.homeSlice(line), line)
 	if forWrite {
@@ -451,7 +452,7 @@ func (h *Hierarchy) invalidate(o int, line mem.Addr) {
 		h.cores[o].l1.remove(line)
 	}
 	h.cores[o].l2.remove(line)
-	h.release(o, line)
+	h.dir.Release(o, line)
 	h.stats[o].Evictions++
 	if h.onEvict != nil {
 		h.onEvict(o, line, spec)
@@ -489,8 +490,8 @@ func (h *Hierarchy) fillPrivate(c int, line mem.Addr, dirty bool) {
 			}
 			// Only the holder bit goes: a dirty line keeps its owner, and
 			// its slot with it.
-			if ls := h.dir.find(vl); ls != nil {
-				ls.holders &^= 1 << uint(c)
+			if ls := h.dir.Find(vl); ls != nil {
+				ls.Holders &^= 1 << uint(c)
 			}
 		}
 	}
@@ -513,21 +514,10 @@ func (h *Hierarchy) dropFromPrivate(c int, v entry) {
 		return
 	}
 	h.fill(h.homeSlice(vl), vl)
-	h.release(c, vl)
+	h.dir.Release(c, vl)
 	h.stats[c].Evictions++
 	if h.onEvict != nil {
 		h.onEvict(c, vl, v.specRead())
-	}
-}
-
-// release clears core c's holder bit and ownership of line, which has
-// left c's private caches. A line without a directory slot has neither.
-func (h *Hierarchy) release(c int, line mem.Addr) {
-	if ls := h.dir.find(line); ls != nil {
-		ls.holders &^= 1 << uint(c)
-		if ls.owner() == c {
-			ls.setOwner(-1)
-		}
 	}
 }
 
@@ -567,7 +557,7 @@ func (h *Hierarchy) Drop(c int, line mem.Addr) {
 	line = line.Line()
 	h.cores[c].l1.remove(line)
 	h.cores[c].l2.remove(line)
-	h.release(c, line)
+	h.dir.Release(c, line)
 }
 
 func (h *Hierarchy) tlbLookup(c int, page mem.Addr) uint64 {
@@ -600,7 +590,7 @@ func (h *Hierarchy) FlushPrivate(c int) {
 		h.fill(h.homeSlice(line), line)
 		cc.l1.remove(line)
 		cc.l2.remove(line)
-		h.release(c, line)
+		h.dir.Release(c, line)
 	}
 }
 

@@ -228,7 +228,7 @@ func TestUpgradeInvalidatesOwnerOnce(t *testing.T) {
 	const x = mem.Addr(0x5000)
 	h.Access(1, x, false)
 	h.cores[1].l1.remove(x)
-	h.state(x).holders &^= 1 << 1
+	h.state(x).Holders &^= 1 << 1
 	h.Access(0, x, true) // core 0 owns x dirty; core 1's L2 copy survives
 	if r := h.Access(1, x, true); r.Level != L2 {
 		t.Fatalf("write served from %v, want L2", r.Level)
@@ -236,7 +236,7 @@ func TestUpgradeInvalidatesOwnerOnce(t *testing.T) {
 	if n := h.Stats(0).Evictions; n != 1 {
 		t.Fatalf("core 0 counted %d evictions, want 1", n)
 	}
-	if ls := h.state(x); ls.owner() != 1 || ls.holders != 1<<1 {
-		t.Fatalf("after the upgrade: owner %d, holders %b; want owner 1, holders 10", ls.owner(), ls.holders)
+	if ls := h.state(x); ls.Owner() != 1 || ls.Holders != 1<<1 {
+		t.Fatalf("after the upgrade: owner %d, holders %b; want owner 1, holders 10", ls.Owner(), ls.Holders)
 	}
 }

@@ -15,8 +15,7 @@ import (
 // one below mem.MaxAddr. Line 0 gets no owner and no holders, so it is
 // neutral.
 func TestDirTableGrowthPreservesState(t *testing.T) {
-	var d dirTable
-	d.init()
+	d := NewDirectory()
 	n := dirMinSlots * 2 // guarantees two growth steps
 	line := func(i int) mem.Addr {
 		if i == 1 {
@@ -26,35 +25,35 @@ func TestDirTableGrowthPreservesState(t *testing.T) {
 	}
 	owner := func(i int) int { return i%65 - 1 }
 	for i := 0; i < n; i++ {
-		s := d.getOrInsert(line(i))
-		if s.owner() != -1 || s.holders != 0 || s.line() != line(i) {
+		s := d.GetOrInsert(line(i))
+		if s.Owner() != -1 || s.Holders != 0 || s.line() != line(i) {
 			t.Fatalf("line %v: fresh state = {line:%v holders:%d owner:%d}, want neutral",
-				line(i), s.line(), s.holders, s.owner())
+				line(i), s.line(), s.Holders, s.Owner())
 		}
-		s.setOwner(owner(i))
-		s.holders = uint64(i)
+		s.SetOwner(owner(i))
+		s.Holders = uint64(i)
 	}
 	if len(d.slots) != dirMinSlots*4 {
 		t.Fatalf("%d slots after %d inserts, want %d", len(d.slots), n, dirMinSlots*4)
 	}
 	for i := 0; i < n; i++ {
-		s := d.find(line(i))
+		s := d.Find(line(i))
 		if i == 0 {
 			if s != nil && !s.neutral() {
-				t.Fatalf("neutral line 0 found as {holders:%d owner:%d}", s.holders, s.owner())
+				t.Fatalf("neutral line 0 found as {holders:%d owner:%d}", s.Holders, s.Owner())
 			}
 			continue
 		}
 		if s == nil {
 			t.Fatalf("live line %v lost", line(i))
 		}
-		if s.owner() != owner(i) || s.holders != uint64(i) || s.line() != line(i) {
+		if s.Owner() != owner(i) || s.Holders != uint64(i) || s.line() != line(i) {
 			t.Fatalf("line %v: state after growth = {line:%v holders:%d owner:%d}, want {holders:%d owner:%d}",
-				line(i), s.line(), s.holders, s.owner(), i, owner(i))
+				line(i), s.line(), s.Holders, s.Owner(), i, owner(i))
 		}
-		s.setOwner(-1)
-		if s.owner() != -1 || s.line() != line(i) {
-			t.Fatalf("line %v: clearing owner %d left {line:%v owner:%d}", line(i), owner(i), s.line(), s.owner())
+		s.SetOwner(-1)
+		if s.Owner() != -1 || s.line() != line(i) {
+			t.Fatalf("line %v: clearing owner %d left {line:%v owner:%d}", line(i), owner(i), s.line(), s.Owner())
 		}
 	}
 	if occ := occupied(&d); d.used != occ || d.used < n-1 {
@@ -63,7 +62,7 @@ func TestDirTableGrowthPreservesState(t *testing.T) {
 }
 
 // occupied counts d's non-empty slots.
-func occupied(d *dirTable) int {
+func occupied(d *Directory) int {
 	n := 0
 	for i := range d.slots {
 		if d.slots[i].key != 0 {
@@ -76,12 +75,11 @@ func occupied(d *dirTable) int {
 // TestDirTableLineZero: line 0 is a real address (the key encoding must not
 // confuse it with an empty slot).
 func TestDirTableLineZero(t *testing.T) {
-	var d dirTable
-	d.init()
-	s := d.getOrInsert(0)
-	s.setOwner(3)
-	if got := d.getOrInsert(0); got.owner() != 3 {
-		t.Fatalf("line 0 state lost: owner %d", got.owner())
+	d := NewDirectory()
+	s := d.GetOrInsert(0)
+	s.SetOwner(3)
+	if got := d.GetOrInsert(0); got.Owner() != 3 {
+		t.Fatalf("line 0 state lost: owner %d", got.Owner())
 	}
 	if d.used != 1 {
 		t.Fatalf("used = %d, want 1", d.used)
@@ -92,14 +90,13 @@ func TestDirTableLineZero(t *testing.T) {
 // beyond mem.MaxAddr, so tracking one panics rather than aliasing a low
 // line.
 func TestDirTableRejectsMaxAddr(t *testing.T) {
-	var d dirTable
-	d.init()
+	d := NewDirectory()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a line at mem.MaxAddr was tracked")
 		}
 	}()
-	d.getOrInsert(mem.MaxAddr)
+	d.GetOrInsert(mem.MaxAddr)
 }
 
 // TestCoherenceSurvivesDirGrowth drives growth and purges through the
@@ -182,7 +179,7 @@ func TestDirectoryHoldsL1Lines(t *testing.T) {
 			}
 			for core := range h.cores {
 				h.cores[core].l1.forEach(func(e *entry) {
-					if ls := h.dir.find(e.line()); ls == nil || ls.holders&(1<<core) == 0 {
+					if ls := h.dir.Find(e.line()); ls == nil || ls.Holders&(1<<core) == 0 {
 						t.Fatalf("seed %d step %d: core %d holds %v in L1 without its directory holder bit (slot %v)",
 							seed, step, core, e.line(), ls)
 					}
@@ -215,20 +212,20 @@ type dirModel struct {
 	owner   int
 }
 
-// FuzzDirTable drives dirTable directly against a map model. Each 4-byte
+// FuzzDirTable drives a Directory directly against a map model. Each 4-byte
 // operation is an opcode, a 2-byte key and an argument:
 //
-//	0 run of a+1 getOrInsert calls from key k (neutral inserts)
-//	1 getOrInsert(k), set holder bit a%64
-//	2 getOrInsert(k), set owner a%65-1
-//	3 find(k), clear holder bit and ownership of core a%64 (a line leaves it)
-//	4 find(k), clear holder bit a%64 only (a lost speculative-read mark)
-//	5 run of a+1: getOrInsert(k+i), set holder bit (k+i)%64
-//	6 run of a+1: getOrInsert(k+i), set owner (k+i)%64 (owner-only slots)
-//	7 run of a+1: find(k+i), clear every holder bit and the owner
+//	0 run of a+1 GetOrInsert calls from key k (neutral inserts)
+//	1 GetOrInsert(k), set holder bit a%64
+//	2 GetOrInsert(k), set owner a%65-1
+//	3 Release(a%64, k) (a line leaves core a%64)
+//	4 Find(k), clear holder bit a%64 only (a lost speculative-read mark)
+//	5 run of a+1: GetOrInsert(k+i), set holder bit (k+i)%64
+//	6 run of a+1: GetOrInsert(k+i), set owner (k+i)%64 (owner-only slots)
+//	7 run of a+1: Find(k+i), clear every holder bit and the owner
 //
 // After each operation every non-neutral line's state must equal the
-// model's, find on every other line must return nil or a neutral slot, and
+// model's, Find on every other line must return nil or a neutral slot, and
 // used must equal the number of occupied slots. The committed seeds
 // (testdata/fuzz/FuzzDirTable) force the cases a purge must get right:
 // owner-only-slots makes 200 slots that hold only an owner, then inserts
@@ -238,8 +235,7 @@ type dirModel struct {
 // end.
 func FuzzDirTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		var d dirTable
-		d.init()
+		d := NewDirectory()
 		model := map[int]dirModel{}
 		set := func(k int, st dirModel) {
 			if st.holders == 0 && st.owner < 0 {
@@ -266,53 +262,54 @@ func FuzzDirTable(f *testing.F) {
 				st := get(key)
 				switch code {
 				case 0:
-					d.getOrInsert(line)
+					d.GetOrInsert(line)
 				case 1, 5:
 					bit := uint64(1) << (a % 64)
 					if code == 5 {
 						bit = 1 << (key % 64)
 					}
-					d.getOrInsert(line).holders |= bit
+					d.GetOrInsert(line).Holders |= bit
 					st.holders |= bit
 				case 2, 6:
 					o := int(a%65) - 1
 					if code == 6 {
 						o = key % 64
 					}
-					d.getOrInsert(line).setOwner(o)
+					d.GetOrInsert(line).SetOwner(o)
 					st.owner = o
-				case 3, 4:
+				case 3:
 					c := int(a % 64)
-					if s := d.find(line); s != nil {
-						s.holders &^= 1 << c
-						if code == 3 && s.owner() == c {
-							s.setOwner(-1)
-						}
-					}
+					d.Release(c, line)
 					st.holders &^= 1 << c
-					if code == 3 && st.owner == c {
+					if st.owner == c {
 						st.owner = -1
 					}
+				case 4:
+					c := int(a % 64)
+					if s := d.Find(line); s != nil {
+						s.Holders &^= 1 << c
+					}
+					st.holders &^= 1 << c
 				case 7:
-					if s := d.find(line); s != nil {
-						s.holders = 0
-						s.setOwner(-1)
+					if s := d.Find(line); s != nil {
+						s.Holders = 0
+						s.SetOwner(-1)
 					}
 					st = dirModel{owner: -1}
 				}
 				set(key, st)
 			}
 			for key := 0; key < dirKeys; key++ {
-				s := d.find(dirKeyLine(key))
+				s := d.Find(dirKeyLine(key))
 				st, live := model[key]
 				switch {
 				case live && s == nil:
 					t.Fatalf("op %d: live line %v (holders %#x, owner %d) lost", n/4, dirKeyLine(key), st.holders, st.owner)
-				case live && (s.holders != st.holders || s.owner() != st.owner || s.line() != dirKeyLine(key)):
+				case live && (s.Holders != st.holders || s.Owner() != st.owner || s.line() != dirKeyLine(key)):
 					t.Fatalf("op %d: line %v = {line:%v holders:%#x owner:%d}, want {holders:%#x owner:%d}",
-						n/4, dirKeyLine(key), s.line(), s.holders, s.owner(), st.holders, st.owner)
+						n/4, dirKeyLine(key), s.line(), s.Holders, s.Owner(), st.holders, st.owner)
 				case !live && s != nil && !s.neutral():
-					t.Fatalf("op %d: neutral line %v found as {holders:%#x owner:%d}", n/4, dirKeyLine(key), s.holders, s.owner())
+					t.Fatalf("op %d: neutral line %v found as {holders:%#x owner:%d}", n/4, dirKeyLine(key), s.Holders, s.Owner())
 				}
 			}
 			if occ := occupied(&d); d.used != occ {

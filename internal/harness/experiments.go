@@ -34,7 +34,7 @@ func stampCell(label string, cfg stamp.Config) cell {
 		if err != nil {
 			return "", err
 		}
-		rec.ObserveRun(r.RunResult)
+		rec.ObserveRun(r)
 		return fmt.Sprintf("%.3fms", r.Millis()), nil
 	}}
 }
@@ -50,7 +50,7 @@ func intsetCell(label string, cfg intset.Config) cell {
 		if cfg.Profile && r.Profile == nil {
 			return "", fmt.Errorf("runtime %q produced no profile", cfg.Runtime)
 		}
-		rec.ObserveRun(r.RunResult)
+		rec.ObserveRun(r)
 		return fmt.Sprintf("%.2f tx/us", r.Throughput()), nil
 	}}
 }

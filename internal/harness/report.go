@@ -226,7 +226,8 @@ func runReport(name string, run func(Options) ([]*Table, error), o Options) (*Ex
 	var cells []*CellReport
 	o.sink = &cells
 	tables, err := run(o)
-	rep := &ExperimentReport{Name: name, Workers: o.workers(), Tables: tables, Cells: cells}
+	// runCells never starts more workers than there are cells.
+	rep := &ExperimentReport{Name: name, Workers: min(o.workers(), len(cells)), Tables: tables, Cells: cells}
 	if err != nil {
 		rep.Err = err.Error()
 	}

@@ -10,23 +10,23 @@ import (
 )
 
 // TestTableFprintGolden pins Fprint's exact rendering: column alignment
-// from the widest cell, ERR cells, separator row, trailing-space trimming,
-// and the Note footer.
+// from the widest cell, counted in runes (tx/µs, p50…max), ERR cells,
+// separator row, trailing-space trimming, and the Note footer.
 func TestTableFprintGolden(t *testing.T) {
 	tab := &Table{
 		Title:  "golden",
-		Header: []string{"cell", "value", "note-col"},
+		Header: []string{"cell", "value", "tx/µs", "note-col"},
 		Note:   "footer",
 	}
-	tab.Add("short", 1.5, "a")
-	tab.Add("a-much-longer-cell", "ERR", "bb")
+	tab.Add("short", 1.5, "p50…max", "a")
+	tab.Add("a-much-longer-cell", "ERR", 2, "bb")
 	var b strings.Builder
 	tab.Fprint(&b)
 	want := "\n== golden ==\n" +
-		"cell                value  note-col\n" +
-		"------------------  -----  --------\n" +
-		"short               1.50   a\n" +
-		"a-much-longer-cell  ERR    bb\n" +
+		"cell                value  tx/µs    note-col\n" +
+		"------------------  -----  -------  --------\n" +
+		"short               1.50   p50…max  a\n" +
+		"a-much-longer-cell  ERR    2        bb\n" +
 		"note: footer\n"
 	if got := b.String(); got != want {
 		t.Fatalf("Fprint rendering changed:\n--- got ---\n%q\n--- want ---\n%q", got, want)

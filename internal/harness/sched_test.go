@@ -225,6 +225,51 @@ func TestRunCellsCollectsFailures(t *testing.T) {
 	}
 }
 
+// fakeWorkloads replaces the three workload entry points with run for the
+// rest of the test.
+func fakeWorkloads(t *testing.T, run func(asfstack.Options) (asfstack.RunResult, error)) {
+	origStamp, origIntset, origServer := stampRun, intsetRun, serverRun
+	t.Cleanup(func() { stampRun, intsetRun, serverRun = origStamp, origIntset, origServer })
+	stampRun = func(cfg stamp.Config) (asfstack.RunResult, error) { return run(cfg.Options) }
+	intsetRun = func(cfg intset.Config) (asfstack.RunResult, error) { return run(cfg.Options) }
+	serverRun = func(cfg server.Config) (server.Result, error) {
+		r, err := run(cfg.Options)
+		return server.Result{RunResult: r}, err
+	}
+}
+
+// instantRun is a healthy run that costs no host time. Like every real
+// run it has a metrics snapshot, and a profile when asked.
+func instantRun(o asfstack.Options) asfstack.RunResult {
+	r := asfstack.RunResult{Cycles: 2_200_000, Stats: tm.Stats{Commits: 2200}, Metrics: &metrics.Snapshot{}}
+	if o.Profile {
+		r.Profile = &txprof.Profile{}
+	}
+	return r
+}
+
+// TestReportWorkersRan: a report records the workers that ran, which
+// runCells caps at the cell count, not the pool size asked for.
+func TestReportWorkersRan(t *testing.T) {
+	fakeWorkloads(t, func(o asfstack.Options) (asfstack.RunResult, error) { return instantRun(o), nil })
+	o := Options{Parallel: 4}
+	one, err := RunCell("intset structure=rbtree range=1024 cores=2", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Workers != 1 {
+		t.Errorf("one-cell report at Parallel 4 reads %d workers, want 1", one.Workers)
+	}
+	o.Scale = 0.1
+	fig3, err := RunReport("fig3", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig3.Cells) != 16 || fig3.Workers != 4 {
+		t.Errorf("fig3 at Parallel 4: %d cells, %d workers; want 16 cells, 4 workers", len(fig3.Cells), fig3.Workers)
+	}
+}
+
 // TestRunReportsFailingCells injects failures into every workload
 // experiment through instant fakes of the workload entry points: in each,
 // the first cell fails by error and the last by panic. The experiment must
@@ -237,12 +282,10 @@ func TestRunCellsCollectsFailures(t *testing.T) {
 // reports outside the cells' recover, so a failed cell's missing sim
 // section must not crash it.
 func TestRunReportsFailingCells(t *testing.T) {
-	origStamp, origIntset, origServer := stampRun, intsetRun, serverRun
-	defer func() { stampRun, intsetRun, serverRun = origStamp, origIntset, origServer }()
 	// Parallel 1 runs the cells in cell order, so calls numbers them.
 	var calls, failErr, failPanic int
 	var failAll bool
-	run := func(o asfstack.Options) (asfstack.RunResult, error) {
+	fakeWorkloads(t, func(o asfstack.Options) (asfstack.RunResult, error) {
 		n := calls
 		calls++
 		switch {
@@ -251,25 +294,8 @@ func TestRunReportsFailingCells(t *testing.T) {
 		case n == failPanic:
 			panic("injected panic")
 		}
-		// Every real run has a metrics snapshot, and a profile when asked.
-		r := asfstack.RunResult{Cycles: 2_200_000, Stats: tm.Stats{Commits: 2200}, Metrics: &metrics.Snapshot{}}
-		if o.Profile {
-			r.Profile = &txprof.Profile{}
-		}
-		return r, nil
-	}
-	stampRun = func(cfg stamp.Config) (stamp.Result, error) {
-		r, err := run(cfg.Options)
-		return stamp.Result{Config: cfg, RunResult: r}, err
-	}
-	intsetRun = func(cfg intset.Config) (intset.Result, error) {
-		r, err := run(cfg.Options)
-		return intset.Result{Config: cfg, RunResult: r}, err
-	}
-	serverRun = func(cfg server.Config) (server.Result, error) {
-		r, err := run(cfg.Options)
-		return server.Result{Config: cfg, RunResult: r}, err
-	}
+		return instantRun(o), nil
+	})
 
 	for _, name := range Names {
 		if name == "litmus" { // runs no workload entry point

@@ -36,12 +36,6 @@ type Config struct {
 	EarlyRelease bool
 }
 
-// Result carries the measurements a run produces.
-type Result struct {
-	Config Config
-	asfstack.RunResult
-}
-
 type setIface interface {
 	Contains(tx tm.Tx, k uint64) bool
 	Insert(tx tm.Tx, k uint64) bool
@@ -73,35 +67,34 @@ func hashBits(r uint64) uint {
 // count, a hash table too large for core 0's arena) is reported as an
 // error, not a panic or a hang, so sweep harnesses can fail one cell and
 // continue.
-func Run(cfg Config) (Result, error) {
+func Run(cfg Config) (asfstack.RunResult, error) {
 	switch cfg.Structure {
 	case "linkedlist", "skiplist", "rbtree", "hashset":
 	default:
-		return Result{}, fmt.Errorf("intset: unknown structure %q (want one of %v)",
+		return asfstack.RunResult{}, fmt.Errorf("intset: unknown structure %q (want one of %v)",
 			cfg.Structure, Structures)
 	}
 	if cfg.Range == 0 || cfg.Range > math.MaxInt64 {
-		return Result{}, fmt.Errorf("intset: %s: key range %d outside 1..2^63-1", cfg.Structure, cfg.Range)
+		return asfstack.RunResult{}, fmt.Errorf("intset: %s: key range %d outside 1..2^63-1", cfg.Structure, cfg.Range)
 	}
 	if cfg.UpdatePct < 0 || cfg.UpdatePct > 100 {
-		return Result{}, fmt.Errorf("intset: update percentage %d outside 0..100", cfg.UpdatePct)
+		return asfstack.RunResult{}, fmt.Errorf("intset: update percentage %d outside 0..100", cfg.UpdatePct)
 	}
 	if cfg.OpsPerThread < 0 {
-		return Result{}, fmt.Errorf("intset: negative operation count %d", cfg.OpsPerThread)
+		return asfstack.RunResult{}, fmt.Errorf("intset: negative operation count %d", cfg.OpsPerThread)
 	}
 	if cfg.OpsPerThread == 0 {
 		cfg.OpsPerThread = 1500
 	}
 	s, err := asfstack.Build(cfg.Options)
 	if err != nil {
-		return Result{}, err
+		return asfstack.RunResult{}, err
 	}
-	cfg.Options = s.Opts
 	bits := hashBits(cfg.Range)
 	if cfg.Structure == "hashset" {
 		// Setup carves the bucket array out of core 0's arena.
 		if arena := s.Heap.Arena(0).Remaining(); arena/txlib.BucketBytes>>bits == 0 {
-			return Result{}, fmt.Errorf("intset: hash table of 2^%d buckets does not fit core 0's %d-byte arena",
+			return asfstack.RunResult{}, fmt.Errorf("intset: hash table of 2^%d buckets does not fit core 0's %d-byte arena",
 				bits, arena)
 		}
 	}
@@ -129,7 +122,7 @@ func Run(cfg Config) (Result, error) {
 		}
 	})
 
-	run := s.Measure(func(c *sim.CPU, _ uint64) {
+	return s.Measure(func(c *sim.CPU, _ uint64) {
 		// The core builds its three atomic bodies once; the loop only fills
 		// the key they read. Every runtime returns from Atomic after the
 		// body's final execution and re-runs the same func value on retry,
@@ -151,6 +144,5 @@ func Run(cfg Config) (Result, error) {
 				s.Atomic(c, contains)
 			}
 		}
-	})
-	return Result{Config: cfg, RunResult: run}, nil
+	}), nil
 }

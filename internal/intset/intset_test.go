@@ -8,7 +8,7 @@ import (
 )
 
 // mustRun executes a configuration that the test requires to be valid.
-func mustRun(t *testing.T, cfg Config) Result {
+func mustRun(t *testing.T, cfg Config) asfstack.RunResult {
 	t.Helper()
 	r, err := Run(cfg)
 	if err != nil {

@@ -75,9 +75,6 @@ func New(cores int) *Registry {
 	}
 }
 
-// Cores returns the registry's core count.
-func (r *Registry) Cores() int { return r.cores }
-
 func (r *Registry) checkReg(name string) {
 	if r.sealed {
 		panic(fmt.Sprintf("metrics: registering %q after first snapshot/record", name))

@@ -55,7 +55,6 @@ type Config struct {
 
 // Result carries the measurements of a run.
 type Result struct {
-	Config Config
 	asfstack.RunResult
 	Requests uint64 // completed requests (== sessions × RequestsPerCore)
 
@@ -313,7 +312,7 @@ func Run(cfg Config) (Result, error) {
 
 	s.Setup(func(tx tm.Tx) { w.setup(tx) })
 
-	res := Result{Config: cfg, RunResult: s.Measure(func(c *sim.CPU, start uint64) {
+	res := Result{RunResult: s.Measure(func(c *sim.CPU, start uint64) {
 		w.session(s, c, start)
 	})}
 	res.Requests = uint64(cfg.Cores * cfg.RequestsPerCore)

@@ -211,9 +211,18 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 	cfg := smallConfig("LLB-256")
 	cfg.Load = 0
-	r, err := Run(cfg)
-	if err != nil || r.Config.Load != 0.7 {
-		t.Fatalf("zero load: load %v, %v; want the default 0.7", r.Config.Load, err)
+	zero, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("zero load: %v", err)
+	}
+	cfg.Load = 0.7
+	def, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("load 0.7: %v", err)
+	}
+	if zero.Cycles != def.Cycles || zero.Stats != def.Stats {
+		t.Fatalf("zero load ran %d cycles, stats %+v; load 0.7 ran %d, %+v; want the default 0.7",
+			zero.Cycles, zero.Stats, def.Cycles, def.Stats)
 	}
 }
 

@@ -108,9 +108,6 @@ func (c *CPU) key() uint64 { return c.now<<coreBits | uint64(c.id) }
 // ID returns the core number.
 func (c *CPU) ID() int { return c.id }
 
-// Machine returns the machine this core belongs to.
-func (c *CPU) Machine() *Machine { return c.m }
-
 // Now returns the core's local cycle clock (including batched compute).
 func (c *CPU) Now() uint64 { return c.now + c.pending }
 
@@ -119,9 +116,6 @@ func (c *CPU) Rand() *rand.Rand { return c.rng }
 
 // SetSpecUnit installs the core's speculative unit (done once at setup).
 func (c *CPU) SetSpecUnit(u SpecUnit) { c.spec = u }
-
-// SpecUnit returns the installed speculative unit, or nil.
-func (c *CPU) SpecUnit() SpecUnit { return c.spec }
 
 // --- turn rendezvous -----------------------------------------------------
 
@@ -398,7 +392,7 @@ func (c *CPU) CAS(a mem.Addr, old, new mem.Word) (prev mem.Word, ok bool) {
 	c.flushCycles()
 	c.acquire()
 	c.checkOSEvents()
-	c.beforeAccess(a, true)
+	c.beforeAccess(a)
 	if c.m.hook != nil {
 		c.m.hook(c, a, FWrite|FAtomic|FPre)
 	}
@@ -421,7 +415,7 @@ func (c *CPU) FetchAdd(a mem.Addr, delta mem.Word) mem.Word {
 	c.flushCycles()
 	c.acquire()
 	c.checkOSEvents()
-	c.beforeAccess(a, true)
+	c.beforeAccess(a)
 	if c.m.hook != nil {
 		c.m.hook(c, a, FWrite|FAtomic|FPre)
 	}
@@ -465,7 +459,7 @@ func (c *CPU) access(a mem.Addr, f Flags) mem.Word {
 	c.flushCycles()
 	c.acquire()
 	c.checkOSEvents()
-	c.beforeAccess(a, false)
+	c.beforeAccess(a)
 	if c.m.hook != nil {
 		c.m.hook(c, a, f|FPre)
 	}
@@ -486,7 +480,7 @@ func (c *CPU) accessStore(a mem.Addr, v mem.Word, f Flags) {
 	c.flushCycles()
 	c.acquire()
 	c.checkOSEvents()
-	c.beforeAccess(a, true)
+	c.beforeAccess(a)
 	if c.m.hook != nil {
 		c.m.hook(c, a, f|FPre) // conflict resolution before line movement
 	}
@@ -513,7 +507,7 @@ func (c *CPU) accessStore(a mem.Addr, v mem.Word, f Flags) {
 // the page as part of handling the fault, so the retry proceeds. TLB
 // misses, by contrast, never abort (unlike Sun Rock) — they are handled
 // silently by the cache model's page walker.
-func (c *CPU) beforeAccess(a mem.Addr, write bool) {
+func (c *CPU) beforeAccess(a mem.Addr) {
 	pa := a.Page()
 	if pa == c.presentPage {
 		return
@@ -529,5 +523,4 @@ func (c *CPU) beforeAccess(a mem.Addr, write bool) {
 		c.spec.AsyncAbort(AbortPageFault)
 		c.deliverPendingAbort()
 	}
-	_ = write
 }

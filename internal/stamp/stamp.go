@@ -54,12 +54,6 @@ type Config struct {
 	Scale float64
 }
 
-// Result carries the measurements of a run.
-type Result struct {
-	Config Config
-	asfstack.RunResult
-}
-
 // New instantiates an application by name.
 func New(name string, threads int, scale float64) (App, error) {
 	if scale <= 0 {
@@ -89,23 +83,24 @@ func New(name string, threads int, scale float64) (App, error) {
 
 // Run executes one configuration to completion and validates the result.
 // A negative or non-finite Scale is an error.
-func Run(cfg Config) (Result, error) {
+func Run(cfg Config) (asfstack.RunResult, error) {
 	if cfg.Scale < 0 || math.IsNaN(cfg.Scale) || math.IsInf(cfg.Scale, 0) {
-		return Result{}, fmt.Errorf("stamp: scale %v: want a finite number >= 0 (0 = 1.0)", cfg.Scale)
+		return asfstack.RunResult{}, fmt.Errorf("stamp: scale %v: want a finite number >= 0 (0 = 1.0)", cfg.Scale)
 	}
 	s, err := asfstack.Build(cfg.Options)
 	if err != nil {
-		return Result{}, err
+		return asfstack.RunResult{}, err
 	}
+	// The app sizes its threads by the machine's resolved core count.
 	cfg.Options = s.Opts
 	app, err := New(cfg.App, cfg.Cores, cfg.Scale)
 	if err != nil {
-		return Result{}, err
+		return asfstack.RunResult{}, err
 	}
 	s.Setup(func(tx tm.Tx) { app.Setup(s, tx, cfg.Cores) })
-	res := Result{Config: cfg, RunResult: s.Measure(func(c *sim.CPU, _ uint64) {
+	res := s.Measure(func(c *sim.CPU, _ uint64) {
 		app.Thread(s, c, c.ID(), cfg.Cores)
-	})}
+	})
 
 	var verr error
 	s.Setup(func(tx tm.Tx) { verr = app.Validate(tx) })
