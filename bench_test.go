@@ -129,7 +129,7 @@ func allocBound(b *testing.B, maxAllocs, maxBytes uint64, body func()) {
 // (3 STAMP apps × 5 runtimes × 2 thread counts + 2 IntegerSet cells × 5
 // runtimes). An allocation gate.
 func BenchmarkAdaptive(b *testing.B) {
-	allocBound(b, 26_977, 52_240_576, func() {
+	allocBound(b, 26_042, 49_926_008, func() {
 		if _, err := harness.Adaptive(harness.Options{Scale: benchScale}); err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func BenchmarkFig5Cell(b *testing.B) {
 		Options:   asfstack.Options{Runtime: "LLB-256", Cores: 8, Seed: 1},
 		Structure: "linkedlist", Range: 512, UpdatePct: 20, OpsPerThread: 1500}
 	var thr float64
-	allocBound(b, 609, 1_050_824, func() {
+	allocBound(b, 584, 907_872, func() {
 		r, err := intset.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -163,7 +163,7 @@ func BenchmarkServerCell(b *testing.B) {
 		Options: asfstack.Options{Runtime: "LLB-256", Topology: "2x8", Seed: 1, SeedSet: true},
 		Load:    1.4, Scale: 0.25}
 	var r server.Result
-	allocBound(b, 1_079, 1_122_160, func() {
+	allocBound(b, 1_034, 843_512, func() {
 		var err error
 		r, err = server.Run(cfg)
 		if err != nil {

@@ -228,21 +228,50 @@ func TestReleaseFreesLLBEntries(t *testing.T) {
 	}
 }
 
+// TestReleaseCannotCancelStore: on every variant, RELEASE of a written
+// line leaves it in the write set, owned, so a commit keeps its store and
+// an abort still rolls it back, while RELEASE of a read line drops this
+// core's mark.
 func TestReleaseCannotCancelStore(t *testing.T) {
-	m, s := testSystem(t, 1, LLB8)
-	m.Run(func(c *sim.CPU) {
-		u := s.Unit(0)
-		reason, _ := u.Region(func() {
-			u.Store(0x600, 3)
-			u.Release(0x600) // strict hint: must be ignored for writes
-			u.Store(0x640, 4)
+	const written, read = 0x600, 0x680
+	for _, v := range AllVariants {
+		t.Run(v.Name, func(t *testing.T) {
+			m, s := testSystem(t, 1, v)
+			m.Run(func(c *sim.CPU) {
+				u := s.Unit(0)
+				reason, _ := u.Region(func() {
+					u.Load(0x640) // ASF1 protects no new line after a store
+					u.Store(written, 3)
+					u.Release(written) // strict hint: must be ignored for writes
+					u.Store(0x640, 4)
+				})
+				if reason != sim.AbortNone {
+					t.Fatalf("reason = %v", reason)
+				}
+				reason, _ = u.Region(func() {
+					u.Load(read)
+					u.Store(written, 5)
+					u.Release(written)
+					u.Release(read)
+					if p := s.prot.Find(written); p == nil || p.Owner() != 0 {
+						t.Error("RELEASE dropped a written line")
+					}
+					if p := s.prot.Find(read); p != nil && p.Holders != 0 {
+						t.Error("RELEASE kept a read line")
+					}
+					if _, w := u.setSizes(); w != 1 {
+						t.Errorf("write set %d lines after RELEASE, want 1", w)
+					}
+					u.Abort(1)
+				})
+				if reason != sim.AbortExplicit {
+					t.Errorf("reason = %v, want explicit", reason)
+				}
+			})
+			if got := m.Mem.Load(written); got != 3 {
+				t.Fatalf("released written line = %d, want 3: the commit keeps its store and the abort restores it", got)
+			}
 		})
-		if reason != sim.AbortNone {
-			t.Fatalf("reason = %v", reason)
-		}
-	})
-	if got := m.Mem.Load(0x600); got != 3 {
-		t.Fatalf("released written line lost its store: %d", got)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 type System struct {
 	m       *sim.Machine
 	variant Variant
-	units   []*Unit
+	units   []Unit
 
 	// prot is the protection directory, the model of what coherence
 	// probes would discover, kept in the coherence directory's table: a
@@ -91,10 +91,25 @@ func Install(m *sim.Machine, v Variant) *System {
 		s.coresPer = tp.CoresPerSocket
 		s.xsockLat = m.Config().Cache.XSockLat
 	}
-	for i := 0; i < m.Config().Cores; i++ {
-		u := newUnit(s, m.CPU(i))
-		s.units = append(s.units, u)
-		m.CPU(i).SetSpecUnit(u)
+	// Every core's Unit, LLB and initial write list come from three
+	// slabs. The three-index subslices cap each core's segment, so a
+	// write list that outgrows its segment moves instead of running
+	// into the next core's.
+	n, nl := m.Config().Cores, v.LLBEntries
+	s.units = make([]Unit, n)
+	llbs := make([]mem.Addr, n*nl)
+	writes := make([]lineBackup, n*initialWrites)
+	for i := range s.units {
+		s.units[i] = Unit{
+			sys:      s,
+			c:        m.CPU(i),
+			llb:      llbs[i*nl : i*nl : (i+1)*nl],
+			writes:   writes[i*initialWrites : i*initialWrites : (i+1)*initialWrites],
+			readSet:  make(map[mem.Addr]struct{}),
+			lastBy:   sim.NoCore,
+			lastAddr: sim.NoAddr,
+		}
+		m.CPU(i).SetSpecUnit(&s.units[i])
 	}
 	m.SetAccessHook(s.onAccess)
 	m.Hier.SetEvictHook(s.onEvict)
@@ -105,7 +120,7 @@ func Install(m *sim.Machine, v Variant) *System {
 func (s *System) Variant() Variant { return s.variant }
 
 // Unit returns core i's speculative unit.
-func (s *System) Unit(i int) *Unit { return s.units[i] }
+func (s *System) Unit(i int) *Unit { return &s.units[i] }
 
 // chargeProbe adds the cross-socket latency of one conflict-abort probe
 // when requester and victim sit on different sockets.
@@ -124,7 +139,7 @@ func (s *System) chargeProbe(c *sim.CPU, self, victim int) {
 func (s *System) onAccess(c *sim.CPU, addr mem.Addr, f sim.Flags) {
 	line := addr.Line()
 	self := c.ID()
-	u := s.units[self]
+	u := &s.units[self]
 	write := f&sim.FWrite != 0
 	locked := f&sim.FLocked != 0
 
@@ -201,7 +216,7 @@ func (s *System) onEvict(core int, line mem.Addr, specRead bool) {
 	if !specRead || !s.variant.L1ReadSet {
 		return
 	}
-	u := s.units[core]
+	u := &s.units[core]
 	if u.active {
 		u.asyncAbortFrom(sim.AbortCapacity, sim.NoCore, line)
 	}

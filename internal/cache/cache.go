@@ -23,6 +23,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"asfstack/internal/mem"
 )
@@ -188,6 +189,8 @@ type Hierarchy struct {
 
 	onEvict EvictFn
 	tick    uint64 // LRU clock
+
+	flushed []mem.Addr // FlushPrivate's line buffer, reused across calls
 }
 
 type coreCaches struct {
@@ -583,10 +586,10 @@ func (h *Hierarchy) tlbLookup(c int, page mem.Addr) uint64 {
 func (h *Hierarchy) FlushPrivate(c int) {
 	cc := &h.cores[c]
 	l1, l2 := h.Occupancy(c)
-	lines := make([]mem.Addr, 0, l1+l2)
-	cc.l1.forEach(func(e *entry) { lines = append(lines, e.line()) })
-	cc.l2.forEach(func(e *entry) { lines = append(lines, e.line()) })
-	for _, line := range lines {
+	h.flushed = slices.Grow(h.flushed[:0], l1+l2)
+	cc.l1.forEach(func(e *entry) { h.flushed = append(h.flushed, e.line()) })
+	cc.l2.forEach(func(e *entry) { h.flushed = append(h.flushed, e.line()) })
+	for _, line := range h.flushed {
 		h.fill(h.homeSlice(line), line)
 		cc.l1.remove(line)
 		cc.l2.remove(line)

@@ -13,11 +13,16 @@
 //
 // A page's words are allocated on its first write; until then it reads as
 // zeros. Presence (the simulated OS's view) and backing (the host's) are
-// separate, so prefaulting a large metadata region costs the host a 16-byte
-// header per page, and the host heap follows what a run actually writes.
+// separate: a prefaulted range is one entry in a list of spans, a page gets
+// its 16-byte header on its first touch, and the host heap follows what a
+// run actually touches and writes.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // Word is the unit of data access: a 64-bit little-endian machine word.
 type Word = uint64
@@ -60,11 +65,12 @@ func (a Addr) LineIndex() int { return int(a>>WordShift) & (WordsPerLine - 1) }
 
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 
-// page is one page's header. words is allocated on the page's first write
-// (4 KiB, one object in Go's 4,096-byte size class); a nil words reads as
-// zeros. Presence is independent of backing: a page may be present and
-// unbacked (prefaulted, never written) or backed and not yet present
-// (written before the simulated OS installed it).
+// page is one page's header, created on the page's first touch. words is
+// allocated on the page's first write (4 KiB, one object in Go's 4,096-byte
+// size class); a nil words reads as zeros. Presence is independent of
+// backing: a page may be present and unbacked (prefaulted, never written)
+// or backed and not yet present (written before the simulated OS installed
+// it).
 type page struct {
 	words   *[WordsPerPage]Word
 	present bool // installed by the (simulated) OS on first fault
@@ -78,6 +84,12 @@ type Memory struct {
 	// from. A chunk is never moved or freed, so header pointers stay
 	// stable.
 	free []page
+
+	// spans lists the prefaulted page ranges, sorted, disjoint and never
+	// abutting. A page's header, once it exists, holds the page's
+	// presence; a page without one is present exactly when a span holds
+	// it.
+	spans []span
 
 	// cache is a small direct-mapped page cache that skips the map lookup:
 	// accesses are heavily page-local per core, but cores interleave, so a
@@ -94,6 +106,9 @@ const pageCacheSlots = 256 // power of two
 
 // pageChunk is how many page headers pageFor allocates at a time.
 const pageChunk = 256
+
+// span is the page range [lo, hi); both ends are page aligned.
+type span struct{ lo, hi Addr }
 
 type pageCacheEnt struct {
 	pa Addr
@@ -126,7 +141,7 @@ func (m *Memory) cached(a Addr) *page {
 }
 
 // pageFor returns the header of a's page, carving it from the current
-// chunk on first use.
+// chunk on first use, present if a span holds the page.
 func (m *Memory) pageFor(a Addr) *page {
 	if p := m.cached(a); p != nil {
 		return p
@@ -138,6 +153,7 @@ func (m *Memory) pageFor(a Addr) *page {
 			m.free = make([]page, pageChunk)
 		}
 		p, m.free = &m.free[0], m.free[1:]
+		p.present = m.spanned(pa)
 		m.pages[pa] = p
 	}
 	e := &m.cache[cacheIdx(pa)]
@@ -156,7 +172,8 @@ func (m *Memory) wordsFor(a Addr) *[WordsPerPage]Word {
 }
 
 // Present reports whether the page containing a has been installed. Unlike
-// pageFor it never materialises the page.
+// pageFor it never materialises the page: a page without a header reads
+// the spans.
 func (m *Memory) Present(a Addr) bool {
 	pa := a.Page()
 	e := &m.cache[cacheIdx(pa)]
@@ -165,7 +182,7 @@ func (m *Memory) Present(a Addr) bool {
 	}
 	p, ok := m.pages[pa]
 	if !ok {
-		return false
+		return m.spanned(pa)
 	}
 	e.pa, e.p = pa, p
 	return p.present
@@ -185,14 +202,47 @@ func (m *Memory) EnsurePresent(a Addr) (faulted bool) {
 	return true
 }
 
-// Prefault installs every page in [a, a+size) without counting faults.
-// Used to model memory that was touched during (unsimulated) initialisation.
-// It allocates page headers only; each page's words come with its first
-// write.
+// Prefault installs every page from a's page up to a+size without
+// counting faults. Used to model memory that was touched during
+// (unsimulated) initialisation. It records the range as a span and marks
+// present only the pages that already have a header; the rest read the
+// spans when first touched, so a prefaulted page costs nothing until then.
 func (m *Memory) Prefault(a Addr, size uint64) {
-	for pa := a.Page(); pa < a+Addr(size); pa += PageSize {
-		m.pageFor(pa).present = true
+	lo, hi := a.Page(), (a + Addr(size) + PageSize - 1).Page()
+	if lo >= hi {
+		return
 	}
+	m.addSpan(lo, hi)
+	for pa := lo; pa < hi; pa += PageSize {
+		if p, ok := m.pages[pa]; ok {
+			p.present = true
+		}
+	}
+}
+
+// addSpan merges [lo, hi) into the spans, together with every span it
+// overlaps or abuts. Extending a span in place allocates nothing, so a run
+// of prefaults that each start where the last ended stays one span.
+func (m *Memory) addSpan(lo, hi Addr) {
+	s := m.spans
+	i := sort.Search(len(s), func(k int) bool { return s[k].hi >= lo })
+	j := i
+	for j < len(s) && s[j].lo <= hi {
+		j++
+	}
+	if i == j {
+		m.spans = slices.Insert(s, i, span{lo, hi})
+		return
+	}
+	s[i] = span{min(lo, s[i].lo), max(hi, s[j-1].hi)}
+	m.spans = slices.Delete(s, i+1, j)
+}
+
+// spanned reports whether a span holds page pa.
+func (m *Memory) spanned(pa Addr) bool {
+	s := m.spans
+	i := sort.Search(len(s), func(k int) bool { return s[k].hi > pa })
+	return i < len(s) && s[i].lo <= pa
 }
 
 // FaultCount returns the number of demand-paging faults taken so far.
