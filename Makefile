@@ -3,9 +3,10 @@
 # the packages with real host concurrency or schedule exploration (the
 # parallel experiment scheduler, the litmus explorer, the transaction
 # lifecycle driver in internal/tm and every runtime it serves: ASF-TM,
-# HyTM, STM, Cohorts and the adaptive selector), and vet + tests of the
-# nested bench module, which `./...` skips but which compiles against the
-# stack's option and report types.
+# HyTM, STM, Cohorts and the adaptive selector, and the free lists every
+# harness worker shares: internal/slab and its users mem, cache and sim),
+# and vet + tests of the nested bench module, which `./...` skips but
+# which compiles against the stack's option and report types.
 
 GO ?= go
 
@@ -25,7 +26,8 @@ test:
 
 race:
 	$(GO) test -race -short ./internal/harness ./internal/asftm ./internal/litmus \
-		./internal/tm ./internal/hytm ./internal/stm ./internal/cohorts ./internal/adaptive
+		./internal/tm ./internal/hytm ./internal/stm ./internal/cohorts ./internal/adaptive \
+		./internal/slab ./internal/mem ./internal/cache ./internal/sim
 
 benchmod:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

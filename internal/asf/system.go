@@ -116,6 +116,10 @@ func Install(m *sim.Machine, v Variant) *System {
 	return s
 }
 
+// Release hands the protection directory's table to the free list for the
+// next system to take. The system must not be used again.
+func (s *System) Release() { s.prot.Free() }
+
 // Variant returns the installed implementation configuration.
 func (s *System) Variant() Variant { return s.variant }
 

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"asfstack/internal/mem"
+	"asfstack/internal/slab"
 )
 
 // entry is one cache line's bookkeeping, packed into 16 bytes. Data values
@@ -174,11 +175,15 @@ func (a *array) forEach(fn func(*entry)) {
 }
 
 // blockPool carves array blocks from chunks of poolChunk entries, shared by
-// every array of a hierarchy. A chunk is never moved or freed, and a block
-// outgrown by widen stays where it is, unused; a chunk's tail too short for
-// the next block is left unused too.
+// every array of a hierarchy. A chunk is never moved while the hierarchy
+// is in use, and a block outgrown by widen stays where it is, unused; a
+// chunk's tail too short for the next block is left unused too. The chunks
+// come from a process-wide free list, and release hands back the ones the
+// pool recorded.
 type blockPool struct {
-	free []entry
+	free   []entry
+	chunks [poolChunks][]entry // the first poolChunks chunks carved from
+	n      int                 // how many of chunks are recorded
 }
 
 // poolChunk is how many entries the pool allocates at a time, 128 KiB. An
@@ -188,13 +193,36 @@ type blockPool struct {
 // allocates at most one chunk.
 const poolChunk = 8 << 10
 
+// poolChunks is how many chunks a pool records for release, 4 MiB of
+// blocks; chunks past it are left to the garbage collector. A cell of the
+// four benchmark sweeps carves at most 18. The record is an array in the
+// pool, not a list grown by append, so recording a chunk allocates
+// nothing and an access still allocates at most the chunk itself.
+const poolChunks = 32
+
+// blockChunks holds the chunks of released hierarchies.
+var blockChunks slab.List[[]entry]
+
 func (p *blockPool) carve(n int) []entry {
 	if len(p.free) < n {
-		p.free = make([]entry, max(poolChunk, n))
+		p.free = slab.Take(&blockChunks, max(poolChunk, n))
+		if p.n < poolChunks {
+			p.chunks[p.n] = p.free
+			p.n++
+		}
 	}
 	blk := p.free[:n:n]
 	p.free = p.free[n:]
 	return blk
+}
+
+// release hands the recorded chunks to the free list and empties the
+// pool. The arrays carved from it must not be used again.
+func (p *blockPool) release() {
+	for _, c := range p.chunks[:p.n] {
+		slab.Give(&blockChunks, c)
+	}
+	*p = blockPool{}
 }
 
 // tlbArray is a set-associative TLB with LRU replacement over page numbers.
@@ -220,12 +248,15 @@ const tlbValid mem.Addr = 1
 
 func (e *tlbEntry) valid() bool { return e.key != 0 }
 
+// tlbArrays holds the entry arrays of released hierarchies' TLBs.
+var tlbArrays slab.List[[]tlbEntry]
+
 // newTLB builds a TLB of entries at assoc ways, whose set count
 // Config.Validate has checked is a power of two; the fully associative L1
 // TLB has one set.
 func newTLB(entries, assoc int) tlbArray {
 	return tlbArray{
-		ents:    make([]tlbEntry, entries),
+		ents:    slab.Take(&tlbArrays, entries),
 		assoc:   assoc,
 		setMask: mem.Addr(entries/assoc - 1),
 	}

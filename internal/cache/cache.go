@@ -26,6 +26,7 @@ import (
 	"slices"
 
 	"asfstack/internal/mem"
+	"asfstack/internal/slab"
 )
 
 // Config describes the hierarchy geometry and latencies, in cycles.
@@ -190,7 +191,7 @@ type Hierarchy struct {
 	onEvict EvictFn
 	tick    uint64 // LRU clock
 
-	flushed []mem.Addr // FlushPrivate's line buffer, reused across calls
+	flushed []mem.Addr // FlushPrivate's line buffer, from lineBufs
 }
 
 type coreCaches struct {
@@ -237,6 +238,24 @@ func New(n int, cfg Config) *Hierarchy {
 		}
 	}
 	return h
+}
+
+// Release hands the hierarchy's host slabs to the process-wide free lists
+// for the next hierarchy to take: its block chunks, every core's two TLB
+// arrays, the directory's table and FlushPrivate's buffer. The hierarchy
+// must not be used again: a later access panics instead of reading state
+// another hierarchy now owns.
+func (h *Hierarchy) Release() {
+	for i := range h.cores {
+		slab.Give(&tlbArrays, h.cores[i].tlb1.ents)
+		slab.Give(&tlbArrays, h.cores[i].tlb2.ents)
+	}
+	h.pool.release()
+	h.dir.Free()
+	if h.flushed != nil {
+		lineBufs.Put(0, h.flushed)
+	}
+	h.cores, h.l3s, h.flushed = nil, nil, nil
 }
 
 // SetEvictHook installs the callback invoked when a line (and its
@@ -586,6 +605,9 @@ func (h *Hierarchy) tlbLookup(c int, page mem.Addr) uint64 {
 func (h *Hierarchy) FlushPrivate(c int) {
 	cc := &h.cores[c]
 	l1, l2 := h.Occupancy(c)
+	if h.flushed == nil {
+		h.flushed, _ = lineBufs.Get(0)
+	}
 	h.flushed = slices.Grow(h.flushed[:0], l1+l2)
 	cc.l1.forEach(func(e *entry) { h.flushed = append(h.flushed, e.line()) })
 	cc.l2.forEach(func(e *entry) { h.flushed = append(h.flushed, e.line()) })
@@ -596,6 +618,11 @@ func (h *Hierarchy) FlushPrivate(c int) {
 		h.dir.Release(c, line)
 	}
 }
+
+// lineBufs holds the FlushPrivate buffers of released hierarchies, all
+// filed under key 0: any buffer serves, since FlushPrivate writes a line
+// before it reads it and grows a buffer that is too short.
+var lineBufs slab.List[[]mem.Addr]
 
 // FlushTLB drops all of core c's TLB entries (context switch / interrupt).
 func (h *Hierarchy) FlushTLB(c int) {

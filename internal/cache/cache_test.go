@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"asfstack/internal/mem"
+	"asfstack/internal/slab"
 )
 
 // allocated returns how many heap objects and bytes the process allocated
@@ -18,20 +19,38 @@ func allocated(run func()) (objects, bytes uint64) {
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
+// drain empties a free list of its slabs of the given lengths, so the
+// next construction allocates as a cold process's would.
+func drain[E any](l *slab.List[[]E], lengths ...int) {
+	for _, n := range lengths {
+		for {
+			if _, ok := l.Get(n); !ok {
+				break
+			}
+		}
+	}
+}
+
 // TestHierarchyBytesFollowFootprint: a hierarchy's arrays cost the host the
 // lines a run keeps resident, not the whole geometry. Building the 64-core,
 // 4-socket Barcelona hierarchy allocates under 1 MiB, each access allocates
 // at most one pool chunk (none once its sets are wide enough), and 600
 // sparse accesses, which fill a few ways of each of many blocks, take at
 // most 8 chunks. The accesses stay below the directory's first growth.
+// Built again after the first is released, the hierarchy allocates no TLB
+// array and no directory table: each core's two arrays and the table are
+// ones the released hierarchy gave back, and no array serves two cores.
 func TestHierarchyBytesFollowFootprint(t *testing.T) {
 	// Keep the runtime's own allocations out of the counts: with one P,
 	// ReadMemStats restarting the world wakes no idle P, so it starts no
 	// OS thread (whose runtime structures are heap objects), and the
 	// collection here starts the collector's workers before any count.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	runtime.GC()
 	cfg := Barcelona()
+	drain(&tlbArrays, cfg.TLB1Entries, cfg.TLB2Entries)
+	drain(&dirTables, dirMinSlots)
+	drain(&blockChunks, poolChunk)
+	runtime.GC()
 	cfg.Sockets = 4
 	var h *Hierarchy
 	objects, bytes := allocated(func() { h = New(64, cfg) })
@@ -53,6 +72,27 @@ func TestHierarchyBytesFollowFootprint(t *testing.T) {
 	t.Logf("600 accesses allocated %d chunks", chunks)
 	if chunks > 8 {
 		t.Fatalf("600 accesses allocated %d chunks, want at most 8", chunks)
+	}
+
+	given := map[*tlbEntry]bool{}
+	for i := range h.cores {
+		given[&h.cores[i].tlb1.ents[0]] = true
+		given[&h.cores[i].tlb2.ents[0]] = true
+	}
+	table := &h.dir.slots[0]
+	h.Release()
+	h = New(64, cfg)
+	for i := range h.cores {
+		for _, ents := range [][]tlbEntry{h.cores[i].tlb1.ents, h.cores[i].tlb2.ents} {
+			if !given[&ents[0]] {
+				t.Fatalf("New(64) after a release gave core %d a %d-entry TLB array the released hierarchy did not give back",
+					i, len(ents))
+			}
+			delete(given, &ents[0])
+		}
+	}
+	if &h.dir.slots[0] != table {
+		t.Fatal("New(64) after a release did not take the directory table the released hierarchy gave back")
 	}
 }
 

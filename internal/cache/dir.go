@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"asfstack/internal/mem"
+	"asfstack/internal/slab"
 )
 
 // Directory is a flat line directory: an open-addressed hash table of
@@ -74,9 +75,20 @@ const dirMinSlots = 1 << 10
 // high bits of line*fibMult are well mixed even for sequential lines.
 const fibMult = 0x9E3779B97F4A7C15
 
+// dirTables holds the tables of freed directories and the tables grow
+// outgrew.
+var dirTables slab.List[[]LineState]
+
 // NewDirectory returns an empty directory of dirMinSlots slots.
 func NewDirectory() Directory {
-	return Directory{slots: make([]LineState, dirMinSlots), shift: 64 - 10}
+	return Directory{slots: slab.Take(&dirTables, dirMinSlots), shift: 64 - 10}
+}
+
+// Free hands the table to the free list, for the next directory to take.
+// The directory must not be used again: a later lookup panics.
+func (d *Directory) Free() {
+	slab.Give(&dirTables, d.slots)
+	*d = Directory{}
 }
 
 // home returns the slot line's probe run starts at.
@@ -180,9 +192,11 @@ func (d *Directory) remove(i uint64) {
 	d.used--
 }
 
+// grow doubles the table and hands the outgrown one to the free list at
+// once: no slot pointer survives an insert that grows.
 func (d *Directory) grow() {
 	old := d.slots
-	d.slots = make([]LineState, len(old)*2)
+	d.slots = slab.Take(&dirTables, len(old)*2)
 	d.shift--
 	mask := uint64(len(d.slots) - 1)
 	for _, s := range old {
@@ -195,4 +209,5 @@ func (d *Directory) grow() {
 		}
 		d.slots[i] = s
 	}
+	slab.Give(&dirTables, old)
 }

@@ -90,6 +90,7 @@ func Run(cfg Config) (asfstack.RunResult, error) {
 	if err != nil {
 		return asfstack.RunResult{}, err
 	}
+	defer s.Release()
 	bits := hashBits(cfg.Range)
 	if cfg.Structure == "hashset" {
 		// Setup carves the bucket array out of core 0's arena.

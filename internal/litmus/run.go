@@ -247,6 +247,7 @@ func Explore(t *Test, rc RuntimeConfig, opts ExploreOptions) *Result {
 		Machine:     &cfg,
 		Profile:     true,
 	})
+	defer s.Release()
 	if rc.ForceSW {
 		s.RT.(*hytm.Runtime).ForceSW = true
 	}

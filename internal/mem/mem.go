@@ -15,13 +15,16 @@
 // zeros. Presence (the simulated OS's view) and backing (the host's) are
 // separate: a prefaulted range is one entry in a list of spans, a page gets
 // its 16-byte header on its first touch, and the host heap follows what a
-// run actually touches and writes.
+// run actually touches and writes. The words come from a process-wide free
+// list (internal/slab) that Release refills.
 package mem
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+
+	"asfstack/internal/slab"
 )
 
 // Word is the unit of data access: a 64-bit little-endian machine word.
@@ -94,8 +97,9 @@ type Memory struct {
 	// cache is a small direct-mapped page cache that skips the map lookup:
 	// accesses are heavily page-local per core, but cores interleave, so a
 	// single entry thrashes. Slots are indexed by a multiplicative hash of
-	// the page number. Headers are never removed or moved, so cached
-	// pointers cannot dangle.
+	// the page number. Headers are neither removed nor moved while the
+	// memory is in use, so cached pointers cannot dangle; Release clears
+	// the cache with the rest.
 	cache [pageCacheSlots]pageCacheEnt
 
 	// faultedPages counts demand-paging faults taken so far.
@@ -161,14 +165,29 @@ func (m *Memory) pageFor(a Addr) *page {
 	return p
 }
 
-// wordsFor returns the words of a's page, allocating them on the page's
-// first write.
+// pageWords holds the words of released memories' pages.
+var pageWords slab.List[[]Word]
+
+// wordsFor returns the words of a's page, taking them from the free list
+// on the page's first write.
 func (m *Memory) wordsFor(a Addr) *[WordsPerPage]Word {
 	p := m.pageFor(a)
 	if p.words == nil {
-		p.words = new([WordsPerPage]Word)
+		p.words = (*[WordsPerPage]Word)(slab.Take(&pageWords, WordsPerPage))
 	}
 	return p.words
+}
+
+// Release hands the words of every written page to the free list, for
+// the next memory to take, and empties the memory. A later Load, Store or
+// EnsurePresent panics instead of reading words another memory now owns.
+func (m *Memory) Release() {
+	for _, p := range m.pages {
+		if p.words != nil {
+			slab.Give(&pageWords, p.words[:])
+		}
+	}
+	*m = Memory{}
 }
 
 // Present reports whether the page containing a has been installed. Unlike

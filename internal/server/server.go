@@ -289,6 +289,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer s.Release()
 	// The schedule generator seeds from cfg.Seed: it must see the
 	// machine's resolved seed.
 	cfg.Options = s.Opts

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"asfstack/internal/mem"
+	"asfstack/internal/slab"
 )
 
 // SpecUnit is the per-core speculative-execution facility the simulator
@@ -83,17 +84,32 @@ type CPU struct {
 	jmax int64
 }
 
+// rands holds the generators of released machines' cores, each 4.9 KB of
+// source state.
+var rands slab.List[*rand.Rand]
+
+// newRand returns a generator seeded with seed: a released core's when
+// one is free, reseeded. Seed sets a source's whole state, so the reused
+// generator draws exactly what rand.New(rand.NewSource(seed)) would.
+func newRand(seed int64) *rand.Rand {
+	if r, ok := rands.Get(0); ok {
+		r.Seed(seed)
+		return r
+	}
+	return rand.New(rand.NewSource(seed))
+}
+
 func newCPU(m *Machine, id int) *CPU {
 	c := &CPU{
 		id:          id,
 		m:           m,
 		presentPage: ^mem.Addr(0), // unaligned: matches no page
-		rng:         rand.New(rand.NewSource(m.cfg.Seed*7919 + int64(id)*104729 + 1)),
+		rng:         newRand(m.cfg.Seed*7919 + int64(id)*104729 + 1),
 	}
 	if m.cfg.SchedNoise > 0 {
 		// A stream separate from rng: exploration must not perturb the
 		// workload's own random choices, only the schedule.
-		c.jrng = rand.New(rand.NewSource(m.cfg.Seed*31607 + int64(id)*15485863 + 7))
+		c.jrng = newRand(m.cfg.Seed*31607 + int64(id)*15485863 + 7)
 		c.jmax = int64(m.cfg.SchedNoise) + 1
 	}
 	if m.cfg.TimerInterval > 0 {

@@ -42,6 +42,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math/rand"
 	"sync/atomic"
 
 	"asfstack/internal/cache"
@@ -217,6 +218,29 @@ func New(cfg Config) *Machine {
 		m.cpus = append(m.cpus, newCPU(m, i))
 	}
 	return m
+}
+
+// Release hands the machine's host slabs to the process-wide free lists
+// (internal/slab) for the next machine to build from: the words of its
+// written pages, its caches' block chunks, TLB arrays, directory table and
+// line buffer, and every core's generators. Call it once the machine's
+// results are read; it recycles nothing a result can still reference. The
+// machine must not be used again: a later access panics instead of reading
+// memory another machine now owns. Release on a running machine panics.
+func (m *Machine) Release() {
+	if m.Running() {
+		panic("sim: Release while the machine is running")
+	}
+	m.Mem.Release()
+	m.Hier.Release()
+	for _, c := range m.cpus {
+		for _, r := range [...]*rand.Rand{c.rng, c.jrng} {
+			if r != nil {
+				rands.Put(0, r)
+			}
+		}
+		c.rng, c.jrng = nil, nil
+	}
 }
 
 // Config returns the machine configuration.

@@ -91,6 +91,7 @@ func Run(cfg Config) (asfstack.RunResult, error) {
 	if err != nil {
 		return asfstack.RunResult{}, err
 	}
+	defer s.Release()
 	// The app sizes its threads by the machine's resolved core count.
 	cfg.Options = s.Opts
 	app, err := New(cfg.App, cfg.Cores, cfg.Scale)

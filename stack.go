@@ -330,6 +330,18 @@ func New(opts Options) *Stack {
 	return s
 }
 
+// Release hands the stack's host slabs to the process-wide free lists for
+// the next stack to build from: its machine's (sim.Machine.Release) and
+// its ASF protection directory's table. Call it once the results are read,
+// after any validation; nothing a RunResult holds is recycled. The stack
+// must not be used again, and Release on a running machine panics.
+func (s *Stack) Release() {
+	s.M.Release()
+	if s.ASF != nil {
+		s.ASF.Release()
+	}
+}
+
 // AllocShared allocates size bytes of prefaulted shared memory for initial
 // data (setup phase; charges no cycles). The allocation is padded to whole
 // cache lines, the paper's anti-false-sharing discipline for the entry
