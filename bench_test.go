@@ -166,8 +166,8 @@ func BenchmarkFig5Cell(b *testing.B) {
 
 // BenchmarkFig5CellWarm runs fig5Cell once, then gates the next run: a
 // cell that follows a released one takes its pages, cache blocks, TLB
-// arrays, directory tables, line buffer and generators from the free
-// lists (internal/slab) and allocates little beyond them. The first run
+// arrays, directory tables and generators from the free lists
+// (internal/slab) and allocates little beyond them. The first run
 // is left out of the time and of -benchmem's counts too.
 func BenchmarkFig5CellWarm(b *testing.B) {
 	runFig5Cell(b)

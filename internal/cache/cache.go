@@ -23,7 +23,6 @@ package cache
 
 import (
 	"fmt"
-	"slices"
 
 	"asfstack/internal/mem"
 	"asfstack/internal/slab"
@@ -190,8 +189,6 @@ type Hierarchy struct {
 
 	onEvict EvictFn
 	tick    uint64 // LRU clock
-
-	flushed []mem.Addr // FlushPrivate's line buffer, from lineBufs
 }
 
 type coreCaches struct {
@@ -242,9 +239,9 @@ func New(n int, cfg Config) *Hierarchy {
 
 // Release hands the hierarchy's host slabs to the process-wide free lists
 // for the next hierarchy to take: its block chunks, every core's two TLB
-// arrays, the directory's table and FlushPrivate's buffer. The hierarchy
-// must not be used again: a later access panics instead of reading state
-// another hierarchy now owns.
+// arrays and the directory's table. The hierarchy must not be used again:
+// a later access panics instead of reading state another hierarchy now
+// owns.
 func (h *Hierarchy) Release() {
 	for i := range h.cores {
 		slab.Give(&tlbArrays, h.cores[i].tlb1.ents)
@@ -252,10 +249,7 @@ func (h *Hierarchy) Release() {
 	}
 	h.pool.release()
 	h.dir.Free()
-	if h.flushed != nil {
-		lineBufs.Put(0, h.flushed)
-	}
-	h.cores, h.l3s, h.flushed = nil, nil, nil
+	h.cores, h.l3s = nil, nil
 }
 
 // SetEvictHook installs the callback invoked when a line (and its
@@ -602,27 +596,23 @@ func (h *Hierarchy) tlbLookup(c int, page mem.Addr) uint64 {
 // caches, leaving the data in L3. Models the cache state at PTLsim's
 // native-to-simulated switchover: the measured phase starts with cold
 // private caches regardless of which core ran initialisation.
+//
+// It walks L1, then L2, in place: each line a walk visits is refilled into
+// its home L3 slice, dropped from that level and released in the
+// directory. So L3 receives the L1 lines, then the L2 lines, each level in
+// (set, way) order; a line in both levels is refilled again when the L2
+// walk reaches it. Refilling L3 moves no private-cache entry.
 func (h *Hierarchy) FlushPrivate(c int) {
-	cc := &h.cores[c]
-	l1, l2 := h.Occupancy(c)
-	if h.flushed == nil {
-		h.flushed, _ = lineBufs.Get(0)
-	}
-	h.flushed = slices.Grow(h.flushed[:0], l1+l2)
-	cc.l1.forEach(func(e *entry) { h.flushed = append(h.flushed, e.line()) })
-	cc.l2.forEach(func(e *entry) { h.flushed = append(h.flushed, e.line()) })
-	for _, line := range h.flushed {
-		h.fill(h.homeSlice(line), line)
-		cc.l1.remove(line)
-		cc.l2.remove(line)
-		h.dir.Release(c, line)
+	for _, a := range [2]*array{&h.cores[c].l1, &h.cores[c].l2} {
+		a.forEach(func(e *entry) {
+			line := e.line()
+			h.fill(h.homeSlice(line), line)
+			*e = entry{}
+			a.nValid--
+			h.dir.Release(c, line)
+		})
 	}
 }
-
-// lineBufs holds the FlushPrivate buffers of released hierarchies, all
-// filed under key 0: any buffer serves, since FlushPrivate writes a line
-// before it reads it and grows a buffer that is too short.
-var lineBufs slab.List[[]mem.Addr]
 
 // FlushTLB drops all of core c's TLB entries (context switch / interrupt).
 func (h *Hierarchy) FlushTLB(c int) {

@@ -95,18 +95,31 @@ func (d *Directory) Free() {
 func (d *Directory) home(line mem.Addr) uint64 { return (uint64(line) * fibMult) >> d.shift }
 
 // slot returns the index of line's slot and true, or the index of the
-// empty slot that ends line's probe run and false.
+// empty slot that ends line's probe run and false. A probe stops after one
+// pass over the table: a table with no empty slot panics, not hangs.
 func (d *Directory) slot(line mem.Addr) (uint64, bool) {
 	want := uint64(line)<<lsLineShift | lsUsed
 	mask := uint64(len(d.slots) - 1)
-	for i := d.home(line); ; i = (i + 1) & mask {
+	i := d.home(line)
+	for range d.slots {
 		switch k := d.slots[i].key; {
 		case k&^lsOwner == want:
 			return i, true
 		case k == 0:
 			return i, false
 		}
+		i = (i + 1) & mask
 	}
+	panic(dirFull{len(d.slots), d.used})
+}
+
+// dirFull is the panic of a probe that found no empty slot, which the load
+// limit rules out unless a table came back dirty from the free list. A
+// value, not a formatted message, keeps slot small enough to inline.
+type dirFull struct{ slots, used int }
+
+func (e dirFull) Error() string {
+	return fmt.Sprintf("cache: directory of %d slots has no empty slot (%d counted used)", e.slots, e.used)
 }
 
 // Find returns line's slot, or nil when the line has none: it has no
@@ -198,15 +211,11 @@ func (d *Directory) grow() {
 	old := d.slots
 	d.slots = slab.Take(&dirTables, len(old)*2)
 	d.shift--
-	mask := uint64(len(d.slots) - 1)
 	for _, s := range old {
 		if s.key == 0 {
 			continue
 		}
-		i := d.home(s.line())
-		for d.slots[i].key != 0 {
-			i = (i + 1) & mask
-		}
+		i, _ := d.slot(s.line()) // the empty slot ending the line's run
 		d.slots[i] = s
 	}
 	slab.Give(&dirTables, old)

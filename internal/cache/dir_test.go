@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"asfstack/internal/mem"
@@ -97,6 +98,32 @@ func TestDirTableRejectsMaxAddr(t *testing.T) {
 		}
 	}()
 	d.GetOrInsert(mem.MaxAddr)
+}
+
+// TestFullDirTablePanics: a table whose every slot holds a line, as one
+// handed back dirty by the free list might, has no empty slot to end a
+// probe. Looking up an absent line must panic, naming the slot count and
+// the used count, instead of probing forever.
+func TestFullDirTablePanics(t *testing.T) {
+	d := Directory{slots: make([]LineState, dirMinSlots), shift: 64 - 10}
+	for i := range d.slots {
+		d.slots[i].key = uint64(i*mem.LineSize)<<lsLineShift | lsUsed
+	}
+	absent := mem.Addr(dirMinSlots * mem.LineSize)
+	for name, lookup := range map[string]func(){
+		"Find":        func() { d.Find(absent) },
+		"GetOrInsert": func() { d.GetOrInsert(absent) },
+	} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), "directory of 1024 slots has no empty slot (0 counted used)") {
+					t.Errorf("%s of an absent line in a full table: recovered %v", name, err)
+				}
+			}()
+			lookup()
+		}()
+	}
 }
 
 // TestCoherenceSurvivesDirGrowth drives growth and purges through the

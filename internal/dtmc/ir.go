@@ -138,9 +138,6 @@ func (b *Builder) Emit(i Instr) int {
 	return len(b.fn.Code) - 1
 }
 
-// Patch sets instruction idx's jump target to the current position.
-func (b *Builder) Patch(idx int) { b.fn.Code[idx].Imm = uint64(len(b.fn.Code)) }
-
 // Here returns the next instruction index.
 func (b *Builder) Here() int { return len(b.fn.Code) }
 

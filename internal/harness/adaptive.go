@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"asfstack/internal/intset"
-	"asfstack/internal/stamp"
 )
 
 // adaptiveApps are the STAMP applications E13 runs: ssca2's tiny graph
@@ -28,81 +27,59 @@ var adaptiveRuntimes = []string{"LLB-8", "HyTM-8", "STM", "Cohorts-turbo", "Adap
 // ASF-TM from abort attribution and keep the cell serial-free) and the
 // hash set is the opposite pole — single-bucket transactions where pure
 // hardware wins and the selector must find its way back to ASF-TM.
-var adaptiveIntset = []struct {
-	structure string
-	size      int
-}{
-	{"linkedlist", 510},
-	{"hashset", 8192},
-}
+var adaptiveIntset = []intset.Config{sized("linkedlist", 510), sized("hashset", 8192)}
 
 // Adaptive — E13: static runtime choice vs online selection. Reports STAMP
 // execution times and IntegerSet throughput for each static runtime and the
 // adaptive selector, a best-static-vs-adaptive summary with the selector's
 // deficit (or gain), and the decision log for the capacity cell.
 func Adaptive(o Options) ([]*Table, error) {
-	scale := o.scale()
 	// The IntegerSet cells run long enough that the selector's one-time
 	// probe and switch transients amortize the way they would in any
 	// long-running workload — the steady state is what static-vs-adaptive
 	// compares; the per-transaction gate cost never amortizes and stays in
 	// the measurement.
 	ops := int(4800 * o.scale())
-	nR, nT := len(adaptiveRuntimes), len(adaptiveThreads)
 	var cells []cell
 	for _, app := range adaptiveApps {
 		for _, rt := range adaptiveRuntimes {
 			for _, th := range adaptiveThreads {
-				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
-				cells = append(cells, stampCell(fmt.Sprintf("adaptive %-14s %-13s t=%d", app, rt, th), cfg))
+				cells = append(cells, stampCell(fmt.Sprintf("adaptive %-14s %-13s t=%d", app, rt, th), o.stampCfg(app, rt, th)))
 			}
 		}
 	}
-	for _, se := range adaptiveIntset {
+	for _, set := range adaptiveIntset {
 		for _, rt := range adaptiveRuntimes {
-			cfg := intset.Config{
-				Options:   o.spec(rt, 8),
-				Structure: se.structure, Range: uint64(2 * se.size), UpdatePct: 20,
-				OpsPerThread: ops,
-			}
-			cells = append(cells, intsetCell(fmt.Sprintf("adaptive %-10s size=%-4d %-13s t=8", se.structure, se.size, rt), cfg))
+			cells = append(cells, intsetCell(fmt.Sprintf("adaptive %-10s size=%-4d %-13s t=8", set.Structure, set.Range/2, rt),
+				o.intsetCfg(set, rt, 8, ops)))
 		}
 	}
 	reps, err := runCells(cells, o)
-	stampR, intR := reps[:len(adaptiveApps)*nR*nT], reps[len(adaptiveApps)*nR*nT:]
 
 	var tables []*Table
-	for ai, app := range adaptiveApps {
+	for _, app := range adaptiveApps {
 		t := &Table{
 			Title:  fmt.Sprintf("E13 — runtime selection: %s (execution time, ms; lower is better)", app),
 			Header: []string{"runtime", "4", "8"},
 			Note:   "statics are the four runtimes Adaptive-8 switches among; Adaptive-8 picks online per phase",
 		}
-		for ri, rt := range adaptiveRuntimes {
-			row := []any{rt}
-			for ti := range adaptiveThreads {
-				row = append(row, entry(stampR[(ai*nR+ri)*nT+ti], ms))
-			}
-			t.Add(row...)
-		}
+		t.grid(adaptiveRuntimes, len(adaptiveThreads), func(r, c int) any {
+			return entry(find(reps, o.stampCfg(app, adaptiveRuntimes[r], adaptiveThreads[c])), ms)
+		})
 		tables = append(tables, t)
 	}
 
 	ih := []string{"runtime"}
-	for _, se := range adaptiveIntset {
-		ih = append(ih, fmt.Sprintf("%s/%d", se.structure, se.size))
+	for _, set := range adaptiveIntset {
+		ih = append(ih, fmt.Sprintf("%s/%d", set.Structure, set.Range/2))
 	}
 	it := &Table{
 		Title:  "E13 — runtime selection: IntegerSet (8 threads, 20% update): throughput (tx/µs)",
 		Header: ih,
 	}
-	for ri, rt := range adaptiveRuntimes {
-		row := []any{rt}
-		for zi := range adaptiveIntset {
-			row = append(row, entry(intR[zi*nR+ri], tput))
-		}
-		it.Add(row...)
-	}
+	it.grid(adaptiveRuntimes, len(adaptiveIntset), func(r, c int) any {
+		return entry(find(reps, o.intsetCfg(adaptiveIntset[c], adaptiveRuntimes[r], 8, ops)), tput)
+	})
 	tables = append(tables, it)
 
 	// Best-static vs adaptive: the acceptance evidence. For each cell,
@@ -113,12 +90,13 @@ func Adaptive(o Options) ([]*Table, error) {
 		Header: []string{"cell", "metric", "best static", "value", "adaptive", "gap (%)", "static serial", "adaptive serial"},
 		Note:   "gap: adaptive vs the best static for that cell (time reduction for STAMP, throughput gain for Intset); positive = adaptive ahead",
 	}
-	ad := nR - 1 // Adaptive-8 is last in adaptiveRuntimes
-	for ai, app := range adaptiveApps {
-		for ti, th := range adaptiveThreads {
-			cs := make([]*CellReport, nR) // this cell's runtimes
-			for ri := range cs {
-				cs[ri] = stampR[(ai*nR+ri)*nT+ti]
+	ad := len(adaptiveRuntimes) - 1 // Adaptive-8 is last in adaptiveRuntimes
+	// cs holds one cell's reports, one per runtime in adaptiveRuntimes order.
+	cs := make([]*CellReport, len(adaptiveRuntimes))
+	for _, app := range adaptiveApps {
+		for _, th := range adaptiveThreads {
+			for ri, rt := range adaptiveRuntimes {
+				cs[ri] = find(reps, o.stampCfg(app, rt, th))
 			}
 			label := fmt.Sprintf("%s t=%d", app, th)
 			bi, ok := bestStatic(cs, func(s *CellSim) float64 { return -ms(s) })
@@ -131,9 +109,11 @@ func Adaptive(o Options) ([]*Table, error) {
 			sum.Add(label, "ms", adaptiveRuntimes[bi], best, a, gap, cs[bi].Sim.Stats.Serial, cs[ad].Sim.Stats.Serial)
 		}
 	}
-	for zi, se := range adaptiveIntset {
-		cs := intR[zi*nR : (zi+1)*nR]
-		label := fmt.Sprintf("%s/%d", se.structure, se.size)
+	for _, set := range adaptiveIntset {
+		for ri, rt := range adaptiveRuntimes {
+			cs[ri] = find(reps, o.intsetCfg(set, rt, 8, ops))
+		}
+		label := fmt.Sprintf("%s/%d", set.Structure, set.Range/2)
 		bi, ok := bestStatic(cs, tput)
 		if !ok || tput(cs[bi].Sim) == 0 {
 			sum.Add(label, "tx/µs", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
@@ -154,7 +134,8 @@ func Adaptive(o Options) ([]*Table, error) {
 		Header: []string{"cycle", "from", "to", "trigger"},
 		Note:   "probe = next candidate window; settle = exploit the best rate; reprobe = settled rate degraded",
 	}
-	switch capCell := intR[ad]; { // adaptiveIntset[0], the linked list, on Adaptive-8
+	// The capacity cell is adaptiveIntset[0], the linked list, on Adaptive-8.
+	switch capCell := find(reps, o.intsetCfg(adaptiveIntset[0], adaptiveRuntimes[ad], 8, ops)); {
 	case capCell.Sim == nil:
 		lg.Add("ERR", "ERR", "ERR", "ERR")
 	case len(capCell.Sim.Switches) == 0:

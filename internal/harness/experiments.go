@@ -25,11 +25,39 @@ func (o Options) spec(runtime string, cores int) asfstack.Options {
 	return asfstack.Options{Runtime: runtime, Cores: cores, Trace: o.Trace, Profile: o.Profile}
 }
 
+// stampCfg, intsetCfg and serverCfg make the configs of an experiment's
+// cells, one constructor per workload. An experiment's build loop and its
+// tables call the same one with the same arguments, so each table finds
+// its cell by the config the build loop made. intsetCfg runs set (its
+// structure, range and update rate) with ops operations per thread.
+func (o Options) stampCfg(app, runtime string, cores int) stamp.Config {
+	return stamp.Config{Options: o.spec(runtime, cores), App: app, Scale: o.scale()}
+}
+
+func (o Options) intsetCfg(set intset.Config, runtime string, cores, ops int) intset.Config {
+	set.Options = o.spec(runtime, cores)
+	set.OpsPerThread = ops
+	return set
+}
+
+func (o Options) serverCfg(topology, runtime string, load float64) server.Config {
+	cfg := server.Config{Options: o.spec(runtime, 0), Load: load, Scale: o.scale()}
+	cfg.Topology = topology
+	return cfg
+}
+
+// sized is the 20%-update set of a structure that starts with size keys,
+// drawn from a range twice that: the sets Figs. 7 and 8, E11 and E13
+// sweep by size.
+func sized(structure string, size int) intset.Config {
+	return intset.Config{Structure: structure, Range: uint64(2 * size), UpdatePct: 20}
+}
+
 // stampCell, intsetCell and serverCell make one workload run a cell: the
 // run's measured phase is recorded on the cell's report, which is where
 // the experiment's tables read it.
 func stampCell(label string, cfg stamp.Config) cell {
-	return cell{label: label, run: func(rec *CellRecord) (string, error) {
+	return cell{label: label, cfg: cfg, run: func(rec *CellRecord) (string, error) {
 		r, err := stampRun(cfg)
 		if err != nil {
 			return "", err
@@ -40,7 +68,7 @@ func stampCell(label string, cfg stamp.Config) cell {
 }
 
 func intsetCell(label string, cfg intset.Config) cell {
-	return cell{label: label, run: func(rec *CellRecord) (string, error) {
+	return cell{label: label, cfg: cfg, run: func(rec *CellRecord) (string, error) {
 		r, err := intsetRun(cfg)
 		if err != nil {
 			return "", err
@@ -56,7 +84,7 @@ func intsetCell(label string, cfg intset.Config) cell {
 }
 
 func serverCell(label string, cfg server.Config) cell {
-	return cell{label: label, run: func(rec *CellRecord) (string, error) {
+	return cell{label: label, cfg: cfg, run: func(rec *CellRecord) (string, error) {
 		r, err := serverRun(cfg)
 		if err != nil {
 			return "", err
@@ -73,6 +101,19 @@ func ms(s *CellSim) float64 { return asfstack.RunResult{Cycles: s.Cycles}.Millis
 
 func tput(s *CellSim) float64 {
 	return asfstack.RunResult{Cycles: s.Cycles, Stats: s.Stats}.Throughput()
+}
+
+// find returns the report of the cell that ran cfg. It panics when no cell
+// did, so an experiment whose tables ask for a config its build loop never
+// made fails. The message leaves cfg out: formatting it would move every
+// looked-up config to the heap.
+func find(reps []*CellReport, cfg any) *CellReport {
+	for _, c := range reps {
+		if c.cfg == cfg {
+			return c
+		}
+	}
+	panic("harness: a table asks for a config no cell ran")
 }
 
 // entry is the table entry f computes from a cell's report, or "ERR" when
@@ -99,18 +140,19 @@ var threadCounts = []int{1, 2, 4, 8}
 // Barcelona model vs the native-reference calibration; reports the
 // per-benchmark deviation (the paper's 10–35% bars).
 func Fig3(o Options) ([]*Table, error) {
-	scale := o.scale()
+	// One native machine for every native cell, so their configs compare
+	// equal to the ones the table asks for.
+	native := sim.NativeReference(1)
+	cfg := func(app string, machine *sim.Config) stamp.Config {
+		c := o.stampCfg(app, "Sequential", 1)
+		c.Machine = machine
+		return c
+	}
 	var cells []cell
 	for _, app := range stamp.Apps {
-		for _, native := range []bool{false, true} {
-			kind := "sim"
-			cfg := stamp.Config{Options: o.spec("Sequential", 1), App: app, Scale: scale}
-			if native {
-				nr := sim.NativeReference(1)
-				kind, cfg.Machine = "native", &nr
-			}
-			cells = append(cells, stampCell(fmt.Sprintf("fig3 %-14s %s", app, kind), cfg))
-		}
+		cells = append(cells,
+			stampCell(fmt.Sprintf("fig3 %-14s sim", app), cfg(app, nil)),
+			stampCell(fmt.Sprintf("fig3 %-14s native", app), cfg(app, &native)))
 	}
 	reps, err := runCells(cells, o)
 
@@ -119,8 +161,8 @@ func Fig3(o Options) ([]*Table, error) {
 		Header: []string{"benchmark", "sim (ms)", "native-ref (ms)", "deviation (%)"},
 		Note:   "paper: 5 of 8 benchmarks within 10–15%; vacation and kmeans deviate most",
 	}
-	for i, app := range stamp.Apps {
-		sc, nc := reps[2*i], reps[2*i+1]
+	for _, app := range stamp.Apps {
+		sc, nc := find(reps, cfg(app, nil)), find(reps, cfg(app, &native))
 		if sc.Sim == nil || nc.Sim == nil {
 			t.Add(app, entry(sc, ms), entry(nc, ms), "ERR")
 			continue
@@ -134,37 +176,28 @@ func Fig3(o Options) ([]*Table, error) {
 // Fig4 — STAMP scalability: execution time (ms) for every application,
 // ASF variants and STM across 1–8 threads, plus the sequential bar.
 func Fig4(o Options) ([]*Table, error) {
-	scale := o.scale()
 	rts := append(asfVariants(), "STM")
-	nR, nT := len(rts), len(threadCounts)
 	var cells []cell
 	for _, app := range stamp.Apps {
 		for _, rt := range rts {
 			for _, th := range threadCounts {
-				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
-				cells = append(cells, stampCell(fmt.Sprintf("fig4 %-14s %-14s t=%d", app, rt, th), cfg))
+				cells = append(cells, stampCell(fmt.Sprintf("fig4 %-14s %-14s t=%d", app, rt, th), o.stampCfg(app, rt, th)))
 			}
 		}
-		cfg := stamp.Config{Options: o.spec("Sequential", 1), App: app, Scale: scale}
-		cells = append(cells, stampCell(fmt.Sprintf("fig4 %-14s Sequential     t=1", app), cfg))
+		cells = append(cells, stampCell(fmt.Sprintf("fig4 %-14s Sequential     t=1", app), o.stampCfg(app, "Sequential", 1)))
 	}
 	reps, err := runCells(cells, o)
 
 	var tables []*Table
-	for ai, app := range stamp.Apps {
+	for _, app := range stamp.Apps {
 		t := &Table{
 			Title:  fmt.Sprintf("Fig. 4 — STAMP: %s (execution time, ms; lower is better)", app),
 			Header: []string{"runtime", "1", "2", "4", "8"},
 		}
-		cs := reps[ai*(nR*nT+1):] // the app's runtime × thread cells, then Sequential
-		for ri, rt := range rts {
-			row := []any{rt}
-			for ti := range threadCounts {
-				row = append(row, entry(cs[ri*nT+ti], ms))
-			}
-			t.Add(row...)
-		}
-		t.Add("Sequential", entry(cs[nR*nT], ms), "-", "-", "-")
+		t.grid(rts, len(threadCounts), func(r, c int) any {
+			return entry(find(reps, o.stampCfg(app, rts[r], threadCounts[c])), ms)
+		})
+		t.Add("Sequential", entry(find(reps, o.stampCfg(app, "Sequential", 1)), ms), "-", "-", "-")
 		tables = append(tables, t)
 	}
 	return tables, err
@@ -187,35 +220,28 @@ var fig5Panels = []intset.Config{
 func Fig5(o Options) ([]*Table, error) {
 	ops := int(1500 * o.scale())
 	rts := asfVariants()
-	nR, nT := len(rts), len(threadCounts)
 	var cells []cell
 	for _, panel := range fig5Panels {
 		for _, rt := range rts {
 			for _, th := range threadCounts {
-				cfg := panel
-				cfg.Options = o.spec(rt, th)
-				cfg.OpsPerThread = ops
 				cells = append(cells, intsetCell(
-					fmt.Sprintf("fig5 %-10s r=%-6d %-14s t=%d", panel.Structure, panel.Range, rt, th), cfg))
+					fmt.Sprintf("fig5 %-10s r=%-6d %-14s t=%d", panel.Structure, panel.Range, rt, th),
+					o.intsetCfg(panel, rt, th, ops)))
 			}
 		}
 	}
 	reps, err := runCells(cells, o)
 
 	var tables []*Table
-	for pi, panel := range fig5Panels {
+	for _, panel := range fig5Panels {
 		t := &Table{
 			Title: fmt.Sprintf("Fig. 5 — Intset:%s (range=%d, %d%% upd.) throughput (tx/µs; higher is better)",
 				panel.Structure, panel.Range, panel.UpdatePct),
 			Header: []string{"variant", "1", "2", "4", "8"},
 		}
-		for ri, rt := range rts {
-			row := []any{rt}
-			for ti := range threadCounts {
-				row = append(row, entry(reps[(pi*nR+ri)*nT+ti], tput))
-			}
-			t.Add(row...)
-		}
+		t.grid(rts, len(threadCounts), func(r, c int) any {
+			return entry(find(reps, o.intsetCfg(panel, rts[r], threadCounts[c], ops)), tput)
+		})
 		tables = append(tables, t)
 	}
 	return tables, err
@@ -224,30 +250,27 @@ func Fig5(o Options) ([]*Table, error) {
 // Fig6 — abort breakdown: percentage of transaction attempts aborted, by
 // cause, for every STAMP application, ASF variant and thread count.
 func Fig6(o Options) ([]*Table, error) {
-	scale := o.scale()
 	rts := asfVariants()
-	nR, nT := len(rts), len(threadCounts)
 	var cells []cell
 	for _, app := range stamp.Apps {
 		for _, rt := range rts {
 			for _, th := range threadCounts {
-				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
-				cells = append(cells, stampCell(fmt.Sprintf("fig6 %-14s %-14s t=%d", app, rt, th), cfg))
+				cells = append(cells, stampCell(fmt.Sprintf("fig6 %-14s %-14s t=%d", app, rt, th), o.stampCfg(app, rt, th)))
 			}
 		}
 	}
 	reps, err := runCells(cells, o)
 
 	var tables []*Table
-	for ai, app := range stamp.Apps {
+	for _, app := range stamp.Apps {
 		t := &Table{
 			Title: fmt.Sprintf("Fig. 6 — abort breakdown: %s (%% of attempts)", app),
 			Header: []string{"variant", "thr", "contention", "page-fault",
 				"capacity", "malloc", "syscall", "other", "total"},
 		}
-		for ri, rt := range rts {
-			for ti, th := range threadCounts {
-				c := reps[(ai*nR+ri)*nT+ti]
+		for _, rt := range rts {
+			for _, th := range threadCounts {
+				c := find(reps, o.stampCfg(app, rt, th))
 				if c.Sim == nil {
 					t.Add(rt, th, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
 					continue
@@ -293,12 +316,8 @@ func Fig7(o Options) ([]*Table, error) {
 	for _, se := range series {
 		for _, rt := range rts {
 			for _, sz := range se.sizes {
-				cfg := intset.Config{
-					Options:   o.spec(rt, 8),
-					Structure: se.structure, Range: uint64(2 * sz), UpdatePct: 20,
-					OpsPerThread: ops,
-				}
-				cells = append(cells, intsetCell(fmt.Sprintf("fig7 %-10s %-14s size=%-4d", se.structure, rt, sz), cfg))
+				cells = append(cells, intsetCell(fmt.Sprintf("fig7 %-10s %-14s size=%-4d", se.structure, rt, sz),
+					o.intsetCfg(sized(se.structure, sz), rt, 8, ops)))
 			}
 		}
 	}
@@ -311,15 +330,10 @@ func Fig7(o Options) ([]*Table, error) {
 			header = append(header, fmt.Sprint(sz))
 		}
 		t := &Table{Title: se.title, Header: header}
-		for ri, rt := range rts {
-			row := []any{rt}
-			for zi := range se.sizes {
-				row = append(row, entry(reps[ri*len(se.sizes)+zi], tput))
-			}
-			t.Add(row...)
-		}
+		t.grid(rts, len(se.sizes), func(r, c int) any {
+			return entry(find(reps, o.intsetCfg(sized(se.structure, se.sizes[c]), rts[r], 8, ops)), tput)
+		})
 		tables = append(tables, t)
-		reps = reps[len(rts)*len(se.sizes):]
 	}
 	return tables, err
 }
@@ -331,38 +345,30 @@ func Fig8(o Options) ([]*Table, error) {
 	sizes := []int{8, 16, 32, 64, 128, 256, 512}
 	llbs := []string{"LLB-8", "LLB-256"}
 	modes := []bool{false, true}
+	cfg := func(llb string, er bool, size int) intset.Config {
+		c := o.intsetCfg(sized("linkedlist", size), llb, 8, ops)
+		c.EarlyRelease = er
+		return c
+	}
 	var cells []cell
 	for _, llb := range llbs {
 		for _, er := range modes {
 			for _, sz := range sizes {
-				cfg := intset.Config{
-					Options:   o.spec(llb, 8),
-					Structure: "linkedlist", Range: uint64(2 * sz), UpdatePct: 20,
-					OpsPerThread: ops, EarlyRelease: er,
-				}
-				cells = append(cells, intsetCell(fmt.Sprintf("fig8 %-8s er=%-5v size=%-4d", llb, er, sz), cfg))
+				cells = append(cells, intsetCell(fmt.Sprintf("fig8 %-8s er=%-5v size=%-4d", llb, er, sz), cfg(llb, er, sz)))
 			}
 		}
 	}
 	reps, err := runCells(cells, o)
 
 	var tables []*Table
-	for li, llb := range llbs {
+	for _, llb := range llbs {
 		t := &Table{
 			Title:  fmt.Sprintf("Fig. 8 — Intset:LinkList (%s, 8 threads, 20%% update): early-release impact (tx/µs)", llb),
 			Header: []string{"mode", "8", "16", "32", "64", "128", "256", "512"},
 		}
-		for mi, er := range modes {
-			label := "Without early release"
-			if er {
-				label = "With early release"
-			}
-			row := []any{label}
-			for zi := range sizes {
-				row = append(row, entry(reps[(li*len(modes)+mi)*len(sizes)+zi], tput))
-			}
-			t.Add(row...)
-		}
+		t.grid([]string{"Without early release", "With early release"}, len(sizes), func(r, c int) any {
+			return entry(find(reps, cfg(llb, modes[r], sizes[c])), tput)
+		})
 		tables = append(tables, t)
 	}
 	return tables, err
@@ -381,13 +387,11 @@ var table1Configs = []intset.Config{
 // category, with ratios (Table 1), and the normalised composition (Fig. 9).
 func Table1(o Options) ([]*Table, error) {
 	ops := int(4000 * o.scale())
+	rts := [2]string{"LLB-256", "STM"} // ASF, STM
 	var cells []cell
-	for _, cfg := range table1Configs {
-		for _, rt := range []string{"LLB-256", "STM"} {
-			c := cfg
-			c.Options = o.spec(rt, 1)
-			c.OpsPerThread = ops
-			cells = append(cells, intsetCell(fmt.Sprintf("table1 %-10s %-8s", cfg.Structure, rt), c))
+	for _, set := range table1Configs {
+		for _, rt := range rts {
+			cells = append(cells, intsetCell(fmt.Sprintf("table1 %-10s %-8s", set.Structure, rt), o.intsetCfg(set, rt, 1, ops)))
 		}
 	}
 	reps, err := runCells(cells, o)
@@ -408,19 +412,19 @@ func Table1(o Options) ([]*Table, error) {
 		Title:  "Fig. 9 — single-thread overhead composition (normalised to the STM total of each benchmark)",
 		Header: []string{"benchmark", "runtime", "non-instr", "tx app", "abort", "tx ld/st", "tx start/commit", "total"},
 	}
-	for ci, cfg := range table1Configs {
+	for _, set := range table1Configs {
 		t := &Table{
 			Title: fmt.Sprintf("Table 1 — cycles inside transactions: %s / %d%% / %d",
-				cfg.Structure, cfg.UpdatePct, cfg.Range/2),
+				set.Structure, set.UpdatePct, set.Range/2),
 			Header: []string{"category", "ASF", "STM", "ratio (STM/ASF)"},
 		}
 		// A failed cell's column reads ERR, and so does every ratio to it;
 		// Fig. 9 normalises both rows to the STM total.
-		cs := [2]*CellSim{reps[2*ci].Sim, reps[2*ci+1].Sim} // ASF, STM
+		var cs [2]*CellSim
 		var b [2]sim.Breakdown
-		for i, s := range cs {
-			if s != nil {
-				b[i] = breakdown(s)
+		for i, rt := range rts {
+			if cs[i] = find(reps, o.intsetCfg(set, rt, 1, ops)).Sim; cs[i] != nil {
+				b[i] = breakdown(cs[i])
 			}
 		}
 		col := func(i int, cat sim.Category) any {
@@ -444,10 +448,10 @@ func Table1(o Options) ([]*Table, error) {
 		stmTotal := float64(b[1].Total())
 		for i, rt := range []string{"ASF", "STM"} {
 			if cs[i] == nil || cs[1] == nil {
-				norm.Add(cfg.Structure, rt, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
+				norm.Add(set.Structure, rt, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
 				continue
 			}
-			norm.Add(cfg.Structure, rt,
+			norm.Add(set.Structure, rt,
 				float64(b[i][sim.CatNonInstr])/stmTotal,
 				float64(b[i][sim.CatTxApp])/stmTotal,
 				float64(b[i][sim.CatAbort])/stmTotal,

@@ -29,52 +29,43 @@ var grid64Runtimes = []string{"LLB-256", "HyTM-8", "STM", "Cohorts-turbo", "Adap
 // head-to-head at 64 threads.
 func Grid64(o Options) ([]*Table, error) {
 	ops := int(1500 * o.scale())
-	nP, nT, nR := len(grid64Panels), len(grid64Threads), len(grid64Runtimes)
 	var cells []cell
 	for _, panel := range grid64Panels {
 		for _, th := range grid64Threads {
-			cfg := panel
-			cfg.Options = o.spec("LLB-256", th)
-			cfg.OpsPerThread = ops
 			cells = append(cells, intsetCell(
-				fmt.Sprintf("grid64 %-10s r=%-6d LLB-256 t=%d", panel.Structure, panel.Range, th), cfg))
+				fmt.Sprintf("grid64 %-10s r=%-6d LLB-256 t=%d", panel.Structure, panel.Range, th),
+				o.intsetCfg(panel, "LLB-256", th, ops)))
 		}
 	}
+	// The LLB-256 column repeats the 64-thread cells above; runCells runs
+	// each of them once.
 	for _, panel := range grid64Panels {
 		for _, rt := range grid64Runtimes {
-			cfg := panel
-			cfg.Options = o.spec(rt, 64)
-			cfg.OpsPerThread = ops
 			cells = append(cells, intsetCell(
-				fmt.Sprintf("grid64 %-10s r=%-6d %-13s t=64", panel.Structure, panel.Range, rt), cfg))
+				fmt.Sprintf("grid64 %-10s r=%-6d %-13s t=64", panel.Structure, panel.Range, rt),
+				o.intsetCfg(panel, rt, 64, ops)))
 		}
 	}
 	reps, err := runCells(cells, o)
-	scalR, rtR := reps[:nP*nT], reps[nP*nT:]
 
+	var panels []string
+	for _, panel := range grid64Panels {
+		panels = append(panels, fmt.Sprintf("%s/%d", panel.Structure, panel.Range))
+	}
 	scal := &Table{
 		Title:  "E15 — 64-core grid: Fig. 5 large panels on ASF-TM (LLB-256), throughput (tx/µs)",
 		Header: []string{"cell", "8", "16", "32", "64"},
 		Note:   "the 8-thread column matches the corresponding Fig. 5 cells; higher is better",
 	}
-	for pi, panel := range grid64Panels {
-		row := []any{fmt.Sprintf("%s/%d", panel.Structure, panel.Range)}
-		for ti := range grid64Threads {
-			row = append(row, entry(scalR[pi*nT+ti], tput))
-		}
-		scal.Add(row...)
-	}
-
+	scal.grid(panels, len(grid64Threads), func(r, c int) any {
+		return entry(find(reps, o.intsetCfg(grid64Panels[r], "LLB-256", grid64Threads[c], ops)), tput)
+	})
 	rtab := &Table{
 		Title:  "E15 — 64-core grid: runtime field at 64 threads (E13 widened), throughput (tx/µs)",
 		Header: append([]string{"cell"}, grid64Runtimes...),
 	}
-	for pi, panel := range grid64Panels {
-		row := []any{fmt.Sprintf("%s/%d", panel.Structure, panel.Range)}
-		for ri := range grid64Runtimes {
-			row = append(row, entry(rtR[pi*nR+ri], tput))
-		}
-		rtab.Add(row...)
-	}
+	rtab.grid(panels, len(grid64Runtimes), func(r, c int) any {
+		return entry(find(reps, o.intsetCfg(grid64Panels[r], grid64Runtimes[c], 64, ops)), tput)
+	})
 	return []*Table{scal, rtab}, err
 }

@@ -34,6 +34,18 @@ func (t *Table) Add(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
+// grid adds one row per row label: the label, then entry(r, c) for each
+// of the n columns c.
+func (t *Table) grid(rows []string, n int, entry func(r, c int) any) {
+	for r, label := range rows {
+		row := []any{label}
+		for c := range n {
+			row = append(row, entry(r, c))
+		}
+		t.Add(row...)
+	}
+}
+
 // Fprint renders the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "\n== %s ==\n", t.Title)

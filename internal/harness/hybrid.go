@@ -1,11 +1,6 @@
 package harness
 
-import (
-	"fmt"
-
-	"asfstack/internal/intset"
-	"asfstack/internal/stamp"
-)
+import "fmt"
 
 // hybridApps are the capacity-bound STAMP applications E11 re-runs: the
 // cells the paper's serial-irrevocable fallback could not scale (Fig. 4
@@ -32,51 +27,38 @@ var hybridRuntimes = []string{"LLB-8", "HyTM-8"}
 // IntegerSet throughput at 8 threads across sizes, and a head-to-head
 // 8-thread summary with the hybrid's commit-path split.
 func Hybrid(o Options) ([]*Table, error) {
-	scale := o.scale()
 	ops := int(1200 * o.scale())
-	nR, nT := len(hybridRuntimes), len(threadCounts)
 	var cells []cell
 	for _, app := range hybridApps {
 		for _, rt := range hybridRuntimes {
 			for _, th := range threadCounts {
-				cfg := stamp.Config{Options: o.spec(rt, th), App: app, Scale: scale}
-				cells = append(cells, stampCell(fmt.Sprintf("hybrid %-14s %-8s t=%d", app, rt, th), cfg))
+				cells = append(cells, stampCell(fmt.Sprintf("hybrid %-14s %-8s t=%d", app, rt, th), o.stampCfg(app, rt, th)))
 			}
 		}
 	}
 	for _, se := range hybridIntset {
 		for _, sz := range se.sizes {
 			for _, rt := range hybridRuntimes {
-				cfg := intset.Config{
-					Options:   o.spec(rt, 8),
-					Structure: se.structure, Range: uint64(2 * sz), UpdatePct: 20,
-					OpsPerThread: ops,
-				}
-				cells = append(cells, intsetCell(fmt.Sprintf("hybrid %-10s size=%-4d %-8s t=8", se.structure, sz, rt), cfg))
+				cells = append(cells, intsetCell(fmt.Sprintf("hybrid %-10s size=%-4d %-8s t=8", se.structure, sz, rt),
+					o.intsetCfg(sized(se.structure, sz), rt, 8, ops)))
 			}
 		}
 	}
 	reps, err := runCells(cells, o)
-	stampR, intR := reps[:len(hybridApps)*nR*nT], reps[len(hybridApps)*nR*nT:]
 
 	var tables []*Table
-	for ai, app := range hybridApps {
+	for _, app := range hybridApps {
 		t := &Table{
 			Title:  fmt.Sprintf("E11 — hybrid fallback: %s (execution time, ms; lower is better)", app),
 			Header: []string{"runtime", "1", "2", "4", "8"},
 			Note:   "LLB-8 = serial-irrevocable fallback (the paper's design); HyTM-8 = concurrent software fallback",
 		}
-		for ri, rt := range hybridRuntimes {
-			row := []any{rt}
-			for ti := range threadCounts {
-				row = append(row, entry(stampR[(ai*nR+ri)*nT+ti], ms))
-			}
-			t.Add(row...)
-		}
+		t.grid(hybridRuntimes, len(threadCounts), func(r, c int) any {
+			return entry(find(reps, o.stampCfg(app, hybridRuntimes[r], threadCounts[c])), ms)
+		})
 		tables = append(tables, t)
 	}
 
-	base := 0
 	for _, se := range hybridIntset {
 		header := []string{"runtime"}
 		for _, sz := range se.sizes {
@@ -87,15 +69,10 @@ func Hybrid(o Options) ([]*Table, error) {
 				se.structure),
 			Header: header,
 		}
-		for ri, rt := range hybridRuntimes {
-			row := []any{rt}
-			for zi := range se.sizes {
-				row = append(row, entry(intR[(base+zi)*nR+ri], tput))
-			}
-			t.Add(row...)
-		}
+		t.grid(hybridRuntimes, len(se.sizes), func(r, c int) any {
+			return entry(find(reps, o.intsetCfg(sized(se.structure, se.sizes[c]), hybridRuntimes[r], 8, ops)), tput)
+		})
 		tables = append(tables, t)
-		base += len(se.sizes)
 	}
 
 	// Head-to-head at 8 threads: the acceptance evidence. Serial and
@@ -106,9 +83,9 @@ func Hybrid(o Options) ([]*Table, error) {
 		Header: []string{"cell", "metric", "LLB-8", "HyTM-8", "improvement (%)", "hw commits", "sw commits", "serial", "seq aborts"},
 		Note:   "improvement: time reduction for STAMP (ms), throughput gain for Intset; commit split is the HyTM-8 run's",
 	}
-	t8 := len(threadCounts) - 1
-	for ai, app := range hybridApps {
-		s, h := stampR[(ai*nR+0)*nT+t8], stampR[(ai*nR+1)*nT+t8]
+	serial, hybrid := hybridRuntimes[0], hybridRuntimes[1]
+	for _, app := range hybridApps {
+		s, h := find(reps, o.stampCfg(app, serial, 8)), find(reps, o.stampCfg(app, hybrid, 8))
 		if s.Sim == nil || h.Sim == nil || ms(h.Sim) <= 0 {
 			sum.Add(app, "ms", entry(s, ms), entry(h, ms), "ERR", "ERR", "ERR", "ERR", "ERR")
 			continue
@@ -116,10 +93,10 @@ func Hybrid(o Options) ([]*Table, error) {
 		sv, hv, st := ms(s.Sim), ms(h.Sim), h.Sim.Stats
 		sum.Add(app, "ms", sv, hv, (sv-hv)/sv*100, st.Commits-st.SWCommits-st.Serial, st.SWCommits, st.Serial, st.SeqAborts)
 	}
-	base = 0
 	for _, se := range hybridIntset {
-		for zi, sz := range se.sizes {
-			s, h := intR[(base+zi)*nR+0], intR[(base+zi)*nR+1]
+		for _, sz := range se.sizes {
+			set := sized(se.structure, sz)
+			s, h := find(reps, o.intsetCfg(set, serial, 8, ops)), find(reps, o.intsetCfg(set, hybrid, 8, ops))
 			label := fmt.Sprintf("%s/%d", se.structure, sz)
 			if s.Sim == nil || h.Sim == nil || tput(s.Sim) <= 0 {
 				sum.Add(label, "tx/µs", entry(s, tput), entry(h, tput), "ERR", "ERR", "ERR", "ERR", "ERR")
@@ -128,7 +105,6 @@ func Hybrid(o Options) ([]*Table, error) {
 			sv, hv, st := tput(s.Sim), tput(h.Sim), h.Sim.Stats
 			sum.Add(label, "tx/µs", sv, hv, (hv-sv)/sv*100, st.Commits-st.SWCommits-st.Serial, st.SWCommits, st.Serial, st.SeqAborts)
 		}
-		base += len(se.sizes)
 	}
 	tables = append(tables, sum)
 	return tables, err

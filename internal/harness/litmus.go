@@ -24,7 +24,6 @@ func Litmus(o Options) ([]*Table, error) {
 		iters = 40
 	}
 	matrix := litmus.Matrix()
-	nR := len(matrix)
 
 	type obs struct {
 		distinct int // distinct outcomes observed
@@ -33,13 +32,15 @@ func Litmus(o Options) ([]*Table, error) {
 		iters    int // interleavings actually run
 		cycles   uint64
 	}
-	// A violating cell fails but keeps its observations: the matrix shows
-	// VIOL:n for it. A nil entry is a cell that panicked.
-	res := make([]*obs, len(litmus.Tests)*nR)
+	// res[test][runtime]: a violating cell fails but keeps its
+	// observations, so the matrix shows VIOL:n for it. A nil entry is a
+	// cell that panicked.
+	res := make([][]*obs, len(litmus.Tests))
 	var cells []cell
 	for ti, tt := range litmus.Tests {
+		res[ti] = make([]*obs, len(matrix))
 		for ri, rc := range matrix {
-			dst := &res[ti*nR+ri]
+			dst := &res[ti][ri]
 			cells = append(cells, cell{
 				label: fmt.Sprintf("litmus %-22s %-11s", tt.Name, rc.Label),
 				run: func(rec *CellRecord) (string, error) {
@@ -78,8 +79,7 @@ func Litmus(o Options) ([]*Table, error) {
 	}
 	for ti, tt := range litmus.Tests {
 		row := []any{tt.Name}
-		for ri := range matrix {
-			s := res[ti*nR+ri]
+		for _, s := range res[ti] {
 			switch {
 			case s == nil:
 				row = append(row, "ERR")
@@ -103,7 +103,7 @@ func Litmus(o Options) ([]*Table, error) {
 		var cyc uint64
 		ok := true
 		for ti := range litmus.Tests {
-			s := res[ti*nR+ri]
+			s := res[ti][ri]
 			if s == nil {
 				ok = false
 				break

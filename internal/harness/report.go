@@ -122,6 +122,8 @@ type CellReport struct {
 	// set. It is exported through the Chrome trace writer, not the JSON
 	// report (volume).
 	Trace *trace.Run `json:"-"`
+
+	cfg any // the workload config the cell ran, by which tables find it
 }
 
 // CellSim is the simulated (deterministic) section of a cell report.

@@ -128,95 +128,6 @@ func TestRunReportTable1(t *testing.T) {
 	}
 }
 
-// reportSimJSON runs one experiment and serialises the deterministic part
-// of its report — every cell's label and sim section plus the tables, host
-// sections excluded (wall-clock, varies run to run).
-func reportSimJSON(t *testing.T, name string, scale float64, parallel int) string {
-	t.Helper()
-	rep, err := RunReport(name, Options{Scale: scale, Parallel: parallel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type det struct {
-		Label  string
-		Sim    *CellSim
-		Tables []*Table
-	}
-	var ds []det
-	for _, c := range rep.Cells {
-		ds = append(ds, det{Label: c.Label, Sim: c.Sim})
-	}
-	ds = append(ds, det{Label: "tables", Tables: rep.Tables})
-	data, err := json.MarshalIndent(ds, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data)
-}
-
-// TestReportSimDeterminism: the JSON encoding of every cell's sim section —
-// metrics snapshots included — must be byte-identical at any worker count.
-func TestReportSimDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweeps are slow")
-	}
-	seq := reportSimJSON(t, "table1", 0.05, 1)
-	par := reportSimJSON(t, "table1", 0.05, 8)
-	if seq != par {
-		t.Fatalf("sim sections differ between parallel=1 and parallel=8:\n--- 1 ---\n%.2000s\n--- 8 ---\n%.2000s", seq, par)
-	}
-}
-
-// TestFig5ReportSimDeterminism is the scheduler-refactor regression guard:
-// fig5 is the multicore sweep most sensitive to operation interleaving, so
-// its full deterministic report must be byte-identical whether cells run on
-// one worker or eight. Any run-ahead lease or hand-off bug that reordered
-// even one memory operation shows up here as a cycle-count diff.
-func TestFig5ReportSimDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweeps are slow")
-	}
-	seq := reportSimJSON(t, "fig5", 0.03, 1)
-	par := reportSimJSON(t, "fig5", 0.03, 8)
-	if seq != par {
-		t.Fatalf("fig5 sim sections differ between parallel=1 and parallel=8:\n--- 1 ---\n%.2000s\n--- 8 ---\n%.2000s", seq, par)
-	}
-}
-
-// TestHybridReportSimDeterminism: E11 is the first experiment whose cells
-// mix three commit paths (hardware, concurrent software, serial), so its
-// deterministic report — hytm gauges included — must be byte-identical at
-// any worker count like every other experiment's.
-func TestHybridReportSimDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweeps are slow")
-	}
-	seq := reportSimJSON(t, "hybrid", 0.05, 1)
-	par := reportSimJSON(t, "hybrid", 0.05, 8)
-	if seq != par {
-		t.Fatalf("hybrid sim sections differ between parallel=1 and parallel=8:\n--- 1 ---\n%.2000s\n--- 8 ---\n%.2000s", seq, par)
-	}
-}
-
-// TestTxprofReportSimDeterminism: E14 embeds full flight-recorder profiles
-// in every cell's sim section, so this byte-identity guard covers the
-// recorder end to end — per-core rings, wasted-work aggregates, contended-
-// line leaderboards and causality edges — at any worker count. cmd/tmprof
-// output is a pure function of these sections, so its determinism follows.
-func TestTxprofReportSimDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweeps are slow")
-	}
-	seq := reportSimJSON(t, "txprof", 0.03, 1)
-	par := reportSimJSON(t, "txprof", 0.03, 8)
-	if seq != par {
-		t.Fatalf("txprof sim sections differ between parallel=1 and parallel=8:\n--- 1 ---\n%.2000s\n--- 8 ---\n%.2000s", seq, par)
-	}
-	if !strings.Contains(seq, `"schema": "asfstack/txprof"`) {
-		t.Fatal("txprof cells carry no embedded profile")
-	}
-}
-
 // TestAbortTableGolden pins the abort-attribution table's exact column
 // order and rendering — the one report surface with no golden before the
 // hybrid columns (sw, seq) were added. Reordering, renaming, or dropping a

@@ -62,26 +62,46 @@ func (e *CellError) Error() string { return fmt.Sprintf("cell %q: %v", e.Cell, e
 func (e *CellError) Unwrap() error { return e.Err }
 
 // cell is one independent unit of work — one simulated machine built, run
-// and measured. run returns a short summary line for the progress stream
-// and records its simulated outcome on rec, from which the cell's report
-// and the experiment's tables are built.
+// and measured. cfg is the workload config it runs (a stamp.Config,
+// intset.Config or server.Config, compared by value), by which the
+// experiment's tables find its report; nil for a cell that runs no
+// workload config. run returns a short summary line for the progress
+// stream and records its simulated outcome on rec, from which the cell's
+// report and the experiment's tables are built.
 type cell struct {
 	label string
+	cfg   any
 	run   func(rec *CellRecord) (summary string, err error)
 }
 
 // runCells drains cells through a pool of worker goroutines and returns
 // one report per cell, in cell order, with the joined per-cell errors (nil
-// when every cell succeeded). A cell that fails — by error or by panic —
-// is reported with no sim section and the remaining cells keep running;
-// the experiment still assembles every table, reading "ERR" where a
-// failed cell's numbers would be.
+// when every cell succeeded). A cell whose config an earlier cell already
+// declared does not run: its report is the first cell's, under its own
+// label and with an empty host section, and it fails when that cell does.
+// A cell that fails — by error or by panic — is reported with no sim
+// section and the remaining cells keep running; the experiment still
+// assembles every table, reading "ERR" where a failed cell's numbers would
+// be.
 func runCells(cells []cell, o Options) ([]*CellReport, error) {
-	workers := o.workers()
-	if workers > len(cells) {
-		workers = len(cells)
+	// first[i] is the first cell with cells[i]'s config; runs lists the
+	// cells that are their own first, in cell order.
+	first := make([]int, len(cells))
+	var runs []int
+	for i, c := range cells {
+		first[i] = i
+		for j := range i {
+			if c.cfg != nil && cells[j].cfg == c.cfg {
+				first[i] = j
+				break
+			}
+		}
+		if first[i] == i {
+			runs = append(runs, i)
+		}
 	}
-	errs := make([]error, len(cells))
+	workers := min(o.workers(), len(cells))
+	errs := make([]error, len(cells)) // each run's own error
 	reps := make([]*CellReport, len(cells))
 	var next atomic.Int64
 	var mu sync.Mutex // serialises Progress writes
@@ -92,11 +112,11 @@ func runCells(cells []cell, o Options) ([]*CellReport, error) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
+				k := int(next.Add(1)) - 1
+				if k >= len(runs) {
 					return
 				}
-				c := cells[i]
+				c := cells[runs[k]]
 				queued := time.Since(poolStart)
 				rec := &CellRecord{}
 				start := time.Now()
@@ -111,32 +131,41 @@ func runCells(cells []cell, o Options) ([]*CellReport, error) {
 						QueueMS: float64(queued.Microseconds()) / 1e3,
 					},
 					Trace: rec.trace,
+					cfg:   c.cfg,
 				}
 				if err != nil {
 					rep.Err = err.Error()
 					rep.Sim = nil // a failed cell's partial state is not a result
 				}
-				reps[i] = rep
+				reps[runs[k]], errs[runs[k]] = rep, err
 				mu.Lock()
 				if err != nil {
 					progf(o.Progress, "[%d/%d] %s FAILED (%v host): %v\n",
-						i+1, len(cells), c.label, host, err)
+						k+1, len(runs), c.label, host, err)
 				} else {
 					progf(o.Progress, "[%d/%d] %s %s (%v host)\n",
-						i+1, len(cells), c.label, summary, host)
+						k+1, len(runs), c.label, summary, host)
 				}
 				mu.Unlock()
-				if err != nil {
-					errs[i] = &CellError{Cell: c.label, Err: err}
-				}
 			}
 		}()
 	}
 	wg.Wait()
+	var cellErrs []error
+	for i, c := range cells {
+		if j := first[i]; j != i {
+			rep := *reps[j]
+			rep.Label, rep.Host = strings.TrimRight(c.label, " "), CellHost{}
+			reps[i] = &rep
+		}
+		if err := errs[first[i]]; err != nil {
+			cellErrs = append(cellErrs, &CellError{Cell: c.label, Err: err})
+		}
+	}
 	if o.sink != nil {
 		*o.sink = reps
 	}
-	return reps, errors.Join(errs...)
+	return reps, errors.Join(cellErrs...)
 }
 
 // runCell runs one cell, converting a workload panic (simulator

@@ -24,7 +24,7 @@ import (
 
 // update rewrites the sim pin (testdata/sim_digests.json) from this run's
 // digests. TestParallelExperimentDeterminism writes it only when every
-// experiment's parallel=1 and parallel=4 runs agree.
+// experiment's parallel=1 and parallel=8 runs agree.
 var update = flag.Bool("update", false, "rewrite testdata/sim_digests.json when the determinism runs agree")
 
 // simPinPath is the committed pin of the sim contract: one digest per
@@ -39,36 +39,10 @@ func renderTables(tables []*Table) string {
 	return b.String()
 }
 
-// TestFig5ParallelDeterminism: the parallel and sequential schedules of the
-// same experiment must produce byte-identical tables — cells are isolated
-// machines and assembly happens in figure order, so worker count cannot
-// leak into results.
-func TestFig5ParallelDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweeps are slow")
-	}
-	render := func(parallel int) string {
-		tables, err := Fig5(Options{Scale: 0.03, Parallel: parallel})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderTables(tables)
-	}
-	seq := render(1)
-	par := render(8)
-	if seq != par {
-		t.Fatalf("parallel tables differ from sequential:\n--- parallel=1 ---\n%s\n--- parallel=8 ---\n%s", seq, par)
-	}
-}
-
 // simSections marshals every cell's deterministic section (plus the
-// rendered tables) of one experiment run into a single byte string.
-func simSections(t *testing.T, name string, o Options) string {
+// rendered tables) of one experiment report into a single byte string.
+func simSections(t *testing.T, rep *ExperimentReport) string {
 	t.Helper()
-	rep, err := RunReport(name, o)
-	if err != nil {
-		t.Fatalf("%s (parallel=%d): %v", name, o.Parallel, err)
-	}
 	var b strings.Builder
 	b.WriteString(renderTables(rep.Tables))
 	for _, c := range rep.Cells {
@@ -84,6 +58,57 @@ func simSections(t *testing.T, name string, o Options) string {
 	return b.String()
 }
 
+// runKey names one experiment at one scale.
+type runKey struct {
+	name  string
+	scale float64
+}
+
+// runPair is one experiment's reports at 1 and at 8 workers.
+type runPair struct {
+	once     sync.Once
+	seq, par *ExperimentReport
+	err      error
+	readers  map[string]bool // the tests that have read the pair
+}
+
+// sharedPairs holds the run pairs that more than one test compares: the
+// suite's fig5 and txprof runs, which TestFig5ParallelDeterminism,
+// TestFig5ReportSimDeterminism and TestTxprofReportSimDeterminism read
+// instead of simulating them again.
+var sharedPairs = struct {
+	sync.Mutex
+	m map[runKey]*runPair
+}{m: map[runKey]*runPair{{"fig5", 0.03}: nil, {"txprof", 0.03}: nil}}
+
+// determinismRuns runs experiment name at scale on 1 worker and on 8 and
+// returns both reports. A shared pair is simulated once per round of
+// tests: a test that reads it a second time (under -count, say) starts a
+// fresh pair.
+func determinismRuns(t *testing.T, name string, scale float64) (seq, par *ExperimentReport) {
+	t.Helper()
+	k := runKey{name, scale}
+	sharedPairs.Lock()
+	p, shared := sharedPairs.m[k]
+	if p == nil || p.readers[t.Name()] {
+		p = &runPair{readers: map[string]bool{}}
+		if shared {
+			sharedPairs.m[k] = p
+		}
+	}
+	p.readers[t.Name()] = true
+	sharedPairs.Unlock()
+	p.once.Do(func() {
+		if p.seq, p.err = RunReport(name, Options{Scale: scale, Parallel: 1}); p.err == nil {
+			p.par, p.err = RunReport(name, Options{Scale: scale, Parallel: 8})
+		}
+	})
+	if p.err != nil {
+		t.Fatalf("%s at scale %g: %v", name, scale, p.err)
+	}
+	return p.seq, p.par
+}
+
 // simDigest is the pin's digest of one simSections string: a sha256
 // prefix, as bench/asfperf's digests.json uses.
 func simDigest(sections string) string {
@@ -92,9 +117,15 @@ func simDigest(sections string) string {
 }
 
 // TestParallelExperimentDeterminism is the harness-level determinism
-// suite: every registered experiment runs with worker counts 1 and 4, and
+// suite: every registered experiment runs with worker counts 1 and 8, and
 // both runs' sim sections — every cell's cycles, stats, metrics snapshot,
-// profile, and every rendered table — must be byte-identical. Across
+// profile, and every rendered table — must be byte-identical. Cells are
+// isolated machines and tables are assembled from their reports after the
+// pool drains, so worker count cannot leak into results; fig5, the
+// multicore sweep most sensitive to operation interleaving, shows a
+// run-ahead lease or hand-off bug that reorders even one memory operation
+// as a cycle-count diff. Every E14 cell must carry its flight-recorder
+// profile, whose determinism cmd/tmprof's output follows from. Across
 // commits, the same bytes must match the pin in testdata/sim_digests.json:
 // a change that moves simulated results on purpose re-pins with -update
 // and names the experiments that moved.
@@ -124,14 +155,124 @@ func TestParallelExperimentDeterminism(t *testing.T) {
 			if scale == 0 {
 				scale = 0.03
 			}
-			base := simSections(t, name, Options{Scale: scale, Parallel: 1})
-			if got := simSections(t, name, Options{Scale: scale, Parallel: 4}); got != base {
-				t.Fatalf("%s: sim sections differ between parallel=4 and parallel=1", name)
+			seq, par := determinismRuns(t, name, scale)
+			base := simSections(t, seq)
+			if simSections(t, par) != base {
+				t.Fatalf("%s: sim sections differ between parallel=8 and parallel=1", name)
+			}
+			if name == "txprof" {
+				for _, c := range seq.Cells {
+					if c.Sim.Profile == nil {
+						t.Errorf("txprof cell %q carries no embedded profile", c.Label)
+					}
+				}
 			}
 			mu.Lock()
 			digests[name] = simDigest(base)
 			mu.Unlock()
 		})
+	}
+}
+
+// reportSimJSON serialises the deterministic part of one experiment
+// report — every cell's label and sim section plus the tables, host
+// sections excluded (wall-clock, varies run to run).
+func reportSimJSON(t *testing.T, rep *ExperimentReport) string {
+	t.Helper()
+	type det struct {
+		Label  string
+		Sim    *CellSim
+		Tables []*Table
+	}
+	var ds []det
+	for _, c := range rep.Cells {
+		ds = append(ds, det{Label: c.Label, Sim: c.Sim})
+	}
+	ds = append(ds, det{Label: "tables", Tables: rep.Tables})
+	data, err := json.MarshalIndent(ds, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestFig5ParallelDeterminism: the parallel and sequential schedules of the
+// same experiment must produce byte-identical tables — cells are isolated
+// machines and assembly happens in figure order, so worker count cannot
+// leak into results. It reads the suite's fig5 runs.
+func TestFig5ParallelDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps are slow")
+	}
+	seqRep, parRep := determinismRuns(t, "fig5", 0.03)
+	seq, par := renderTables(seqRep.Tables), renderTables(parRep.Tables)
+	if seq != par {
+		t.Fatalf("parallel tables differ from sequential:\n--- parallel=1 ---\n%s\n--- parallel=8 ---\n%s", seq, par)
+	}
+}
+
+// TestReportSimDeterminism: the JSON encoding of every cell's sim section —
+// metrics snapshots included — must be byte-identical at any worker count.
+func TestReportSimDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps are slow")
+	}
+	seqRep, parRep := determinismRuns(t, "table1", 0.05)
+	seq, par := reportSimJSON(t, seqRep), reportSimJSON(t, parRep)
+	if seq != par {
+		t.Fatalf("sim sections differ between parallel=1 and parallel=8:\n--- 1 ---\n%.2000s\n--- 8 ---\n%.2000s", seq, par)
+	}
+}
+
+// TestFig5ReportSimDeterminism is the scheduler-refactor regression guard:
+// fig5 is the multicore sweep most sensitive to operation interleaving, so
+// its full deterministic report must be byte-identical whether cells run on
+// one worker or eight. Any run-ahead lease or hand-off bug that reordered
+// even one memory operation shows up here as a cycle-count diff. It reads
+// the suite's fig5 runs.
+func TestFig5ReportSimDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps are slow")
+	}
+	seqRep, parRep := determinismRuns(t, "fig5", 0.03)
+	seq, par := reportSimJSON(t, seqRep), reportSimJSON(t, parRep)
+	if seq != par {
+		t.Fatalf("fig5 sim sections differ between parallel=1 and parallel=8:\n--- 1 ---\n%.2000s\n--- 8 ---\n%.2000s", seq, par)
+	}
+}
+
+// TestHybridReportSimDeterminism: E11 is the first experiment whose cells
+// mix three commit paths (hardware, concurrent software, serial), so its
+// deterministic report — hytm gauges included — must be byte-identical at
+// any worker count like every other experiment's.
+func TestHybridReportSimDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps are slow")
+	}
+	seqRep, parRep := determinismRuns(t, "hybrid", 0.05)
+	seq, par := reportSimJSON(t, seqRep), reportSimJSON(t, parRep)
+	if seq != par {
+		t.Fatalf("hybrid sim sections differ between parallel=1 and parallel=8:\n--- 1 ---\n%.2000s\n--- 8 ---\n%.2000s", seq, par)
+	}
+}
+
+// TestTxprofReportSimDeterminism: E14 embeds full flight-recorder profiles
+// in every cell's sim section, so this byte-identity guard covers the
+// recorder end to end — per-core rings, wasted-work aggregates, contended-
+// line leaderboards and causality edges — at any worker count. cmd/tmprof
+// output is a pure function of these sections, so its determinism follows.
+// It reads the suite's txprof runs.
+func TestTxprofReportSimDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps are slow")
+	}
+	seqRep, parRep := determinismRuns(t, "txprof", 0.03)
+	seq, par := reportSimJSON(t, seqRep), reportSimJSON(t, parRep)
+	if seq != par {
+		t.Fatalf("txprof sim sections differ between parallel=1 and parallel=8:\n--- 1 ---\n%.2000s\n--- 8 ---\n%.2000s", seq, par)
+	}
+	if !strings.Contains(seq, `"schema": "asfstack/txprof"`) {
+		t.Fatal("txprof cells carry no embedded profile")
 	}
 }
 
@@ -225,6 +366,73 @@ func TestRunCellsCollectsFailures(t *testing.T) {
 	}
 }
 
+// TestRunCellsRunsEachConfigOnce: a cell whose config an earlier cell
+// declared does not run. Its report is the first cell's sim section under
+// its own label, with an empty host section, and it fails with that cell.
+// Cells with no config all run.
+func TestRunCellsRunsEachConfigOnce(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[int]int{} // runs per core count: A has 1 core, B 2
+	var failA bool
+	fakeWorkloads(t, func(o asfstack.Options) (asfstack.RunResult, error) {
+		mu.Lock()
+		calls[o.Cores]++
+		mu.Unlock()
+		if failA && o.Cores == 1 {
+			return asfstack.RunResult{}, errors.New("injected failure")
+		}
+		r := instantRun(o)
+		r.Cycles = uint64(1000 * o.Cores)
+		return r, nil
+	})
+	cfg := func(cores int) intset.Config {
+		return intset.Config{Options: asfstack.Options{Runtime: "LLB-8", Cores: cores}, Structure: "rbtree", Range: 64}
+	}
+	var free int // runs of the cells with no config
+	noCfg := cell{label: "free", run: func(rec *CellRecord) (string, error) {
+		mu.Lock()
+		free++
+		mu.Unlock()
+		rec.ObserveRun(asfstack.RunResult{Cycles: 7})
+		return "", nil
+	}}
+	cells := []cell{intsetCell("A", cfg(1)), intsetCell("B", cfg(2)), intsetCell("A again", cfg(1)), noCfg, noCfg}
+
+	var prog strings.Builder
+	reps, err := runCells(cells, Options{Parallel: 2, Progress: &prog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls[1] != 1 || calls[2] != 1 || free != 2 {
+		t.Errorf("A ran %d times, B %d and the config-less cells %d; want 1, 1 and 2", calls[1], calls[2], free)
+	}
+	if n := strings.Count(prog.String(), "\n"); n != 4 {
+		t.Errorf("%d progress lines for 4 runs:\n%s", n, prog.String())
+	}
+	if a, again := reps[0], reps[2]; again.Label != "A again" || again.Sim != a.Sim || a.Sim.Cycles != 1000 ||
+		again.Host != (CellHost{}) || again.Err != "" {
+		t.Errorf("repeat of A reads %+v, want A's sim section %+v under its own label with no host section", again, a.Sim)
+	}
+
+	failA = true
+	reps, err = runCells(cells, Options{Parallel: 2})
+	var joined interface{ Unwrap() []error }
+	if !errors.As(err, &joined) || len(joined.Unwrap()) != 2 {
+		t.Fatalf("error %v does not join two cell errors", err)
+	}
+	for i, label := range []string{"A", "A again"} {
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", label)) {
+			t.Errorf("error %q does not name cell %q", err, label)
+		}
+		if c := reps[[]int{0, 2}[i]]; c.Err == "" || c.Sim != nil {
+			t.Errorf("cell %q: err %q, sim %+v; want it failed", c.Label, c.Err, c.Sim)
+		}
+	}
+	if reps[1].Sim == nil || reps[1].Err != "" {
+		t.Errorf("cell B failed with A: %+v", reps[1])
+	}
+}
+
 // fakeWorkloads replaces the three workload entry points with run for the
 // rest of the test.
 func fakeWorkloads(t *testing.T, run func(asfstack.Options) (asfstack.RunResult, error)) {
@@ -282,7 +490,10 @@ func TestReportWorkersRan(t *testing.T) {
 // reports outside the cells' recover, so a failed cell's missing sim
 // section must not crash it.
 func TestRunReportsFailingCells(t *testing.T) {
-	// Parallel 1 runs the cells in cell order, so calls numbers them.
+	// Parallel 1 runs the cells in cell order, once per distinct config, so
+	// calls numbers the runs. No experiment's last cell repeats an earlier
+	// config (grid64 makes 32 calls for 36 cells), so the healthy run's
+	// last call runs the last cell.
 	var calls, failErr, failPanic int
 	var failAll bool
 	fakeWorkloads(t, func(o asfstack.Options) (asfstack.RunResult, error) {
@@ -308,13 +519,14 @@ func TestRunReportsFailingCells(t *testing.T) {
 			if err != nil {
 				t.Fatalf("healthy run: %v", err)
 			}
+			lastCall := calls - 1
 			calls, failAll = 0, true
 			none, _ := RunReport(name, o)
 			if none == nil || len(none.Tables) != len(healthy.Tables) {
 				t.Fatalf("run with every cell failing returned no report or lost tables")
 			}
 			last := len(healthy.Cells) - 1
-			calls, failErr, failPanic, failAll = 0, 0, last, false
+			calls, failErr, failPanic, failAll = 0, 0, lastCall, false
 			rep, err := RunReport(name, o)
 			if rep == nil {
 				t.Fatalf("no report: %v", err)

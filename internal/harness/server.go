@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"asfstack/internal/server"
 	"asfstack/internal/topo"
 )
 
@@ -30,21 +29,19 @@ var serverRuntimes = []string{"LLB-256", "HyTM-256", "STM", "Cohorts-turbo", "Ad
 // from the closed-loop throughput ranking of Fig. 5/E13, which is the
 // point of measuring latency open-loop.
 func Server(o Options) ([]*Table, error) {
-	nR, nL := len(serverRuntimes), len(serverLoads)
 	var cells []cell
 	for _, topology := range serverTopologies {
 		for _, rt := range serverRuntimes {
 			for _, load := range serverLoads {
-				cfg := server.Config{Options: o.spec(rt, 0), Load: load, Scale: o.scale()}
-				cfg.Topology = topology
-				cells = append(cells, serverCell(fmt.Sprintf("server %-5s %-13s load=%.2f", topology, rt, load), cfg))
+				cells = append(cells, serverCell(fmt.Sprintf("server %-5s %-13s load=%.2f", topology, rt, load),
+					o.serverCfg(topology, rt, load)))
 			}
 		}
 	}
 	reps, err := runCells(cells, o)
 
 	var tables []*Table
-	for ti, topology := range serverTopologies {
+	for _, topology := range serverTopologies {
 		t := &Table{
 			Title:  fmt.Sprintf("E16 — open-loop server, topology %s: sojourn-time quantiles (cycles)", topology),
 			Header: []string{"runtime", "load", "p50", "p95", "p99", "p999", "max", "tx/µs", "xsock-hops"},
@@ -52,9 +49,9 @@ func Server(o Options) ([]*Table, error) {
 				"load is offered per-core load relative to the nominal service rate, " +
 				"load ≥ 1 is overload and the tail reflects queue growth",
 		}
-		for ri, rt := range serverRuntimes {
-			for li, load := range serverLoads {
-				c := reps[(ti*nR+ri)*nL+li]
+		for _, rt := range serverRuntimes {
+			for _, load := range serverLoads {
+				c := find(reps, o.serverCfg(topology, rt, load))
 				if c.Sim == nil {
 					t.Add(rt, load, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
 					continue
@@ -70,17 +67,17 @@ func Server(o Options) ([]*Table, error) {
 
 	// Per-socket hop distribution on the largest topology at overload:
 	// address interleaving should spread directory traffic evenly.
-	big := len(serverTopologies) - 1
-	tpBig, _ := topo.Parse(serverTopologies[big])
+	big, overload := serverTopologies[len(serverTopologies)-1], serverLoads[len(serverLoads)-1]
+	tpBig, _ := topo.Parse(big)
 	ps := &Table{
-		Title:  fmt.Sprintf("E16 — cross-socket hops by requesting socket (%s, load=%.2f)", serverTopologies[big], serverLoads[nL-1]),
+		Title:  fmt.Sprintf("E16 — cross-socket hops by requesting socket (%s, load=%.2f)", big, overload),
 		Header: []string{"runtime"},
 	}
 	for s := 0; s < tpBig.Sockets; s++ {
 		ps.Header = append(ps.Header, fmt.Sprintf("sock%d", s))
 	}
-	for ri, rt := range serverRuntimes {
-		c := reps[(big*nR+ri)*nL+nL-1]
+	for _, rt := range serverRuntimes {
+		c := find(reps, o.serverCfg(big, rt, overload))
 		row := []any{rt}
 		if c.Sim == nil {
 			for range tpBig.Sockets {
@@ -103,16 +100,16 @@ func Server(o Options) ([]*Table, error) {
 		Header: []string{"topology", "load", "ranking"},
 		Note:   "compare against the closed-loop throughput ranking (Fig. 5/E13): under overload the orders differ",
 	}
-	for ti, topology := range serverTopologies {
-		for li, load := range serverLoads {
+	for _, topology := range serverTopologies {
+		for _, load := range serverLoads {
 			type rp struct {
 				rt  string
 				p99 float64
 			}
-			rps := make([]rp, nR)
+			rps := make([]rp, len(serverRuntimes))
 			all := true
 			for ri, rt := range serverRuntimes {
-				c := reps[(ti*nR+ri)*nL+li]
+				c := find(reps, o.serverCfg(topology, rt, load))
 				if c.Sim == nil {
 					all = false
 					break

@@ -14,16 +14,13 @@ var txprofRuntimes = []string{"LLB-256", "HyTM-8", "STM", "Cohorts-turbo", "Adap
 // edge. The full profiles land in the cells' JSON reports for cmd/tmprof.
 func Txprof(o Options) ([]*Table, error) {
 	ops := int(1500 * o.scale())
-	nR := len(txprofRuntimes)
+	o.Profile = true // every E14 cell records, whatever the run-wide switch
 	var cells []cell
 	for _, panel := range fig5Panels {
 		for _, rt := range txprofRuntimes {
-			cfg := panel
-			cfg.Options = o.spec(rt, 8)
-			cfg.Profile = true
-			cfg.OpsPerThread = ops
 			cells = append(cells, intsetCell(
-				fmt.Sprintf("txprof %-10s r=%-6d %-14s t=8", panel.Structure, panel.Range, rt), cfg))
+				fmt.Sprintf("txprof %-10s r=%-6d %-14s t=8", panel.Structure, panel.Range, rt),
+				o.intsetCfg(panel, rt, 8, ops)))
 		}
 	}
 	reps, err := runCells(cells, o)
@@ -36,10 +33,10 @@ func Txprof(o Options) ([]*Table, error) {
 			"top-line = most abort-implicated cache line over the surviving flight window; " +
 			"top-edge = heaviest aborter→victim causality edge (full run, hardware conflict aborts)",
 	}
-	for pi, panel := range fig5Panels {
+	for _, panel := range fig5Panels {
 		cellName := fmt.Sprintf("%s/%d", panel.Structure, panel.Range)
-		for ri, rt := range txprofRuntimes {
-			c := reps[pi*nR+ri]
+		for _, rt := range txprofRuntimes {
+			c := find(reps, o.intsetCfg(panel, rt, 8, ops))
 			if c.Sim == nil {
 				t.Add(cellName, rt, "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR", "ERR")
 				continue

@@ -50,9 +50,6 @@ func NewArena(m *Memory, base, end Addr) *Arena {
 // Remaining returns the number of bytes still available.
 func (a *Arena) Remaining() uint64 { return uint64(a.end - a.next) }
 
-// Base returns the start of the arena's region.
-func (a *Arena) Base() Addr { return a.base }
-
 // Alloc reserves size bytes with the given alignment (which must be a power
 // of two ≥ 8) and returns the address. It panics when the arena is
 // exhausted: workloads are sized so this is a configuration error, not a
@@ -69,9 +66,6 @@ func (a *Arena) Alloc(size uint64, align uint64) Addr {
 	a.next = p + Addr(size)
 	return p
 }
-
-// AllocWords reserves n words, word-aligned.
-func (a *Arena) AllocWords(n int) Addr { return a.Alloc(uint64(n)*WordSize, WordSize) }
 
 // AllocLines reserves n whole cache lines, line-aligned. This is the
 // padded allocation the paper uses for shared-structure entry points.

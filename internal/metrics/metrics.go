@@ -15,7 +15,7 @@
 //     (wall-clock time, worker queues) are registered with the Host flag
 //     and land in a separate section of every snapshot, so the simulated
 //     section of two runs with different host parallelism is byte-identical
-//     (the determinism guarantee TestFig5ParallelDeterminism pins);
+//     (the determinism guarantee TestParallelExperimentDeterminism pins);
 //   - Snapshot returns a deep copy in registration order (which is itself
 //     deterministic: registration happens during single-threaded stack
 //     construction), and Reset re-arms everything at a measurement barrier.

@@ -322,15 +322,11 @@ func (c *CPU) deliverPendingAbort() {
 // rolled back mid-flight.
 func (c *CPU) AbortPending() bool { return c.pendingAbort != AbortNone }
 
-// PostAbort records an abort to be delivered at the core's next operation.
-// Called by SpecUnit implementations (with the posting core holding the
-// global turn).
-func (c *CPU) PostAbort(r AbortReason) { c.PostAbortFrom(r, NoCore, NoAddr) }
-
-// PostAbortFrom is PostAbort carrying the causality edge: by is the core
-// whose access killed this region and addr the conflicting cache line
-// (NoCore/NoAddr when unknown). The edge is observability-only; delivery
-// semantics are identical to PostAbort.
+// PostAbortFrom records an abort to be delivered at the core's next
+// operation, with its causality edge: by is the core whose access killed
+// this region and addr the conflicting cache line (NoCore/NoAddr when
+// unknown). The edge is observability-only. Called by SpecUnit
+// implementations (with the posting core holding the global turn).
 func (c *CPU) PostAbortFrom(r AbortReason, by int, addr mem.Addr) {
 	c.pendingAbort = r
 	c.pendingBy = by

@@ -52,8 +52,7 @@ import (
 
 // Config describes the simulated machine.
 type Config struct {
-	Cores   int
-	ClockHz uint64 // core clock; the paper simulates 2.2 GHz
+	Cores int
 
 	Cache cache.Config
 
@@ -91,7 +90,6 @@ type Config struct {
 func Barcelona(cores int) Config {
 	return Config{
 		Cores:         cores,
-		ClockHz:       2_200_000_000,
 		Cache:         cache.Barcelona(),
 		IssueWidth:    3,
 		TimerInterval: 2_200_000, // 1 ms OS tick
@@ -222,11 +220,11 @@ func New(cfg Config) *Machine {
 
 // Release hands the machine's host slabs to the process-wide free lists
 // (internal/slab) for the next machine to build from: the words of its
-// written pages, its caches' block chunks, TLB arrays, directory table and
-// line buffer, and every core's generators. Call it once the machine's
-// results are read; it recycles nothing a result can still reference. The
-// machine must not be used again: a later access panics instead of reading
-// memory another machine now owns. Release on a running machine panics.
+// written pages, its caches' block chunks, TLB arrays and directory table,
+// and every core's generators. Call it once the machine's results are
+// read; it recycles nothing a result can still reference. The machine must
+// not be used again: a later access panics instead of reading memory
+// another machine now owns. Release on a running machine panics.
 func (m *Machine) Release() {
 	if m.Running() {
 		panic("sim: Release while the machine is running")
@@ -261,11 +259,6 @@ func (m *Machine) SetAccessHook(h AccessHook) { m.hook = h }
 // SetIdleHook installs the cooperative-quiescence callback CPU.IdleHint
 // invokes. Install before Run; nil disables (IdleHint becomes free).
 func (m *Machine) SetIdleHook(h func(*CPU)) { m.idleHook = h }
-
-// CyclesToNanos converts simulated cycles to simulated nanoseconds.
-func (m *Machine) CyclesToNanos(cy uint64) float64 {
-	return float64(cy) / float64(m.cfg.ClockHz) * 1e9
-}
 
 // Run executes one thread body per core (len(bodies) ≤ Cores) to completion
 // and returns the simulated duration in cycles (the maximum core clock).

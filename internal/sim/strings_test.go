@@ -63,13 +63,6 @@ func TestBreakdownArithmetic(t *testing.T) {
 	}
 }
 
-func TestCyclesToNanos(t *testing.T) {
-	m := New(Barcelona(1))
-	if got := m.CyclesToNanos(2_200_000_000); got != 1e9 {
-		t.Errorf("one second of cycles = %v ns", got)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

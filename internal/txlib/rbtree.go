@@ -85,16 +85,6 @@ func (t *RBTree) Get(tx tm.Tx, k uint64) (mem.Word, bool) {
 	return tx.Load(field(n, rbVal)), true
 }
 
-// Update stores v at existing key k, returning false if absent.
-func (t *RBTree) Update(tx tm.Tx, k uint64, v mem.Word) bool {
-	n := t.lookup(tx, k)
-	if n == t.nil {
-		return false
-	}
-	tx.Store(field(n, rbVal), v)
-	return true
-}
-
 // Insert adds (k, v), returning false if k was already present.
 func (t *RBTree) Insert(tx tm.Tx, k uint64, v mem.Word) bool {
 	c := tx.CPU()
